@@ -1,5 +1,6 @@
-"""Command-line front end: config ingestion, experiment dispatch, and
-structured output (CSV tables, JSON summaries, gnuplot companions)."""
+"""Command-line front end: config ingestion, running the experiment's
+registry entry, and structured output (CSV tables, JSON summaries, gnuplot
+companions)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import EXPERIMENTS, RunConfig, parse_config_file, resolve
+from .config import RunConfig, parse_config_file, resolve
 from .errors import (
     BadDimension,
     DegenerateSteadyState,
@@ -30,7 +31,7 @@ from .errors import (
     ValidationError,
     ZeroVariance,
 )
-from . import experiments as _exp
+from .experiments import EXPERIMENTS
 from .selftest import run_selftest
 
 #: Distinct exit code per library error class (documented in the README).
@@ -80,20 +81,8 @@ def write_summary(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-_GP_STYLES = {
-    "theta_scan": ("t", "qfi", "theta"),
-    "direct_vs_ancilla": ("t", "qfi", "scheme"),
-    "kappa_sweep": ("t", "qfi", "kappa"),
-    "two_qubit_configs": ("t", "qfi", "config"),
-    "coherence_parametric": ("max_coherence", "qsnr_opt", None),
-    "steady_qsnr": ("ratio", "qsnr", None),
-    "evolve": ("t", "coherence_abs", None),
-    "qfi_point": (None, None, None),
-}
-
-
 def write_gnuplot(path: str, experiment: str, csv_name: str, columns, rows) -> None:
-    xcol, ycol, group = _GP_STYLES.get(experiment, (None, None, None))
+    xcol, ycol, group = EXPERIMENTS[experiment].plot
     lines = [
         f"# gnuplot companion for the {experiment} data file",
         "set datafile separator ','",
@@ -127,66 +116,9 @@ def write_gnuplot(path: str, experiment: str, csv_name: str, columns, rows) -> N
         fh.write("\n".join(lines) + "\n")
 
 
-def _dispatch(cfg: RunConfig):
-    """Run one experiment; returns (ScanResult, results payload for JSON)."""
-    opt = dict(cfg.options)
-    name = cfg.experiment
-    if name == "theta_scan":
-        scan = _exp.run_theta_scan(opt.pop("theta_list"), **opt)
-        peaks = {}
-        for row in scan.rows:
-            peaks[row["theta"]] = max(peaks.get(row["theta"], 0.0), row["qfi"])
-        results = {"peak_qfi_by_theta": peaks}
-    elif name == "direct_vs_ancilla":
-        scan = _exp.run_direct_vs_ancilla(**opt)
-        by = {"direct": [], "ancilla": []}
-        for row in scan.rows:
-            by[row["scheme"]].append(row)
-        crossover = None
-        n = len(by["direct"])
-        for i in range(1, n):
-            if all(by["ancilla"][j]["qfi"] > by["direct"][j]["qfi"] for j in range(i, n)):
-                crossover = by["ancilla"][i]["t"]
-                break
-        results = {
-            "crossover_time": crossover,
-            "peak_qfi": {k: max(r["qfi"] for r in v) for k, v in by.items()},
-        }
-    elif name == "kappa_sweep":
-        scan, optima = _exp.run_kappa_sweep(opt.pop("kappa_list"), **opt)
-        results = {
-            "optima": [
-                {"kappa": k, "t_opt": o.argmax, "qsnr_opt": o.value}
-                for k, o in zip(scan.params["kappa_list"], optima)
-            ]
-        }
-    elif name == "coherence_parametric":
-        scan = _exp.run_coherence_parametric(opt.pop("kappa_list"), **opt)
-        results = {"parametric": scan.rows}
-    elif name == "two_qubit_configs":
-        scan = _exp.run_two_qubit_configs(**opt)
-        results = {"steady_qfi": scan.params["steady_qfi"], "t_99": scan.params["t_99"]}
-    elif name == "steady_qsnr":
-        grid = np.linspace(opt.pop("ratio_min"), opt.pop("ratio_max"), opt.pop("ratio_points"))
-        scan = _exp.run_steady_qsnr_curve(grid, **opt)
-        results = {
-            "located_max": scan.params["located_max"],
-            "root_condition": scan.params["root_condition"],
-        }
-    elif name == "evolve":
-        scan = _exp.run_evolve(opt.pop("model"), **opt)
-        results = {"final_row": scan.rows[-1]}
-    elif name == "qfi_point":
-        scan = _exp.run_qfi_point(opt.pop("model"), **opt)
-        results = {"record": scan.rows[0]}
-    else:  # pragma: no cover - resolve() already screens names
-        raise ValidationError("experiment", f"unknown experiment {name!r}")
-    return scan, results
-
-
 def run(cfg: RunConfig, quiet: bool = False) -> int:
     started = time.perf_counter()
-    scan, results = _dispatch(cfg)
+    scan, results = EXPERIMENTS[cfg.experiment].run(**cfg.options)
     os.makedirs(cfg.out_dir, exist_ok=True)
     base = os.path.join(cfg.out_dir, cfg.experiment)
     csv_path = base + ".csv"

@@ -9,8 +9,10 @@ Config grammar (documented in the README):
 * list values are comma separated numbers, e.g. ``kappa_list = 0.6, 0.8``
 
 Precedence: command-line ``--param key=value`` overrides the file, the file
-overrides per-experiment defaults.  Defaults reproduce the package's
-standard parameter sets.  Unknown keys are rejected.
+overrides per-experiment defaults.  Each experiment's keys, type tags and
+defaults are its ``experiments.EXPERIMENTS`` entry; defaults reproduce the
+package's standard parameter sets.  Unknown keys and non-finite numbers are
+rejected.
 """
 
 from __future__ import annotations
@@ -20,91 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .experiments import EXPERIMENTS
 
-__all__ = ["EXPERIMENTS", "RunConfig", "parse_config_file", "resolve", "coerce_value"]
-
-_PI = float(np.pi)
-
-# key -> (type tag, default) per experiment; None default means required-less
-# optional key whose absence keeps the runner's own default.
-_COMMON_KEYS: dict[str, tuple[str, object]] = {"out": ("str", ".")}
-
-EXPERIMENTS: dict[str, dict[str, tuple[str, object]]] = {
-    "theta_scan": {
-        "temperature": ("pos_float", 0.4),
-        "kappa": ("pos_float", 0.8),
-        "eta": ("nonneg_float", 0.01),
-        "cutoff": ("pos_float", 10.0),
-        "t_max": ("pos_float", 50.0),
-        "n_points": ("grid_int", 500),
-        "theta_list": ("angle_list", [0.0, _PI / 4, _PI / 2, 3 * _PI / 4, _PI]),
-    },
-    "direct_vs_ancilla": {
-        "temperature": ("pos_float", 0.4),
-        "kappa": ("pos_float", 0.8),
-        "eta": ("nonneg_float", 0.01),
-        "cutoff": ("pos_float", 10.0),
-        "theta": ("angle", _PI / 2),
-        "t_max": ("pos_float", 50.0),
-        "n_points": ("grid_int", 500),
-    },
-    "kappa_sweep": {
-        "temperature": ("pos_float", 0.4),
-        "eta": ("nonneg_float", 0.01),
-        "cutoff": ("pos_float", 10.0),
-        "theta": ("angle", _PI / 2),
-        "t_max": ("pos_float", 120.0),
-        "n_points": ("grid_int", 600),
-        "kappa_list": ("pos_list", [0.6, 0.7, 0.8, 0.9]),
-    },
-    "coherence_parametric": {
-        "temperature": ("pos_float", 0.4),
-        "eta": ("nonneg_float", 0.1),
-        "cutoff": ("pos_float", 10.0),
-        "theta": ("angle", _PI / 2),
-        "t_max": ("pos_float", 50.0),
-        "n_points": ("grid_int", 500),
-        "kappa_list": ("pos_list", [0.2, 0.4, 0.6, 0.8, 1.0, 1.2]),
-    },
-    "two_qubit_configs": {
-        "temperature": ("pos_float", 0.4),
-        "kappa": ("pos_float", 0.6),
-        "eta1": ("nonneg_float", 0.01),
-        "eta2": ("nonneg_float", 0.05),
-        "cutoff": ("pos_float", 10.0),
-        "t_max": ("pos_float", 2000.0),
-        "n_points": ("grid_int", 240),
-    },
-    "steady_qsnr": {
-        "ratio_min": ("pos_float", 0.05),
-        "ratio_max": ("pos_float", 5.0),
-        "ratio_points": ("grid_int", 200),
-        "n_line": ("grid_int", 50),
-        "line_t_min": ("pos_float", 0.05),
-        "line_t_max": ("pos_float", 2.0),
-    },
-    "evolve": {
-        "model": ("model", "probe_ancilla"),
-        "temperature": ("pos_float", 0.4),
-        "eta": ("nonneg_float", 0.01),
-        "eta2": ("opt_nonneg_float", None),
-        "cutoff": ("pos_float", 10.0),
-        "kappa": ("pos_float", 0.8),
-        "theta": ("angle", _PI / 2),
-        "t_max": ("pos_float", 50.0),
-        "n_points": ("grid_int", 500),
-    },
-    "qfi_point": {
-        "model": ("model", "probe_ancilla"),
-        "at": ("time_or_steady", "steady"),
-        "temperature": ("pos_float", 0.4),
-        "eta": ("nonneg_float", 0.01),
-        "eta2": ("opt_nonneg_float", None),
-        "cutoff": ("pos_float", 10.0),
-        "kappa": ("pos_float", 0.8),
-        "theta": ("angle", _PI / 2),
-    },
-}
+__all__ = ["RunConfig", "parse_config_file", "resolve", "coerce_value"]
 
 _MODELS = ("direct", "probe_ancilla", "two_qubit_local", "two_qubit_common")
 
@@ -116,18 +36,20 @@ class RunConfig:
     out_dir: str = "."
 
 
-def _parse_scalar(text: str) -> float:
+def _number(raw) -> float:
+    """A finite float from a config string or a number."""
     try:
-        return float(text)
+        value = float(raw)
     except ValueError:
-        raise ValueError(f"{text!r} is not a number") from None
+        raise ValueError(f"{raw!r} is not a number") from None
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
 
 
 def coerce_value(key: str, kind: str, raw) -> object:
     """Coerce and range-check one config value; raw is a string or a number."""
     try:
-        if kind == "str":
-            return str(raw).strip()
         if kind == "model":
             value = str(raw).strip()
             if value not in _MODELS:
@@ -137,39 +59,36 @@ def coerce_value(key: str, kind: str, raw) -> object:
             value = str(raw).strip()
             if value == "steady":
                 return value
-            t = _parse_scalar(value)
+            t = _number(value)
             if t < 0:
                 raise ValueError("must be >= 0 or 'steady'")
             return t
         if kind in ("pos_float", "nonneg_float", "opt_nonneg_float", "angle"):
-            value = _parse_scalar(raw) if isinstance(raw, str) else float(raw)
+            value = _number(raw)
             if kind == "pos_float" and value <= 0:
                 raise ValueError("must be > 0")
             if kind in ("nonneg_float", "opt_nonneg_float") and value < 0:
                 raise ValueError("must be >= 0")
-            if kind == "angle" and not 0.0 <= value <= _PI + 1e-12:
+            if kind == "angle" and not 0.0 <= value <= np.pi + 1e-12:
                 raise ValueError("must lie in [0, pi]")
             return value
         if kind == "grid_int":
-            value = _parse_scalar(raw) if isinstance(raw, str) else raw
-            if float(value) != int(float(value)):
+            value = _number(raw)
+            if value != int(value):
                 raise ValueError("must be an integer")
-            value = int(float(value))
+            value = int(value)
             if value < 2:
                 raise ValueError("must be >= 2")
             return value
         if kind in ("pos_list", "angle_list"):
-            if isinstance(raw, str):
-                parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-                values = [_parse_scalar(p) for p in parts]
-            else:
-                values = [float(v) for v in raw]
+            items = [p.strip() for p in raw.split(",") if p.strip()] if isinstance(raw, str) else raw
+            values = [_number(v) for v in items]
             if not values:
                 raise ValueError("list must not be empty")
             for v in values:
                 if kind == "pos_list" and v <= 0:
                     raise ValueError("list entries must be > 0")
-                if kind == "angle_list" and not 0.0 <= v <= _PI + 1e-12:
+                if kind == "angle_list" and not 0.0 <= v <= np.pi + 1e-12:
                     raise ValueError("list entries must lie in [0, pi]")
             return values
     except ValueError as exc:
@@ -221,9 +140,9 @@ def resolve(
     """Merge defaults, config file and overrides for one experiment."""
     if experiment not in EXPERIMENTS:
         raise ValidationError("experiment", f"unknown experiment {experiment!r}")
-    schema = EXPERIMENTS[experiment]
+    schema = EXPERIMENTS[experiment].keys
     options = {k: default for k, (_, default) in schema.items()}
-    resolved_out = _COMMON_KEYS["out"][1]
+    resolved_out = "."
 
     def apply(key: str, raw):
         nonlocal resolved_out

@@ -1,7 +1,8 @@
 """Scripted scan runners producing the package's standard data products.
 
 Each runner returns a :class:`ScanResult` whose rows are plain dicts in a
-fixed column order, ready for CSV serialization.  Runs are deterministic:
+fixed column order, ready for CSV serialization.  :data:`EXPERIMENTS` holds
+one :class:`ExperimentSpec` per CLI experiment.  Runs are deterministic:
 there is no randomness anywhere, and sweep points are independent jobs that
 a thread pool may execute in any order without changing the assembled
 output.
@@ -14,14 +15,15 @@ only as cross-checks in the test suite).
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import optimal_ratio, steady_qsnr
-from .errors import NoConvergence, NonPositiveInput
-from .fisher import EstimateRecord, halving_consistency, qfi_spectral, qsnr, qubit_qfi
+from .errors import NoConvergence, NonPositiveInput, ValidationError
+from .fisher import EstimateRecord, default_step, halving_consistency, qfi_spectral, qsnr, qubit_qfi
 from .linalg import pauli, partial_trace
 from .master_equation import build_liouvillian
 from .models import (
@@ -36,6 +38,8 @@ from .models import (
 from .dynamics import propagate, steady_state, trajectory, states_at
 
 __all__ = [
+    "EXPERIMENTS",
+    "ExperimentSpec",
     "ScanResult",
     "OptSearchResult",
     "parallel_map",
@@ -88,6 +92,18 @@ class ScanResult:
 
 
 @dataclass(frozen=True)
+class ExperimentSpec:
+    """One CLI experiment: ``keys`` maps config keys to (type tag, default),
+    where ``None`` keeps the runner's default; ``run`` maps the resolved
+    options (as keywords) to the scan and the summary's results payload;
+    ``plot`` names the gnuplot (x, y, group) columns, ``None`` for none."""
+
+    keys: dict[str, tuple[str, object]]
+    run: Callable[..., tuple[ScanResult, dict]]
+    plot: tuple[str | None, str | None, str | None] = (None, None, None)
+
+
+@dataclass(frozen=True)
 class OptSearchResult:
     """Located interior maximum of a 1-d scan."""
 
@@ -106,12 +122,15 @@ class OptSearchResult:
 
 def worker_count() -> int:
     env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         n = int(env)
-        if n < 1:
-            raise NonPositiveInput(f"{WORKERS_ENV} must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValidationError(WORKERS_ENV, f"must be an integer, got {env!r}") from None
+    if n < 1:
+        raise ValidationError(WORKERS_ENV, f"must be >= 1, got {n}")
+    return n
 
 
 def parallel_map(fn, items, workers: int | None = None) -> list:
@@ -160,6 +179,7 @@ def make_model(
 ):
     """Construct a model from flat scalar parameters (CLI plumbing)."""
     bath = BathSpec(eta=eta, cutoff=cutoff, temperature=temperature)
+    eta2 = eta if eta2 is None else eta2
     if name == "direct":
         return DirectProbeModel(omega_p=omega_p, bath=bath)
     if name == "probe_ancilla":
@@ -167,15 +187,12 @@ def make_model(
             omega_p=omega_p, omega_a=omega_a, kappa=kappa, bath=bath, theta=theta
         )
     if name == "two_qubit_local":
-        bath2 = BathSpec(eta=eta2 if eta2 is not None else eta, cutoff=cutoff, temperature=temperature)
+        bath2 = BathSpec(eta=eta2, cutoff=cutoff, temperature=temperature)
         return TwoQubitModel(
             omega0=omega0, kappa=kappa, bath_config=LocalBaths(bath, bath2), theta=theta
         )
     if name == "two_qubit_common":
-        cfg = CommonBath(
-            eta1=eta, eta2=eta2 if eta2 is not None else eta,
-            cutoff=cutoff, temperature=temperature,
-        )
+        cfg = CommonBath(eta1=eta, eta2=eta2, cutoff=cutoff, temperature=temperature)
         return TwoQubitModel(omega0=omega0, kappa=kappa, bath_config=cfg, theta=theta)
     raise NonPositiveInput(f"unknown model name {name!r}")
 
@@ -189,8 +206,6 @@ class TemperatureFamily:
     """
 
     def __init__(self, model_fn, temperature: float, h: float | None = None, reduce: bool = True):
-        from .fisher import default_step
-
         self.temperature = float(temperature)
         self.h = default_step(temperature) if h is None else float(h)
         self.reduce = reduce
@@ -210,7 +225,10 @@ class TemperatureFamily:
         return rho
 
     def state(self, t: float, tv: float | None = None) -> np.ndarray:
+        """State at time ``t`` (the steady state for ``t = inf``) and temperature ``tv``."""
         tv = self.temperature if tv is None else tv
+        if t == np.inf:
+            return self._project(steady_state(self._liou[tv], self._rho0[tv]).state)
         return self._project(propagate(self._liou[tv], self._rho0[tv], t))
 
     def grid_states(self, times) -> dict[float, list[np.ndarray]]:
@@ -244,7 +262,16 @@ class TemperatureFamily:
         return five[2], self.derivative_from(five)
 
 
+def _family(model_name: str, temperature: float, reduce: bool = True, **model_kw) -> TemperatureFamily:
+    """Five-temperature family of ``make_model(model_name, temperature=tv, **model_kw)``."""
+    return TemperatureFamily(
+        lambda tv: make_model(model_name, temperature=tv, **model_kw), temperature, reduce=reduce
+    )
+
+
 def _qubit_record(t, rho, drho, temperature) -> EstimateRecord:
+    """Probe-qubit record.  The sigma_x FI is 0 where Var(sigma_x) <= 1e-14
+    (the t = 0 rows); ``fisher.measurement_fi`` raises ``ZeroVariance`` there."""
     f = qubit_qfi(rho, drho)
     mean = float(np.trace(rho @ _SX).real)
     var = float(np.trace(rho @ _SX @ _SX).real) - mean * mean
@@ -261,6 +288,10 @@ def _qubit_record(t, rho, drho, temperature) -> EstimateRecord:
 
 
 def _two_qubit_record(t, rho, drho, temperature) -> EstimateRecord:
+    """Two-qubit record, measured in ``_TQ_BASIS``.  The 4-outcome CFI skips
+    every outcome with p <= 1e-14, whatever its dp/dT, where
+    ``fisher.cfi_povm`` raises ``SingularOutcome``; it skips that function's
+    probability-sum checks too."""
     f = qfi_spectral(rho, drho)
     probs = np.array([float((_TQ_BASIS[:, k].conj() @ rho @ _TQ_BASIS[:, k]).real) for k in range(4)])
     dprobs = np.array([float((_TQ_BASIS[:, k].conj() @ drho @ _TQ_BASIS[:, k]).real) for k in range(4)])
@@ -321,6 +352,15 @@ def _row(rec: EstimateRecord) -> dict:
     }
 
 
+def _grid_rows(axis: str, labels, record_lists) -> list[dict]:
+    """One row per (sweep label, grid record), the label in column ``axis``."""
+    return [
+        {axis: label, "t": rec.t, **_row(rec)}
+        for label, recs in zip(labels, record_lists)
+        for rec in recs
+    ]
+
+
 def run_theta_scan(
     theta_list=DEFAULT_THETAS,
     *,
@@ -341,20 +381,19 @@ def run_theta_scan(
     )
 
     def one(theta):
-        fam = TemperatureFamily(
-            lambda tv: ProbeAncillaModel(
-                omega_p=1.0, omega_a=1.0, kappa=kappa,
-                bath=BathSpec(eta, cutoff, tv), theta=theta,
-            ),
-            temperature,
-        )
+        fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta)
         return _records_on_grid(fam, times, _qubit_record)
 
-    rows = []
-    for theta, recs in zip(theta_list, parallel_map(one, theta_list, workers)):
-        for rec in recs:
-            rows.append({"theta": float(theta), "t": rec.t, **_row(rec)})
+    rows = _grid_rows("theta", params["theta_list"], parallel_map(one, theta_list, workers))
     return ScanResult("theta_scan", params, ("theta", "t") + _RECORD_COLUMNS, rows)
+
+
+def _cli_theta_scan(**opt):
+    scan = run_theta_scan(**opt)
+    peaks = {}
+    for row in scan.rows:
+        peaks[row["theta"]] = max(peaks.get(row["theta"], 0.0), row["qfi"])
+    return scan, {"peak_qfi_by_theta": peaks}
 
 
 def run_direct_vs_ancilla(
@@ -374,29 +413,44 @@ def run_direct_vs_ancilla(
         experiment="direct_vs_ancilla", temperature=temperature, kappa=kappa,
         eta=eta, cutoff=cutoff, theta=theta, t_max=t_max, n_points=n_points,
     )
+    scheme_models = {"direct": "direct", "ancilla": "probe_ancilla"}
 
     def one(scheme):
-        if scheme == "direct":
-            fam = TemperatureFamily(
-                lambda tv: DirectProbeModel(omega_p=1.0, bath=BathSpec(eta, cutoff, tv)),
-                temperature,
-            )
-        else:
-            fam = TemperatureFamily(
-                lambda tv: ProbeAncillaModel(
-                    omega_p=1.0, omega_a=1.0, kappa=kappa,
-                    bath=BathSpec(eta, cutoff, tv), theta=theta,
-                ),
-                temperature,
-            )
+        fam = _family(
+            scheme_models[scheme], temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta
+        )
         return _records_on_grid(fam, times, _qubit_record)
 
-    schemes = ("direct", "ancilla")
-    rows = []
-    for scheme, recs in zip(schemes, parallel_map(one, schemes, workers)):
-        for rec in recs:
-            rows.append({"scheme": scheme, "t": rec.t, **_row(rec)})
+    rows = _grid_rows("scheme", scheme_models, parallel_map(one, scheme_models, workers))
     return ScanResult("direct_vs_ancilla", params, ("scheme", "t") + _RECORD_COLUMNS, rows)
+
+
+def _cli_direct_vs_ancilla(**opt):
+    scan = run_direct_vs_ancilla(**opt)
+    by = {"direct": [], "ancilla": []}
+    for row in scan.rows:
+        by[row["scheme"]].append(row)
+    crossover = None
+    n = len(by["direct"])
+    for i in range(1, n):
+        if all(by["ancilla"][j]["qfi"] > by["direct"][j]["qfi"] for j in range(i, n)):
+            crossover = by["ancilla"][i]["t"]
+            break
+    return scan, {
+        "crossover_time": crossover,
+        "peak_qfi": {k: max(r["qfi"] for r in v) for k, v in by.items()},
+    }
+
+
+def _coupling_optimum(kappa, temperature, eta, cutoff, theta, times):
+    """Probe+ancilla family at one coupling, its records on ``times`` and
+    the located maximum of QSNR(t)."""
+    fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta)
+    recs = _records_on_grid(fam, times, _qubit_record)
+    opt = _refine_max(
+        times, [r.qsnr for r in recs], lambda t: _qfi_at(fam, _qubit_record, t).qsnr
+    )
+    return fam, recs, opt
 
 
 def run_kappa_sweep(
@@ -417,30 +471,23 @@ def run_kappa_sweep(
         temperature=temperature, eta=eta, cutoff=cutoff, theta=theta,
         t_max=t_max, n_points=n_points,
     )
-
-    def one(kappa):
-        fam = TemperatureFamily(
-            lambda tv: ProbeAncillaModel(
-                omega_p=1.0, omega_a=1.0, kappa=kappa,
-                bath=BathSpec(eta, cutoff, tv), theta=theta,
-            ),
-            temperature,
-        )
-        recs = _records_on_grid(fam, times, _qubit_record)
-        opt = _refine_max(
-            times,
-            [r.qsnr for r in recs],
-            lambda t: _qfi_at(fam, _qubit_record, t).qsnr,
-        )
-        return recs, opt
-
-    rows, optima = [], []
-    for kappa, (recs, opt) in zip(kappa_list, parallel_map(one, kappa_list, workers)):
-        optima.append(opt)
-        for rec in recs:
-            rows.append({"kappa": float(kappa), "t": rec.t, **_row(rec)})
+    sweep = parallel_map(
+        lambda kappa: _coupling_optimum(kappa, temperature, eta, cutoff, theta, times),
+        kappa_list, workers,
+    )
+    rows = _grid_rows("kappa", params["kappa_list"], [recs for _, recs, _ in sweep])
     scan = ScanResult("kappa_sweep", params, ("kappa", "t") + _RECORD_COLUMNS, rows)
-    return scan, optima
+    return scan, [opt for _, _, opt in sweep]
+
+
+def _cli_kappa_sweep(**opt):
+    scan, optima = run_kappa_sweep(**opt)
+    return scan, {
+        "optima": [
+            {"kappa": k, "t_opt": o.argmax, "qsnr_opt": o.value}
+            for k, o in zip(scan.params["kappa_list"], optima)
+        ]
+    }
 
 
 def run_coherence_parametric(
@@ -463,59 +510,32 @@ def run_coherence_parametric(
     )
 
     def one(kappa):
-        fam = TemperatureFamily(
-            lambda tv: ProbeAncillaModel(
-                omega_p=1.0, omega_a=1.0, kappa=kappa,
-                bath=BathSpec(eta, cutoff, tv), theta=theta,
-            ),
-            temperature,
-        )
-        recs = _records_on_grid(fam, times, _qubit_record)
-        opt_r = _refine_max(
-            times, [r.qsnr for r in recs],
-            lambda t: _qfi_at(fam, _qubit_record, t).qsnr,
-        )
+        fam, recs, opt_r = _coupling_optimum(kappa, temperature, eta, cutoff, theta, times)
         opt_c = _refine_max(
             times, [r.coherence_abs for r in recs],
             lambda t: float(abs(fam.state(t)[0, 1])),
         )
-        return opt_c, opt_r
+        return {
+            "kappa": float(kappa),
+            "max_coherence": opt_c.value,
+            "t_max_coherence": opt_c.argmax,
+            "qsnr_opt": opt_r.value,
+            "t_opt": opt_r.argmax,
+        }
 
-    rows = []
-    for kappa, (opt_c, opt_r) in zip(kappa_list, parallel_map(one, kappa_list, workers)):
-        rows.append(
-            {
-                "kappa": float(kappa),
-                "max_coherence": opt_c.value,
-                "t_max_coherence": opt_c.argmax,
-                "qsnr_opt": opt_r.value,
-                "t_opt": opt_r.argmax,
-            }
-        )
     return ScanResult(
         "coherence_parametric", params,
-        ("kappa", "max_coherence", "t_max_coherence", "qsnr_opt", "t_opt"), rows,
+        ("kappa", "max_coherence", "t_max_coherence", "qsnr_opt", "t_opt"),
+        parallel_map(one, kappa_list, workers),
     )
 
 
+def _cli_coherence_parametric(**opt):
+    scan = run_coherence_parametric(**opt)
+    return scan, {"parametric": scan.rows}
+
+
 TWO_QUBIT_CONFIGS = ("local_separable", "local_entangled", "common_separable", "common_entangled")
-
-
-def _two_qubit_family(config, temperature, kappa, eta1, eta2, cutoff):
-    theta = 0.0 if config.endswith("separable") else np.pi / 2
-    if config.startswith("local"):
-        fn = lambda tv: TwoQubitModel(
-            omega0=1.0, kappa=kappa,
-            bath_config=LocalBaths(BathSpec(eta1, cutoff, tv), BathSpec(eta2, cutoff, tv)),
-            theta=theta,
-        )
-    else:
-        fn = lambda tv: TwoQubitModel(
-            omega0=1.0, kappa=kappa,
-            bath_config=CommonBath(eta1=eta1, eta2=eta2, cutoff=cutoff, temperature=tv),
-            theta=theta,
-        )
-    return TemperatureFamily(fn, temperature, reduce=False)
 
 
 def run_two_qubit_configs(
@@ -543,7 +563,11 @@ def run_two_qubit_configs(
     )
 
     def one(config):
-        fam = _two_qubit_family(config, temperature, kappa, eta1, eta2, cutoff)
+        fam = _family(
+            "two_qubit_local" if config.startswith("local") else "two_qubit_common",
+            temperature, reduce=False, kappa=kappa, eta=eta1, eta2=eta2, cutoff=cutoff,
+            theta=0.0 if config.endswith("separable") else np.pi / 2,
+        )
         recs = _records_on_grid(fam, times, _two_qubit_record)
         f_ss = recs[-1].qfi
         target = 0.99 * f_ss
@@ -563,19 +587,16 @@ def run_two_qubit_configs(
             t99 = 0.5 * (lo + hi)
         return recs, f_ss, t99
 
-    rows = []
-    steady = {}
-    t99s = {}
-    for config, (recs, f_ss, t99) in zip(
-        TWO_QUBIT_CONFIGS, parallel_map(one, TWO_QUBIT_CONFIGS, workers)
-    ):
-        steady[config] = f_ss
-        t99s[config] = t99
-        for rec in recs:
-            rows.append({"config": config, "t": rec.t, **_row(rec)})
-    params["steady_qfi"] = steady
-    params["t_99"] = t99s
+    sweep = parallel_map(one, TWO_QUBIT_CONFIGS, workers)
+    params["steady_qfi"] = {c: f_ss for c, (_, f_ss, _) in zip(TWO_QUBIT_CONFIGS, sweep)}
+    params["t_99"] = {c: t99 for c, (_, _, t99) in zip(TWO_QUBIT_CONFIGS, sweep)}
+    rows = _grid_rows("config", TWO_QUBIT_CONFIGS, [recs for recs, _, _ in sweep])
     return ScanResult("two_qubit_configs", params, ("config", "t") + _RECORD_COLUMNS, rows)
+
+
+def _cli_two_qubit_configs(**opt):
+    scan = run_two_qubit_configs(**opt)
+    return scan, {"steady_qfi": scan.params["steady_qfi"], "t_99": scan.params["t_99"]}
 
 
 def run_steady_qsnr_curve(
@@ -620,6 +641,11 @@ def run_steady_qsnr_curve(
     )
 
 
+def _cli_steady_qsnr(ratio_min, ratio_max, ratio_points, **opt):
+    scan = run_steady_qsnr_curve(np.linspace(ratio_min, ratio_max, ratio_points), **opt)
+    return scan, {k: scan.params[k] for k in ("located_max", "root_condition")}
+
+
 def run_evolve(
     model_name: str = "probe_ancilla",
     *,
@@ -645,34 +671,26 @@ def run_evolve(
         eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
         t_max=t_max, n_points=n_points,
     )
-    rows = []
+    # a qubit's coherence is rho[0, 1]; two qubits report the exchange pair's rho[01, 10]
     if liou.dim == 2:
-        columns = ("t", "p0", "p1", "coherence_abs", "purity")
-        for t, s in zip(traj.times, traj.states):
-            rows.append(
-                {
-                    "t": float(t),
-                    "p0": float(s[0, 0].real),
-                    "p1": float(s[1, 1].real),
-                    "coherence_abs": float(abs(s[0, 1])),
-                    "purity": float(np.trace(s @ s).real),
-                }
-            )
+        populations, (i, j) = ("p0", "p1"), (0, 1)
     else:
-        columns = ("t", "p00", "p01", "p10", "p11", "coherence_abs", "purity")
-        for t, s in zip(traj.times, traj.states):
-            rows.append(
-                {
-                    "t": float(t),
-                    "p00": float(s[0, 0].real),
-                    "p01": float(s[1, 1].real),
-                    "p10": float(s[2, 2].real),
-                    "p11": float(s[3, 3].real),
-                    "coherence_abs": float(abs(s[1, 2])),
-                    "purity": float(np.trace(s @ s).real),
-                }
-            )
-    return ScanResult("evolve", params, columns, rows)
+        populations, (i, j) = ("p00", "p01", "p10", "p11"), (1, 2)
+    rows = [
+        {
+            "t": float(t),
+            **{p: float(s[k, k].real) for k, p in enumerate(populations)},
+            "coherence_abs": float(abs(s[i, j])),
+            "purity": float(np.trace(s @ s).real),
+        }
+        for t, s in zip(traj.times, traj.states)
+    ]
+    return ScanResult("evolve", params, ("t", *populations, "coherence_abs", "purity"), rows)
+
+
+def _cli_evolve(model, **opt):
+    scan = run_evolve(model, **opt)
+    return scan, {"final_row": scan.rows[-1]}
 
 
 def run_qfi_point(
@@ -694,26 +712,94 @@ def run_qfi_point(
         eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
     )
     single_qubit = model_name in ("direct", "probe_ancilla")
-    fam = TemperatureFamily(
-        lambda tv: make_model(
-            model_name, temperature=tv, eta=eta, eta2=eta2,
-            cutoff=cutoff, kappa=kappa, theta=theta,
-        ),
-        temperature,
-        reduce=single_qubit,
+    fam = _family(
+        model_name, temperature, reduce=single_qubit,
+        eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
     )
-    record_fn = _qubit_record if fam.dim == 2 or single_qubit else _two_qubit_record
-    if at == "steady":
-        states = {}
-        for tv in fam.temps:
-            res = steady_state(fam._liou[tv], fam._rho0[tv])
-            states[tv] = fam._project(res.state)
-        five = [states[tv] for tv in fam.temps]
-        drho = fam.derivative_from(five)
-        rec = record_fn(np.inf, five[2], drho, temperature)
-        t_label = "steady"
-    else:
-        rec = _qfi_at(fam, record_fn, float(at))
-        t_label = float(at)
-    rows = [{"at": t_label, **_row(rec)}]
+    record_fn = _qubit_record if single_qubit else _two_qubit_record
+    t = np.inf if at == "steady" else float(at)
+    rec = _qfi_at(fam, record_fn, t)
+    rows = [{"at": "steady" if t == np.inf else t, **_row(rec)}]
     return ScanResult("qfi_point", params, ("at",) + _RECORD_COLUMNS, rows)
+
+
+def _cli_qfi_point(model, **opt):
+    scan = run_qfi_point(model, **opt)
+    return scan, {"record": scan.rows[0]}
+
+
+_BATH_KEYS = {
+    "temperature": ("pos_float", 0.4),
+    "eta": ("nonneg_float", 0.01),
+    "cutoff": ("pos_float", 10.0),
+}
+_MODEL_KEYS = {
+    "model": ("model", "probe_ancilla"),
+    **_BATH_KEYS,
+    "eta2": ("opt_nonneg_float", None),
+    "kappa": ("pos_float", 0.8),
+    "theta": ("angle", np.pi / 2),
+}
+
+
+def _grid_keys(t_max: float, n_points: int) -> dict:
+    return {"t_max": ("pos_float", t_max), "n_points": ("grid_int", n_points)}
+
+
+EXPERIMENTS: dict[str, ExperimentSpec] = {
+    "theta_scan": ExperimentSpec(
+        {
+            **_BATH_KEYS, "kappa": ("pos_float", 0.8), **_grid_keys(50.0, 500),
+            "theta_list": ("angle_list", list(DEFAULT_THETAS)),
+        },
+        _cli_theta_scan, ("t", "qfi", "theta"),
+    ),
+    "direct_vs_ancilla": ExperimentSpec(
+        {
+            **_BATH_KEYS, "kappa": ("pos_float", 0.8), "theta": ("angle", np.pi / 2),
+            **_grid_keys(50.0, 500),
+        },
+        _cli_direct_vs_ancilla, ("t", "qfi", "scheme"),
+    ),
+    "kappa_sweep": ExperimentSpec(
+        {
+            **_BATH_KEYS, "theta": ("angle", np.pi / 2), **_grid_keys(120.0, 600),
+            "kappa_list": ("pos_list", list(DEFAULT_KAPPAS)),
+        },
+        _cli_kappa_sweep, ("t", "qfi", "kappa"),
+    ),
+    "coherence_parametric": ExperimentSpec(
+        {
+            **_BATH_KEYS, "eta": ("nonneg_float", 0.1), "theta": ("angle", np.pi / 2),
+            **_grid_keys(50.0, 500),
+            "kappa_list": ("pos_list", list(DEFAULT_PARAMETRIC_KAPPAS)),
+        },
+        _cli_coherence_parametric, ("max_coherence", "qsnr_opt", None),
+    ),
+    "two_qubit_configs": ExperimentSpec(
+        {
+            "temperature": ("pos_float", 0.4),
+            "kappa": ("pos_float", 0.6),
+            "eta1": ("nonneg_float", 0.01),
+            "eta2": ("nonneg_float", 0.05),
+            "cutoff": ("pos_float", 10.0),
+            **_grid_keys(2000.0, 240),
+        },
+        _cli_two_qubit_configs, ("t", "qfi", "config"),
+    ),
+    "steady_qsnr": ExperimentSpec(
+        {
+            "ratio_min": ("pos_float", 0.05),
+            "ratio_max": ("pos_float", 5.0),
+            "ratio_points": ("grid_int", 200),
+            "n_line": ("grid_int", 50),
+            "line_t_min": ("pos_float", 0.05),
+            "line_t_max": ("pos_float", 2.0),
+        },
+        _cli_steady_qsnr, ("ratio", "qsnr", None),
+    ),
+    "evolve": ExperimentSpec(
+        {**_MODEL_KEYS, **_grid_keys(50.0, 500)}, _cli_evolve, ("t", "coherence_abs", None)
+    ),
+    "qfi_point": ExperimentSpec({**_MODEL_KEYS, "at": ("time_or_steady", "steady")}, _cli_qfi_point),
+}

@@ -1,9 +1,12 @@
+import inspect
 import json
+import re
 
 import pytest
 
+from qthermo import experiments
 from qthermo.cli import main, write_csv
-from qthermo.config import parse_config_file, resolve
+from qthermo.config import coerce_value, parse_config_file, resolve
 from qthermo.errors import ParseError, ValidationError
 
 
@@ -60,6 +63,22 @@ class TestConfig:
     def test_grid_int_rejects_fraction(self):
         with pytest.raises(ValidationError, match="n_points"):
             resolve("evolve", None, {"n_points": "10.5"})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--param", "n_points=inf"],
+            ["evolve", "--param", "temperature=nan"],
+            ["qfi_point", "--param", "temperature=nan"],
+            ["qfi_point", "--param", "at=inf"],
+            ["kappa_sweep", "--param", "kappa_list=0.6,inf"],
+            ["steady_qsnr", "--param", "ratio_max=nan"],
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[-1]}",
+    )
+    def test_non_finite_value_rejected(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 3
+        assert argv[-1].partition("=")[0] in capsys.readouterr().err
 
     def test_at_steady_or_time(self):
         assert resolve("qfi_point", None, {"at": "steady"}).options["at"] == "steady"
@@ -157,6 +176,13 @@ class TestMain:
         out = str(tmp_path / "o")
         assert main(["steady_qsnr", "--out", out, "--quiet"]) == 0
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_malformed_workers_env_rejected(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QTHERMO_WORKERS", value)
+        argv = ["direct_vs_ancilla", "--out", str(tmp_path), "--param", "n_points=2", "--quiet"]
+        assert main(argv) == 3
+        assert "QTHERMO_WORKERS" in capsys.readouterr().err
+
     def test_malformed_param_rejected(self, tmp_path):
         assert main(["evolve", "--out", str(tmp_path), "--param", "nonsense", "--quiet"]) == 3
 
@@ -167,3 +193,67 @@ class TestMain:
 
     def test_selftest_subcommand(self):
         assert main(["selftest", "--quiet"]) == 0
+
+
+# Smallest grid on which each experiment succeeds: the QSNR and coherence
+# optima need one interior grid point.
+SMALL_RUNS = {
+    "theta_scan": ["n_points=2", "theta_list=0.5,1.5"],
+    "direct_vs_ancilla": ["n_points=2"],
+    "kappa_sweep": ["n_points=3", "kappa_list=0.6,0.9"],
+    "coherence_parametric": ["n_points=3", "kappa_list=0.6,0.9"],
+    "two_qubit_configs": ["n_points=2"],
+    "steady_qsnr": ["ratio_points=3", "n_line=2"],
+    "evolve": ["n_points=2"],
+    "qfi_point": [],
+}
+RUNNERS = {
+    "theta_scan": experiments.run_theta_scan,
+    "direct_vs_ancilla": experiments.run_direct_vs_ancilla,
+    "kappa_sweep": experiments.run_kappa_sweep,
+    "coherence_parametric": experiments.run_coherence_parametric,
+    "two_qubit_configs": experiments.run_two_qubit_configs,
+    "steady_qsnr": experiments.run_steady_qsnr_curve,
+    "evolve": experiments.run_evolve,
+    "qfi_point": experiments.run_qfi_point,
+}
+# config key -> runner keyword, where the two differ
+RUNNER_KEYWORD = {
+    "model": "model_name",
+    "ratio_min": "ratio_grid",
+    "ratio_max": "ratio_grid",
+    "ratio_points": "ratio_grid",
+}
+
+
+@pytest.mark.parametrize("name", list(experiments.EXPERIMENTS))
+def test_registry_entry(name, tmp_path, monkeypatch):
+    spec = experiments.EXPERIMENTS[name]
+    assert set(SMALL_RUNS) == set(RUNNERS) == set(experiments.EXPERIMENTS)
+
+    # the entry runs end to end, and its plot names columns of the CSV
+    monkeypatch.setenv("QTHERMO_WORKERS", "1")
+    argv = [name, "--out", str(tmp_path), "--quiet"]
+    for pair in SMALL_RUNS[name]:
+        argv += ["--param", pair]
+    assert main(argv) == 0
+    header = (tmp_path / f"{name}.csv").read_text().splitlines()[0].split(",")
+    gp = (tmp_path / f"{name}.gp").read_text()
+    labels = re.findall(r"set [xy]label '(\w+)'", gp) + re.findall(r"title '(\w+)=", gp)
+    named = list(dict.fromkeys(labels))
+    assert named == [c for c in spec.plot if c is not None]
+    assert set(named) <= set(header)
+
+    # registry defaults agree with the runner's keyword defaults
+    params = inspect.signature(RUNNERS[name]).parameters
+    keywords = {RUNNER_KEYWORD.get(key, key) for key in spec.keys}
+    assert keywords == set(params) - {"workers"}
+    for key, (kind, default) in spec.keys.items():
+        got = default if default is None else coerce_value(key, kind, default)
+        if key.startswith("ratio_"):  # the runner's default grid
+            expected = experiments.run_steady_qsnr_curve().params[key]
+        else:
+            expected = params[RUNNER_KEYWORD.get(key, key)].default
+        if isinstance(expected, tuple):
+            expected = list(expected)
+        assert got == expected, key
