@@ -5,7 +5,8 @@ fixed column order, ready for CSV serialization.  :data:`EXPERIMENTS` holds
 one :class:`ExperimentSpec` per CLI experiment.  Runs are deterministic:
 there is no randomness anywhere, and sweep points are independent jobs that
 a thread pool may execute in any order without changing the assembled
-output.
+output.  Within a job, the states on a time grid are one stack per
+temperature and the grid's records are computed on the whole stack.
 
 Temperature derivatives follow the package-wide rule: validated central
 differences of the numerically propagated states (closed forms are used
@@ -24,7 +25,7 @@ import numpy as np
 from .closed_forms import optimal_ratio, steady_qsnr
 from .errors import NoConvergence, NonPositiveInput, ValidationError
 from .fisher import EstimateRecord, default_step, halving_consistency, qfi_spectral, qsnr, qubit_qfi
-from .linalg import pauli, partial_trace
+from .linalg import partial_trace
 from .master_equation import build_liouvillian
 from .models import (
     BathSpec,
@@ -61,8 +62,6 @@ WORKERS_ENV = "QTHERMO_WORKERS"
 DEFAULT_THETAS = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi)
 DEFAULT_KAPPAS = (0.6, 0.7, 0.8, 0.9)
 DEFAULT_PARAMETRIC_KAPPAS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
-
-_SX = pauli("x")
 
 # Fixed two-qubit measurement basis: |00>, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, |11>.
 _TQ_BASIS = np.array(
@@ -220,7 +219,7 @@ class TemperatureFamily:
         self.dim = self._liou[self.temperature].dim
 
     def _project(self, rho):
-        if self.reduce and rho.shape[0] == 4:
+        if self.reduce and rho.shape[-1] == 4:
             return partial_trace(rho, keep=1)
         return rho
 
@@ -231,7 +230,8 @@ class TemperatureFamily:
             return self._project(steady_state(self._liou[tv], self._rho0[tv]).state)
         return self._project(propagate(self._liou[tv], self._rho0[tv], t))
 
-    def grid_states(self, times) -> dict[float, list[np.ndarray]]:
+    def grid_states(self, times) -> dict[float, np.ndarray]:
+        """``(n_t, d, d)`` state stack on ``times`` for each of the five temperatures."""
         uniform = (
             len(times) > 2
             and times[0] == 0.0
@@ -246,11 +246,12 @@ class TemperatureFamily:
                 )
                 out[tv] = traj.reduced if traj.reduced is not None else traj.states
             else:
-                out[tv] = [self._project(s) for s in states_at(self._liou[tv], self._rho0[tv], times)]
+                out[tv] = self._project(states_at(self._liou[tv], self._rho0[tv], times))
         return out
 
     def derivative_from(self, five_states) -> np.ndarray:
-        """Validated central difference from states at the five temperatures."""
+        """Validated central difference from states (or state stacks) at the
+        five temperatures."""
         m0, m1, _, m3, m4 = five_states
         d_h = (m4 - m0) / (2.0 * self.h)
         d_half = (m3 - m1) / self.h
@@ -269,55 +270,60 @@ def _family(model_name: str, temperature: float, reduce: bool = True, **model_kw
     )
 
 
-def _qubit_record(t, rho, drho, temperature) -> EstimateRecord:
-    """Probe-qubit record.  The sigma_x FI is 0 where Var(sigma_x) <= 1e-14
-    (the t = 0 rows); ``fisher.measurement_fi`` raises ``ZeroVariance`` there."""
+def _records(t, qfi, fi, coherence, temperature):
+    """``EstimateRecord`` for one time point, or a list of them for a grid,
+    from per-state columns."""
+    if np.ndim(t) == 0:
+        return _records([t], [qfi], [fi], [coherence], temperature)[0]
+    return [
+        EstimateRecord(
+            t=ti, qfi=f, fi_meas=m, qsnr=qsnr(temperature, f),
+            qfi_per_t=f / ti if ti > 0 else 0.0, coherence_abs=c,
+        )
+        for ti, f, m, c in zip(*(np.asarray(x, dtype=float).tolist() for x in (t, qfi, fi, coherence)))
+    ]
+
+
+def _qubit_record(t, rho, drho, temperature):
+    """Probe-qubit record(s) at time ``t`` (state, derivative) or on a grid
+    (stacks).  The sigma_x FI ``(d<sx>/dT)^2 / Var(sx)`` is 0 where
+    Var(sigma_x) <= 1e-14 (the t = 0 rows); ``fisher.measurement_fi`` raises
+    ``ZeroVariance`` there."""
     f = qubit_qfi(rho, drho)
-    mean = float(np.trace(rho @ _SX).real)
-    var = float(np.trace(rho @ _SX @ _SX).real) - mean * mean
-    dmean = float(np.trace(drho @ _SX).real)
-    fi = dmean * dmean / var if var > 1e-14 else 0.0
-    return EstimateRecord(
-        t=float(t),
-        qfi=f,
-        fi_meas=fi,
-        qsnr=qsnr(temperature, f),
-        qfi_per_t=f / t if t > 0 else 0.0,
-        coherence_abs=float(abs(rho[0, 1])),
-    )
+    # <sx> = Tr(rho sx) = rho_01 + rho_10 and <sx^2> = Tr(rho)
+    mean = (rho[..., 0, 1] + rho[..., 1, 0]).real
+    var = (rho[..., 0, 0] + rho[..., 1, 1]).real - mean * mean
+    dmean = (drho[..., 0, 1] + drho[..., 1, 0]).real
+    fi = np.divide(dmean * dmean, var, out=np.zeros_like(var), where=var > 1e-14)
+    c = rho[..., 0, 1]
+    return _records(t, f, fi, np.hypot(c.real, c.imag), temperature)
 
 
-def _two_qubit_record(t, rho, drho, temperature) -> EstimateRecord:
-    """Two-qubit record, measured in ``_TQ_BASIS``.  The 4-outcome CFI skips
-    every outcome with p <= 1e-14, whatever its dp/dT, where
+def _tq_probs(m: np.ndarray) -> np.ndarray:
+    """``Re <b_k| m |b_k>`` for the four ``_TQ_BASIS`` vectors, per matrix."""
+    bras = _TQ_BASIS.T.conj()[:, None, :]
+    kets = _TQ_BASIS.T[:, :, None]
+    return (bras @ m[..., None, :, :] @ kets)[..., 0, 0].real
+
+
+def _two_qubit_record(t, rho, drho, temperature):
+    """Two-qubit record(s), measured in ``_TQ_BASIS``.  The 4-outcome CFI
+    skips every outcome with p <= 1e-14, whatever its dp/dT, where
     ``fisher.cfi_povm`` raises ``SingularOutcome``; it skips that function's
     probability-sum checks too."""
     f = qfi_spectral(rho, drho)
-    probs = np.array([float((_TQ_BASIS[:, k].conj() @ rho @ _TQ_BASIS[:, k]).real) for k in range(4)])
-    dprobs = np.array([float((_TQ_BASIS[:, k].conj() @ drho @ _TQ_BASIS[:, k]).real) for k in range(4)])
-    fi = 0.0
-    for p, dp in zip(probs, dprobs):
-        if p > 1e-14:
-            fi += dp * dp / p
-    return EstimateRecord(
-        t=float(t),
-        qfi=f,
-        fi_meas=fi,
-        qsnr=qsnr(temperature, f),
-        qfi_per_t=f / t if t > 0 else 0.0,
-        coherence_abs=float(abs(rho[1, 2])),
-    )
+    probs, dprobs = _tq_probs(rho), _tq_probs(drho)
+    terms = np.divide(dprobs * dprobs, probs, out=np.zeros_like(probs), where=probs > 1e-14)
+    # summed outcome by outcome, as a running total
+    fi = np.cumsum(terms, axis=-1)[..., -1]
+    c = rho[..., 1, 2]
+    return _records(t, f, fi, np.hypot(c.real, c.imag), temperature)
 
 
 def _records_on_grid(family: TemperatureFamily, times, record_fn) -> list[EstimateRecord]:
     grids = family.grid_states(times)
-    temps = family.temps
-    recs = []
-    for i, t in enumerate(times):
-        five = [grids[tv][i] for tv in temps]
-        drho = family.derivative_from(five)
-        recs.append(record_fn(t, five[2], drho, family.temperature))
-    return recs
+    five = [grids[tv] for tv in family.temps]
+    return record_fn(times, five[2], family.derivative_from(five), family.temperature)
 
 
 def _qfi_at(family: TemperatureFamily, record_fn, t: float) -> EstimateRecord:
@@ -580,6 +586,8 @@ def run_two_qubit_configs(
             lo, hi = float(times[i - 1]), float(times[i])
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break  # float64 cannot split the bracket further
                 if _qfi_at(fam, _two_qubit_record, mid).qfi >= target:
                     hi = mid
                 else:

@@ -15,6 +15,10 @@ Quantum Fisher information comes in two equivalent forms:
 
   which is singular at pure states and then routed to the spectral form.
 
+Both forms, and the derivative check, accept one state or a ``(..., d, d)``
+stack of states: a stack gives one value per state, and a failed check
+raises what the single-state call raises for the first offending state.
+
 The symmetric logarithmic derivative of a mixed qubit is
 ``L = c0 I + cx sx + cy sy + cz sz`` with ``c0 = dP / (2 (P - 1))`` and
 ``c_i = r_i dP / (2 - 2P) + dr_i``; its eigenbasis is an optimal
@@ -36,7 +40,7 @@ from .errors import (
     StepTooLarge,
     ZeroVariance,
 )
-from .linalg import eig_hermitian, hermiticity_defect, pauli
+from .linalg import dag, eig_hermitian, hermiticity_defect, pauli
 
 __all__ = [
     "default_step",
@@ -61,6 +65,10 @@ EIG_CUTOFF = 1e-12
 #: Skipped terms whose squared numerator exceeds this trigger a warning.
 NUMERATOR_FLOOR = 1e-24
 
+#: Bloch vectors with ``|r|^2`` above this count as pure: the Bloch form is
+#: singular there.
+PURE_NORM2 = 1.0 - 1e-9
+
 
 def default_step(temperature: float) -> float:
     """Central-difference step ``max(1e-5, 1e-4 T)``."""
@@ -78,15 +86,18 @@ def halving_consistency(d_h: np.ndarray, d_half: np.ndarray, rel_tol: float = 1e
     temperature independent up to evaluation noise, e.g. a dephased steady
     state, and a relative comparison of noise would be meaningless).  Above
     that floor a relative discrepancy exceeding ``rel_tol`` raises
-    :class:`StepTooLarge`.
+    :class:`StepTooLarge`.  For ``(..., d, d)`` stacks each matrix is checked
+    on its own scale.
     """
-    scale = max(float(np.max(np.abs(d_half))), float(np.max(np.abs(d_h))))
-    if scale < 1e-8:
-        return
-    rel = float(np.max(np.abs(d_h - d_half))) / max(float(np.max(np.abs(d_half))), 1e-300)
-    if rel > rel_tol:
+    d_h, d_half = np.asarray(d_h), np.asarray(d_half)
+    axes = tuple(range(max(d_h.ndim - 2, 0), d_h.ndim))
+    big_half = np.abs(d_half).max(axis=axes)
+    scale = np.maximum(big_half, np.abs(d_h).max(axis=axes))
+    rel = np.abs(d_h - d_half).max(axis=axes) / np.maximum(big_half, 1e-300)
+    bad = np.flatnonzero((scale >= 1e-8) & (rel > rel_tol))
+    if bad.size:
         raise StepTooLarge(
-            f"central difference differs from half step by {rel:.3e} relative"
+            f"central difference differs from half step by {np.ravel(rel)[bad[0]]:.3e} relative"
         )
 
 
@@ -106,43 +117,46 @@ def d_rho_dT(state_fn, temperature: float, h: float | None = None) -> np.ndarray
     return d_h
 
 
-def qfi_spectral(rho: np.ndarray, drho: np.ndarray, eig_cutoff: float = EIG_CUTOFF) -> float:
+def qfi_spectral(rho: np.ndarray, drho: np.ndarray, eig_cutoff: float = EIG_CUTOFF):
     """Quantum Fisher information from the eigendecomposition of ``rho``.
 
     Terms with ``lam_k + lam_l <= eig_cutoff`` are dropped; if such a term
     carries a squared numerator above ``NUMERATOR_FLOOR`` a warning is
-    emitted, since that signals information sitting on the boundary of the
-    state's support where the float representation cannot resolve it.
+    emitted (once per affected state), since that signals information
+    sitting on the boundary of the state's support where the float
+    representation cannot resolve it.  Returns a float, or an array of one
+    value per state for a stack.
     """
     drho = np.asarray(drho, dtype=complex)
-    defect = hermiticity_defect(drho)
-    if defect > 1e-8 * max(1.0, float(np.max(np.abs(drho)))):
-        raise NonHermitianInput(f"state derivative has hermiticity defect {defect:.3e}")
+    defect = np.asarray(hermiticity_defect(drho))
+    bad = np.flatnonzero(defect > 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(-2, -1))))
+    if bad.size:
+        raise NonHermitianInput(
+            f"state derivative has hermiticity defect {np.ravel(defect)[bad[0]]:.3e}"
+        )
     es = eig_hermitian(np.asarray(rho, dtype=complex))
-    lam = es.eigenvalues
-    m = es.eigenvectors.conj().T @ drho @ es.eigenvectors
-    total = 0.0
-    dropped = 0.0
-    for k in range(len(lam)):
-        for l in range(len(lam)):
-            s = lam[k] + lam[l]
-            num = abs(m[k, l]) ** 2
-            if s > eig_cutoff:
-                total += 2.0 * num / s
-            elif num > NUMERATOR_FLOOR:
-                dropped = max(dropped, num)
-    if dropped:
+    lam, v = es.eigenvalues, es.eigenvectors
+    m = dag(v) @ drho @ v
+    s = lam[..., :, None] + lam[..., None, :]
+    num = np.float_power(np.hypot(m.real, m.imag), 2)  # rounds as abs(m_kl) ** 2 does
+    kept = s > eig_cutoff
+    terms = np.divide(2.0 * num, s, out=np.zeros_like(num), where=kept)
+    # summed term by term in (k, l) order, as a running total
+    total = np.cumsum(terms.reshape(*terms.shape[:-2], -1), axis=-1)[..., -1]
+    dropped = np.where(kept | (num <= NUMERATOR_FLOOR), 0.0, num).max(axis=(-2, -1))
+    for worst in np.ravel(dropped)[np.ravel(dropped) > 0]:
         warnings.warn(
-            f"spectral QFI dropped a boundary-of-support term (|numerator|^2 = {dropped:.3e})",
+            f"spectral QFI dropped a boundary-of-support term (|numerator|^2 = {worst:.3e})",
             stacklevel=2,
         )
-    return float(total)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
 class BlochVector:
     """Real components of a Hermitian 2x2 matrix in the Pauli basis (for a
-    state: the Bloch vector; for a state derivative: its derivative)."""
+    state: the Bloch vector; for a state derivative: its derivative).  For a
+    stack of matrices the components are arrays."""
 
     rx: float
     ry: float
@@ -157,38 +171,57 @@ class BlochVector:
         return 0.5 * (1.0 + self.norm2)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.rx, self.ry, self.rz])
+        """Components along the last axis: shape ``(3,)``, or ``(..., 3)``."""
+        return np.stack([self.rx, self.ry, self.rz], axis=-1)
+
+    def dot(self, other: BlochVector):
+        """``r . other``, summed exactly as ``a @ b`` sums one pair of 3-vectors."""
+        return (self.as_array()[..., None, :] @ other.as_array()[..., :, None])[..., 0, 0]
 
 
 def bloch_components(mat: np.ndarray) -> BlochVector:
     mat = np.asarray(mat, dtype=complex)
-    return BlochVector(
-        rx=float(2.0 * mat[0, 1].real),
-        ry=float(-2.0 * mat[0, 1].imag),
-        rz=float((mat[0, 0] - mat[1, 1]).real),
-    )
+    c = mat[..., 0, 1]
+    comps = (2.0 * c.real, -2.0 * c.imag, (mat[..., 0, 0] - mat[..., 1, 1]).real)
+    return BlochVector(*(map(float, comps) if mat.ndim == 2 else comps))
 
 
-def qfi_bloch(r: BlochVector, dr: BlochVector) -> float:
-    """Bloch-form QFI of a mixed qubit family.
+def qfi_bloch(r: BlochVector, dr: BlochVector):
+    """Bloch-form QFI of a mixed qubit family (per state of a stack).
 
     Raises :class:`PureStateSingularity` when ``|r|^2 > 1 - 1e-9``; callers
     should fall back to :func:`qfi_spectral` (see :func:`qubit_qfi`).
     """
-    n2 = r.norm2
-    if n2 > 1.0 - 1e-9:
-        raise PureStateSingularity(f"|r|^2 = {n2} too close to 1 for the Bloch form")
-    dp = float(r.as_array() @ dr.as_array())
+    n2 = np.asarray(r.norm2)
+    pure = np.flatnonzero(n2 > PURE_NORM2)
+    if pure.size:
+        raise PureStateSingularity(
+            f"|r|^2 = {float(np.ravel(n2)[pure[0]])} too close to 1 for the Bloch form"
+        )
+    dp = r.dot(dr)
     # 4 (P - 1)^2 = (1 - |r|^2)^2
-    return dp * dp / (1.0 - n2) + dr.norm2
+    f = dp * dp / (1.0 - n2) + dr.norm2
+    return float(f) if f.ndim == 0 else f
 
 
-def qubit_qfi(rho: np.ndarray, drho: np.ndarray) -> float:
-    """QFI of a qubit family: Bloch form, spectral fallback at pure states."""
-    try:
-        return qfi_bloch(bloch_components(rho), bloch_components(drho))
-    except PureStateSingularity:
+def qubit_qfi(rho: np.ndarray, drho: np.ndarray):
+    """QFI of a qubit family: Bloch form, spectral fallback at pure states.
+
+    A ``(..., 2, 2)`` stack gives one value per state, each by the route
+    the single-state call would take.
+    """
+    rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
+    r = bloch_components(rho)
+    pure = np.asarray(r.norm2 > PURE_NORM2)
+    if not pure.any():
+        return qfi_bloch(r, bloch_components(drho))
+    if pure.ndim == 0:
         return qfi_spectral(rho, drho)
+    out = np.empty(pure.shape)
+    mixed = ~pure
+    out[mixed] = qfi_bloch(bloch_components(rho[mixed]), bloch_components(drho[mixed]))
+    out[pure] = qfi_spectral(rho[pure], drho[pure])
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,10 +245,9 @@ class SLDOperator:
 def sld(r: BlochVector, dr: BlochVector) -> SLDOperator:
     """Symmetric logarithmic derivative of a mixed qubit family."""
     n2 = r.norm2
-    if n2 > 1.0 - 1e-9:
+    if n2 > PURE_NORM2:
         raise PureStateSingularity(f"|r|^2 = {n2} too close to 1 for the SLD coefficients")
-    dp = float(r.as_array() @ dr.as_array())
-    u = dp / (1.0 - n2)  # dP / (2 - 2P)
+    u = float(r.dot(dr)) / (1.0 - n2)  # dP / (2 - 2P)
     return SLDOperator(
         c0=-u,
         cx=u * r.rx + dr.rx,

@@ -5,6 +5,11 @@ dimension (2 and 4 for states and operators, 16 for superoperators).  The
 column-stacking convention is used throughout: ``vec`` stacks columns, so
 ``vec(A @ rho @ B) == kron(B.T, A) @ vec(rho)``.
 
+Functions on matrices also accept a ``(..., d, d)`` stack and then act on
+each matrix of it; a 2-D input behaves as a single matrix.  A check that
+fails on a stack raises what the 2-D call raises for its first offending
+matrix.
+
 Basis and sign conventions
 --------------------------
 * ``|0> = (1, 0)``, ``|1> = (0, 1)``; ``sigma_z |0> = +|0>``.
@@ -63,17 +68,25 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    return a.conj().swapaxes(-1, -2)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max entrywise deviation of ``m`` from its own adjoint."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermiticity_defect(m: np.ndarray):
+    """Max entrywise deviation of ``m`` from its own adjoint: a float, or one
+    value per matrix of a stack."""
+    defect = np.abs(m - dag(m)).max(axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
+
+
+def _first(bad) -> int | None:
+    """Flat index of the first set entry of a per-matrix flag, or None."""
+    bad = np.asarray(bad)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (or of each in a stack).
 
     ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
     are the matching orthonormal eigenvectors with the phase of the first
@@ -85,7 +98,7 @@ class EigenSystem:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ dag(v)
 
 
 def eig_hermitian(h: np.ndarray, herm_tol: float = 1e-12) -> EigenSystem:
@@ -98,16 +111,15 @@ def eig_hermitian(h: np.ndarray, herm_tol: float = 1e-12) -> EigenSystem:
     """
     h = np.asarray(h, dtype=complex)
     defect = hermiticity_defect(h)
-    if defect > herm_tol:
-        raise NonHermitianInput(f"hermiticity defect {defect:.3e} > {herm_tol:.1e}")
-    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-    vecs = vecs.copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        k = int(np.argmax(np.abs(col) > 1e-8))
-        ph = col[k] / abs(col[k])
-        vecs[:, j] = col * ph.conj()
-    return EigenSystem(eigenvalues=vals, eigenvectors=vecs)
+    k = _first(defect > herm_tol)
+    if k is not None:
+        raise NonHermitianInput(f"hermiticity defect {np.ravel(defect)[k]:.3e} > {herm_tol:.1e}")
+    vals, vecs = np.linalg.eigh(0.5 * (h + dag(h)))
+    # phase reference: the first component of each column above 1e-8 in modulus
+    first = np.argmax(np.abs(vecs) > 1e-8, axis=-2)[..., None, :]
+    lead = np.take_along_axis(vecs, first, axis=-2)
+    ph = lead / np.hypot(lead.real, lead.imag)
+    return EigenSystem(eigenvalues=vals, eigenvectors=vecs * ph.conj())
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -122,18 +134,18 @@ def expm(m: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Trace out one qubit of a two-qubit operator.
+    """Trace out one qubit of a two-qubit operator (or of each in a stack).
 
     ``keep=1`` retains the first tensor factor, ``keep=2`` the second.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise BadDimension(f"partial_trace needs a 4x4 matrix, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
+    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
     if keep == 1:
-        return np.einsum("abcb->ac", r)
+        return np.einsum("...abcb->...ac", r)
     if keep == 2:
-        return np.einsum("abad->bd", r)
+        return np.einsum("...abad->...bd", r)
     raise BadDimension(f"keep must be 1 or 2, got {keep!r}")
 
 
@@ -143,11 +155,13 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec`; a ``(..., d*d)`` stack of vectors gives ``(..., d, d)``."""
     v = np.asarray(v, dtype=complex)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise BadDimension(f"vector of length {v.size} is not a stacked square matrix")
-    return v.reshape((d, d), order="F")
+    n = v.shape[-1]
+    d = int(round(np.sqrt(n)))
+    if d * d != n:
+        raise BadDimension(f"vector of length {n} is not a stacked square matrix")
+    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 def choi_matrix(superop: np.ndarray) -> np.ndarray:
@@ -176,18 +190,27 @@ def validate_density_matrix(
     Returns ``rho`` unchanged on success; raises ``NonHermitianInput``,
     ``NonFinite`` or ``PositivityViolation`` otherwise.  Positivity is only
     asserted, never repaired: a negative eigenvalue signals a generator bug
-    and must surface.
+    and must surface.  A ``(..., d, d)`` stack is checked in one pass and
+    raises for its first offending state.
     """
     rho = np.asarray(rho, dtype=complex)
-    if not np.all(np.isfinite(rho)):
-        raise NonFinite("density matrix has non-finite entries")
-    defect = hermiticity_defect(rho)
-    if defect > herm_tol:
-        raise NonHermitianInput(f"hermiticity defect {defect:.3e} > {herm_tol:.1e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise PositivityViolation(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    lam_min = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if lam_min < eig_floor:
+    head = rho
+    if not np.isfinite(rho).all():
+        # the states before the first non-finite one are checked first
+        finite = np.isfinite(rho).all(axis=(-2, -1)).reshape(-1)
+        head = rho.reshape(-1, *rho.shape[-2:])[: int(np.argmin(finite))]
+    adj = dag(head)
+    defect = np.abs(head - adj).max(axis=(-2, -1))
+    tr_dev = np.abs(head.diagonal(0, -2, -1).sum(-1) - 1.0)
+    lam_min = np.linalg.eigvalsh(0.5 * (head + adj)).min(axis=-1)
+    k = _first((defect > herm_tol) | (tr_dev > trace_tol) | (lam_min < eig_floor))
+    if k is not None:
+        defect, tr_dev, lam_min = (float(np.ravel(x)[k]) for x in (defect, tr_dev, lam_min))
+        if defect > herm_tol:
+            raise NonHermitianInput(f"hermiticity defect {defect:.3e} > {herm_tol:.1e}")
+        if tr_dev > trace_tol:
+            raise PositivityViolation(f"trace deviates from 1 by {tr_dev:.3e}")
         raise PositivityViolation(f"minimum eigenvalue {lam_min:.3e} < {eig_floor:.1e}")
+    if head is not rho:
+        raise NonFinite("density matrix has non-finite entries")
     return rho

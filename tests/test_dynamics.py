@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from qthermo.closed_forms import steady_two_qubit
-from qthermo.dynamics import propagate, states_at, steady_state, trajectory
+from qthermo.dynamics import (
+    SPECTRAL_COND_MAX,
+    _spectral_vecs,
+    propagate,
+    states_at,
+    steady_state,
+    trajectory,
+)
 from qthermo.errors import (
     DegenerateSteadyState,
     NoConvergence,
     NonPositiveInput,
     PositivityViolation,
 )
-from qthermo.linalg import identity, pauli
+from qthermo.linalg import expm, identity, partial_trace, pauli, unvec, vec
 from qthermo.master_equation import (
     Liouvillian,
     build_liouvillian,
@@ -148,6 +155,77 @@ class TestTrajectory:
         liou = build_liouvillian(DirectProbeModel(1.0, BATH))
         with pytest.raises(BadDimension):
             trajectory(liou, initial_state(DirectProbeModel(1.0, BATH)), 5.0, 10, reduce=True)
+
+
+class TestStacks:
+    """Grids of states come back as one validated ``(n_t, d, d)`` stack."""
+
+    def test_trajectory_equals_per_state_loop(self):
+        liou, rho0 = pa_liouvillian()
+        traj = trajectory(liou, rho0, 50.0, 101, reduce=True)
+        assert traj.states.shape == (101, 4, 4)
+        assert traj.reduced.shape == (101, 2, 2)
+        step = expm(liou.superop * (traj.times[1] - traj.times[0]))
+        v = vec(rho0)
+        for i in range(len(traj.times)):
+            if i > 0:
+                v = step @ v
+            rho = unvec(v)
+            rho = 0.5 * (rho + rho.conj().T)
+            assert np.array_equal(traj.states[i], rho)
+            assert np.array_equal(traj.reduced[i], partial_trace(rho, keep=1))
+
+    @pytest.mark.parametrize("make", [
+        lambda: DirectProbeModel(1.0, BATH),
+        lambda: ProbeAncillaModel(1.0, 1.0, 0.8, BATH, np.pi / 2),
+        lambda: TwoQubitModel(1.0, 0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2),
+        lambda: TwoQubitModel(1.0, 0.6, CommonBath(0.01, 0.05, 10.0, 0.4), 0.0),
+    ])
+    def test_spectral_states_match_exponentials(self, make):
+        model = make()
+        liou, rho0 = build_liouvillian(model), initial_state(model)
+        times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 59)])
+        # the spectral route is taken on every model, not the fallback
+        assert _spectral_vecs(liou.superop, vec(rho0), times) is not None
+        got = states_at(liou, rho0, times)
+        ref = np.array([propagate(liou, rho0, t) for t in times])
+        assert got.shape == (60, liou.dim, liou.dim)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        assert np.array_equal(got[0], ref[0])  # t = 0 is rho0 itself
+
+    def test_probe_ancilla_uniform_grid_match(self):
+        liou, rho0 = pa_liouvillian()
+        traj = trajectory(liou, rho0, 50.0, 500)
+        assert np.max(np.abs(states_at(liou, rho0, traj.times) - traj.states)) <= 1e-12
+
+    def test_defective_generator_falls_back_to_exponentials(self):
+        # Rabi drive at the dephasing rate: the (y, z) Bloch block
+        # [[-2g, -g], [g, 0]] is a Jordan block, so L has no eigenbasis
+        g = 0.3
+        h = 0.5 * g * pauli("x")
+        liou = Liouvillian(
+            dim=2, superop=commutator_superop(h) + g * dissipator_superop(pauli("z")),
+            hamiltonian=h, channels=(), rates=(),
+        )
+        _, v = np.linalg.eig(liou.superop)
+        assert np.linalg.cond(v) > SPECTRAL_COND_MAX
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        times = np.linspace(0.0, 20.0, 41)
+        assert _spectral_vecs(liou.superop, vec(rho0), times) is None
+        got = states_at(liou, rho0, times)
+        assert np.array_equal(got, np.array([propagate(liou, rho0, t) for t in times]))
+
+    def test_states_at_validates_the_stack(self):
+        sz = pauli("z")
+        bad = Liouvillian(
+            dim=2, superop=-0.1 * dissipator_superop(sz), hamiltonian=0.5 * sz,
+            channels=(), rates=(),
+        )
+        rho0 = 0.5 * np.ones((2, 2), dtype=complex)
+        with pytest.raises(PositivityViolation):
+            states_at(bad, rho0, [0.0, 1.0, 5.0])
+        with pytest.raises(NonPositiveInput):
+            states_at(*pa_liouvillian(), [0.0, -1.0])
 
 
 class TestExchangeSectorOracle:

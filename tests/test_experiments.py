@@ -4,8 +4,13 @@ import pytest
 from qthermo.closed_forms import direct_probe_qfi, optimal_ratio, steady_qfi
 from qthermo.errors import NoConvergence
 from qthermo.experiments import (
+    TWO_QUBIT_CONFIGS,
     TemperatureFamily,
+    _family,
+    _qfi_at,
     _qubit_record,
+    _records_on_grid,
+    _two_qubit_record,
     golden_section_max,
     make_model,
     parallel_map,
@@ -18,6 +23,7 @@ from qthermo.experiments import (
     run_theta_scan,
     run_two_qubit_configs,
 )
+from qthermo.fisher import qfi_spectral, qubit_qfi
 from qthermo.models import BathSpec, ProbeAncillaModel
 
 
@@ -213,6 +219,72 @@ class TestTwoQubitConfigs:
             by_config.setdefault(row["config"], []).append(row["qfi"])
         for vals in by_config.values():
             assert max(vals) <= vals[-1] + 1e-9
+
+
+    def test_t99_bisection_stops_at_float_resolution(self, two_qubit_result):
+        # the full 60-halving loop of the bracket gives the same t_99 bit for bit
+        times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 239)])
+        for config in TWO_QUBIT_CONFIGS:
+            fam = _family(
+                "two_qubit_local" if config.startswith("local") else "two_qubit_common",
+                0.4, reduce=False, kappa=0.6, eta=0.01, eta2=0.05, cutoff=10.0,
+                theta=0.0 if config.endswith("separable") else np.pi / 2,
+            )
+            qfi = [row["qfi"] for row in two_qubit_result.rows if row["config"] == config]
+            target = 0.99 * qfi[-1]
+            i = int(np.nonzero(np.array(qfi) >= target)[0][0])
+            lo, hi = float(times[i - 1]), float(times[i])
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if _qfi_at(fam, _two_qubit_record, mid).qfi >= target:
+                    hi = mid
+                else:
+                    lo = mid
+            assert two_qubit_result.params["t_99"][config] == 0.5 * (lo + hi)
+
+
+class TestStackRecords:
+    """Records computed on whole grids equal the single-state records."""
+
+    @staticmethod
+    def per_row(fam, times, record_fn):
+        grids = fam.grid_states(times)
+        out = []
+        for i, t in enumerate(times):
+            five = [grids[tv][i] for tv in fam.temps]
+            out.append(record_fn(t, five[2], fam.derivative_from(five), fam.temperature))
+        return out, grids
+
+    def test_qubit_records(self):
+        fam = pa_family(0.8)
+        times = np.linspace(0.0, 50.0, 120)
+        ref, grids = self.per_row(fam, times, _qubit_record)
+        assert _records_on_grid(fam, times, _qubit_record) == ref
+        rho = grids[fam.temperature]
+        assert abs(np.trace(rho[0] @ rho[0]).real - 1.0) < 1e-12  # the t = 0 row is pure
+        drho = fam.derivative_from([grids[tv] for tv in fam.temps])
+        assert [r.qfi for r in ref] == [qubit_qfi(a, b) for a, b in zip(rho, drho)]
+        assert ref[0].fi_meas == 0.0 and ref[1].fi_meas > 0.0
+
+    def test_two_qubit_records(self):
+        fam = _family("two_qubit_common", 0.4, reduce=False, kappa=0.6, eta=0.01,
+                      eta2=0.05, cutoff=10.0, theta=np.pi / 2)
+        times = np.concatenate([[0.0], np.geomspace(0.01, 500.0, 59)])
+        ref, grids = self.per_row(fam, times, _two_qubit_record)
+        assert _records_on_grid(fam, times, _two_qubit_record) == ref
+        rho = grids[fam.temperature]
+        drho = fam.derivative_from([grids[tv] for tv in fam.temps])
+        assert [r.qfi for r in ref] == [qfi_spectral(a, b) for a, b in zip(rho, drho)]
+        assert ref[0].qfi == 0.0  # t = 0: the pure, temperature-independent preparation
+
+    def test_boundary_warning_per_row(self):
+        rho = np.array([np.diag([0.0, 0.5, 0.5, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0])], dtype=complex)
+        drho = np.array([np.zeros((4, 4)), np.diag([0.0, -1e-6, 1e-6, 0.0])], dtype=complex)
+        with pytest.warns(UserWarning, match="boundary-of-support") as caught:
+            recs = _two_qubit_record(np.array([1.0, 2.0]), rho, drho, 0.4)
+        assert len(caught) == 1
+        with pytest.warns(UserWarning, match="boundary-of-support"):
+            assert recs[1] == _two_qubit_record(2.0, rho[1], drho[1], 0.4)
 
 
 class TestSteadyQsnrCurve:

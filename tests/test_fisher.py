@@ -15,6 +15,7 @@ from qthermo.fisher import (
     bloch_components,
     cfi_povm,
     d_rho_dT,
+    halving_consistency,
     measurement_fi,
     qfi_bloch,
     qfi_spectral,
@@ -301,3 +302,65 @@ class TestQsnrRecord:
             EstimateRecord(
                 t=1.0, qfi=1.0, fi_meas=1.1, qsnr=0.16, qfi_per_t=1.0, coherence_abs=0.1
             )
+
+
+class TestStacks:
+    """A stack of states gives, per state, what the single-state call gives."""
+
+    def test_halving_check_raises_for_the_offending_state(self, rng):
+        d_h = rng.normal(size=(6, 2, 2))
+        d_half = d_h * (1.0 + 1e-7)
+        d_half[0] = 1e-10  # below the 1e-8 floor: counts as zero, never raises
+        d_h[0] = 3e-9
+        halving_consistency(d_h, d_half)
+        d_half[3] *= 1.0 + 1e-3
+        d_half[5] *= 1.0 + 1e-2
+        with pytest.raises(StepTooLarge) as whole:
+            halving_consistency(d_h, d_half)
+        with pytest.raises(StepTooLarge) as single:
+            halving_consistency(d_h[3], d_half[3])
+        assert str(whole.value) == str(single.value)
+        for k in (1, 2, 4):
+            halving_consistency(d_h[k], d_half[k])
+
+    def test_qfi_spectral_per_state(self, rng):
+        pairs = [random_qubit_family(rng) for _ in range(8)]
+        rho = np.array([p[0] for p in pairs])
+        drho = np.array([p[1] for p in pairs])
+        got = qfi_spectral(rho, drho)
+        assert got.shape == (8,)
+        assert got.tolist() == [qfi_spectral(r, d) for r, d in pairs]
+
+    def test_boundary_warning_once_per_affected_state(self, rng):
+        rho = np.array([random_qubit_family(rng)[0] for _ in range(5)])
+        drho = np.zeros_like(rho)
+        for k, num in ((1, 1e-6), (3, 2e-6)):
+            rho[k] = np.diag([1.0, 0.0])
+            drho[k] = np.diag([-num, num])
+        with pytest.warns(UserWarning, match="boundary-of-support") as caught:
+            qfi_spectral(rho, drho)
+        expected = []
+        for k in (1, 3):
+            with pytest.warns(UserWarning) as one:
+                qfi_spectral(rho[k], drho[k])
+            expected.append(str(one[0].message))
+        assert [str(w.message) for w in caught] == expected
+
+    def test_qubit_qfi_routes_each_state(self, rng):
+        pairs = [random_qubit_family(rng) for _ in range(6)]
+        pairs[2] = (0.5 * (identity(2) + pauli("x")), 0.1 * pauli("z"))  # pure: spectral
+        pairs[4] = (np.diag([1.0, 0.0]).astype(complex), np.zeros((2, 2), dtype=complex))
+        rho = np.array([p[0] for p in pairs])
+        drho = np.array([p[1] for p in pairs])
+        assert qubit_qfi(rho, drho).tolist() == [qubit_qfi(r, d) for r, d in pairs]
+        with pytest.raises(PureStateSingularity):
+            qfi_bloch(bloch_components(rho), bloch_components(drho))
+
+    def test_bloch_components_of_a_stack(self, rng):
+        rho = np.array([random_qubit_family(rng)[0] for _ in range(4)])
+        r = bloch_components(rho)
+        assert r.as_array().shape == (4, 3)
+        for k in range(4):
+            one = bloch_components(rho[k])
+            assert isinstance(one.rx, float)
+            assert np.array_equal(one.as_array(), r.as_array()[k])

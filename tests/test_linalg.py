@@ -205,3 +205,78 @@ class TestValidateDensity:
         bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(NonHermitianInput):
             validate_density_matrix(bad)
+
+
+def _spoiled_stack(rng, kind, k, n=6):
+    """``n`` valid 2x2 states with entry ``k`` spoiled in the way ``kind`` names."""
+    stack = np.array([random_density(rng, 2) for _ in range(n)])
+    bad = {
+        "hermiticity": np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex),
+        "trace": 1.5 * identity(2) / 2,
+        "eigenvalue": np.diag([1.2, -0.2]).astype(complex),
+        "non_finite": np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex),
+    }[kind]
+    stack[k] = bad
+    return stack
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestStacks:
+    def test_valid_stack_returned_unchanged(self, rng):
+        stack = np.array([random_density(rng, 4) for _ in range(5)])
+        assert validate_density_matrix(stack) is stack
+
+    @pytest.mark.parametrize("kind", ["hermiticity", "trace", "eigenvalue", "non_finite"])
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_validation_raises_for_the_offending_state(self, rng, kind, k):
+        stack = _spoiled_stack(rng, kind, k)
+        assert _raised(validate_density_matrix, stack) == _raised(validate_density_matrix, stack[k])
+
+    def test_first_offending_state_wins(self, rng):
+        # a later non-finite state does not mask an earlier bad trace, and
+        # a later non-Hermitian one does not mask an earlier negative eigenvalue
+        stack = _spoiled_stack(rng, "non_finite", 4)
+        stack[2] = 1.5 * identity(2) / 2
+        assert _raised(validate_density_matrix, stack) == _raised(validate_density_matrix, stack[2])
+        stack = _spoiled_stack(rng, "hermiticity", 4)
+        stack[1] = np.diag([1.2, -0.2])
+        assert _raised(validate_density_matrix, stack) == _raised(validate_density_matrix, stack[1])
+
+    def test_nested_batch_axes(self, rng):
+        stack = _spoiled_stack(rng, "trace", 4).reshape(2, 3, 2, 2)
+        assert _raised(validate_density_matrix, stack) == _raised(
+            validate_density_matrix, stack[1, 1]
+        )
+
+    def test_partial_trace_per_state(self, rng):
+        stack = np.array([random_density(rng, 4) for _ in range(7)])
+        for keep in (1, 2):
+            got = partial_trace(stack, keep=keep)
+            assert got.shape == (7, 2, 2)
+            for s, g in zip(stack, got):
+                assert np.array_equal(partial_trace(s, keep=keep), g)
+        with pytest.raises(BadDimension):
+            partial_trace(np.zeros((3, 2, 2)), keep=1)
+
+    def test_eig_hermitian_per_matrix(self, rng):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(9)])
+        stack[4, 0, :] = stack[4, :, 0] = 0.0  # first component zero: phase from the next
+        es = eig_hermitian(stack)
+        for h, vals, vecs in zip(stack, es.eigenvalues, es.eigenvectors):
+            one = eig_hermitian(h)
+            assert np.array_equal(one.eigenvalues, vals)
+            assert np.array_equal(one.eigenvectors, vecs)
+        assert np.max(np.abs(es.reconstruct() - stack)) < 1e-12
+        skewed = stack.copy()
+        skewed[6, 0, 1] += 1e-6
+        assert _raised(eig_hermitian, skewed) == _raised(eig_hermitian, skewed[6])
+
+    def test_unvec_stack(self, rng):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        vecs = np.array([vec(m) for m in stack])
+        assert np.array_equal(unvec(vecs), stack)

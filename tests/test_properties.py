@@ -1,0 +1,38 @@
+"""Property tests over the parameter ranges the config accepts."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from qthermo.dynamics import propagate, states_at  # noqa: E402
+from qthermo.experiments import make_model  # noqa: E402
+from qthermo.linalg import validate_density_matrix  # noqa: E402
+from qthermo.master_equation import build_liouvillian  # noqa: E402
+from qthermo.models import initial_state  # noqa: E402
+
+MODELS = ("direct", "probe_ancilla", "two_qubit_local", "two_qubit_common")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from(MODELS),
+    temperature=st.floats(0.05, 2.0),
+    kappa=st.floats(0.05, 2.0),
+    eta=st.floats(0.005, 0.1),
+    eta2=st.floats(0.005, 0.1),
+    theta=st.floats(0.0, np.pi),
+    t_max=st.floats(1.0, 2000.0),
+)
+def test_spectral_propagation_matches_exponentials(model, temperature, kappa, eta, eta2, theta, t_max):
+    m = make_model(
+        model, temperature=temperature, eta=eta, eta2=eta2, cutoff=10.0, kappa=kappa, theta=theta
+    )
+    liou, rho0 = build_liouvillian(m), initial_state(m)
+    times = np.concatenate([[0.0], np.geomspace(1e-2, t_max, 11)])
+    stack = states_at(liou, rho0, times)
+    ref = np.array([propagate(liou, rho0, t) for t in times])
+    assert np.max(np.abs(stack - ref)) <= 1e-10
+    for rho in stack:
+        validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-10, eig_floor=-1e-8)
