@@ -1,18 +1,19 @@
-"""Time evolution under a fixed Liouvillian and steady-state extraction.
+"""Exact time evolution under a fixed Liouvillian (at most 16x16), exact
+temperature derivatives and steady-state extraction.
 
-The generator is time independent and at most 16x16, so evolution uses the
-exact superoperator exponential; there is no integrator truncation error to
-account for in comparisons.  A time grid's states come back as one
-``(n_t, d, d)`` stack, validated in one call:
+Every propagation diagonalises the generator once, ``L = V diag(lam) V^-1``,
+and takes all requested times from that as one validated ``(n_t, d, d)``
+stack: ``vec rho(t) = V (e * c)``, ``e = exp(lam t)``, ``c = V^-1 vec(rho0)``.
 
-* on a uniform grid (:func:`trajectory`) one exponential of the generator
-  for the grid step is applied repeatedly;
-* on an arbitrary grid (:func:`states_at`) the generator is diagonalised
-  once, ``L = V diag(lam) V^-1``, and every state is
-  ``V diag(exp(lam t)) V^-1 vec(rho0)``; when that decomposition cannot be
-  trusted, each time point gets its own exponential instead.
-
-A single time (:func:`propagate`) always uses its own exponential.
+Only the bath occupations depend on T, so ``build_liouvillian`` also builds
+``dL/dT``, and the same decomposition gives the exact ``d rho(t)/dT``
+(Daleckii-Krein divided differences): with ``X = V^-1 (dL/dT) V`` its
+eigenbasis coefficients are ``e * (Y 1 + t z) - e Y^T``, where
+``Y_ij = X_ij c_j / (lam_i - lam_j)`` for distinct eigenvalues and ``z_i``
+sums ``X_ij c_j`` over ``lam_j = lam_i``.  When the decomposition cannot be
+trusted, each time gets its own exponential instead: of L, or for
+derivatives of the block generator ``[[L, dL/dT], [0, L]]``, whose top-right
+block is the derivative (Van Loan 1978).
 """
 
 from __future__ import annotations
@@ -27,18 +28,19 @@ from .master_equation import Liouvillian
 
 __all__ = ["propagate", "states_at", "trajectory", "Trajectory", "steady_state", "SteadyStateResult"]
 
-#: ``states_at`` falls back to one exponential per time point when the
-#: eigenvector matrix of the generator has a larger condition number (the
-#: four models measure 1-2.4 at the defaults) ...
+#: The spectral route is abandoned for one exponential per time point when
+#: the eigenvector matrix of the generator has a larger condition number
+#: (the four models measure 1-2.4 at the defaults) ...
 SPECTRAL_COND_MAX = 1e4
 
 #: ... or when ``V diag(lam) V^-1`` misses the generator by more than this,
 #: relative to its largest entry.
 SPECTRAL_RESIDUAL_MAX = 1e-12
 
-
-def _evolve_vec(liouvillian: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
-    return expm(liouvillian.superop * t) @ vec(rho0)
+#: Eigenvalues closer than this, relative to the largest, are equal in the
+#: derivative.  Over the accepted parameter ranges the four models' equal
+#: eigenvalues differ numerically by < 5e-16 relative, distinct ones by > 6e-6.
+EQUAL_EIG_TOL = 1e-10
 
 
 def _states(vecs: np.ndarray) -> np.ndarray:
@@ -52,49 +54,74 @@ def _states(vecs: np.ndarray) -> np.ndarray:
     return validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-10, eig_floor=-1e-8)
 
 
+class _Evolution:
+    """States of ``rho0`` at any times from one decomposition of the
+    generator, with their exact temperature derivatives when the generator
+    carries ``d_superop``."""
+
+    def __init__(self, liouvillian: Liouvillian, rho0: np.ndarray):
+        self.superop, self.d_superop, self.v0 = liouvillian.superop, liouvillian.d_superop, vec(rho0)
+        self.spectral = None  # (lam, V, c, Y, z) of a decomposition that passes both tests
+        lam, v = np.linalg.eig(self.superop)
+        # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
+        lam[np.abs(lam) <= EQUAL_EIG_TOL * np.max(np.abs(lam))] = 0.0
+        if not np.linalg.cond(v) <= SPECTRAL_COND_MAX:
+            return
+        v_inv = np.linalg.inv(v)
+        residual = np.max(np.abs((v * lam) @ v_inv - self.superop))
+        if not residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(self.superop)):
+            return
+        c, y, z = v_inv @ self.v0, None, None
+        if self.d_superop is not None:
+            gap = np.subtract.outer(lam, lam)
+            equal = np.abs(gap) <= EQUAL_EIG_TOL * np.max(np.abs(lam))
+            xc = (v_inv @ self.d_superop @ v) * c
+            # the conserved quantities (the left null space) do not depend on T
+            xc[lam == 0] = 0.0
+            y = np.divide(xc, gap, out=np.zeros_like(xc), where=~equal)
+            z = np.where(equal, xc, 0.0).sum(axis=1)
+        self.spectral = (lam, v, c, y, z)
+
+    def _exponentials(self, times):
+        if self.d_superop is None:
+            return np.array([expm(self.superop * t) @ self.v0 for t in times]), None
+        n = len(self.v0)
+        block = np.block([[self.superop, self.d_superop], [np.zeros_like(self.superop), self.superop]])
+        start = np.concatenate([np.zeros(n, dtype=complex), self.v0])
+        out = np.array([expm(block * t) @ start for t in times])
+        return out[:, n:], out[:, :n]
+
+    def __call__(self, times) -> tuple[np.ndarray, np.ndarray | None]:
+        """Validated ``(n_t, d, d)`` state stack at ``times >= 0`` and its
+        Hermitian temperature derivative (``None`` without ``d_superop``)."""
+        times = np.asarray(times, dtype=float).reshape(-1)
+        if np.any(times < 0):
+            raise NonPositiveInput(f"propagation time must be >= 0, got {times[times < 0][0]}")
+        vecs = dvecs = None
+        if self.spectral is not None:
+            lam, v, c, y, z = self.spectral
+            e = np.exp(np.multiply.outer(times, lam))
+            vecs = (e * c) @ v.T
+            if y is not None:
+                dvecs = (e * (y.sum(axis=1) + np.multiply.outer(times, z)) - e @ y.T) @ v.T
+        if vecs is None or not all(np.isfinite(x).all() for x in (vecs, dvecs) if x is not None):
+            vecs, dvecs = self._exponentials(times)
+        # exp(L 0) = I exactly, which the decomposition reproduces only to rounding
+        vecs[times == 0] = self.v0
+        if dvecs is not None:
+            dvecs[times == 0] = 0.0
+            dvecs = 0.5 * (unvec(dvecs) + dag(unvec(dvecs)))
+        return _states(vecs), dvecs
+
+
 def propagate(liouvillian: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a state for time ``t >= 0`` and re-Hermitize the result.
-
-    Raises ``PositivityViolation`` if the output state has an eigenvalue
-    below -1e-8, which would signal a defective generator.
-    """
-    if t < 0:
-        raise NonPositiveInput(f"propagation time must be >= 0, got {t}")
-    return _states(_evolve_vec(liouvillian, rho0, t))
-
-
-def _spectral_vecs(superop: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray | None:
-    """``exp(L t) v0`` for every ``t`` from one eigendecomposition of ``L``,
-    or ``None`` when the decomposition cannot be trusted."""
-    lam, v = np.linalg.eig(superop)
-    if not np.linalg.cond(v) <= SPECTRAL_COND_MAX:
-        return None
-    v_inv = np.linalg.inv(v)
-    residual = np.max(np.abs((v * lam) @ v_inv - superop))
-    if not residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(superop)):
-        return None
-    out = (np.exp(np.multiply.outer(times, lam)) * (v_inv @ v0)) @ v.T
-    # exp(L 0) = I exactly, which V (V^-1 v0) reproduces only to rounding
-    out[times == 0] = v0
-    return out if np.all(np.isfinite(out)) else None
+    """The validated, re-Hermitized state at time ``t >= 0``."""
+    return _Evolution(liouvillian, rho0)([t])[0][0]
 
 
 def states_at(liouvillian: Liouvillian, rho0: np.ndarray, times) -> np.ndarray:
-    """States at arbitrary times ``t >= 0`` as one ``(n_t, d, d)`` stack.
-
-    One eigendecomposition of the generator serves every time point.  If
-    its eigenvector matrix is ill conditioned (``SPECTRAL_COND_MAX``), it
-    does not reproduce the generator (``SPECTRAL_RESIDUAL_MAX``) or a state
-    overflows, each time point gets its own exponential, as in
-    :func:`propagate`.
-    """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise NonPositiveInput(f"propagation time must be >= 0, got {times[times < 0][0]}")
-    vecs = _spectral_vecs(liouvillian.superop, vec(rho0), times)
-    if vecs is None:
-        vecs = np.array([_evolve_vec(liouvillian, rho0, t) for t in times])
-    return _states(vecs.reshape(len(times), liouvillian.dim**2))
+    """States at arbitrary times ``t >= 0`` as one ``(n_t, d, d)`` stack."""
+    return _Evolution(liouvillian, rho0)(times)[0]
 
 
 @dataclass(frozen=True)
@@ -114,12 +141,7 @@ def trajectory(
     n_points: int,
     reduce: bool = False,
 ) -> Trajectory:
-    """Evolve on the uniform grid ``linspace(0, t_max, n_points)``.
-
-    One exponential of the generator is computed for the grid step and
-    applied repeatedly; the sampled states are validated against the
-    density matrix invariants as one stack.
-    """
+    """Evolve on the uniform grid ``linspace(0, t_max, n_points)``."""
     if t_max <= 0:
         raise NonPositiveInput(f"t_max must be > 0, got {t_max}")
     if n_points < 2:
@@ -127,12 +149,7 @@ def trajectory(
     if reduce and liouvillian.dim != 4:
         raise BadDimension("reduce=True needs a two-qubit generator")
     times = np.linspace(0.0, float(t_max), int(n_points))
-    step = expm(liouvillian.superop * (times[1] - times[0]))
-    vecs = np.empty((len(times), liouvillian.dim**2), dtype=complex)
-    vecs[0] = vec(rho0)
-    for i in range(1, len(times)):
-        vecs[i] = step @ vecs[i - 1]
-    states = _states(vecs)
+    states = states_at(liouvillian, rho0, times)
     reduced = partial_trace(states, keep=1) if reduce else None
     return Trajectory(times=times, states=states, reduced=reduced)
 
@@ -141,15 +158,13 @@ def trajectory(
 class SteadyStateResult:
     """Stationary state with the route that produced it: ``"nullspace"`` for
     a unique kernel of the generator, ``"dynamical"`` for long-time evolution
-    of an initial state inside its conserved sector."""
+    of an initial state inside its conserved sector.  ``derivative`` is the
+    exact ``d rho_ss/dT`` when the generator carries ``d_superop``."""
 
     state: np.ndarray
     method: str
     residual: float
-
-
-def _residual(liouvillian: Liouvillian, rho: np.ndarray) -> float:
-    return float(np.max(np.abs(liouvillian.apply(rho))))
+    derivative: np.ndarray | None = None
 
 
 def steady_state(
@@ -162,15 +177,19 @@ def steady_state(
 
     When the null space of the generator is one dimensional it is extracted
     directly.  The dephasing models conserve excitation sectors, so their
-    null spaces are degenerate; in that case the supplied ``rho0`` is evolved
-    with doubling horizons until the residual ``max |L[rho]|`` drops below
-    ``residual_tol``.  ``NoConvergence`` is raised if the residual still
-    exceeds 1e-8 at ``t_limit``.
+    null spaces are degenerate; in that case the supplied ``rho0`` is
+    evolved to the doubling horizons ``t = 1, 2, 4, ...`` (all from one
+    decomposition), and the first state whose residual ``max |L[rho]|`` is
+    below ``residual_tol`` is returned.  ``NoConvergence`` is raised if the
+    residual still exceeds 1e-8 at the first horizon past ``t_limit``.
+
+    The derivative solves ``L x = -(dL/dT) rho_ss`` with ``x`` orthogonal to
+    the left null space of L, which holds the conserved sector weights that
+    ``rho0`` fixes independently of T.
     """
-    s = np.linalg.svd(liouvillian.superop, compute_uv=False)
+    u, s, vh = np.linalg.svd(liouvillian.superop)
     null_dim = int(np.sum(s < 1e-12 * max(s[0], 1.0)))
     if null_dim == 1:
-        _, _, vh = np.linalg.svd(liouvillian.superop)
         rho = unvec(vh[-1].conj())
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
@@ -178,23 +197,33 @@ def steady_state(
             raise DegenerateSteadyState("null vector is traceless; sector structure suspected")
         rho = rho / tr
         validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-10)
-        return SteadyStateResult(state=rho, method="nullspace", residual=_residual(liouvillian, rho))
-
-    if rho0 is None:
+        limit, method = rho, "nullspace"
+    elif rho0 is None:
         raise DegenerateSteadyState(
             f"generator null space has dimension {null_dim}; "
             "supply the initial state that selects the reachable sector"
         )
-    t = 1.0
-    while True:
-        rho = propagate(liouvillian, rho0, t)
-        res = _residual(liouvillian, rho)
-        if res < residual_tol:
-            return SteadyStateResult(state=rho, method="dynamical", residual=res)
-        if t >= t_limit:
-            if res <= 1e-8:
-                return SteadyStateResult(state=rho, method="dynamical", residual=res)
+    else:
+        horizons = 2.0 ** np.arange(max(int(np.ceil(np.log2(t_limit))), 0) + 1)
+        states = states_at(liouvillian, rho0, horizons)
+        vecs = states.swapaxes(-1, -2).reshape(len(horizons), -1)  # vec of each state
+        residuals = np.abs(vecs @ liouvillian.superop.T).max(axis=1)
+        k = int(np.argmax(residuals < residual_tol)) if np.any(residuals < residual_tol) else -1
+        if residuals[k] > 1e-8:
             raise NoConvergence(
-                f"residual {res:.3e} after t = {t:.3e}; no stationary state reached"
+                f"residual {residuals[k]:.3e} after t = {horizons[k]:.3e}; no stationary state reached"
             )
-        t *= 2.0
+        # rho_ss for the derivative: the last horizon, free of the decaying
+        # remainder that the returned state may keep
+        rho, limit, method = states[k], states[-1], "dynamical"
+    derivative = None
+    if liouvillian.d_superop is not None:
+        left_null = dag(u[:, len(s) - null_dim :])
+        x = np.linalg.lstsq(
+            np.vstack([liouvillian.superop, left_null]),
+            np.concatenate([-liouvillian.d_superop @ vec(limit), np.zeros(null_dim)]),
+            rcond=None,
+        )[0]
+        derivative = 0.5 * (unvec(x) + dag(unvec(x)))
+    residual = float(np.max(np.abs(liouvillian.apply(rho))))
+    return SteadyStateResult(state=rho, method=method, residual=residual, derivative=derivative)

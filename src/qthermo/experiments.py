@@ -5,12 +5,13 @@ fixed column order, ready for CSV serialization.  :data:`EXPERIMENTS` holds
 one :class:`ExperimentSpec` per CLI experiment.  Runs are deterministic:
 there is no randomness anywhere, and sweep points are independent jobs that
 a thread pool may execute in any order without changing the assembled
-output.  Within a job, the states on a time grid are one stack per
-temperature and the grid's records are computed on the whole stack.
+output.
 
-Temperature derivatives follow the package-wide rule: validated central
-differences of the numerically propagated states (closed forms are used
-only as cross-checks in the test suite).
+Each job builds one model, one Liouvillian with its closed-form ``dL/dT``
+and one initial state; :class:`TemperatureFamily` takes the states and their
+exact temperature derivatives from them, a time grid's as one stack each,
+and the grid's records are computed on whole stacks.  No experiment takes a
+finite difference: closed forms and central differences are test oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .closed_forms import optimal_ratio, steady_qsnr
 from .errors import NoConvergence, NonPositiveInput, ValidationError
-from .fisher import EstimateRecord, default_step, halving_consistency, qfi_spectral, qsnr, qubit_qfi
+from .fisher import EstimateRecord, qfi_spectral, qsnr, qubit_qfi
 from .linalg import partial_trace
 from .master_equation import build_liouvillian
 from .models import (
@@ -36,7 +37,7 @@ from .models import (
     TwoQubitModel,
     initial_state,
 )
-from .dynamics import propagate, steady_state, trajectory, states_at
+from .dynamics import _Evolution, steady_state, trajectory
 
 __all__ = [
     "EXPERIMENTS",
@@ -197,74 +198,40 @@ def make_model(
 
 
 class TemperatureFamily:
-    """States of one model as a function of (t, T), with the five shifted
-    temperatures needed for validated central differences prepared up front.
-
-    ``reduce`` controls whether four-level states are projected onto the
-    probe qubit.
+    """States of one model at temperature ``temperature`` as a function of
+    t, with their exact temperature derivatives: one Liouvillian, one
+    initial state and one decomposition of the generator serve every time.
+    ``reduce`` projects four-level states onto the probe qubit.
     """
 
-    def __init__(self, model_fn, temperature: float, h: float | None = None, reduce: bool = True):
+    def __init__(self, model_fn, temperature: float, reduce: bool = True):
         self.temperature = float(temperature)
-        self.h = default_step(temperature) if h is None else float(h)
         self.reduce = reduce
-        t, h2 = self.temperature, self.h
-        self.temps = (t - h2, t - h2 / 2.0, t, t + h2 / 2.0, t + h2)
-        self._liou = {}
-        self._rho0 = {}
-        for tv in self.temps:
-            model = model_fn(tv)
-            self._liou[tv] = build_liouvillian(model)
-            self._rho0[tv] = initial_state(model)
-        self.dim = self._liou[self.temperature].dim
+        model = model_fn(self.temperature)
+        self.liouvillian = build_liouvillian(model)
+        self.rho0 = initial_state(model)
+        self._evolution = _Evolution(self.liouvillian, self.rho0)
 
     def _project(self, rho):
         if self.reduce and rho.shape[-1] == 4:
             return partial_trace(rho, keep=1)
         return rho
 
-    def state(self, t: float, tv: float | None = None) -> np.ndarray:
-        """State at time ``t`` (the steady state for ``t = inf``) and temperature ``tv``."""
-        tv = self.temperature if tv is None else tv
-        if t == np.inf:
-            return self._project(steady_state(self._liou[tv], self._rho0[tv]).state)
-        return self._project(propagate(self._liou[tv], self._rho0[tv], t))
-
-    def grid_states(self, times) -> dict[float, np.ndarray]:
-        """``(n_t, d, d)`` state stack on ``times`` for each of the five temperatures."""
-        uniform = (
-            len(times) > 2
-            and times[0] == 0.0
-            and np.allclose(np.diff(times), times[1] - times[0])
-        )
-        out = {}
-        for tv in self.temps:
-            if uniform:
-                traj = trajectory(
-                    self._liou[tv], self._rho0[tv], float(times[-1]), len(times),
-                    reduce=self.reduce and self.dim == 4,
-                )
-                out[tv] = traj.reduced if traj.reduced is not None else traj.states
-            else:
-                out[tv] = self._project(states_at(self._liou[tv], self._rho0[tv], times))
-        return out
-
-    def derivative_from(self, five_states) -> np.ndarray:
-        """Validated central difference from states (or state stacks) at the
-        five temperatures."""
-        m0, m1, _, m3, m4 = five_states
-        d_h = (m4 - m0) / (2.0 * self.h)
-        d_half = (m3 - m1) / self.h
-        halving_consistency(d_h, d_half)
-        return d_h
-
-    def state_and_derivative(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        five = [self.state(t, tv) for tv in self.temps]
-        return five[2], self.derivative_from(five)
+    def state_and_derivative(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """State and temperature derivative at time ``t`` (the steady state
+        for ``t = inf``), or ``(n_t, d, d)`` stacks of both on a grid ``t``."""
+        if np.ndim(t) == 0 and t == np.inf:
+            res = steady_state(self.liouvillian, self.rho0)
+            rho, drho = res.state, res.derivative
+        else:
+            rho, drho = self._evolution(t)
+            if np.ndim(t) == 0:
+                rho, drho = rho[0], drho[0]
+        return self._project(rho), self._project(drho)
 
 
 def _family(model_name: str, temperature: float, reduce: bool = True, **model_kw) -> TemperatureFamily:
-    """Five-temperature family of ``make_model(model_name, temperature=tv, **model_kw)``."""
+    """Family of ``make_model(model_name, temperature=tv, **model_kw)``."""
     return TemperatureFamily(
         lambda tv: make_model(model_name, temperature=tv, **model_kw), temperature, reduce=reduce
     )
@@ -320,15 +287,9 @@ def _two_qubit_record(t, rho, drho, temperature):
     return _records(t, f, fi, np.hypot(c.real, c.imag), temperature)
 
 
-def _records_on_grid(family: TemperatureFamily, times, record_fn) -> list[EstimateRecord]:
-    grids = family.grid_states(times)
-    five = [grids[tv] for tv in family.temps]
-    return record_fn(times, five[2], family.derivative_from(five), family.temperature)
-
-
-def _qfi_at(family: TemperatureFamily, record_fn, t: float) -> EstimateRecord:
-    rho, drho = family.state_and_derivative(t)
-    return record_fn(t, rho, drho, family.temperature)
+def _records_at(family: TemperatureFamily, record_fn, t):
+    """The record at time ``t`` (``inf``: steady state), or the records on a grid ``t``."""
+    return record_fn(t, *family.state_and_derivative(t), family.temperature)
 
 
 def _refine_max(times, values, fn, tol=1e-6) -> OptSearchResult:
@@ -341,7 +302,7 @@ def _refine_max(times, values, fn, tol=1e-6) -> OptSearchResult:
     x, v = golden_section_max(fn, lo, hi, tol)
     return OptSearchResult(
         argmax=x, value=v, bracket=(lo, hi),
-        bracket_values=(float(fn(lo)), float(fn(hi))), tolerance=tol,
+        bracket_values=(float(values[i - 1]), float(values[i + 1])), tolerance=tol,
     )
 
 
@@ -388,7 +349,7 @@ def run_theta_scan(
 
     def one(theta):
         fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta)
-        return _records_on_grid(fam, times, _qubit_record)
+        return _records_at(fam, _qubit_record, times)
 
     rows = _grid_rows("theta", params["theta_list"], parallel_map(one, theta_list, workers))
     return ScanResult("theta_scan", params, ("theta", "t") + _RECORD_COLUMNS, rows)
@@ -425,7 +386,7 @@ def run_direct_vs_ancilla(
         fam = _family(
             scheme_models[scheme], temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta
         )
-        return _records_on_grid(fam, times, _qubit_record)
+        return _records_at(fam, _qubit_record, times)
 
     rows = _grid_rows("scheme", scheme_models, parallel_map(one, scheme_models, workers))
     return ScanResult("direct_vs_ancilla", params, ("scheme", "t") + _RECORD_COLUMNS, rows)
@@ -452,9 +413,9 @@ def _coupling_optimum(kappa, temperature, eta, cutoff, theta, times):
     """Probe+ancilla family at one coupling, its records on ``times`` and
     the located maximum of QSNR(t)."""
     fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta)
-    recs = _records_on_grid(fam, times, _qubit_record)
+    recs = _records_at(fam, _qubit_record, times)
     opt = _refine_max(
-        times, [r.qsnr for r in recs], lambda t: _qfi_at(fam, _qubit_record, t).qsnr
+        times, [r.qsnr for r in recs], lambda t: _records_at(fam, _qubit_record, t).qsnr
     )
     return fam, recs, opt
 
@@ -519,7 +480,7 @@ def run_coherence_parametric(
         fam, recs, opt_r = _coupling_optimum(kappa, temperature, eta, cutoff, theta, times)
         opt_c = _refine_max(
             times, [r.coherence_abs for r in recs],
-            lambda t: float(abs(fam.state(t)[0, 1])),
+            lambda t: float(abs(fam.state_and_derivative(t)[0][0, 1])),
         )
         return {
             "kappa": float(kappa),
@@ -574,7 +535,7 @@ def run_two_qubit_configs(
             temperature, reduce=False, kappa=kappa, eta=eta1, eta2=eta2, cutoff=cutoff,
             theta=0.0 if config.endswith("separable") else np.pi / 2,
         )
-        recs = _records_on_grid(fam, times, _two_qubit_record)
+        recs = _records_at(fam, _two_qubit_record, times)
         f_ss = recs[-1].qfi
         target = 0.99 * f_ss
         f_vals = np.array([r.qfi for r in recs])
@@ -588,7 +549,7 @@ def run_two_qubit_configs(
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     break  # float64 cannot split the bracket further
-                if _qfi_at(fam, _two_qubit_record, mid).qfi >= target:
+                if _records_at(fam, _two_qubit_record, mid).qfi >= target:
                     hi = mid
                 else:
                     lo = mid
@@ -726,7 +687,9 @@ def run_qfi_point(
     )
     record_fn = _qubit_record if single_qubit else _two_qubit_record
     t = np.inf if at == "steady" else float(at)
-    rec = _qfi_at(fam, record_fn, t)
+    if t == np.inf and not any(fam.liouvillian.rates):
+        raise ValidationError("eta", "at=steady needs a bath: with every rate zero no state is stationary")
+    rec = _records_at(fam, record_fn, t)
     rows = [{"at": "steady" if t == np.inf else t, **_row(rec)}]
     return ScanResult("qfi_point", params, ("at",) + _RECORD_COLUMNS, rows)
 

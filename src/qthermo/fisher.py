@@ -1,9 +1,9 @@
 """Fisher-information machinery for temperature estimation.
 
-The central objects are a state family ``T -> rho(T)`` and its temperature
-derivative.  Derivatives are always taken numerically (validated central
-differences), so closed-form families and master-equation families flow
-through one code path; analytic derivatives appear only as test oracles.
+The central objects are a state and its temperature derivative.  The
+experiments take exact derivatives from the dynamics; :func:`d_rho_dT`
+(validated central differences of any family ``T -> rho(T)``) is their
+independent cross-check and the derivative behind :func:`measurement_fi`.
 
 Quantum Fisher information comes in two equivalent forms:
 
@@ -43,7 +43,6 @@ from .errors import (
 from .linalg import dag, eig_hermitian, hermiticity_defect, pauli
 
 __all__ = [
-    "default_step",
     "halving_consistency",
     "d_rho_dT",
     "qfi_spectral",
@@ -68,11 +67,6 @@ NUMERATOR_FLOOR = 1e-24
 #: Bloch vectors with ``|r|^2`` above this count as pure: the Bloch form is
 #: singular there.
 PURE_NORM2 = 1.0 - 1e-9
-
-
-def default_step(temperature: float) -> float:
-    """Central-difference step ``max(1e-5, 1e-4 T)``."""
-    return max(1e-5, 1e-4 * temperature)
 
 
 def _central(state_fn, temperature, h):
@@ -104,11 +98,11 @@ def halving_consistency(d_h: np.ndarray, d_half: np.ndarray, rel_tol: float = 1e
 def d_rho_dT(state_fn, temperature: float, h: float | None = None) -> np.ndarray:
     """Central-difference temperature derivative of a matrix-valued family.
 
-    The derivative at step ``h`` is validated against the half-step result
-    via :func:`halving_consistency`.
+    The derivative at step ``h`` (default ``max(1e-5, 1e-4 T)``) is
+    validated against the half-step result via :func:`halving_consistency`.
     """
     if h is None:
-        h = default_step(temperature)
+        h = max(1e-5, 1e-4 * temperature)
     if temperature - h <= 0:
         raise NonPositiveInput(f"need T - h > 0, got T={temperature}, h={h}")
     d_h = _central(state_fn, temperature, h)
@@ -165,10 +159,6 @@ class BlochVector:
     @property
     def norm2(self) -> float:
         return self.rx * self.rx + self.ry * self.ry + self.rz * self.rz
-
-    @property
-    def purity(self) -> float:
-        return 0.5 * (1.0 + self.norm2)
 
     def as_array(self) -> np.ndarray:
         """Components along the last axis: shape ``(3,)``, or ``(..., 3)``."""

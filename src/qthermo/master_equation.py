@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeFrequency, NonPositiveInput
-from .linalg import dag, eig_hermitian, identity, kron
+from .linalg import dag, eig_hermitian, identity, kron, unvec, vec
 from .models import CommonBath, TwoQubitModel, Model, coupling_operators, hamiltonian
 
 __all__ = [
@@ -89,12 +89,20 @@ def decoherence_rate(omega: float, bath) -> float:
     ones absorption, ``2 pi J(|w|) n(|w|)``; zero is the Ohmic dephasing
     limit ``2 pi eta T``.
     """
+    return _rate_and_derivative(omega, bath)[0]
+
+
+def _rate_and_derivative(omega: float, bath) -> tuple[float, float]:
+    """:func:`decoherence_rate` and its temperature derivative: only n(w) and
+    the zero-frequency rate depend on T, and ``dn/dT = n (n + 1) |w| / T^2``
+    for emission and absorption alike."""
     if omega == 0.0:
-        return 2.0 * np.pi * bath.eta * bath.temperature
+        return 2.0 * np.pi * bath.eta * bath.temperature, 2.0 * np.pi * bath.eta
     aw = abs(omega)
     n = thermal_occupation(aw, bath.temperature)
     j = spectral_density(aw, bath)
-    return 2.0 * np.pi * j * (n + 1.0 if omega > 0 else n)
+    dn = n * (n + 1.0) * aw / bath.temperature**2
+    return 2.0 * np.pi * j * (n + 1.0 if omega > 0 else n), 2.0 * np.pi * j * dn
 
 
 @dataclass(frozen=True)
@@ -196,6 +204,8 @@ class Liouvillian:
     ``superop`` acts on column-stacked states.  ``channels`` and ``rates``
     list every local jump channel with its golden-rule rate (cross terms of
     a shared bath pair these channels and are folded into ``superop`` only).
+    ``d_superop`` is the exact temperature derivative of ``superop``, or
+    ``None`` for a generator assembled without one.
     """
 
     dim: int
@@ -203,10 +213,9 @@ class Liouvillian:
     hamiltonian: np.ndarray
     channels: tuple[JumpChannel, ...]
     rates: tuple[float, ...]
+    d_superop: np.ndarray | None = None
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        from .linalg import unvec, vec
-
         return unvec(self.superop @ vec(rho))
 
 
@@ -215,11 +224,13 @@ def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
 
     Local dissipators are additive across baths.  For a shared bath the
     jump operators of the two qubits are additionally paired at equal Bohr
-    frequency with rate ``2 pi sqrt(J1 J2) (n or n+1)``.
+    frequency with rate ``2 pi sqrt(J1 J2) (n or n+1)``.  Every rate's
+    temperature derivative multiplies the same dissipator in ``d_superop``.
     """
     h = hamiltonian(model)
     d = h.shape[0]
     superop = commutator_superop(h)
+    d_superop = np.zeros_like(superop)
 
     all_channels: list[JumpChannel] = []
     all_rates: list[float] = []
@@ -228,8 +239,10 @@ def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
         chans = jump_operators(h, a, freq_tol=freq_tol, bath_index=index)
         per_op_channels.append(chans)
         for ch in chans:
-            g = decoherence_rate(ch.omega, bath)
-            superop = superop + g * dissipator_superop(ch.op)
+            g, dg = _rate_and_derivative(ch.omega, bath)
+            dissipator = dissipator_superop(ch.op)
+            superop = superop + g * dissipator
+            d_superop += dg * dissipator
             all_channels.append(ch)
             all_rates.append(g)
 
@@ -240,8 +253,10 @@ def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
             key = round(ch2.omega / freq_tol)
             if key not in first:
                 continue
-            g = decoherence_rate(ch2.omega, cross_bath)
-            superop = superop + g * cross_dissipator_superop(first[key].op, ch2.op)
+            g, dg = _rate_and_derivative(ch2.omega, cross_bath)
+            cross = cross_dissipator_superop(first[key].op, ch2.op)
+            superop = superop + g * cross
+            d_superop += dg * cross
 
     return Liouvillian(
         dim=d,
@@ -249,4 +264,5 @@ def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
         hamiltonian=h,
         channels=tuple(all_channels),
         rates=tuple(all_rates),
+        d_superop=d_superop,
     )

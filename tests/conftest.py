@@ -3,6 +3,15 @@ import pytest
 
 from qthermo.models import BathSpec
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property modules skip themselves
+    pass
+else:
+    # the same examples on every run, so the suite's verdict is reproducible
+    settings.register_profile("qthermo", derandomize=True, print_blob=True)
+    settings.load_profile("qthermo")
+
 
 @pytest.fixture
 def rng():

@@ -164,11 +164,8 @@ def test_criterion_03_cfi_equals_qfi_at_steady_state():
 def test_criterion_04_sigma_x_measurement_optimality(probe_family):
     times = np.linspace(0.0, 120.0, 600)
     fam = probe_family
-    grids = fam.grid_states(times)
-    recs = []
-    for i, t in enumerate(times):
-        five = [grids[tv][i] for tv in fam.temps]
-        recs.append(_qubit_record(t, five[2], fam.derivative_from(five), fam.temperature))
+    rho, drho = fam.state_and_derivative(times)
+    recs = [_qubit_record(t, a, b, fam.temperature) for t, a, b in zip(times, rho, drho)]
     bound_ok = all(r.fi_meas <= r.qfi + 1e-9 for r in recs)
 
     i_peak = int(np.argmax([r.qfi for r in recs]))

@@ -164,6 +164,33 @@ class TestMain:
             assert key in params
         assert summary["results"]["record"]["qfi"] == pytest.approx(2.5411871, rel=1e-5)
 
+    @pytest.mark.parametrize("params", [
+        ["eta=0"],
+        ["model=direct", "eta=0"],
+        ["model=two_qubit_local", "eta=0"],
+        ["model=two_qubit_common", "eta=0", "eta2=0"],
+    ])
+    def test_steady_point_without_bath_rejected(self, params, tmp_path, capsys):
+        # every rate is zero: no stationary state exists, so fail before any search
+        argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", "at=steady"]
+        for p in params:
+            argv += ["--param", p]
+        assert main(argv) == 3
+        assert "eta" in capsys.readouterr().err
+
+    def test_steady_point_with_one_bath_runs(self, tmp_path):
+        argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", "at=steady",
+                "--param", "model=two_qubit_local", "--param", "eta=0", "--param", "eta2=0.05",
+                "--param", "kappa=0.6"]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("at", ["1e6", "1e300"])
+    def test_far_time_point(self, at, tmp_path):
+        # the dephased probe carries no information; the exact derivative says so
+        assert main(["qfi_point", "--out", str(tmp_path), "--quiet", "--param", f"at={at}"]) == 0
+        summary = json.loads((tmp_path / "qfi_point.summary.json").read_text())
+        assert summary["results"]["record"]["qfi"] <= 1e-12
+
     def test_gnuplot_companion_mentions_groups(self, tmp_path):
         out = str(tmp_path / "o")
         main(["evolve", "--out", out, "--param", "n_points=40", "--quiet"])

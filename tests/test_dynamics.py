@@ -4,7 +4,7 @@ import pytest
 from qthermo.closed_forms import steady_two_qubit
 from qthermo.dynamics import (
     SPECTRAL_COND_MAX,
-    _spectral_vecs,
+    _Evolution,
     propagate,
     states_at,
     steady_state,
@@ -165,15 +165,11 @@ class TestStacks:
         traj = trajectory(liou, rho0, 50.0, 101, reduce=True)
         assert traj.states.shape == (101, 4, 4)
         assert traj.reduced.shape == (101, 2, 2)
-        step = expm(liou.superop * (traj.times[1] - traj.times[0]))
-        v = vec(rho0)
-        for i in range(len(traj.times)):
-            if i > 0:
-                v = step @ v
-            rho = unvec(v)
-            rho = 0.5 * (rho + rho.conj().T)
-            assert np.array_equal(traj.states[i], rho)
-            assert np.array_equal(traj.reduced[i], partial_trace(rho, keep=1))
+        assert np.array_equal(traj.states, states_at(liou, rho0, traj.times))
+        assert np.array_equal(traj.reduced, partial_trace(traj.states, keep=1))
+        for t, rho in zip(traj.times, traj.states):
+            ref = unvec(expm(liou.superop * t) @ vec(rho0))
+            assert np.max(np.abs(rho - 0.5 * (ref + ref.conj().T))) <= 1e-12
 
     @pytest.mark.parametrize("make", [
         lambda: DirectProbeModel(1.0, BATH),
@@ -186,12 +182,12 @@ class TestStacks:
         liou, rho0 = build_liouvillian(model), initial_state(model)
         times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 59)])
         # the spectral route is taken on every model, not the fallback
-        assert _spectral_vecs(liou.superop, vec(rho0), times) is not None
+        assert _Evolution(liou, rho0).spectral is not None
         got = states_at(liou, rho0, times)
-        ref = np.array([propagate(liou, rho0, t) for t in times])
+        ref = np.array([unvec(expm(liou.superop * t) @ vec(rho0)) for t in times])
         assert got.shape == (60, liou.dim, liou.dim)
         assert np.max(np.abs(got - ref)) <= 1e-12
-        assert np.array_equal(got[0], ref[0])  # t = 0 is rho0 itself
+        assert np.array_equal(got[0], rho0)  # t = 0 is rho0 itself
 
     def test_probe_ancilla_uniform_grid_match(self):
         liou, rho0 = pa_liouvillian()
@@ -211,9 +207,10 @@ class TestStacks:
         assert np.linalg.cond(v) > SPECTRAL_COND_MAX
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         times = np.linspace(0.0, 20.0, 41)
-        assert _spectral_vecs(liou.superop, vec(rho0), times) is None
+        assert _Evolution(liou, rho0).spectral is None
         got = states_at(liou, rho0, times)
-        assert np.array_equal(got, np.array([propagate(liou, rho0, t) for t in times]))
+        ref = np.array([unvec(expm(liou.superop * t) @ vec(rho0)) for t in times])
+        assert np.array_equal(got, 0.5 * (ref + ref.conj().transpose(0, 2, 1)))
 
     def test_states_at_validates_the_stack(self):
         sz = pauli("z")
@@ -226,6 +223,66 @@ class TestStacks:
             states_at(bad, rho0, [0.0, 1.0, 5.0])
         with pytest.raises(NonPositiveInput):
             states_at(*pa_liouvillian(), [0.0, -1.0])
+
+
+class TestExactDerivative:
+    """States' temperature derivatives from the decomposition of L."""
+
+    MODELS = [
+        lambda: DirectProbeModel(1.0, BATH),
+        lambda: ProbeAncillaModel(1.0, 1.0, 0.8, BATH, np.pi / 2),
+        lambda: TwoQubitModel(1.0, 0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2),
+        lambda: TwoQubitModel(1.0, 0.6, CommonBath(0.01, 0.05, 10.0, 0.4), 0.3),
+    ]
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_spectral_matches_block_exponentials(self, make):
+        model = make()
+        evolution = _Evolution(build_liouvillian(model), initial_state(model))
+        assert evolution.spectral is not None
+        times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 29)])
+        rho, drho = evolution(times)
+        vecs, dvecs = evolution._exponentials(times)
+        ref = unvec(dvecs)
+        ref = 0.5 * (ref + ref.conj().transpose(0, 2, 1))
+        assert np.max(np.abs(rho - unvec(vecs))) <= 1e-12
+        assert np.max(np.abs(drho - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.array_equal(drho[0], np.zeros_like(drho[0]))  # rho0 does not depend on T
+
+    def test_defective_generator_uses_block_exponentials(self):
+        # the Rabi drive at the dephasing rate of the stacks test, with the
+        # rate g = 0.3 T / 0.4 so that dL/dT = (0.3 / 0.4) D[sz]
+        h = 0.15 * pauli("x")
+        gen = lambda temp: commutator_superop(h) + 0.75 * temp * dissipator_superop(pauli("z"))  # noqa: E731
+        liou = Liouvillian(
+            dim=2, superop=gen(0.4), hamiltonian=h, channels=(), rates=(),
+            d_superop=0.75 * dissipator_superop(pauli("z")),
+        )
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        evolution = _Evolution(liou, rho0)
+        assert evolution.spectral is None
+        times = np.linspace(0.0, 20.0, 11)
+        _, drho = evolution(times)
+        step = 1e-5
+        state = lambda temp: unvec(np.array([expm(gen(temp) * t) @ vec(rho0) for t in times]))  # noqa: E731
+        cd = (state(0.4 + step) - state(0.4 - step)) / (2 * step)
+        assert np.max(np.abs(drho - cd)) <= 1e-8
+
+    @pytest.mark.parametrize("common", [False, True])
+    def test_steady_derivative_matches_closed_form(self, common):
+        kappa, temp = 0.6, 0.4
+        cfg = (CommonBath(0.01, 0.05, 10.0, temp) if common
+               else LocalBaths(BathSpec(0.01, 10.0, temp), BathSpec(0.05, 10.0, temp)))
+        model = TwoQubitModel(1.0, kappa, cfg, np.pi / 2)
+        res = steady_state(build_liouvillian(model), initial_state(model))
+        exact = np.zeros((4, 4), dtype=complex)
+        # d/dT of the exchange coherence tanh(-kappa/T)/2; the populations are fixed by rho0
+        exact[1, 2] = exact[2, 1] = 0.5 * kappa / temp**2 / np.cosh(kappa / temp) ** 2
+        assert np.max(np.abs(res.derivative - exact)) <= 1e-10
+
+    def test_steady_state_without_generator_derivative(self):
+        h = 0.5 * pauli("z")
+        assert steady_state(custom_liouvillian(h, [(pauli("x"), BATH)])).derivative is None
 
 
 class TestExchangeSectorOracle:

@@ -7,9 +7,8 @@ from qthermo.experiments import (
     TWO_QUBIT_CONFIGS,
     TemperatureFamily,
     _family,
-    _qfi_at,
     _qubit_record,
-    _records_on_grid,
+    _records_at,
     _two_qubit_record,
     golden_section_max,
     make_model,
@@ -169,6 +168,26 @@ class TestKappaSweep:
         f9 = _qubit_record(300.0, *pa_family(0.9).state_and_derivative(300.0), 0.4)
         assert f9.qfi_per_t > f6.qfi_per_t
 
+    def test_refinement_calls_only_the_golden_section(self):
+        from qthermo.experiments import _refine_max
+
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return 1.0 - (t - 0.52) ** 2
+
+        times = np.linspace(0.0, 1.0, 21)
+        values = [1.0 - (t - 0.52) ** 2 for t in times]
+        golden_section_max(fn, times[9], times[11])
+        n_golden, calls[:] = len(calls), []
+        opt = _refine_max(times, values, fn)
+        # the bracket ends come from the grid values; only the search (with
+        # its final midpoint) evaluates fn
+        assert len(calls) == n_golden
+        assert opt.bracket_values == (values[9], values[11])
+        assert opt.argmax == pytest.approx(0.52, abs=1e-6)
+
     def test_edge_maximum_rejected(self):
         from qthermo.experiments import _refine_max
 
@@ -236,7 +255,7 @@ class TestTwoQubitConfigs:
             lo, hi = float(times[i - 1]), float(times[i])
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if _qfi_at(fam, _two_qubit_record, mid).qfi >= target:
+                if _records_at(fam, _two_qubit_record, mid).qfi >= target:
                     hi = mid
                 else:
                     lo = mid
@@ -248,21 +267,16 @@ class TestStackRecords:
 
     @staticmethod
     def per_row(fam, times, record_fn):
-        grids = fam.grid_states(times)
-        out = []
-        for i, t in enumerate(times):
-            five = [grids[tv][i] for tv in fam.temps]
-            out.append(record_fn(t, five[2], fam.derivative_from(five), fam.temperature))
-        return out, grids
+        rho, drho = fam.state_and_derivative(times)
+        ref = [record_fn(t, a, b, fam.temperature) for t, a, b in zip(times, rho, drho)]
+        return ref, rho, drho
 
     def test_qubit_records(self):
         fam = pa_family(0.8)
         times = np.linspace(0.0, 50.0, 120)
-        ref, grids = self.per_row(fam, times, _qubit_record)
-        assert _records_on_grid(fam, times, _qubit_record) == ref
-        rho = grids[fam.temperature]
+        ref, rho, drho = self.per_row(fam, times, _qubit_record)
+        assert _records_at(fam, _qubit_record, times) == ref
         assert abs(np.trace(rho[0] @ rho[0]).real - 1.0) < 1e-12  # the t = 0 row is pure
-        drho = fam.derivative_from([grids[tv] for tv in fam.temps])
         assert [r.qfi for r in ref] == [qubit_qfi(a, b) for a, b in zip(rho, drho)]
         assert ref[0].fi_meas == 0.0 and ref[1].fi_meas > 0.0
 
@@ -270,12 +284,19 @@ class TestStackRecords:
         fam = _family("two_qubit_common", 0.4, reduce=False, kappa=0.6, eta=0.01,
                       eta2=0.05, cutoff=10.0, theta=np.pi / 2)
         times = np.concatenate([[0.0], np.geomspace(0.01, 500.0, 59)])
-        ref, grids = self.per_row(fam, times, _two_qubit_record)
-        assert _records_on_grid(fam, times, _two_qubit_record) == ref
-        rho = grids[fam.temperature]
-        drho = fam.derivative_from([grids[tv] for tv in fam.temps])
+        ref, rho, drho = self.per_row(fam, times, _two_qubit_record)
+        assert _records_at(fam, _two_qubit_record, times) == ref
         assert [r.qfi for r in ref] == [qfi_spectral(a, b) for a, b in zip(rho, drho)]
         assert ref[0].qfi == 0.0  # t = 0: the pure, temperature-independent preparation
+
+    def test_grid_matches_single_times(self):
+        fam = pa_family(0.8)
+        times = np.linspace(0.0, 50.0, 26)
+        rho, drho = fam.state_and_derivative(times)
+        for t, a, b in zip(times, rho, drho):
+            one, d_one = fam.state_and_derivative(t)
+            assert np.max(np.abs(one - a)) <= 1e-14
+            assert np.max(np.abs(d_one - b)) <= 1e-14 * np.max(np.abs(drho))
 
     def test_boundary_warning_per_row(self):
         rho = np.array([np.diag([0.0, 0.5, 0.5, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0])], dtype=complex)
@@ -349,3 +370,48 @@ class TestPointRunners:
         row = scan.rows[0]
         assert row["qfi"] > 0
         assert row["cfi"] <= row["qfi"] + 1e-9
+
+
+class TestClosedFormRegressions:
+    """Exact derivatives reproduce the closed forms; a central difference
+    over five temperatures missed the direct probe by up to 5e-5 relative
+    and the cold two-qubit steady state by up to 70 %, or refused its step."""
+
+    @staticmethod
+    def assert_rel(got, ref, rel):
+        assert abs(got - ref) <= rel * abs(ref), (got, ref)
+
+    @pytest.mark.parametrize("temperature", [0.05, 0.1, 0.4, 2.0])
+    @pytest.mark.parametrize("eta", [0.005, 0.1])
+    def test_direct_probe_qfi(self, temperature, eta):
+        bath = BathSpec(eta, 10.0, temperature)
+        scan = run_direct_vs_ancilla(
+            temperature=temperature, eta=eta, t_max=50.0, n_points=101, workers=1
+        )
+        for row in scan.rows:
+            if row["scheme"] == "direct" and row["t"] > 0:
+                self.assert_rel(row["qfi"], direct_probe_qfi(row["t"], bath), 1e-9)
+        for t in (0.37, 13.1, 50.0):
+            row = run_qfi_point("direct", at=t, temperature=temperature, eta=eta).rows[0]
+            self.assert_rel(row["qfi"], direct_probe_qfi(t, bath), 1e-9)
+
+    @pytest.mark.parametrize("model", ["two_qubit_local", "two_qubit_common"])
+    @pytest.mark.parametrize("kappa, temperature, theta", [
+        (0.3, 2.0, 0.0), (0.6, 0.4, np.pi / 2), (1.2, 0.3, 1.0),
+        (1.0, 0.1, np.pi / 2), (2.0, 0.2, 0.3), (0.5, 0.05, 2.5),
+    ])
+    def test_two_qubit_steady_qfi(self, model, kappa, temperature, theta):
+        # kappa / T from 0.15 to 10
+        row = run_qfi_point(
+            model, at="steady", temperature=temperature, kappa=kappa,
+            eta=0.01, eta2=0.05, theta=theta,
+        ).rows[0]
+        self.assert_rel(row["qfi"], steady_qfi(kappa, temperature), 1e-5)
+
+    def test_cold_steady_reproducer(self):
+        kappa, temperature = 0.4776, 0.0610723
+        row = run_qfi_point(
+            "two_qubit_local", at="steady", temperature=temperature, kappa=kappa,
+            theta=0.202607, eta=0.0216013, eta2=0.0500739,
+        ).rows[0]
+        self.assert_rel(row["qfi"], steady_qfi(kappa, temperature), 1e-5)

@@ -246,3 +246,37 @@ class TestLiouvillian:
         rho0 = initial_state(model)
         rho_t = unvec(expm(liou.superop * 500.0) @ vec(rho0))
         assert np.max(np.abs(rho_t - rho0)) < 1e-8
+
+
+class TestTemperatureDerivative:
+    """``d_superop`` is the exact dL/dT: only n(w) and the zero-frequency rate
+    depend on T."""
+
+    @pytest.mark.parametrize("omega", [-2.4, -0.3, 0.0, 0.3, 2.4])
+    @pytest.mark.parametrize("temperature", [0.05, 0.4, 2.0])
+    def test_rate_derivative(self, omega, temperature):
+        from qthermo.master_equation import _rate_and_derivative
+
+        h = 1e-5 * temperature
+        rate = lambda tv: decoherence_rate(omega, BathSpec(0.03, 10.0, tv))  # noqa: E731
+        g, dg = _rate_and_derivative(omega, BathSpec(0.03, 10.0, temperature))
+        assert g == rate(temperature)
+        assert dg == pytest.approx((rate(temperature + h) - rate(temperature - h)) / (2 * h), rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["direct", "probe_ancilla", "two_qubit_local", "two_qubit_common"])
+    def test_generator_derivative_matches_central_difference(self, name):
+        from qthermo.experiments import make_model
+
+        kw = dict(eta=0.03, eta2=0.05, cutoff=10.0, kappa=0.7, theta=1.0)
+        temp, h = 0.4, 1e-5
+        gen = lambda tv: build_liouvillian(make_model(name, temperature=tv, **kw))  # noqa: E731
+        cd = (gen(temp + h).superop - gen(temp - h).superop) / (2 * h)
+        exact = gen(temp).d_superop
+        assert np.max(np.abs(exact - cd)) <= 1e-8 * np.max(np.abs(exact))
+        # dL/dT keeps trace and Hermiticity: it generates no trace and maps
+        # Hermitian matrices to Hermitian ones
+        d = int(np.sqrt(exact.shape[0]))
+        for e in matrix_basis(d):
+            image = unvec(exact @ vec(e))
+            assert abs(np.trace(image)) < 1e-12
+            assert np.max(np.abs(unvec(exact @ vec(e.conj().T)) - image.conj().T)) < 1e-12
