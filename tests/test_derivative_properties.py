@@ -29,8 +29,8 @@ SCALE_FLOOR = 1e-3
     route=st.sampled_from(("grid", "single", "steady")),
     temperature=st.floats(0.2, 2.0),
     kappa=st.floats(0.05, 2.0),
-    eta=st.floats(0.005, 0.1),
-    eta2=st.floats(0.005, 0.1),
+    eta=st.floats(0.0, 0.1),
+    eta2=st.floats(0.0, 0.1),
     theta=st.floats(0.0, np.pi),
     t=st.floats(0.01, 200.0),
 )
@@ -61,9 +61,10 @@ def test_exact_derivative_matches_central_difference(
         _, exact = family(temperature).state_and_derivative(at)
         oracle = d_rho_dT(state, temperature)
     except (NoConvergence, StepTooLarge):
-        # no reference here: near the common bath's decoherence-free sector
-        # no steady state is reached, and on small or fast-varying entries
-        # the oracle's own half-step check refuses its step
+        # no reference here: without a bath, or near the common bath's
+        # decoherence-free sector, no steady state is reached, and on small
+        # or fast-varying entries the oracle's own half-step check refuses
+        # its step
         hypothesis.reject()
     scale = max(np.max(np.abs(exact)), SCALE_FLOOR)
     assert np.max(np.abs(exact - oracle)) <= 1e-6 * scale
