@@ -11,9 +11,9 @@ Only the bath occupations depend on T, so ``build_liouvillian`` also builds
 eigenbasis coefficients are ``e * (Y 1 + t z) - e Y^T``, where
 ``Y_ij = X_ij c_j / (lam_i - lam_j)`` for distinct eigenvalues and ``z_i``
 sums ``X_ij c_j`` over ``lam_j = lam_i``.  When the decomposition cannot be
-trusted, each time gets its own exponential instead: of L, or for
-derivatives of the block generator ``[[L, dL/dT], [0, L]]``, whose top-right
-block is the derivative (Van Loan 1978).
+trusted, each time gets its own exponential of the block generator
+``[[L, dL/dT], [0, L]]`` instead, whose right column holds the state and
+its derivative (Van Loan 1978).
 """
 
 from __future__ import annotations
@@ -55,12 +55,13 @@ def _states(vecs: np.ndarray) -> np.ndarray:
 
 
 class _Evolution:
-    """States of ``rho0`` at any times from one decomposition of the
-    generator, with their exact temperature derivatives when the generator
-    carries ``d_superop``."""
+    """States of ``rho0`` at any times, with their exact temperature
+    derivatives, from one decomposition of the generator."""
 
     def __init__(self, liouvillian: Liouvillian, rho0: np.ndarray):
-        self.superop, self.d_superop, self.v0 = liouvillian.superop, liouvillian.d_superop, vec(rho0)
+        self.superop = liouvillian.superop
+        self.d_superop = liouvillian.d_superop
+        self.v0 = vec(rho0)
         self.spectral = None  # (lam, V, c, Y, z) of a decomposition that passes both tests
         lam, v = np.linalg.eig(self.superop)
         # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
@@ -71,29 +72,26 @@ class _Evolution:
         residual = np.max(np.abs((v * lam) @ v_inv - self.superop))
         if not residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(self.superop)):
             return
-        c, y, z = v_inv @ self.v0, None, None
-        if self.d_superop is not None:
-            gap = np.subtract.outer(lam, lam)
-            equal = np.abs(gap) <= EQUAL_EIG_TOL * np.max(np.abs(lam))
-            xc = (v_inv @ self.d_superop @ v) * c
-            # the conserved quantities (the left null space) do not depend on T
-            xc[lam == 0] = 0.0
-            y = np.divide(xc, gap, out=np.zeros_like(xc), where=~equal)
-            z = np.where(equal, xc, 0.0).sum(axis=1)
+        c = v_inv @ self.v0
+        gap = np.subtract.outer(lam, lam)
+        equal = np.abs(gap) <= EQUAL_EIG_TOL * np.max(np.abs(lam))
+        xc = (v_inv @ self.d_superop @ v) * c
+        # the conserved quantities (the left null space) do not depend on T
+        xc[lam == 0] = 0.0
+        y = np.divide(xc, gap, out=np.zeros_like(xc), where=~equal)
+        z = np.where(equal, xc, 0.0).sum(axis=1)
         self.spectral = (lam, v, c, y, z)
 
     def _exponentials(self, times):
-        if self.d_superop is None:
-            return np.array([expm(self.superop * t) @ self.v0 for t in times]), None
         n = len(self.v0)
         block = np.block([[self.superop, self.d_superop], [np.zeros_like(self.superop), self.superop]])
         start = np.concatenate([np.zeros(n, dtype=complex), self.v0])
         out = np.array([expm(block * t) @ start for t in times])
         return out[:, n:], out[:, :n]
 
-    def __call__(self, times) -> tuple[np.ndarray, np.ndarray | None]:
+    def __call__(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Validated ``(n_t, d, d)`` state stack at ``times >= 0`` and its
-        Hermitian temperature derivative (``None`` without ``d_superop``)."""
+        Hermitian temperature derivative."""
         times = np.asarray(times, dtype=float).reshape(-1)
         if np.any(times < 0):
             raise NonPositiveInput(f"propagation time must be >= 0, got {times[times < 0][0]}")
@@ -102,25 +100,33 @@ class _Evolution:
             lam, v, c, y, z = self.spectral
             e = np.exp(np.multiply.outer(times, lam))
             vecs = (e * c) @ v.T
-            if y is not None:
-                dvecs = (e * (y.sum(axis=1) + np.multiply.outer(times, z)) - e @ y.T) @ v.T
-        if vecs is None or not all(np.isfinite(x).all() for x in (vecs, dvecs) if x is not None):
+            dvecs = (e * (y.sum(axis=1) + np.multiply.outer(times, z)) - e @ y.T) @ v.T
+        if vecs is None or not (np.isfinite(vecs).all() and np.isfinite(dvecs).all()):
             vecs, dvecs = self._exponentials(times)
         # exp(L 0) = I exactly, which the decomposition reproduces only to rounding
         vecs[times == 0] = self.v0
-        if dvecs is not None:
-            dvecs[times == 0] = 0.0
-            dvecs = 0.5 * (unvec(dvecs) + dag(unvec(dvecs)))
-        return _states(vecs), dvecs
+        dvecs[times == 0] = 0.0
+        drho = unvec(dvecs)
+        return _states(vecs), 0.5 * (drho + dag(drho))
 
 
 def propagate(liouvillian: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
-    """The validated, re-Hermitized state at time ``t >= 0``."""
+    """Evolve a state for time ``t >= 0`` and re-Hermitize the result.
+
+    Raises ``PositivityViolation`` if the output state has an eigenvalue
+    below -1e-8, which would signal a defective generator.
+    """
     return _Evolution(liouvillian, rho0)([t])[0][0]
 
 
 def states_at(liouvillian: Liouvillian, rho0: np.ndarray, times) -> np.ndarray:
-    """States at arbitrary times ``t >= 0`` as one ``(n_t, d, d)`` stack."""
+    """States at arbitrary times ``t >= 0`` as one ``(n_t, d, d)`` stack.
+
+    One eigendecomposition of the generator serves every time point.  If
+    its eigenvector matrix is ill conditioned (``SPECTRAL_COND_MAX``), it
+    does not reproduce the generator (``SPECTRAL_RESIDUAL_MAX``) or a state
+    overflows, each time point gets its own exponential instead.
+    """
     return _Evolution(liouvillian, rho0)(times)[0]
 
 
@@ -141,7 +147,12 @@ def trajectory(
     n_points: int,
     reduce: bool = False,
 ) -> Trajectory:
-    """Evolve on the uniform grid ``linspace(0, t_max, n_points)``."""
+    """Evolve on the uniform grid ``linspace(0, t_max, n_points)``.
+
+    The grid's states come from :func:`states_at` and are validated against
+    the density matrix invariants as one stack; ``reduce`` adds the probe
+    qubit's reduced states.
+    """
     if t_max <= 0:
         raise NonPositiveInput(f"t_max must be > 0, got {t_max}")
     if n_points < 2:
@@ -159,12 +170,12 @@ class SteadyStateResult:
     """Stationary state with the route that produced it: ``"nullspace"`` for
     a unique kernel of the generator, ``"dynamical"`` for long-time evolution
     of an initial state inside its conserved sector.  ``derivative`` is the
-    exact ``d rho_ss/dT`` when the generator carries ``d_superop``."""
+    exact ``d rho_ss/dT``."""
 
     state: np.ndarray
     method: str
     residual: float
-    derivative: np.ndarray | None = None
+    derivative: np.ndarray
 
 
 def steady_state(
@@ -197,7 +208,8 @@ def steady_state(
             raise DegenerateSteadyState("null vector is traceless; sector structure suspected")
         rho = rho / tr
         validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-10)
-        limit, method = rho, "nullspace"
+        limit = rho
+        method = "nullspace"
     elif rho0 is None:
         raise DegenerateSteadyState(
             f"generator null space has dimension {null_dim}; "
@@ -215,15 +227,15 @@ def steady_state(
             )
         # rho_ss for the derivative: the last horizon, free of the decaying
         # remainder that the returned state may keep
-        rho, limit, method = states[k], states[-1], "dynamical"
-    derivative = None
-    if liouvillian.d_superop is not None:
-        left_null = dag(u[:, len(s) - null_dim :])
-        x = np.linalg.lstsq(
-            np.vstack([liouvillian.superop, left_null]),
-            np.concatenate([-liouvillian.d_superop @ vec(limit), np.zeros(null_dim)]),
-            rcond=None,
-        )[0]
-        derivative = 0.5 * (unvec(x) + dag(unvec(x)))
+        rho = states[k]
+        limit = states[-1]
+        method = "dynamical"
+    left_null = dag(u[:, len(s) - null_dim :])
+    x = np.linalg.lstsq(
+        np.vstack([liouvillian.superop, left_null]),
+        np.concatenate([-liouvillian.d_superop @ vec(limit), np.zeros(null_dim)]),
+        rcond=None,
+    )[0]
+    derivative = 0.5 * (unvec(x) + dag(unvec(x)))
     residual = float(np.max(np.abs(liouvillian.apply(rho))))
     return SteadyStateResult(state=rho, method=method, residual=residual, derivative=derivative)

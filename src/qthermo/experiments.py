@@ -35,6 +35,7 @@ from .models import (
     LocalBaths,
     ProbeAncillaModel,
     TwoQubitModel,
+    coupling_operators,
     initial_state,
 )
 from .dynamics import _Evolution, steady_state, trajectory
@@ -198,16 +199,16 @@ def make_model(
 
 
 class TemperatureFamily:
-    """States of one model at temperature ``temperature`` as a function of
-    t, with their exact temperature derivatives: one Liouvillian, one
-    initial state and one decomposition of the generator serve every time.
-    ``reduce`` projects four-level states onto the probe qubit.
+    """States of one model as a function of t, with their exact derivatives
+    in the model's bath temperature: one Liouvillian, one initial state and
+    one decomposition of the generator serve every time.  ``reduce``
+    projects four-level states onto the probe qubit.
     """
 
-    def __init__(self, model_fn, temperature: float, reduce: bool = True):
-        self.temperature = float(temperature)
+    def __init__(self, model, reduce: bool = True):
+        # every bath of a model sits at the one temperature under estimation
+        self.temperature = float(coupling_operators(model)[0][1].temperature)
         self.reduce = reduce
-        model = model_fn(self.temperature)
         self.liouvillian = build_liouvillian(model)
         self.rho0 = initial_state(model)
         self._evolution = _Evolution(self.liouvillian, self.rho0)
@@ -231,10 +232,8 @@ class TemperatureFamily:
 
 
 def _family(model_name: str, temperature: float, reduce: bool = True, **model_kw) -> TemperatureFamily:
-    """Family of ``make_model(model_name, temperature=tv, **model_kw)``."""
-    return TemperatureFamily(
-        lambda tv: make_model(model_name, temperature=tv, **model_kw), temperature, reduce=reduce
-    )
+    """Family of ``make_model(model_name, temperature=temperature, **model_kw)``."""
+    return TemperatureFamily(make_model(model_name, temperature=temperature, **model_kw), reduce=reduce)
 
 
 def _records(t, qfi, fi, coherence, temperature):

@@ -160,6 +160,10 @@ class BlochVector:
     def norm2(self) -> float:
         return self.rx * self.rx + self.ry * self.ry + self.rz * self.rz
 
+    @property
+    def purity(self) -> float:
+        return 0.5 * (1.0 + self.norm2)
+
     def as_array(self) -> np.ndarray:
         """Components along the last axis: shape ``(3,)``, or ``(..., 3)``."""
         return np.stack([self.rx, self.ry, self.rz], axis=-1)

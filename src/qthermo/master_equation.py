@@ -204,8 +204,7 @@ class Liouvillian:
     ``superop`` acts on column-stacked states.  ``channels`` and ``rates``
     list every local jump channel with its golden-rule rate (cross terms of
     a shared bath pair these channels and are folded into ``superop`` only).
-    ``d_superop`` is the exact temperature derivative of ``superop``, or
-    ``None`` for a generator assembled without one.
+    ``d_superop`` is the exact temperature derivative of ``superop``.
     """
 
     dim: int
@@ -213,7 +212,7 @@ class Liouvillian:
     hamiltonian: np.ndarray
     channels: tuple[JumpChannel, ...]
     rates: tuple[float, ...]
-    d_superop: np.ndarray | None = None
+    d_superop: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.superop @ vec(rho))

@@ -83,10 +83,10 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def probe_family():
     return TemperatureFamily(
-        lambda tv: ProbeAncillaModel(
-            1.0, 1.0, FIG1["kappa"], BathSpec(FIG1["eta"], FIG1["cutoff"], tv), np.pi / 2
-        ),
-        FIG1["temperature"],
+        ProbeAncillaModel(
+            1.0, 1.0, FIG1["kappa"],
+            BathSpec(FIG1["eta"], FIG1["cutoff"], FIG1["temperature"]), np.pi / 2,
+        )
     )
 
 

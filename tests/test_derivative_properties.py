@@ -57,14 +57,20 @@ def test_exact_derivative_matches_central_difference(
             fam = family(tv)
             vecs = [expm(fam.liouvillian.superop * ti) @ vec(fam.rho0) for ti in np.atleast_1d(at)]
             return fam._project(np.reshape(unvec(np.array(vecs)), np.shape(at) + fam.rho0.shape))
+    fam = family(temperature)
+    if route == "steady":
+        # no stationary state to differentiate: without a bath, or when a
+        # mode of L (say near the common bath's decoherence-free sector)
+        # decays too slowly to have died out within steady_state's t_limit
+        lam = np.linalg.eigvals(fam.liouvillian.superop)
+        slowest = -np.max(lam.real[np.abs(lam) > 1e-10 * np.max(np.abs(lam))], initial=-np.inf)
+        hypothesis.assume(any(fam.liouvillian.rates) and slowest * 1e5 > 50.0)
+    _, exact = fam.state_and_derivative(at)
     try:
-        _, exact = family(temperature).state_and_derivative(at)
         oracle = d_rho_dT(state, temperature)
     except (NoConvergence, StepTooLarge):
-        # no reference here: without a bath, or near the common bath's
-        # decoherence-free sector, no steady state is reached, and on small
-        # or fast-varying entries the oracle's own half-step check refuses
-        # its step
+        # on small or fast-varying entries the oracle's own half-step check
+        # refuses its step
         hypothesis.reject()
     scale = max(np.max(np.abs(exact)), SCALE_FLOOR)
     assert np.max(np.abs(exact - oracle)) <= 1e-6 * scale

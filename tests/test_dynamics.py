@@ -20,8 +20,8 @@ from qthermo.linalg import expm, identity, partial_trace, pauli, unvec, vec
 from qthermo.master_equation import (
     Liouvillian,
     build_liouvillian,
+    _rate_and_derivative,
     commutator_superop,
-    decoherence_rate,
     dissipator_superop,
     jump_operators,
 )
@@ -44,18 +44,20 @@ def pa_liouvillian(eta=0.01, kappa=0.8, theta=np.pi / 2):
 
 
 def custom_liouvillian(h, couplings):
-    """Assemble a generator from explicit (operator, bath) pairs."""
+    """Assemble a generator and its dL/dT from explicit (operator, bath) pairs."""
     superop = commutator_superop(h)
+    d_superop = np.zeros_like(superop)
     channels, rates = [], []
     for a, bath in couplings:
         for ch in jump_operators(h, a):
-            g = decoherence_rate(ch.omega, bath)
+            g, dg = _rate_and_derivative(ch.omega, bath)
             superop = superop + g * dissipator_superop(ch.op)
+            d_superop = d_superop + dg * dissipator_superop(ch.op)
             channels.append(ch)
             rates.append(g)
     return Liouvillian(
         dim=h.shape[0], superop=superop, hamiltonian=h,
-        channels=tuple(channels), rates=tuple(rates),
+        channels=tuple(channels), rates=tuple(rates), d_superop=d_superop,
     )
 
 
@@ -90,6 +92,7 @@ class TestPropagate:
             hamiltonian=0.5 * sz,
             channels=(),
             rates=(),
+            d_superop=np.zeros((4, 4), dtype=complex),
         )
         rho0 = 0.5 * np.ones((2, 2), dtype=complex)
         with pytest.raises(PositivityViolation):
@@ -201,7 +204,7 @@ class TestStacks:
         h = 0.5 * g * pauli("x")
         liou = Liouvillian(
             dim=2, superop=commutator_superop(h) + g * dissipator_superop(pauli("z")),
-            hamiltonian=h, channels=(), rates=(),
+            hamiltonian=h, channels=(), rates=(), d_superop=np.zeros((4, 4), dtype=complex),
         )
         _, v = np.linalg.eig(liou.superop)
         assert np.linalg.cond(v) > SPECTRAL_COND_MAX
@@ -216,7 +219,7 @@ class TestStacks:
         sz = pauli("z")
         bad = Liouvillian(
             dim=2, superop=-0.1 * dissipator_superop(sz), hamiltonian=0.5 * sz,
-            channels=(), rates=(),
+            channels=(), rates=(), d_superop=np.zeros((4, 4), dtype=complex),
         )
         rho0 = 0.5 * np.ones((2, 2), dtype=complex)
         with pytest.raises(PositivityViolation):
@@ -279,10 +282,6 @@ class TestExactDerivative:
         # d/dT of the exchange coherence tanh(-kappa/T)/2; the populations are fixed by rho0
         exact[1, 2] = exact[2, 1] = 0.5 * kappa / temp**2 / np.cosh(kappa / temp) ** 2
         assert np.max(np.abs(res.derivative - exact)) <= 1e-10
-
-    def test_steady_state_without_generator_derivative(self):
-        h = 0.5 * pauli("z")
-        assert steady_state(custom_liouvillian(h, [(pauli("x"), BATH)])).derivative is None
 
 
 class TestExchangeSectorOracle:
@@ -384,6 +383,10 @@ class TestSteadyState:
         gibbs = np.diag([np.exp(-0.5 / 0.4), np.exp(0.5 / 0.4)]).astype(complex) / z
         assert np.max(np.abs(res.state - gibbs)) < 1e-10
         assert res.residual < 1e-10
+        # d/dT of the excited population 1/(1 + exp(1/T)), traceless
+        p = 1.0 / (1.0 + np.exp(1.0 / 0.4))
+        d_gibbs = np.diag([1.0, -1.0]).astype(complex) * p * (1.0 - p) / 0.4**2
+        assert np.max(np.abs(res.derivative - d_gibbs)) < 1e-10
 
     @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
     @pytest.mark.parametrize("common", [False, True])

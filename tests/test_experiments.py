@@ -52,12 +52,7 @@ def two_qubit_result():
 
 
 def pa_family(kappa, temperature=0.4, eta=0.01, theta=np.pi / 2):
-    return TemperatureFamily(
-        lambda tv: ProbeAncillaModel(
-            1.0, 1.0, kappa, BathSpec(eta, 10.0, tv), theta
-        ),
-        temperature,
-    )
+    return TemperatureFamily(ProbeAncillaModel(1.0, 1.0, kappa, BathSpec(eta, 10.0, temperature), theta))
 
 
 class TestInfrastructure:
