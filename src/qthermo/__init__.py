@@ -28,7 +28,7 @@ from .master_equation import (
     spectral_density,
     thermal_occupation,
 )
-from .dynamics import SteadyStateResult, Trajectory, propagate, steady_state, trajectory
+from .dynamics import propagate
 from .closed_forms import (
     optimal_ratio,
     probe_state_closed_form,
@@ -69,11 +69,7 @@ __all__ = [
     "jump_operators",
     "spectral_density",
     "thermal_occupation",
-    "SteadyStateResult",
-    "Trajectory",
     "propagate",
-    "steady_state",
-    "trajectory",
     "optimal_ratio",
     "probe_state_closed_form",
     "steady_qfi",

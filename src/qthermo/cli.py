@@ -16,7 +16,6 @@ from . import __version__
 from .config import RunConfig, parse_config_file, resolve
 from .errors import (
     BadDimension,
-    DegenerateSteadyState,
     NegativeFrequency,
     NoConvergence,
     NonFinite,
@@ -41,7 +40,6 @@ EXIT_CODES = [
     (NonHermitianInput, 4),
     (PositivityViolation, 5),
     (NoConvergence, 6),
-    (DegenerateSteadyState, 7),
     (StepTooLarge, 8),
     (PureStateSingularity, 9),
     (SingularOutcome, 10),

@@ -1,5 +1,5 @@
-"""Exact time evolution under a fixed Liouvillian (at most 16x16), exact
-temperature derivatives and steady-state extraction.
+"""Exact time evolution under a fixed Liouvillian (at most 16x16), up to and
+including t = inf, with exact temperature derivatives.
 
 Every propagation diagonalises the generator once, ``L = V diag(lam) V^-1``,
 and takes all requested times from that as one validated ``(n_t, d, d)``
@@ -14,19 +14,29 @@ sums ``X_ij c_j`` over ``lam_j = lam_i``.  When the decomposition cannot be
 trusted, each time gets its own exponential of the block generator
 ``[[L, dL/dT], [0, L]]`` instead, whose right column holds the state and
 its derivative (Van Loan 1978).
+
+The steady state is the t -> inf limit of the same expressions: the
+projection ``V[:, 0] c[0]`` onto the stationary modes (``lam = 0``), and
+for the derivative ``-V Y[:, 0] 1``, the group-inverse solution
+``-L^# (dL/dT) rho_ss`` (Meyer, SIAM Rev. 17, 443 (1975)).  The conserved
+quantities (the left null space of L) keep the values ``rho0`` gives them
+and do not depend on T.  No limit exists when a mode other than the
+stationary ones fails to decay, and none is resolved when the limit fails
+the state checks: rounding in L reaches it amplified by the inverse of the
+slowest decay rate.  A rejected decomposition falls back to one
+solve of ``L x = 0`` with the conserved quantities fixed, whose
+pseudo-inverse also gives the derivative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadDimension, DegenerateSteadyState, NoConvergence, NonPositiveInput
-from .linalg import dag, expm, partial_trace, unvec, validate_density_matrix, vec
+from .errors import NoConvergence, NonPositiveInput, PositivityViolation
+from .linalg import dag, expm, unvec, validate_density_matrix, vec
 from .master_equation import Liouvillian
 
-__all__ = ["propagate", "states_at", "trajectory", "Trajectory", "steady_state", "SteadyStateResult"]
+__all__ = ["propagate"]
 
 #: The spectral route is abandoned for one exponential per time point when
 #: the eigenvector matrix of the generator has a larger condition number
@@ -38,8 +48,9 @@ SPECTRAL_COND_MAX = 1e4
 SPECTRAL_RESIDUAL_MAX = 1e-12
 
 #: Eigenvalues closer than this, relative to the largest, are equal in the
-#: derivative.  Over the accepted parameter ranges the four models' equal
-#: eigenvalues differ numerically by < 5e-16 relative, distinct ones by > 6e-6.
+#: derivative, and a mode whose real part is this close to 0 does not decay.
+#: Over the accepted parameter ranges the four models' equal eigenvalues
+#: differ numerically by < 5e-16 relative, distinct ones by > 6e-6.
 EQUAL_EIG_TOL = 1e-10
 
 
@@ -55,8 +66,8 @@ def _states(vecs: np.ndarray) -> np.ndarray:
 
 
 class _Evolution:
-    """States of ``rho0`` at any times, with their exact temperature
-    derivatives, from one decomposition of the generator."""
+    """States of ``rho0`` at any times up to ``inf``, with their exact
+    temperature derivatives, from one decomposition of the generator."""
 
     def __init__(self, liouvillian: Liouvillian, rho0: np.ndarray):
         self.superop = liouvillian.superop
@@ -66,6 +77,7 @@ class _Evolution:
         lam, v = np.linalg.eig(self.superop)
         # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
         lam[np.abs(lam) <= EQUAL_EIG_TOL * np.max(np.abs(lam))] = 0.0
+        self.lam = lam
         if not np.linalg.cond(v) <= SPECTRAL_COND_MAX:
             return
         v_inv = np.linalg.inv(v)
@@ -89,12 +101,7 @@ class _Evolution:
         out = np.array([expm(block * t) @ start for t in times])
         return out[:, n:], out[:, :n]
 
-    def __call__(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Validated ``(n_t, d, d)`` state stack at ``times >= 0`` and its
-        Hermitian temperature derivative."""
-        times = np.asarray(times, dtype=float).reshape(-1)
-        if np.any(times < 0):
-            raise NonPositiveInput(f"propagation time must be >= 0, got {times[times < 0][0]}")
+    def _finite(self, times):
         vecs = dvecs = None
         if self.spectral is not None:
             lam, v, c, y, z = self.spectral
@@ -103,139 +110,74 @@ class _Evolution:
             dvecs = (e * (y.sum(axis=1) + np.multiply.outer(times, z)) - e @ y.T) @ v.T
         if vecs is None or not (np.isfinite(vecs).all() and np.isfinite(dvecs).all()):
             vecs, dvecs = self._exponentials(times)
+        return vecs, dvecs
+
+    def _limit(self):
+        """vec of the steady state and of its derivative."""
+        lam = self.lam
+        scale = np.max(np.abs(lam))
+        stuck = (lam != 0) & (lam.real >= -EQUAL_EIG_TOL * scale)
+        if np.any(stuck):
+            raise NoConvergence(
+                f"mode lam = {lam[stuck][0]:.6g} of the generator does not decay at a rate above "
+                f"{EQUAL_EIG_TOL:g} max|lam| = {EQUAL_EIG_TOL * scale:.3g}: no steady state"
+            )
+        if self.spectral is not None:
+            _, v, c, y, _ = self.spectral
+            zero = lam == 0
+            x, dx = v[:, zero] @ c[zero], v @ -y[:, zero].sum(axis=1)
+        else:
+            # L x = 0 with the conserved quantities u^H x = u^H vec(rho0) fixed
+            n, n_zero = len(lam), int(np.sum(lam == 0))
+            left_null = dag(np.linalg.svd(self.superop)[0][:, n - n_zero :])
+            solve = np.linalg.pinv(np.vstack([self.superop, left_null]))
+            x = solve @ np.concatenate([np.zeros(n), left_null @ self.v0])
+            dx = solve @ np.concatenate([-self.d_superop @ x, np.zeros(n_zero)])
+        try:
+            _states(x)
+        except PositivityViolation as exc:
+            # rounding in L reaches the limit amplified by 1 / (slowest rate)
+            raise NoConvergence(
+                f"steady state not resolved ({exc}): the slowest mode decays at rate "
+                f"{-np.max(lam.real[lam != 0]):.3e} against max|lam| = {scale:.3e}"
+            ) from None
+        return x, dx
+
+    def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Validated state at time ``t >= 0`` (``inf``: the steady state) and
+        its Hermitian temperature derivative, or ``(n_t, d, d)`` stacks of
+        both on a grid ``t``."""
+        times = np.asarray(t, dtype=float).reshape(-1)
+        if np.any(times < 0):
+            raise NonPositiveInput(f"propagation time must be >= 0, got {times[times < 0][0]}")
+        steady = times == np.inf
+        # the steady rows, evaluated at t = 0 here, are replaced by the limit
+        vecs, dvecs = self._finite(np.where(steady, 0.0, times))
+        if np.any(steady):
+            vecs[steady], dvecs[steady] = self._limit()
         # exp(L 0) = I exactly, which the decomposition reproduces only to rounding
         vecs[times == 0] = self.v0
         dvecs[times == 0] = 0.0
-        drho = unvec(dvecs)
-        return _states(vecs), 0.5 * (drho + dag(drho))
+        rho, drho = _states(vecs), unvec(dvecs)
+        drho = 0.5 * (drho + dag(drho))
+        return (rho[0], drho[0]) if np.ndim(t) == 0 else (rho, drho)
 
 
-def propagate(liouvillian: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve a state for time ``t >= 0`` and re-Hermitize the result.
+def propagate(liouvillian: Liouvillian, rho0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """State of ``rho0`` after time ``t >= 0`` and its exact temperature
+    derivative: matrices for a scalar ``t``, ``(n_t, d, d)`` stacks for a
+    grid, and the steady state for ``t = inf``.
 
-    Raises ``PositivityViolation`` if the output state has an eigenvalue
+    One eigendecomposition of the generator serves every time.  If its
+    eigenvector matrix is ill conditioned (``SPECTRAL_COND_MAX``), it does
+    not reproduce the generator (``SPECTRAL_RESIDUAL_MAX``) or a state
+    overflows, each finite time gets its own exponential instead, and the
+    steady state one linear solve.
+
+    Raises ``NoConvergence`` at ``t = inf`` when a non-stationary mode does
+    not decay, or when the limit fails the state checks because the slowest
+    mode decays too slowly for the rounding of L to leave it resolved; and
+    ``PositivityViolation`` if a state at a finite time has an eigenvalue
     below -1e-8, which would signal a defective generator.
     """
-    return _Evolution(liouvillian, rho0)([t])[0][0]
-
-
-def states_at(liouvillian: Liouvillian, rho0: np.ndarray, times) -> np.ndarray:
-    """States at arbitrary times ``t >= 0`` as one ``(n_t, d, d)`` stack.
-
-    One eigendecomposition of the generator serves every time point.  If
-    its eigenvector matrix is ill conditioned (``SPECTRAL_COND_MAX``), it
-    does not reproduce the generator (``SPECTRAL_RESIDUAL_MAX``) or a state
-    overflows, each time point gets its own exponential instead.
-    """
-    return _Evolution(liouvillian, rho0)(times)[0]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly sampled evolution: ``states`` is the ``(n_t, d, d)`` stack,
-    ``reduced`` the ``(n_t, 2, 2)`` probe-qubit stack when requested."""
-
-    times: np.ndarray
-    states: np.ndarray
-    reduced: np.ndarray | None = None
-
-
-def trajectory(
-    liouvillian: Liouvillian,
-    rho0: np.ndarray,
-    t_max: float,
-    n_points: int,
-    reduce: bool = False,
-) -> Trajectory:
-    """Evolve on the uniform grid ``linspace(0, t_max, n_points)``.
-
-    The grid's states come from :func:`states_at` and are validated against
-    the density matrix invariants as one stack; ``reduce`` adds the probe
-    qubit's reduced states.
-    """
-    if t_max <= 0:
-        raise NonPositiveInput(f"t_max must be > 0, got {t_max}")
-    if n_points < 2:
-        raise NonPositiveInput(f"n_points must be >= 2, got {n_points}")
-    if reduce and liouvillian.dim != 4:
-        raise BadDimension("reduce=True needs a two-qubit generator")
-    times = np.linspace(0.0, float(t_max), int(n_points))
-    states = states_at(liouvillian, rho0, times)
-    reduced = partial_trace(states, keep=1) if reduce else None
-    return Trajectory(times=times, states=states, reduced=reduced)
-
-
-@dataclass(frozen=True)
-class SteadyStateResult:
-    """Stationary state with the route that produced it: ``"nullspace"`` for
-    a unique kernel of the generator, ``"dynamical"`` for long-time evolution
-    of an initial state inside its conserved sector.  ``derivative`` is the
-    exact ``d rho_ss/dT``."""
-
-    state: np.ndarray
-    method: str
-    residual: float
-    derivative: np.ndarray
-
-
-def steady_state(
-    liouvillian: Liouvillian,
-    rho0: np.ndarray | None = None,
-    residual_tol: float = 1e-10,
-    t_limit: float = 1e5,
-) -> SteadyStateResult:
-    """Solve ``L[rho] = 0``.
-
-    When the null space of the generator is one dimensional it is extracted
-    directly.  The dephasing models conserve excitation sectors, so their
-    null spaces are degenerate; in that case the supplied ``rho0`` is
-    evolved to the doubling horizons ``t = 1, 2, 4, ...`` (all from one
-    decomposition), and the first state whose residual ``max |L[rho]|`` is
-    below ``residual_tol`` is returned.  ``NoConvergence`` is raised if the
-    residual still exceeds 1e-8 at the first horizon past ``t_limit``.
-
-    The derivative solves ``L x = -(dL/dT) rho_ss`` with ``x`` orthogonal to
-    the left null space of L, which holds the conserved sector weights that
-    ``rho0`` fixes independently of T.
-    """
-    u, s, vh = np.linalg.svd(liouvillian.superop)
-    null_dim = int(np.sum(s < 1e-12 * max(s[0], 1.0)))
-    if null_dim == 1:
-        rho = unvec(vh[-1].conj())
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = float(np.trace(rho).real)
-        if abs(tr) < 1e-8:
-            raise DegenerateSteadyState("null vector is traceless; sector structure suspected")
-        rho = rho / tr
-        validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-10)
-        limit = rho
-        method = "nullspace"
-    elif rho0 is None:
-        raise DegenerateSteadyState(
-            f"generator null space has dimension {null_dim}; "
-            "supply the initial state that selects the reachable sector"
-        )
-    else:
-        horizons = 2.0 ** np.arange(max(int(np.ceil(np.log2(t_limit))), 0) + 1)
-        states = states_at(liouvillian, rho0, horizons)
-        vecs = states.swapaxes(-1, -2).reshape(len(horizons), -1)  # vec of each state
-        residuals = np.abs(vecs @ liouvillian.superop.T).max(axis=1)
-        k = int(np.argmax(residuals < residual_tol)) if np.any(residuals < residual_tol) else -1
-        if residuals[k] > 1e-8:
-            raise NoConvergence(
-                f"residual {residuals[k]:.3e} after t = {horizons[k]:.3e}; no stationary state reached"
-            )
-        # rho_ss for the derivative: the last horizon, free of the decaying
-        # remainder that the returned state may keep
-        rho = states[k]
-        limit = states[-1]
-        method = "dynamical"
-    left_null = dag(u[:, len(s) - null_dim :])
-    x = np.linalg.lstsq(
-        np.vstack([liouvillian.superop, left_null]),
-        np.concatenate([-liouvillian.d_superop @ vec(limit), np.zeros(null_dim)]),
-        rcond=None,
-    )[0]
-    derivative = 0.5 * (unvec(x) + dag(unvec(x)))
-    residual = float(np.max(np.abs(liouvillian.apply(rho))))
-    return SteadyStateResult(state=rho, method=method, residual=residual, derivative=derivative)
+    return _Evolution(liouvillian, rho0)(t)

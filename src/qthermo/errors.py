@@ -34,12 +34,8 @@ class PositivityViolation(QThermoError):
 
 
 class NoConvergence(QThermoError):
-    """Dynamical steady-state search did not converge in the time budget."""
-
-
-class DegenerateSteadyState(QThermoError):
-    """The generator has a degenerate null space and no initial state was
-    supplied to select the reachable sector."""
+    """A limit or a search has no converged value: no steady state, or a
+    maximum not bracketed by its grid."""
 
 
 class StepTooLarge(QThermoError):

@@ -38,7 +38,7 @@ from .models import (
     coupling_operators,
     initial_state,
 )
-from .dynamics import _Evolution, steady_state, trajectory
+from .dynamics import _Evolution, propagate
 
 __all__ = [
     "EXPERIMENTS",
@@ -221,13 +221,7 @@ class TemperatureFamily:
     def state_and_derivative(self, t) -> tuple[np.ndarray, np.ndarray]:
         """State and temperature derivative at time ``t`` (the steady state
         for ``t = inf``), or ``(n_t, d, d)`` stacks of both on a grid ``t``."""
-        if np.ndim(t) == 0 and t == np.inf:
-            res = steady_state(self.liouvillian, self.rho0)
-            rho, drho = res.state, res.derivative
-        else:
-            rho, drho = self._evolution(t)
-            if np.ndim(t) == 0:
-                rho, drho = rho[0], drho[0]
+        rho, drho = self._evolution(t)
         return self._project(rho), self._project(drho)
 
 
@@ -627,20 +621,21 @@ def run_evolve(
     n_points: int = 500,
     workers: int | None = None,
 ) -> ScanResult:
-    """Record populations, coherence and purity along one trajectory."""
+    """Record populations, coherence and purity on the uniform grid
+    ``linspace(0, t_max, n_points)``."""
     model = make_model(
         model_name, temperature=temperature, eta=eta, eta2=eta2,
         cutoff=cutoff, kappa=kappa, theta=theta,
     )
-    liou = build_liouvillian(model)
-    traj = trajectory(liou, initial_state(model), t_max, n_points)
+    times = np.linspace(0.0, t_max, n_points)
+    states, _ = propagate(build_liouvillian(model), initial_state(model), times)
     params = dict(
         experiment="evolve", model=model_name, temperature=temperature, eta=eta,
         eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
         t_max=t_max, n_points=n_points,
     )
     # a qubit's coherence is rho[0, 1]; two qubits report the exchange pair's rho[01, 10]
-    if liou.dim == 2:
+    if states.shape[-1] == 2:
         populations, (i, j) = ("p0", "p1"), (0, 1)
     else:
         populations, (i, j) = ("p00", "p01", "p10", "p11"), (1, 2)
@@ -651,7 +646,7 @@ def run_evolve(
             "coherence_abs": float(abs(s[i, j])),
             "purity": float(np.trace(s @ s).real),
         }
-        for t, s in zip(traj.times, traj.states)
+        for t, s in zip(times, states)
     ]
     return ScanResult("evolve", params, ("t", *populations, "coherence_abs", "purity"), rows)
 

@@ -171,7 +171,7 @@ class TestMain:
         ["model=two_qubit_common", "eta=0", "eta2=0"],
     ])
     def test_steady_point_without_bath_rejected(self, params, tmp_path, capsys):
-        # every rate is zero: no stationary state exists, so fail before any search
+        # every rate is zero: no stationary state exists, so fail up front
         argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", "at=steady"]
         for p in params:
             argv += ["--param", p]
@@ -183,6 +183,24 @@ class TestMain:
                 "--param", "model=two_qubit_local", "--param", "eta=0", "--param", "eta2=0.05",
                 "--param", "kappa=0.6"]
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("params, rate", [
+        # perfbench point queries seed 3 #40 and seed 6 #63, next to the
+        # common bath's decoherence-free corner eta = eta2: the exchange
+        # sector relaxes at ~1e-7 against max|lam| ~ 3, and the rounding
+        # of L, amplified by the inverse rate, moves the limit's trace
+        (["temperature=0.138719", "kappa=1.49637", "theta=2.4335",
+          "eta=0.0123647", "eta2=0.0123972"], "1.487e-07"),
+        (["temperature=0.42789", "kappa=0.53308", "theta=0.297824",
+          "eta=0.0639672", "eta2=0.0640604"], "1.206e-07"),
+    ])
+    def test_unresolved_steady_state_exits_6(self, params, rate, tmp_path, capsys):
+        argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", "at=steady",
+                "--param", "model=two_qubit_common"]
+        for p in params:
+            argv += ["--param", p]
+        assert main(argv) == 6
+        assert f"the slowest mode decays at rate {rate}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("at", ["1e6", "1e300"])
     def test_far_time_point(self, at, tmp_path):

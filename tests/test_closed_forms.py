@@ -12,9 +12,9 @@ from qthermo.closed_forms import (
     steady_qsnr,
     steady_two_qubit,
 )
-from qthermo.dynamics import trajectory
+from qthermo.dynamics import propagate
 from qthermo.errors import NonPositiveInput
-from qthermo.linalg import validate_density_matrix
+from qthermo.linalg import partial_trace, validate_density_matrix
 from qthermo.master_equation import build_liouvillian
 from qthermo.models import BathSpec, ProbeAncillaModel, initial_state
 
@@ -25,8 +25,8 @@ KAPPA = 0.8
 def numeric_reduced_states(t_max=50.0, n_points=251):
     model = ProbeAncillaModel(1.0, 1.0, KAPPA, BATH, np.pi / 2)
     liou = build_liouvillian(model)
-    traj = trajectory(liou, initial_state(model), t_max, n_points, reduce=True)
-    return traj.times, traj.reduced
+    times = np.linspace(0.0, t_max, n_points)
+    return times, partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)
 
 
 class TestProbeClosedForm:
@@ -112,12 +112,13 @@ class TestGeneralPreparationOracle:
     def test_angle_dependence(self, theta):
         model = ProbeAncillaModel(1.0, 1.0, KAPPA, BATH, theta)
         liou = build_liouvillian(model)
-        traj = trajectory(liou, initial_state(model), 40.0, 81, reduce=True)
+        times = np.linspace(0.0, 40.0, 81)
+        reduced = partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)
         re_b = 2 * KAPPA * np.pi * BATH.eta * np.exp(-2 * KAPPA / BATH.cutoff) / np.tanh(
             KAPPA / BATH.temperature
         )
         worst = 0.0
-        for t, rho in zip(traj.times, traj.reduced):
+        for t, rho in zip(times, reduced):
             w = -np.sin(theta / 2) ** 2 - np.cos(theta / 2) ** 2 * np.cos(
                 2 * KAPPA * t
             ) * np.exp(-re_b * t)

@@ -2,20 +2,8 @@ import numpy as np
 import pytest
 
 from qthermo.closed_forms import steady_two_qubit
-from qthermo.dynamics import (
-    SPECTRAL_COND_MAX,
-    _Evolution,
-    propagate,
-    states_at,
-    steady_state,
-    trajectory,
-)
-from qthermo.errors import (
-    DegenerateSteadyState,
-    NoConvergence,
-    NonPositiveInput,
-    PositivityViolation,
-)
+from qthermo.dynamics import SPECTRAL_COND_MAX, _Evolution, propagate
+from qthermo.errors import NoConvergence, NonPositiveInput, PositivityViolation
 from qthermo.linalg import expm, identity, partial_trace, pauli, unvec, vec
 from qthermo.master_equation import (
     Liouvillian,
@@ -64,18 +52,20 @@ def custom_liouvillian(h, couplings):
 class TestPropagate:
     def test_identity_at_zero_time(self):
         liou, rho0 = pa_liouvillian()
-        assert np.max(np.abs(propagate(liou, rho0, 0.0) - rho0)) < 1e-14
+        rho, drho = propagate(liou, rho0, 0.0)
+        assert np.max(np.abs(rho - rho0)) < 1e-14
+        assert not np.any(drho)
 
     def test_eigenstate_stationary_without_bath(self):
         liou, _ = pa_liouvillian(eta=0.0)
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0  # |00> is a Hamiltonian eigenstate
-        assert np.max(np.abs(propagate(liou, rho, 17.0) - rho)) < 1e-12
+        assert np.max(np.abs(propagate(liou, rho, 17.0)[0] - rho)) < 1e-12
 
     def test_semigroup(self):
         liou, rho0 = pa_liouvillian()
-        one = propagate(liou, rho0, 11.0)
-        two = propagate(liou, propagate(liou, rho0, 4.0), 7.0)
+        one = propagate(liou, rho0, 11.0)[0]
+        two = propagate(liou, propagate(liou, rho0, 4.0)[0], 7.0)[0]
         assert np.max(np.abs(one - two)) < 1e-9
 
     def test_rejects_negative_time(self):
@@ -99,28 +89,28 @@ class TestPropagate:
             propagate(bad, rho0, 5.0)
 
 
-class TestTrajectory:
+class TestGrid:
     def test_two_point_grid(self):
         liou, rho0 = pa_liouvillian()
-        traj = trajectory(liou, rho0, 5.0, 2)
-        assert np.allclose(traj.times, [0.0, 5.0])
-        assert np.max(np.abs(traj.states[0] - rho0)) < 1e-14
+        rho, drho = propagate(liou, rho0, [0.0, 5.0])
+        assert rho.shape == drho.shape == (2, 4, 4)
+        assert np.max(np.abs(rho[0] - rho0)) < 1e-14
 
-    def test_matches_per_time_exponentials(self):
+    def test_grid_matches_single_times(self):
         liou, rho0 = pa_liouvillian()
-        traj = trajectory(liou, rho0, 20.0, 41)
-        direct = states_at(liou, rho0, traj.times)
-        worst = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(traj.states, direct)
-        )
-        assert worst < 1e-10
+        times = np.linspace(0.0, 20.0, 41)
+        rho, drho = propagate(liou, rho0, times)
+        for t, state, deriv in zip(times, rho, drho):
+            one, d_one = propagate(liou, rho0, t)
+            assert np.max(np.abs(state - one)) < 1e-10
+            assert np.max(np.abs(deriv - d_one)) < 1e-10
 
     def test_every_state_valid(self):
         liou, rho0 = pa_liouvillian()
-        traj = trajectory(liou, rho0, 50.0, 201, reduce=True)
-        for s in traj.states:
+        states = propagate(liou, rho0, np.linspace(0.0, 50.0, 201))[0]
+        for s in states:
             assert abs(np.trace(s).real - 1.0) < 1e-10
-        for r in traj.reduced:
+        for r in partial_trace(states, keep=1):
             assert r.shape == (2, 2)
             assert abs(np.trace(r).real - 1.0) < 1e-10
 
@@ -130,9 +120,9 @@ class TestTrajectory:
             1.0, 0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 3
         )
         liou = build_liouvillian(model)
-        traj = trajectory(liou, initial_state(model), 100.0, 101)
+        states = propagate(liou, initial_state(model), np.linspace(0.0, 100.0, 101))[0]
         leak = max(
-            max(abs(s[0, 0].real), abs(s[3, 3].real)) for s in traj.states
+            max(abs(s[0, 0].real), abs(s[3, 3].real)) for s in states
         )
         assert leak < 1e-10
 
@@ -141,36 +131,20 @@ class TestTrajectory:
             1.0, 0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2
         )
         liou = build_liouvillian(model)
-        traj = trajectory(liou, initial_state(model), 1000.0, 60)
-        gap = np.max(np.abs(traj.states[-1] - traj.states[-2]))
+        states = propagate(liou, initial_state(model), np.linspace(0.0, 1000.0, 60))[0]
+        gap = np.max(np.abs(states[-1] - states[-2]))
         assert gap < 1e-8
-
-    def test_grid_validation(self):
-        liou, rho0 = pa_liouvillian()
-        with pytest.raises(NonPositiveInput):
-            trajectory(liou, rho0, 0.0, 10)
-        with pytest.raises(NonPositiveInput):
-            trajectory(liou, rho0, 10.0, 1)
-
-    def test_reduce_needs_two_qubits(self):
-        from qthermo.errors import BadDimension
-
-        liou = build_liouvillian(DirectProbeModel(1.0, BATH))
-        with pytest.raises(BadDimension):
-            trajectory(liou, initial_state(DirectProbeModel(1.0, BATH)), 5.0, 10, reduce=True)
 
 
 class TestStacks:
     """Grids of states come back as one validated ``(n_t, d, d)`` stack."""
 
-    def test_trajectory_equals_per_state_loop(self):
+    def test_grid_equals_per_state_loop(self):
         liou, rho0 = pa_liouvillian()
-        traj = trajectory(liou, rho0, 50.0, 101, reduce=True)
-        assert traj.states.shape == (101, 4, 4)
-        assert traj.reduced.shape == (101, 2, 2)
-        assert np.array_equal(traj.states, states_at(liou, rho0, traj.times))
-        assert np.array_equal(traj.reduced, partial_trace(traj.states, keep=1))
-        for t, rho in zip(traj.times, traj.states):
+        times = np.linspace(0.0, 50.0, 101)
+        states = propagate(liou, rho0, times)[0]
+        assert states.shape == (101, 4, 4)
+        for t, rho in zip(times, states):
             ref = unvec(expm(liou.superop * t) @ vec(rho0))
             assert np.max(np.abs(rho - 0.5 * (ref + ref.conj().T))) <= 1e-12
 
@@ -186,7 +160,7 @@ class TestStacks:
         times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 59)])
         # the spectral route is taken on every model, not the fallback
         assert _Evolution(liou, rho0).spectral is not None
-        got = states_at(liou, rho0, times)
+        got = propagate(liou, rho0, times)[0]
         ref = np.array([unvec(expm(liou.superop * t) @ vec(rho0)) for t in times])
         assert got.shape == (60, liou.dim, liou.dim)
         assert np.max(np.abs(got - ref)) <= 1e-12
@@ -194,8 +168,10 @@ class TestStacks:
 
     def test_probe_ancilla_uniform_grid_match(self):
         liou, rho0 = pa_liouvillian()
-        traj = trajectory(liou, rho0, 50.0, 500)
-        assert np.max(np.abs(states_at(liou, rho0, traj.times) - traj.states)) <= 1e-12
+        times = np.linspace(0.0, 50.0, 500)
+        got = propagate(liou, rho0, times)[0]
+        ref = unvec(np.array([expm(liou.superop * t) @ vec(rho0) for t in times]))
+        assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_defective_generator_falls_back_to_exponentials(self):
         # Rabi drive at the dephasing rate: the (y, z) Bloch block
@@ -211,11 +187,11 @@ class TestStacks:
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         times = np.linspace(0.0, 20.0, 41)
         assert _Evolution(liou, rho0).spectral is None
-        got = states_at(liou, rho0, times)
+        got = propagate(liou, rho0, times)[0]
         ref = np.array([unvec(expm(liou.superop * t) @ vec(rho0)) for t in times])
         assert np.array_equal(got, 0.5 * (ref + ref.conj().transpose(0, 2, 1)))
 
-    def test_states_at_validates_the_stack(self):
+    def test_propagate_validates_the_stack(self):
         sz = pauli("z")
         bad = Liouvillian(
             dim=2, superop=-0.1 * dissipator_superop(sz), hamiltonian=0.5 * sz,
@@ -223,9 +199,9 @@ class TestStacks:
         )
         rho0 = 0.5 * np.ones((2, 2), dtype=complex)
         with pytest.raises(PositivityViolation):
-            states_at(bad, rho0, [0.0, 1.0, 5.0])
+            propagate(bad, rho0, [0.0, 1.0, 5.0])
         with pytest.raises(NonPositiveInput):
-            states_at(*pa_liouvillian(), [0.0, -1.0])
+            propagate(*pa_liouvillian(), [0.0, -1.0])
 
 
 class TestExactDerivative:
@@ -277,11 +253,11 @@ class TestExactDerivative:
         cfg = (CommonBath(0.01, 0.05, 10.0, temp) if common
                else LocalBaths(BathSpec(0.01, 10.0, temp), BathSpec(0.05, 10.0, temp)))
         model = TwoQubitModel(1.0, kappa, cfg, np.pi / 2)
-        res = steady_state(build_liouvillian(model), initial_state(model))
+        _, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
         exact = np.zeros((4, 4), dtype=complex)
         # d/dT of the exchange coherence tanh(-kappa/T)/2; the populations are fixed by rho0
         exact[1, 2] = exact[2, 1] = 0.5 * kappa / temp**2 / np.cosh(kappa / temp) ** 2
-        assert np.max(np.abs(res.derivative - exact)) <= 1e-10
+        assert np.max(np.abs(drho - exact)) <= 1e-10
 
 
 class TestExchangeSectorOracle:
@@ -339,7 +315,7 @@ class TestExchangeSectorOracle:
         liou = build_liouvillian(model)
         rho0 = initial_state(model)
         for t in (0.0, 0.7, 3.0, 12.0, 60.0):
-            got = propagate(liou, rho0, t)
+            got = propagate(liou, rho0, t)[0]
             ref = self.sector_state(t, theta, kappa, common, eta1, eta2, cutoff, temp)
             assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -366,27 +342,29 @@ class TestExchangeSectorOracle:
 
 
 class TestSteadyState:
+    """``t = inf``: the limit of the one decomposition, or one constrained
+    solve when the decomposition is rejected."""
+
     def test_direct_probe_dephases_to_maximally_mixed(self):
         model = DirectProbeModel(1.0, BATH)
-        liou = build_liouvillian(model)
-        res = steady_state(liou, initial_state(model))
-        assert res.method == "dynamical"
-        assert np.max(np.abs(res.state - identity(2) / 2)) < 1e-10
+        rho, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
+        # the coherence's limit is exactly 0, not a decaying remainder
+        assert np.max(np.abs(rho - identity(2) / 2)) <= 1e-15
+        assert np.max(np.abs(drho)) <= 1e-15
 
     def test_unique_nullspace_gives_gibbs(self):
         # transverse coupling thermalizes a qubit: unique stationary state
         h = 0.5 * pauli("z")
         liou = custom_liouvillian(h, [(pauli("x"), BATH)])
-        res = steady_state(liou)
-        assert res.method == "nullspace"
+        rho, drho = propagate(liou, np.diag([1.0, 0.0]).astype(complex), np.inf)
         z = np.exp(-0.5 / 0.4) + np.exp(0.5 / 0.4)
         gibbs = np.diag([np.exp(-0.5 / 0.4), np.exp(0.5 / 0.4)]).astype(complex) / z
-        assert np.max(np.abs(res.state - gibbs)) < 1e-10
-        assert res.residual < 1e-10
+        assert np.max(np.abs(rho - gibbs)) < 1e-10
+        assert np.max(np.abs(liou.apply(rho))) < 1e-10
         # d/dT of the excited population 1/(1 + exp(1/T)), traceless
         p = 1.0 / (1.0 + np.exp(1.0 / 0.4))
         d_gibbs = np.diag([1.0, -1.0]).astype(complex) * p * (1.0 - p) / 0.4**2
-        assert np.max(np.abs(res.derivative - d_gibbs)) < 1e-10
+        assert np.max(np.abs(drho - d_gibbs)) < 1e-10
 
     @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
     @pytest.mark.parametrize("common", [False, True])
@@ -396,17 +374,56 @@ class TestSteadyState:
         else:
             cfg = LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4))
         model = TwoQubitModel(1.0, 0.6, cfg, theta)
-        liou = build_liouvillian(model)
-        res = steady_state(liou, initial_state(model))
-        assert res.method == "dynamical"
-        assert np.max(np.abs(res.state - steady_two_qubit(0.6, 0.4))) < 1e-6
+        rho, _ = propagate(build_liouvillian(model), initial_state(model), np.inf)
+        assert np.max(np.abs(rho - steady_two_qubit(0.6, 0.4))) < 1e-12
 
-    def test_degenerate_needs_initial_state(self):
-        liou, _ = pa_liouvillian()
-        with pytest.raises(DegenerateSteadyState):
-            steady_state(liou)
+    @pytest.mark.parametrize("make", TestExactDerivative.MODELS)
+    def test_limit_of_the_grid(self, make):
+        model = make()
+        liou, rho0 = build_liouvillian(model), initial_state(model)
+        rho, drho = propagate(liou, rho0, [0.0, 3.0, np.inf])
+        for t, state, deriv in zip((0.0, 3.0, np.inf), rho, drho):
+            one, d_one = propagate(liou, rho0, t)
+            assert np.max(np.abs(state - one)) <= 1e-15
+            assert np.max(np.abs(deriv - d_one)) <= 1e-15 * max(np.max(np.abs(deriv)), 1.0)
+        # far out on the grid the states and derivatives reach the limit
+        late, d_late = propagate(liou, rho0, 1e5)
+        assert np.max(np.abs(late - rho[-1])) <= 1e-10
+        assert np.max(np.abs(d_late - drho[-1])) <= 1e-8 * max(np.max(np.abs(drho[-1])), 1.0)
 
-    def test_unitary_dynamics_never_converge(self):
+    @pytest.mark.parametrize("make", TestExactDerivative.MODELS)
+    def test_constrained_solve_matches_projector(self, make):
+        model = make()
+        evolution = _Evolution(build_liouvillian(model), initial_state(model))
+        projector = evolution(np.inf)
+        evolution.spectral = None  # as if SPECTRAL_COND_MAX had rejected it
+        solved = evolution(np.inf)
+        assert np.max(np.abs(solved[0] - projector[0])) <= 1e-12
+        assert np.max(np.abs(solved[1] - projector[1])) <= 1e-10 * max(np.max(np.abs(projector[1])), 1.0)
+
+    def test_defective_generator_uses_constrained_solve(self):
+        # the Rabi drive at the dephasing rate of the stacks test: no
+        # eigenbasis, and the driven qubit dephases to I/2 at every T
+        h = 0.15 * pauli("x")
+        liou = Liouvillian(
+            dim=2, superop=commutator_superop(h) + 0.3 * dissipator_superop(pauli("z")),
+            hamiltonian=h, channels=(), rates=(),
+            d_superop=0.75 * dissipator_superop(pauli("z")),
+        )
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        assert _Evolution(liou, rho0).spectral is None
+        rho, drho = propagate(liou, rho0, np.inf)
+        assert np.max(np.abs(rho - identity(2) / 2)) <= 1e-12
+        assert np.max(np.abs(drho)) <= 1e-12
+
+    def test_unitary_dynamics_have_no_limit(self):
         liou, rho0 = pa_liouvillian(eta=0.0)
-        with pytest.raises(NoConvergence):
-            steady_state(liou, rho0)
+        with pytest.raises(NoConvergence, match="does not decay"):
+            propagate(liou, rho0, np.inf)
+
+    def test_decoherence_free_sector_has_no_limit(self):
+        # a common bath with eta1 = eta2 leaves the exchange sector's
+        # coherence precessing at 2 kappa forever
+        model = TwoQubitModel(1.0, 5.5, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 3)
+        with pytest.raises(NoConvergence, match=r"lam = \S*[+-]11j"):
+            propagate(build_liouvillian(model), initial_state(model), np.inf)

@@ -367,6 +367,47 @@ class TestPointRunners:
         assert row["cfi"] <= row["qfi"] + 1e-9
 
 
+def _steady_draw(n=100):
+    """Seeded (kappa, T, theta, eta, eta2) points: T in [0.01, 3] and eta,
+    eta2 in [1e-3, 0.1] log-uniform, kappa / T uniform in [0, 6]."""
+    rng = np.random.default_rng(20250808)
+    points = []
+    for _ in range(n):
+        temperature = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
+        kappa = float(rng.uniform(0.0, 6.0)) * temperature
+        eta, eta2 = (float(np.exp(rng.uniform(np.log(1e-3), np.log(0.1)))) for _ in range(2))
+        points.append((kappa, temperature, float(rng.uniform(0.0, np.pi)), eta, eta2))
+    return points
+
+
+#: Within 1 % of eta = eta2 a common bath's exchange sector relaxes at
+#: ~1e-8 of the fastest rate or less, and the rounding of L, amplified by
+#: the inverse rate, moves the steady QFI by more than 1e-6.
+_NEAR_CORNER = pytest.mark.xfail(strict=True, reason="decoherence-free corner: rounding of L / slowest rate")
+
+STEADY_CASES = [
+    # kappa / T from 0.15 to 10
+    *[(model, kappa, temperature, theta, 0.01, 0.05)
+      for model in ("two_qubit_local", "two_qubit_common")
+      for kappa, temperature, theta in [
+          (0.3, 2.0, 0.0), (0.6, 0.4, np.pi / 2), (1.2, 0.3, 1.0),
+          (1.0, 0.1, np.pi / 2), (2.0, 0.2, 0.3), (0.5, 0.05, 2.5),
+      ]],
+    # slowest decay rate 4.1e-5: a state accepted at a finite horizon by its
+    # residual is 55 % off here
+    ("two_qubit_common", 0.10175, 0.0185, np.pi / 2, 0.0049, 0.0061),
+    # kappa / T = 8.6, where such a state is 0.45 % off
+    ("two_qubit_local", 0.08944, 0.0104, np.pi / 2, 0.01, 0.01),
+    # perfbench seed-0 point queries #60 and #205 (slowest rates 2.2e-5 and 5.9e-6)
+    ("two_qubit_common", 0.292996, 0.058916, 1.17356, 0.0251423, 0.0262908),
+    ("two_qubit_common", 0.201964, 0.0726984, 0.413895, 0.0517224, 0.0527227),
+    *[pytest.param(
+        model, *point, id=f"draw{k}-{model}",
+        marks=[_NEAR_CORNER] if model == "two_qubit_common" and abs(np.log(point[3] / point[4])) < 0.01 else [],
+    ) for k, point in enumerate(_steady_draw()) for model in ("two_qubit_local", "two_qubit_common")],
+]
+
+
 class TestClosedFormRegressions:
     """Exact derivatives reproduce the closed forms; a central difference
     over five temperatures missed the direct probe by up to 5e-5 relative
@@ -390,18 +431,22 @@ class TestClosedFormRegressions:
             row = run_qfi_point("direct", at=t, temperature=temperature, eta=eta).rows[0]
             self.assert_rel(row["qfi"], direct_probe_qfi(t, bath), 1e-9)
 
-    @pytest.mark.parametrize("model", ["two_qubit_local", "two_qubit_common"])
-    @pytest.mark.parametrize("kappa, temperature, theta", [
-        (0.3, 2.0, 0.0), (0.6, 0.4, np.pi / 2), (1.2, 0.3, 1.0),
-        (1.0, 0.1, np.pi / 2), (2.0, 0.2, 0.3), (0.5, 0.05, 2.5),
-    ])
-    def test_two_qubit_steady_qfi(self, model, kappa, temperature, theta):
-        # kappa / T from 0.15 to 10
+    @pytest.mark.parametrize("model, kappa, temperature, theta, eta, eta2", STEADY_CASES)
+    def test_two_qubit_steady_qfi(self, model, kappa, temperature, theta, eta, eta2):
         row = run_qfi_point(
             model, at="steady", temperature=temperature, kappa=kappa,
-            eta=0.01, eta2=0.05, theta=theta,
+            eta=eta, eta2=eta2, theta=theta,
         ).rows[0]
-        self.assert_rel(row["qfi"], steady_qfi(kappa, temperature), 1e-5)
+        self.assert_rel(row["qfi"], steady_qfi(kappa, temperature), 1e-6)
+
+    @pytest.mark.parametrize("model, kw", [
+        ("probe_ancilla", dict(temperature=1.84956, kappa=0.624365, theta=2.52883, eta=0.0374362)),
+        ("direct", dict(temperature=0.150054, eta=0.095366)),
+    ])
+    def test_dephased_steady_coherence_is_zero(self, model, kw):
+        # a state taken at a finite horizon keeps a remainder of 2.4e-11 and 5.0e-11
+        row = run_qfi_point(model, at="steady", **kw).rows[0]
+        assert row["coherence_abs"] <= 1e-15
 
     def test_cold_steady_reproducer(self):
         kappa, temperature = 0.4776, 0.0610723
