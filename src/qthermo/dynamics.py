@@ -20,12 +20,13 @@ projection ``V[:, 0] c[0]`` onto the stationary modes (``lam = 0``), and
 for the derivative ``-V Y[:, 0] 1``, the group-inverse solution
 ``-L^# (dL/dT) rho_ss`` (Meyer, SIAM Rev. 17, 443 (1975)).  The conserved
 quantities (the left null space of L) keep the values ``rho0`` gives them
-and do not depend on T.  No limit exists when a mode other than the
-stationary ones fails to decay, and none is resolved when the limit fails
-the state checks: rounding in L reaches it amplified by the inverse of the
-slowest decay rate.  A rejected decomposition falls back to one
-solve of ``L x = 0`` with the conserved quantities fixed, whose
-pseudo-inverse also gives the derivative.
+and do not depend on T.  No limit exists when ``rho0`` excites a mode
+other than the stationary ones that does not decay, and none is resolved
+when the limit loses its trace: rounding in L reaches it amplified by the
+inverse of the slowest decay rate.  A rejected decomposition (the input
+that the exponentials serve at finite times) falls back to one solve of
+``L x = 0`` with the conserved quantities fixed, whose pseudo-inverse also
+gives the derivative.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _states(vecs: np.ndarray) -> np.ndarray:
     """
     rho = unvec(vecs)
     rho = 0.5 * (rho + dag(rho))
-    return validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-10, eig_floor=-1e-8)
+    return validate_density_matrix(rho, herm_tol=1e-12, eig_floor=-1e-8)
 
 
 class _Evolution:
@@ -73,11 +74,12 @@ class _Evolution:
         self.superop = liouvillian.superop
         self.d_superop = liouvillian.d_superop
         self.v0 = vec(rho0)
-        self.spectral = None  # (lam, V, c, Y, z) of a decomposition that passes both tests
+        self.spectral = None  # (V, c, Y, z) of a decomposition that passes both tests
         lam, v = np.linalg.eig(self.superop)
         # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
         lam[np.abs(lam) <= EQUAL_EIG_TOL * np.max(np.abs(lam))] = 0.0
         self.lam = lam
+        self.excited = np.ones(len(lam), dtype=bool)  # without a decomposition, every mode
         if not np.linalg.cond(v) <= SPECTRAL_COND_MAX:
             return
         v_inv = np.linalg.inv(v)
@@ -87,12 +89,18 @@ class _Evolution:
         c = v_inv @ self.v0
         gap = np.subtract.outer(lam, lam)
         equal = np.abs(gap) <= EQUAL_EIG_TOL * np.max(np.abs(lam))
-        xc = (v_inv @ self.d_superop @ v) * c
+        x = v_inv @ self.d_superop @ v
+        xc = x * c
         # the conserved quantities (the left null space) do not depend on T
         xc[lam == 0] = 0.0
         y = np.divide(xc, gap, out=np.zeros_like(xc), where=~equal)
         z = np.where(equal, xc, 0.0).sum(axis=1)
-        self.spectral = (lam, v, c, y, z)
+        # rho0 leaves mode i alone at and around this T if c_i = 0 and dc_i/dT = sum_j Y_ij = 0
+        scale = np.max(np.abs(c))
+        self.excited = (np.abs(c) > EQUAL_EIG_TOL * scale) | (
+            np.abs(lam * y.sum(axis=1)) > EQUAL_EIG_TOL * scale * np.max(np.abs(x))
+        )
+        self.spectral = (v, c, y, z)
 
     def _exponentials(self, times):
         n = len(self.v0)
@@ -104,8 +112,8 @@ class _Evolution:
     def _finite(self, times):
         vecs = dvecs = None
         if self.spectral is not None:
-            lam, v, c, y, z = self.spectral
-            e = np.exp(np.multiply.outer(times, lam))
+            v, c, y, z = self.spectral
+            e = np.exp(np.multiply.outer(times, self.lam))
             vecs = (e * c) @ v.T
             dvecs = (e * (y.sum(axis=1) + np.multiply.outer(times, z)) - e @ y.T) @ v.T
         if vecs is None or not (np.isfinite(vecs).all() and np.isfinite(dvecs).all()):
@@ -116,14 +124,14 @@ class _Evolution:
         """vec of the steady state and of its derivative."""
         lam = self.lam
         scale = np.max(np.abs(lam))
-        stuck = (lam != 0) & (lam.real >= -EQUAL_EIG_TOL * scale)
+        stuck = (lam != 0) & (lam.real >= -EQUAL_EIG_TOL * scale) & self.excited
         if np.any(stuck):
             raise NoConvergence(
                 f"mode lam = {lam[stuck][0]:.6g} of the generator does not decay at a rate above "
                 f"{EQUAL_EIG_TOL:g} max|lam| = {EQUAL_EIG_TOL * scale:.3g}: no steady state"
             )
         if self.spectral is not None:
-            _, v, c, y, _ = self.spectral
+            v, c, y, _ = self.spectral
             zero = lam == 0
             x, dx = v[:, zero] @ c[zero], v @ -y[:, zero].sum(axis=1)
         else:
@@ -134,7 +142,8 @@ class _Evolution:
             x = solve @ np.concatenate([np.zeros(n), left_null @ self.v0])
             dx = solve @ np.concatenate([-self.d_superop @ x, np.zeros(n_zero)])
         try:
-            _states(x)
+            # the trace alone; __call__ checks the rest of the state
+            validate_density_matrix(unvec(x), herm_tol=np.inf, eig_floor=-np.inf)
         except PositivityViolation as exc:
             # rounding in L reaches the limit amplified by 1 / (slowest rate)
             raise NoConvergence(
@@ -174,10 +183,10 @@ def propagate(liouvillian: Liouvillian, rho0: np.ndarray, t) -> tuple[np.ndarray
     overflows, each finite time gets its own exponential instead, and the
     steady state one linear solve.
 
-    Raises ``NoConvergence`` at ``t = inf`` when a non-stationary mode does
-    not decay, or when the limit fails the state checks because the slowest
-    mode decays too slowly for the rounding of L to leave it resolved; and
-    ``PositivityViolation`` if a state at a finite time has an eigenvalue
-    below -1e-8, which would signal a defective generator.
+    Raises ``NoConvergence`` at ``t = inf`` when ``rho0`` excites a
+    non-stationary mode that does not decay, or when the limit loses its
+    trace because the slowest mode decays too slowly for the rounding of L
+    to leave it resolved; and ``PositivityViolation`` if a state has an
+    eigenvalue below -1e-8, which would signal a defective generator.
     """
     return _Evolution(liouvillian, rho0)(t)

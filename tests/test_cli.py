@@ -202,6 +202,15 @@ class TestMain:
         assert main(argv) == 6
         assert f"the slowest mode decays at rate {rate}" in capsys.readouterr().err
 
+    def test_default_common_bath_steady_point(self, tmp_path):
+        # eta2 defaults to eta, and theta = pi/2 prepares the exchange state
+        # the common bath cannot reach: stationary, though the sector's
+        # coherence never decays, so the limit exists and carries no information
+        argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", "model=two_qubit_common"]
+        assert main(argv) == 0
+        summary = json.loads((tmp_path / "qfi_point.summary.json").read_text())
+        assert summary["results"]["record"]["qfi"] <= 1e-20
+
     @pytest.mark.parametrize("at", ["1e6", "1e300"])
     def test_far_time_point(self, at, tmp_path):
         # the dephased probe carries no information; the exact derivative says so

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -427,3 +429,49 @@ class TestSteadyState:
         model = TwoQubitModel(1.0, 5.5, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 3)
         with pytest.raises(NoConvergence, match=r"lam = \S*[+-]11j"):
             propagate(build_liouvillian(model), initial_state(model), np.inf)
+
+    @pytest.mark.parametrize("kappa", [0.6, 5.5])
+    def test_decoherence_free_preparation_is_its_own_limit(self, kappa):
+        # theta = pi/2 prepares the exchange state the common bath cannot
+        # reach: stationary at every T, though the sector's coherence
+        # mode never decays
+        model = TwoQubitModel(1.0, kappa, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 2)
+        liou, rho0 = build_liouvillian(model), initial_state(model)
+        lam = _Evolution(liou, rho0).lam
+        assert np.any((lam != 0) & (np.abs(lam.real) <= 1e-12))
+        rho, drho = propagate(liou, rho0, np.inf)
+        assert np.max(np.abs(rho - rho0)) <= 1e-15
+        assert np.max(np.abs(drho)) <= 1e-15
+
+    def test_temperature_that_excites_a_precessing_mode_has_no_limit(self):
+        # the populations relax and the coherence precesses undamped; rho0
+        # has no coherence at any T, but dL/dT feeds p0 into it, so
+        # d rho(t)/dT keeps precessing
+        superop = np.zeros((4, 4), dtype=complex)  # column stacking: rho00, rho10, rho01, rho11
+        superop[np.ix_([0, 3], [0, 3])] = [[-1.0, 2.0], [1.0, -2.0]]
+        superop[1, 1], superop[2, 2] = 1j, -1j
+        d_superop = np.zeros_like(superop)
+        d_superop[1, 0] = d_superop[2, 0] = 1.0
+        liou = Liouvillian(
+            dim=2, superop=superop, hamiltonian=np.zeros((2, 2), dtype=complex),
+            channels=(), rates=(), d_superop=d_superop,
+        )
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(NoConvergence, match=r"lam = \S*[+-]1j"):
+            propagate(liou, rho0, np.inf)
+        # without the feed the limit exists: the populations (2, 1) / 3
+        rho, drho = propagate(replace(liou, d_superop=np.zeros_like(superop)), rho0, np.inf)
+        assert np.max(np.abs(rho - np.diag([2.0, 1.0]) / 3)) <= 1e-15
+        assert np.max(np.abs(drho)) <= 1e-15
+
+    def test_non_positive_limit_is_a_positivity_violation(self):
+        # L x = tr(x) sigma - x relaxes every state to sigma = diag(3/2, -1/2),
+        # keeping the trace: a generator bug that no convergence message may hide
+        sigma = vec(np.diag([1.5, -0.5]).astype(complex))
+        superop = np.outer(sigma, vec(identity(2))) - np.eye(4)
+        liou = Liouvillian(
+            dim=2, superop=superop, hamiltonian=np.zeros((2, 2), dtype=complex),
+            channels=(), rates=(), d_superop=np.zeros_like(superop),
+        )
+        with pytest.raises(PositivityViolation, match="minimum eigenvalue"):
+            propagate(liou, np.diag([1.0, 0.0]).astype(complex), np.inf)
