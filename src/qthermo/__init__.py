@@ -38,7 +38,6 @@ from .closed_forms import (
 )
 from .fisher import (
     BlochVector,
-    EstimateRecord,
     SLDOperator,
     bloch_components,
     cfi_povm,
@@ -76,7 +75,6 @@ __all__ = [
     "steady_qsnr",
     "steady_two_qubit",
     "BlochVector",
-    "EstimateRecord",
     "SLDOperator",
     "bloch_components",
     "cfi_povm",

@@ -25,10 +25,9 @@ from .errors import (
     PositivityViolation,
     PureStateSingularity,
     QThermoError,
-    SingularOutcome,
+    ResolutionLimit,
     StepTooLarge,
     ValidationError,
-    ZeroVariance,
 )
 from .experiments import EXPERIMENTS
 from .selftest import run_selftest
@@ -42,12 +41,11 @@ EXIT_CODES = [
     (NoConvergence, 6),
     (StepTooLarge, 8),
     (PureStateSingularity, 9),
-    (SingularOutcome, 10),
-    (ZeroVariance, 11),
     (NegativeFrequency, 12),
     (NonPositiveInput, 13),
     (BadDimension, 14),
     (NonFinite, 15),
+    (ResolutionLimit, 17),
     (QThermoError, 16),
 ]
 

@@ -46,13 +46,9 @@ class PureStateSingularity(QThermoError):
     """Bloch-form expressions are singular at (numerically) pure states."""
 
 
-class SingularOutcome(QThermoError):
-    """A measurement outcome has vanishing probability but a non-vanishing
-    probability derivative."""
-
-
-class ZeroVariance(QThermoError):
-    """Observable variance too small to define a signal-to-noise ratio."""
+class ResolutionLimit(QThermoError):
+    """A result is below what float64 states resolve: a measurement's
+    Fisher information exceeds the QFI of the same states."""
 
 
 class ParseError(QThermoError):

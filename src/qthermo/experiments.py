@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import optimal_ratio, steady_qsnr
-from .errors import NoConvergence, NonPositiveInput, ValidationError
-from .fisher import EstimateRecord, qfi_spectral, qsnr, qubit_qfi
-from .linalg import partial_trace
+from .errors import NoConvergence, NonPositiveInput, ResolutionLimit, ValidationError
+from .fisher import cfi_povm, measurement_fi, qfi_spectral, qsnr, qubit_qfi
+from .linalg import partial_trace, pauli
 from .master_equation import build_liouvillian
 from .models import (
     BathSpec,
@@ -230,33 +230,40 @@ def _family(model_name: str, temperature: float, reduce: bool = True, **model_kw
     return TemperatureFamily(make_model(model_name, temperature=temperature, **model_kw), reduce=reduce)
 
 
-def _records(t, qfi, fi, coherence, temperature):
-    """``EstimateRecord`` for one time point, or a list of them for a grid,
-    from per-state columns."""
-    if np.ndim(t) == 0:
-        return _records([t], [qfi], [fi], [coherence], temperature)[0]
-    return [
-        EstimateRecord(
-            t=ti, qfi=f, fi_meas=m, qsnr=qsnr(temperature, f),
-            qfi_per_t=f / ti if ti > 0 else 0.0, coherence_abs=c,
+def _coherence(rho):
+    """``|rho_01|`` of a qubit, ``|rho_{01,10}|`` (the exchange pair) of two
+    qubits, per state; ``np.hypot`` rounds as the scalar ``abs`` does."""
+    c = rho[..., 0, 1] if rho.shape[-1] == 2 else rho[..., 1, 2]
+    return np.hypot(c.real, c.imag)
+
+
+def _records(t, qfi, fi, rho, temperature) -> dict:
+    """Record columns ``t, qfi, cfi, qsnr, qfi_per_t, coherence_abs`` from
+    per-state values and states: floats at one time ``t``, lists on a grid.
+
+    A measurement FI above the QFI (beyond 1e-9) means the states cannot
+    resolve the information: :class:`ResolutionLimit` names the first such row.
+    """
+    t, qfi, fi = (np.asarray(x, dtype=float) for x in (t, qfi, fi))
+    bad = np.flatnonzero(fi > qfi + 1e-9)
+    if bad.size:
+        k = bad[0]
+        raise ResolutionLimit(
+            f"measurement FI {fi.flat[k]} exceeds QFI {qfi.flat[k]} at t = {t.flat[k]}"
         )
-        for ti, f, m, c in zip(*(np.asarray(x, dtype=float).tolist() for x in (t, qfi, fi, coherence)))
-    ]
+    columns = {
+        "t": t, "qfi": qfi, "cfi": fi, "qsnr": qsnr(temperature, qfi),
+        "qfi_per_t": np.divide(qfi, t, out=np.zeros_like(qfi), where=t > 0),
+        "coherence_abs": _coherence(rho),
+    }
+    return {name: np.asarray(col).tolist() for name, col in columns.items()}
 
 
 def _qubit_record(t, rho, drho, temperature):
-    """Probe-qubit record(s) at time ``t`` (state, derivative) or on a grid
-    (stacks).  The sigma_x FI ``(d<sx>/dT)^2 / Var(sx)`` is 0 where
-    Var(sigma_x) <= 1e-14 (the t = 0 rows); ``fisher.measurement_fi`` raises
-    ``ZeroVariance`` there."""
-    f = qubit_qfi(rho, drho)
-    # <sx> = Tr(rho sx) = rho_01 + rho_10 and <sx^2> = Tr(rho)
-    mean = (rho[..., 0, 1] + rho[..., 1, 0]).real
-    var = (rho[..., 0, 0] + rho[..., 1, 1]).real - mean * mean
-    dmean = (drho[..., 0, 1] + drho[..., 1, 0]).real
-    fi = np.divide(dmean * dmean, var, out=np.zeros_like(var), where=var > 1e-14)
-    c = rho[..., 0, 1]
-    return _records(t, f, fi, np.hypot(c.real, c.imag), temperature)
+    """Probe-qubit record at time ``t`` (state, derivative) or on a grid
+    (stacks), measured by sigma_x."""
+    fi = measurement_fi(pauli("x"), rho, drho)
+    return _records(t, qubit_qfi(rho, drho), fi, rho, temperature)
 
 
 def _tq_probs(m: np.ndarray) -> np.ndarray:
@@ -267,17 +274,9 @@ def _tq_probs(m: np.ndarray) -> np.ndarray:
 
 
 def _two_qubit_record(t, rho, drho, temperature):
-    """Two-qubit record(s), measured in ``_TQ_BASIS``.  The 4-outcome CFI
-    skips every outcome with p <= 1e-14, whatever its dp/dT, where
-    ``fisher.cfi_povm`` raises ``SingularOutcome``; it skips that function's
-    probability-sum checks too."""
-    f = qfi_spectral(rho, drho)
-    probs, dprobs = _tq_probs(rho), _tq_probs(drho)
-    terms = np.divide(dprobs * dprobs, probs, out=np.zeros_like(probs), where=probs > 1e-14)
-    # summed outcome by outcome, as a running total
-    fi = np.cumsum(terms, axis=-1)[..., -1]
-    c = rho[..., 1, 2]
-    return _records(t, f, fi, np.hypot(c.real, c.imag), temperature)
+    """Two-qubit record, or records on a grid, measured in ``_TQ_BASIS``."""
+    fi = cfi_povm(_tq_probs(rho), _tq_probs(drho))
+    return _records(t, qfi_spectral(rho, drho), fi, rho, temperature)
 
 
 def _records_at(family: TemperatureFamily, record_fn, t):
@@ -302,22 +301,13 @@ def _refine_max(times, values, fn, tol=1e-6) -> OptSearchResult:
 _RECORD_COLUMNS = ("qfi", "cfi", "qsnr", "qfi_per_t", "coherence_abs")
 
 
-def _row(rec: EstimateRecord) -> dict:
-    return {
-        "qfi": rec.qfi,
-        "cfi": rec.fi_meas,
-        "qsnr": rec.qsnr,
-        "qfi_per_t": rec.qfi_per_t,
-        "coherence_abs": rec.coherence_abs,
-    }
-
-
-def _grid_rows(axis: str, labels, record_lists) -> list[dict]:
-    """One row per (sweep label, grid record), the label in column ``axis``."""
+def _grid_rows(axis: str, labels, grids) -> list[dict]:
+    """One row per (sweep label, grid time) of the grids' record columns,
+    the label in column ``axis``."""
     return [
-        {axis: label, "t": rec.t, **_row(rec)}
-        for label, recs in zip(labels, record_lists)
-        for rec in recs
+        {axis: label, **dict(zip(recs, values))}
+        for label, recs in zip(labels, grids)
+        for values in zip(*recs.values())
     ]
 
 
@@ -407,9 +397,7 @@ def _coupling_optimum(kappa, temperature, eta, cutoff, theta, times):
     the located maximum of QSNR(t)."""
     fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta)
     recs = _records_at(fam, _qubit_record, times)
-    opt = _refine_max(
-        times, [r.qsnr for r in recs], lambda t: _records_at(fam, _qubit_record, t).qsnr
-    )
+    opt = _refine_max(times, recs["qsnr"], lambda t: _records_at(fam, _qubit_record, t)["qsnr"])
     return fam, recs, opt
 
 
@@ -472,8 +460,7 @@ def run_coherence_parametric(
     def one(kappa):
         fam, recs, opt_r = _coupling_optimum(kappa, temperature, eta, cutoff, theta, times)
         opt_c = _refine_max(
-            times, [r.coherence_abs for r in recs],
-            lambda t: float(abs(fam.state_and_derivative(t)[0][0, 1])),
+            times, recs["coherence_abs"], lambda t: float(_coherence(fam.state_and_derivative(t)[0]))
         )
         return {
             "kappa": float(kappa),
@@ -529,10 +516,9 @@ def run_two_qubit_configs(
             theta=0.0 if config.endswith("separable") else np.pi / 2,
         )
         recs = _records_at(fam, _two_qubit_record, times)
-        f_ss = recs[-1].qfi
+        f_ss = recs["qfi"][-1]
         target = 0.99 * f_ss
-        f_vals = np.array([r.qfi for r in recs])
-        above = np.nonzero(f_vals >= target)[0]
+        above = np.nonzero(np.array(recs["qfi"]) >= target)[0]
         i = int(above[0])
         if i == 0:
             t99 = 0.0
@@ -542,7 +528,7 @@ def run_two_qubit_configs(
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     break  # float64 cannot split the bracket further
-                if _records_at(fam, _two_qubit_record, mid).qfi >= target:
+                if _records_at(fam, _two_qubit_record, mid)["qfi"] >= target:
                     hi = mid
                 else:
                     lo = mid
@@ -634,19 +620,15 @@ def run_evolve(
         eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
         t_max=t_max, n_points=n_points,
     )
-    # a qubit's coherence is rho[0, 1]; two qubits report the exchange pair's rho[01, 10]
-    if states.shape[-1] == 2:
-        populations, (i, j) = ("p0", "p1"), (0, 1)
-    else:
-        populations, (i, j) = ("p00", "p01", "p10", "p11"), (1, 2)
+    populations = ("p0", "p1") if states.shape[-1] == 2 else ("p00", "p01", "p10", "p11")
     rows = [
         {
             "t": float(t),
             **{p: float(s[k, k].real) for k, p in enumerate(populations)},
-            "coherence_abs": float(abs(s[i, j])),
+            "coherence_abs": c,
             "purity": float(np.trace(s @ s).real),
         }
-        for t, s in zip(times, states)
+        for t, s, c in zip(times, states, _coherence(states).tolist())
     ]
     return ScanResult("evolve", params, ("t", *populations, "coherence_abs", "purity"), rows)
 
@@ -684,7 +666,8 @@ def run_qfi_point(
     if t == np.inf and not any(fam.liouvillian.rates):
         raise ValidationError("eta", "at=steady needs a bath: with every rate zero no state is stationary")
     rec = _records_at(fam, record_fn, t)
-    rows = [{"at": "steady" if t == np.inf else t, **_row(rec)}]
+    del rec["t"]
+    rows = [{"at": "steady" if t == np.inf else t, **rec}]
     return ScanResult("qfi_point", params, ("at",) + _RECORD_COLUMNS, rows)
 
 

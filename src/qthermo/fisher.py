@@ -3,7 +3,7 @@
 The central objects are a state and its temperature derivative.  The
 experiments take exact derivatives from the dynamics; :func:`d_rho_dT`
 (validated central differences of any family ``T -> rho(T)``) is their
-independent cross-check and the derivative behind :func:`measurement_fi`.
+independent cross-check.
 
 Quantum Fisher information comes in two equivalent forms:
 
@@ -15,9 +15,18 @@ Quantum Fisher information comes in two equivalent forms:
 
   which is singular at pure states and then routed to the spectral form.
 
-Both forms, and the derivative check, accept one state or a ``(..., d, d)``
-stack of states: a stack gives one value per state, and a failed check
-raises what the single-state call raises for the first offending state.
+Measurement Fisher information takes the same ``(rho, drho)`` pairs:
+
+* :func:`measurement_fi` ``(observable, rho, drho)`` gives
+  ``(d<X>/dT)^2 / Var(X)``, and 0 where ``Var(X) <= 1e-14``, since
+  ``(d<X>/dT)^2 <= Var(X) F_Q`` vanishes with the variance;
+* :func:`cfi_povm` ``(probs, dprobs)``, outcomes on the last axis, gives
+  ``sum dp^2 / p`` over the outcomes with ``p > 1e-14``, summed outcome by
+  outcome as a running total.
+
+Every form, and the derivative check, accepts one state (distribution) or a
+stack: a stack gives one value per state, and a failed check raises what
+the single-state call raises for the first offending state.
 
 The symmetric logarithmic derivative of a mixed qubit is
 ``L = c0 I + cx sx + cy sy + cz sz`` with ``c0 = dP / (2 (P - 1))`` and
@@ -36,9 +45,7 @@ from .errors import (
     NonHermitianInput,
     NonPositiveInput,
     PureStateSingularity,
-    SingularOutcome,
     StepTooLarge,
-    ZeroVariance,
 )
 from .linalg import dag, eig_hermitian, hermiticity_defect, pauli
 
@@ -55,7 +62,6 @@ __all__ = [
     "cfi_povm",
     "measurement_fi",
     "qsnr",
-    "EstimateRecord",
 ]
 
 #: Spectral-sum terms with eigenvalue sum at or below this are skipped.
@@ -73,6 +79,13 @@ def _central(state_fn, temperature, h):
     return (np.asarray(state_fn(temperature + h)) - np.asarray(state_fn(temperature - h))) / (2.0 * h)
 
 
+def _raise_first(bad, error, message: str, values) -> None:
+    """Raise ``error(message.format(v))`` for the first state flagged in ``bad``."""
+    idx = np.flatnonzero(bad)
+    if idx.size:
+        raise error(message.format(np.ravel(values)[idx[0]]))
+
+
 def halving_consistency(d_h: np.ndarray, d_half: np.ndarray, rel_tol: float = 1e-5) -> None:
     """Require a central difference to agree with its half-step refinement.
 
@@ -88,11 +101,10 @@ def halving_consistency(d_h: np.ndarray, d_half: np.ndarray, rel_tol: float = 1e
     big_half = np.abs(d_half).max(axis=axes)
     scale = np.maximum(big_half, np.abs(d_h).max(axis=axes))
     rel = np.abs(d_h - d_half).max(axis=axes) / np.maximum(big_half, 1e-300)
-    bad = np.flatnonzero((scale >= 1e-8) & (rel > rel_tol))
-    if bad.size:
-        raise StepTooLarge(
-            f"central difference differs from half step by {np.ravel(rel)[bad[0]]:.3e} relative"
-        )
+    _raise_first(
+        (scale >= 1e-8) & (rel > rel_tol), StepTooLarge,
+        "central difference differs from half step by {:.3e} relative", rel,
+    )
 
 
 def d_rho_dT(state_fn, temperature: float, h: float | None = None) -> np.ndarray:
@@ -123,11 +135,10 @@ def qfi_spectral(rho: np.ndarray, drho: np.ndarray, eig_cutoff: float = EIG_CUTO
     """
     drho = np.asarray(drho, dtype=complex)
     defect = np.asarray(hermiticity_defect(drho))
-    bad = np.flatnonzero(defect > 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(-2, -1))))
-    if bad.size:
-        raise NonHermitianInput(
-            f"state derivative has hermiticity defect {np.ravel(defect)[bad[0]]:.3e}"
-        )
+    _raise_first(
+        defect > 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(-2, -1))), NonHermitianInput,
+        "state derivative has hermiticity defect {:.3e}", defect,
+    )
     es = eig_hermitian(np.asarray(rho, dtype=complex))
     lam, v = es.eigenvalues, es.eigenvectors
     m = dag(v) @ drho @ v
@@ -187,11 +198,9 @@ def qfi_bloch(r: BlochVector, dr: BlochVector):
     should fall back to :func:`qfi_spectral` (see :func:`qubit_qfi`).
     """
     n2 = np.asarray(r.norm2)
-    pure = np.flatnonzero(n2 > PURE_NORM2)
-    if pure.size:
-        raise PureStateSingularity(
-            f"|r|^2 = {float(np.ravel(n2)[pure[0]])} too close to 1 for the Bloch form"
-        )
+    _raise_first(
+        n2 > PURE_NORM2, PureStateSingularity, "|r|^2 = {} too close to 1 for the Bloch form", n2
+    )
     dp = r.dot(dr)
     # 4 (P - 1)^2 = (1 - |r|^2)^2
     f = dp * dp / (1.0 - n2) + dr.norm2
@@ -250,77 +259,55 @@ def sld(r: BlochVector, dr: BlochVector) -> SLDOperator:
     )
 
 
-def cfi_povm(probs, dprobs) -> float:
-    """Classical Fisher information ``sum (dp_i)^2 / p_i`` of an outcome
-    distribution and its parameter derivative.
+def cfi_povm(probs, dprobs):
+    """Classical Fisher information ``sum_i (dp_i)^2 / p_i`` of outcome
+    distributions (outcomes on the last axis) and their temperature
+    derivatives: a float, or one value per distribution of a stack.
 
-    Outcomes with both ``p_i`` and ``|dp_i|`` below 1e-14 are skipped; a
-    vanishing probability with a non-vanishing derivative raises
-    :class:`SingularOutcome`.
+    Outcomes with ``p_i <= 1e-14`` are skipped whatever their derivative;
+    the kept terms are summed outcome by outcome, as a running total.  A
+    probability below -1e-12, a sum off 1 by more than 1e-9 or derivatives
+    summing to more than 1e-8 raise :class:`NonPositiveInput` for the first
+    offending distribution.
     """
     p = np.asarray(probs, dtype=float)
     dp = np.asarray(dprobs, dtype=float)
     if p.shape != dp.shape:
         raise NonPositiveInput("probs and dprobs must have matching shapes")
-    if np.any(p < -1e-12):
-        raise NonPositiveInput(f"negative probability {p.min()}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise NonPositiveInput(f"probabilities sum to {p.sum()}, not 1")
-    if abs(dp.sum()) > 1e-8:
-        raise NonPositiveInput(f"probability derivatives sum to {dp.sum()}, not 0")
-    total = 0.0
-    for pi, dpi in zip(p, dp):
-        if pi < 1e-14:
-            if abs(dpi) < 1e-14:
-                continue
-            raise SingularOutcome(
-                f"outcome with p = {pi:.3e} but dp/dT = {dpi:.3e}"
-            )
-        total += dpi * dpi / pi
-    return float(total)
+    low = p.min(axis=-1)
+    _raise_first(low < -1e-12, NonPositiveInput, "negative probability {}", low)
+    total = p.sum(axis=-1)
+    _raise_first(abs(total - 1.0) > 1e-9, NonPositiveInput, "probabilities sum to {}, not 1", total)
+    dtotal = dp.sum(axis=-1)
+    _raise_first(abs(dtotal) > 1e-8, NonPositiveInput, "probability derivatives sum to {}, not 0", dtotal)
+    terms = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 1e-14)
+    f = np.cumsum(terms, axis=-1)[..., -1]
+    return float(f) if f.ndim == 0 else f
 
 
-def measurement_fi(observable: np.ndarray, rho_fn, temperature: float, h: float | None = None) -> float:
-    """Fisher information of a single observable,
-    ``(d<X>/dT)^2 / Var(X)``, with the derivative from :func:`d_rho_dT`."""
+def measurement_fi(observable: np.ndarray, rho: np.ndarray, drho: np.ndarray):
+    """Fisher information ``(d<X>/dT)^2 / Var(X)`` of measuring the
+    observable ``X`` on a state with temperature derivative ``drho``: a
+    float, or one value per state of a ``(..., d, d)`` stack.
+
+    It is 0 where ``Var(X) <= 1e-14``: ``(d<X>/dT)^2 <= Var(X) F_Q``
+    vanishes with the variance.
+    """
     x = np.asarray(observable, dtype=complex)
     if hermiticity_defect(x) > 1e-10:
         raise NonHermitianInput("observable must be Hermitian")
-    rho = np.asarray(rho_fn(temperature), dtype=complex)
-    mean = float(np.trace(rho @ x).real)
-    var = float(np.trace(rho @ x @ x).real) - mean * mean
-    if var <= 1e-14:
-        raise ZeroVariance(f"observable variance {var:.3e} too small")
-    drho = d_rho_dT(rho_fn, temperature, h)
-    dmean = float(np.trace(drho @ x).real)
-    return dmean * dmean / var
+    rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
+    mean = np.trace(rho @ x, axis1=-2, axis2=-1).real
+    var = np.trace(rho @ (x @ x), axis1=-2, axis2=-1).real - mean * mean
+    dmean = np.trace(drho @ x, axis1=-2, axis2=-1).real
+    f = np.divide(dmean * dmean, var, out=np.zeros_like(var), where=var > 1e-14)
+    return float(f) if f.ndim == 0 else f
 
 
-def qsnr(temperature: float, fisher: float) -> float:
-    """Signal-to-noise ratio ``T^2 F`` of a Fisher information value."""
-    if fisher < 0:
-        raise NonPositiveInput(f"Fisher information must be >= 0, got {fisher}")
-    return temperature * temperature * fisher
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    """Metrology outputs at one time point.
-
-    ``fi_meas`` is the Fisher information of the concrete measurement used
-    by the experiment (a fixed observable or a projective basis); it can
-    never exceed ``qfi`` for the same state family.
-    """
-
-    t: float
-    qfi: float
-    fi_meas: float
-    qsnr: float
-    qfi_per_t: float
-    coherence_abs: float
-
-    def __post_init__(self):
-        if self.fi_meas > self.qfi + 1e-9:
-            raise NonPositiveInput(
-                f"measurement FI {self.fi_meas} exceeds QFI {self.qfi}"
-            )
+def qsnr(temperature: float, fisher):
+    """Signal-to-noise ratio ``T^2 F`` of a Fisher information value, or of
+    each value of an array."""
+    f = np.asarray(fisher, dtype=float)
+    _raise_first(f < 0, NonPositiveInput, "Fisher information must be >= 0, got {}", f)
+    out = temperature * temperature * f
+    return float(out) if out.ndim == 0 else out

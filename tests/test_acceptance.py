@@ -166,20 +166,20 @@ def test_criterion_04_sigma_x_measurement_optimality(probe_family):
     fam = probe_family
     rho, drho = fam.state_and_derivative(times)
     recs = [_qubit_record(t, a, b, fam.temperature) for t, a, b in zip(times, rho, drho)]
-    bound_ok = all(r.fi_meas <= r.qfi + 1e-9 for r in recs)
+    bound_ok = all(r["cfi"] <= r["qfi"] + 1e-9 for r in recs)
 
-    i_peak = int(np.argmax([r.qfi for r in recs]))
+    i_peak = int(np.argmax([r["qfi"] for r in recs]))
     t_opt, f_opt = golden_section_max(
-        lambda t: _qubit_record(t, *fam.state_and_derivative(t), fam.temperature).qfi,
+        lambda t: _qubit_record(t, *fam.state_and_derivative(t), fam.temperature)["qfi"],
         times[i_peak - 1],
         times[i_peak + 1],
     )
     rec_opt = _qubit_record(t_opt, *fam.state_and_derivative(t_opt), fam.temperature)
-    deficit = (rec_opt.qfi - rec_opt.fi_meas) / rec_opt.qfi
+    deficit = (rec_opt["qfi"] - rec_opt["cfi"]) / rec_opt["qfi"]
     ok = bound_ok and deficit <= 1e-3
     detail = (
         f"bound I<=F holds everywhere: {bound_ok}; at t_opt={t_opt:.2f} "
-        f"F={rec_opt.qfi:.5f}, I(sigma_x)={rec_opt.fi_meas:.5f}, "
+        f"F={rec_opt['qfi']:.5f}, I(sigma_x)={rec_opt['cfi']:.5f}, "
         f"relative deficit {deficit:.3f} vs 1e-3 allowed; the lab-frame "
         f"sigma_x signal misses the information carried by the population "
         f"channel once the zero-frequency dephasing envelope is kept"

@@ -211,6 +211,16 @@ class TestMain:
         summary = json.loads((tmp_path / "qfi_point.summary.json").read_text())
         assert summary["results"]["record"]["qfi"] <= 1e-20
 
+    def test_unresolved_steady_information_exits_17(self, tmp_path, capsys):
+        # at kappa/T ~ 14 the steady state's minority population is below
+        # float64 resolution next to 1: the QFI loses the term the doublet
+        # basis still measures, and FI > QFI is a resolution limit
+        argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", "model=two_qubit_common",
+                "--param", "eta2=0.05", "--param", "kappa=1", "--param", "temperature=0.07"]
+        with pytest.warns(UserWarning, match="boundary-of-support"):
+            assert main(argv) == 17
+        assert "exceeds QFI" in capsys.readouterr().err
+
     @pytest.mark.parametrize("at", ["1e6", "1e300"])
     def test_far_time_point(self, at, tmp_path):
         # the dephased probe carries no information; the exact derivative says so

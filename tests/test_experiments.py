@@ -161,7 +161,7 @@ class TestKappaSweep:
         # stronger coupling holds information longer: compare QFI/t far out
         f6 = _qubit_record(300.0, *pa_family(0.6).state_and_derivative(300.0), 0.4)
         f9 = _qubit_record(300.0, *pa_family(0.9).state_and_derivative(300.0), 0.4)
-        assert f9.qfi_per_t > f6.qfi_per_t
+        assert f9["qfi_per_t"] > f6["qfi_per_t"]
 
     def test_refinement_calls_only_the_golden_section(self):
         from qthermo.experiments import _refine_max
@@ -250,7 +250,7 @@ class TestTwoQubitConfigs:
             lo, hi = float(times[i - 1]), float(times[i])
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if _records_at(fam, _two_qubit_record, mid).qfi >= target:
+                if _records_at(fam, _two_qubit_record, mid)["qfi"] >= target:
                     hi = mid
                 else:
                     lo = mid
@@ -258,13 +258,15 @@ class TestTwoQubitConfigs:
 
 
 class TestStackRecords:
-    """Records computed on whole grids equal the single-state records."""
+    """Record columns computed on whole grids equal the single-state records."""
 
     @staticmethod
     def per_row(fam, times, record_fn):
+        """The grid's columns built from one single-state record per time."""
         rho, drho = fam.state_and_derivative(times)
-        ref = [record_fn(t, a, b, fam.temperature) for t, a, b in zip(times, rho, drho)]
-        return ref, rho, drho
+        rows = [record_fn(t, a, b, fam.temperature) for t, a, b in zip(times, rho, drho)]
+        assert all(isinstance(v, float) for row in rows for v in row.values())
+        return {k: [row[k] for row in rows] for k in rows[0]}, rho, drho
 
     def test_qubit_records(self):
         fam = pa_family(0.8)
@@ -272,8 +274,8 @@ class TestStackRecords:
         ref, rho, drho = self.per_row(fam, times, _qubit_record)
         assert _records_at(fam, _qubit_record, times) == ref
         assert abs(np.trace(rho[0] @ rho[0]).real - 1.0) < 1e-12  # the t = 0 row is pure
-        assert [r.qfi for r in ref] == [qubit_qfi(a, b) for a, b in zip(rho, drho)]
-        assert ref[0].fi_meas == 0.0 and ref[1].fi_meas > 0.0
+        assert ref["qfi"] == [qubit_qfi(a, b) for a, b in zip(rho, drho)]
+        assert ref["cfi"][0] == 0.0 and ref["cfi"][1] > 0.0
 
     def test_two_qubit_records(self):
         fam = _family("two_qubit_common", 0.4, reduce=False, kappa=0.6, eta=0.01,
@@ -281,8 +283,8 @@ class TestStackRecords:
         times = np.concatenate([[0.0], np.geomspace(0.01, 500.0, 59)])
         ref, rho, drho = self.per_row(fam, times, _two_qubit_record)
         assert _records_at(fam, _two_qubit_record, times) == ref
-        assert [r.qfi for r in ref] == [qfi_spectral(a, b) for a, b in zip(rho, drho)]
-        assert ref[0].qfi == 0.0  # t = 0: the pure, temperature-independent preparation
+        assert ref["qfi"] == [qfi_spectral(a, b) for a, b in zip(rho, drho)]
+        assert ref["qfi"][0] == 0.0  # t = 0: the pure, temperature-independent preparation
 
     def test_grid_matches_single_times(self):
         fam = pa_family(0.8)
@@ -300,7 +302,7 @@ class TestStackRecords:
             recs = _two_qubit_record(np.array([1.0, 2.0]), rho, drho, 0.4)
         assert len(caught) == 1
         with pytest.warns(UserWarning, match="boundary-of-support"):
-            assert recs[1] == _two_qubit_record(2.0, rho[1], drho[1], 0.4)
+            assert {k: v[1] for k, v in recs.items()} == _two_qubit_record(2.0, rho[1], drho[1], 0.4)
 
 
 class TestSteadyQsnrCurve:

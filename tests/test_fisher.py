@@ -5,13 +5,12 @@ from qthermo.closed_forms import probe_state_closed_form, sech, steady_qfi, stea
 from qthermo.errors import (
     NonPositiveInput,
     PureStateSingularity,
-    SingularOutcome,
+    ResolutionLimit,
     StepTooLarge,
-    ZeroVariance,
 )
+from qthermo.experiments import TemperatureFamily, _records, make_model
 from qthermo.fisher import (
     BlochVector,
-    EstimateRecord,
     bloch_components,
     cfi_povm,
     d_rho_dT,
@@ -227,9 +226,10 @@ class TestCfiPovm:
             probs /= probs.sum()
             assert cfi_povm(probs, dprobs) <= f_q + 1e-9
 
-    def test_singular_outcome_detected(self):
-        with pytest.raises(SingularOutcome):
-            cfi_povm([1.0, 0.0], [-1e-3, 1e-3])
+    def test_vanishing_outcome_skipped(self):
+        # an outcome with p <= 1e-14 adds nothing, whatever its derivative
+        assert cfi_povm([1.0, 0.0], [-1e-3, 1e-3]) == 1e-3 * 1e-3
+        assert cfi_povm([1.0 - 1e-14, 1e-14], [-1e-3, 1e-3]) == 1e-3 * 1e-3 / (1.0 - 1e-14)
 
     def test_validates_distribution(self):
         with pytest.raises(NonPositiveInput):
@@ -239,12 +239,12 @@ class TestCfiPovm:
 
 
 class TestMeasurementFi:
-    def test_identity_observable_rejected(self, paper_bath):
+    def test_identity_observable_gives_zero(self, paper_bath):
+        # Var(I) = 0: the information (d<I>/dT)^2 <= Var(I) F_Q vanishes with it
         state = lambda tv: probe_state_closed_form(
             5.0, 0.8, paper_bath.with_temperature(tv), include_zero_freq_dephasing=True
         )
-        with pytest.raises(ZeroVariance):
-            measurement_fi(identity(2), state, 0.4)
+        assert measurement_fi(identity(2), state(0.4), d_rho_dT(state, 0.4)) == 0.0
 
     def test_sigma_x_formula(self, paper_bath):
         # (d<sx>/dT)^2 / (1 - rx^2) for a qubit family
@@ -252,9 +252,9 @@ class TestMeasurementFi:
         state = lambda tv: probe_state_closed_form(
             t, 0.8, paper_bath.with_temperature(tv), include_zero_freq_dephasing=True
         )
-        got = measurement_fi(pauli("x"), state, 0.4)
         rho = state(0.4)
         drho = d_rho_dT(state, 0.4)
+        got = measurement_fi(pauli("x"), rho, drho)
         rx = bloch_components(rho).rx
         drx = bloch_components(drho).rx
         assert got == pytest.approx(drx * drx / (1.0 - rx * rx), rel=1e-10)
@@ -266,7 +266,7 @@ class TestMeasurementFi:
             )
             rho = state(0.4)
             drho = d_rho_dT(state, 0.4)
-            fi = measurement_fi(pauli("x"), state, 0.4)
+            fi = measurement_fi(pauli("x"), rho, drho)
             assert fi <= qubit_qfi(rho, drho) + 1e-9
 
 
@@ -287,7 +287,7 @@ class TestHermiticityGuards:
         )
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NonHermitianInput):
-            measurement_fi(bad, state, 0.4)
+            measurement_fi(bad, state(0.4), d_rho_dT(state, 0.4))
 
 
 class TestQsnrRecord:
@@ -298,10 +298,9 @@ class TestQsnrRecord:
             qsnr(0.4, -1.0)
 
     def test_record_rejects_fi_above_qfi(self):
-        with pytest.raises(NonPositiveInput):
-            EstimateRecord(
-                t=1.0, qfi=1.0, fi_meas=1.1, qsnr=0.16, qfi_per_t=1.0, coherence_abs=0.1
-            )
+        rho = np.array([np.diag([0.6, 0.4])] * 3, dtype=complex)
+        with pytest.raises(ResolutionLimit, match="FI 1.1 exceeds QFI 1.0 at t = 2.0"):
+            _records(np.array([1.0, 2.0, 3.0]), [1.0, 1.0, 1.0], [1.0, 1.1, 1.2], rho, 0.4)
 
 
 class TestStacks:
@@ -364,3 +363,61 @@ class TestStacks:
             one = bloch_components(rho[k])
             assert isinstance(one.rx, float)
             assert np.array_equal(one.as_array(), r.as_array()[k])
+
+    def test_measurement_fi_per_state(self, rng):
+        pairs = [random_qubit_family(rng) for _ in range(6)]
+        pairs[3] = (0.5 * (identity(2) + pauli("x")), 0.1 * pauli("z"))  # Var(sx) = 0
+        rho = np.array([p[0] for p in pairs])
+        drho = np.array([p[1] for p in pairs])
+        for obs in (pauli("x"), pauli("z"), identity(2)):
+            got = measurement_fi(obs, rho, drho)
+            assert got.shape == (6,)
+            assert got.tolist() == [measurement_fi(obs, r, d) for r, d in pairs]
+        assert measurement_fi(pauli("x"), rho, drho)[3] == 0.0
+        assert measurement_fi(identity(2), rho, drho).tolist() == [0.0] * 6
+
+    def test_cfi_povm_per_distribution(self, rng):
+        p = rng.dirichlet(np.ones(4), size=5)
+        dp = rng.normal(size=(5, 4))
+        dp -= dp.mean(axis=-1, keepdims=True)
+        p[2] = [0.5, 0.5 - 1e-14, 1e-14, 0.0]  # two outcomes at or below 1e-14: skipped
+        got = cfi_povm(p, dp)
+        assert got.shape == (5,)
+        assert got.tolist() == [cfi_povm(a, b) for a, b in zip(p, dp)]
+        assert got[2] == dp[2, 0] ** 2 / 0.5 + dp[2, 1] ** 2 / (0.5 - 1e-14)
+        assert cfi_povm(p[None], dp[None]).shape == (1, 5)
+
+    def test_cfi_povm_check_names_the_first_bad_distribution(self, rng):
+        p = rng.dirichlet(np.ones(3), size=6)
+        dp = np.zeros((6, 3))
+        p[2] *= 1.0 + 1e-6
+        p[4] *= 1.0 + 1e-3
+        with pytest.raises(NonPositiveInput) as whole:
+            cfi_povm(p, dp)
+        with pytest.raises(NonPositiveInput) as single:
+            cfi_povm(p[2], dp[2])
+        assert str(whole.value) == str(single.value)
+        p[2] /= 1.0 + 1e-6
+        dp[1] = [0.1, 0.0, 0.0]
+        with pytest.raises(NonPositiveInput, match="derivatives sum to 0.1"):
+            cfi_povm(p[:4], dp[:4])
+
+    def test_qsnr_per_value(self):
+        f = np.array([0.0, 2.745, 1.0])
+        assert qsnr(0.4, f).tolist() == [qsnr(0.4, x) for x in f]
+        with pytest.raises(NonPositiveInput, match="got -1.0"):
+            qsnr(0.4, np.array([1.0, -1.0, -2.0]))
+
+    def test_exact_derivative_matches_central_difference_oracle(self):
+        # measurement_fi on the exact (rho, drho) against the same call with
+        # the central-difference derivative of the family T -> rho(t; T)
+        def family(temperature):
+            model = make_model("probe_ancilla", temperature=temperature, eta=0.01, cutoff=10.0)
+            return TemperatureFamily(model)
+
+        for t in (3.0, 17.0, 45.0):
+            rho, drho = family(0.4).state_and_derivative(t)
+            oracle = d_rho_dT(lambda tv: family(tv).state_and_derivative(t)[0], 0.4)
+            exact = measurement_fi(pauli("x"), rho, drho)
+            assert exact > 0.0
+            assert exact == pytest.approx(measurement_fi(pauli("x"), rho, oracle), rel=1e-8)
