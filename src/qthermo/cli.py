@@ -5,6 +5,7 @@ companions)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,6 +135,7 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args keeps no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qthermo",

@@ -528,7 +528,7 @@ def run_two_qubit_configs(
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     break  # float64 cannot split the bracket further
-                if _records_at(fam, _two_qubit_record, mid)["qfi"] >= target:
+                if qfi_spectral(*fam.state_and_derivative(mid)) >= target:
                     hi = mid
                 else:
                     lo = mid

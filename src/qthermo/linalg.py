@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadDimension, NonFinite, NonHermitianInput, PositivityViolation
 
@@ -63,8 +62,14 @@ def identity(dim: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the first factor on the slow (left) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Tensor product of two 2-D arrays with the first factor on the slow
+    (left) index, equal entry for entry to ``np.kron``.  Raises
+    ``BadDimension`` for a factor that is not 2-D."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise BadDimension(f"kron needs 2-D factors, got {a.shape} and {b.shape}")
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -127,6 +132,8 @@ def expm(m: np.ndarray) -> np.ndarray:
 
     Raises ``NonFinite`` if the result overflows.
     """
+    import scipy.linalg  # deferred: most of the import time, and only fallbacks need it
+
     out = scipy.linalg.expm(np.asarray(m, dtype=complex))
     if not np.all(np.isfinite(out)):
         raise NonFinite("matrix exponential overflowed")

@@ -143,18 +143,17 @@ def jump_operators(
         raise NonPositiveInput("freq_tol must be > 0")
     es = eig_hermitian(h)
     groups = _cluster(list(es.eigenvalues), freq_tol)
-    projectors = []
+    energies, projectors = [], []
     idx = 0
     for g in groups:
         cols = es.eigenvectors[:, idx : idx + len(g)]
-        projectors.append((float(np.mean(g)), cols @ cols.conj().T))
+        energies.append(float(np.mean(g)))
+        projectors.append(cols @ cols.conj().T)
         idx += len(g)
 
-    raw = []
-    for e_n, p_n in projectors:
-        for e_m, p_m in projectors:
-            op = p_n @ a @ p_m
-            raw.append((e_m - e_n, op))
+    p = np.stack(projectors)
+    ops = p[:, None] @ a @ p[None, :]  # ops[n, m] = (P(n) @ a) @ P(m)
+    raw = [(e_m - e_n, ops[n, m]) for n, e_n in enumerate(energies) for m, e_m in enumerate(energies)]
     raw.sort(key=lambda t: t[0])
 
     channels = []

@@ -1,11 +1,15 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import qthermo
 from qthermo import experiments
-from qthermo.cli import main, write_csv
+from qthermo.cli import build_parser, main, write_csv
 from qthermo.config import coerce_value, parse_config_file, resolve
 from qthermo.errors import ParseError, ValidationError
 
@@ -257,6 +261,53 @@ class TestMain:
 
     def test_selftest_subcommand(self):
         assert main(["selftest", "--quiet"]) == 0
+
+    def test_parser_reuse_carries_nothing_over(self, tmp_path):
+        def outputs(out):
+            summary = json.loads((out / "qfi_point.summary.json").read_text())
+            del summary["wall_time_s"]
+            return (out / "qfi_point.csv").read_bytes(), summary
+
+        # reference: the defaults on the first main call of a fresh process
+        fresh = tmp_path / "fresh"
+        subprocess.run(
+            [sys.executable, "-m", "qthermo.cli", "qfi_point", "--out", str(fresh), "--quiet"],
+            check=True, env=_src_env(),
+        )
+        first = ["qfi_point", "--param", "at=1", "--param", "model=direct", "--quiet"]
+        assert main(first + ["--out", str(tmp_path / "first")]) == 0
+        assert main(["qfi_point", "--out", str(tmp_path / "second"), "--quiet"]) == 0
+        assert outputs(tmp_path / "second") == outputs(fresh)
+        assert outputs(tmp_path / "first") != outputs(fresh)
+
+        parser = build_parser()
+        assert parser is build_parser()
+        args = parser.parse_args(["steady_qsnr"])
+        assert (args.command, args.param, args.config, args.out, args.quiet) == (
+            "steady_qsnr", [], None, None, False
+        )
+
+    def test_import_leaves_scipy_unloaded(self):
+        # only linalg.expm needs scipy, and it imports it on first use
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import qthermo.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
+            "from qthermo.linalg import expm\n"
+            "t = 0.7\n"
+            "out = expm(np.array([[0.0, t], [-t, 0.0]]))\n"
+            "rot = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])\n"
+            "assert np.allclose(out, rot, rtol=0, atol=1e-14), out\n"
+            "assert np.allclose(expm(np.diag([1.0, -2.0])), np.diag(np.exp([1.0, -2.0])))\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True, env=_src_env())
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's ``qthermo`` first on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qthermo.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 # Smallest grid on which each experiment succeeds: the QSNR and coherence

@@ -64,6 +64,24 @@ class TestKron:
             right = kron(a, kron(b, c))
             assert np.max(np.abs(left - right)) < 1e-12
 
+    @pytest.mark.parametrize("shape_a, shape_b", [((2, 2), (2, 2)), ((4, 4), (4, 4)), ((2, 1), (1, 2))])
+    def test_equals_numpy_kron(self, rng, shape_a, shape_b):
+        for _ in range(20):
+            a, b = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in (shape_a, shape_b))
+            assert np.array_equal(kron(a, b), np.kron(a, b))
+            assert np.array_equal(kron(a.real, b), np.kron(a.real, b))
+            assert np.array_equal(kron(a, b.real), np.kron(a, b.real))
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones(2), np.ones((2, 2))),
+        (np.ones((2, 2)), np.ones(2)),
+        (np.ones(2), np.ones(2)),
+        (np.ones((3, 2, 2)), np.ones((2, 2))),
+    ])
+    def test_factor_that_is_not_2d_rejected(self, a, b):
+        with pytest.raises(BadDimension, match="2-D"):
+            kron(a, b)
+
 
 class TestEigHermitian:
     def test_diag(self):
