@@ -115,7 +115,8 @@ def write_gnuplot(path: str, experiment: str, csv_name: str, columns, rows) -> N
 
 def run(cfg: RunConfig, quiet: bool = False) -> int:
     started = time.perf_counter()
-    scan, results = EXPERIMENTS[cfg.experiment].run(**cfg.options)
+    spec = EXPERIMENTS[cfg.experiment]
+    scan, results = spec.results(spec.run(**cfg.options))
     os.makedirs(cfg.out_dir, exist_ok=True)
     base = os.path.join(cfg.out_dir, cfg.experiment)
     csv_path = base + ".csv"

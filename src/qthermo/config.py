@@ -9,24 +9,26 @@ Config grammar (documented in the README):
 * list values are comma separated numbers, e.g. ``kappa_list = 0.6, 0.8``
 
 Precedence: command-line ``--param key=value`` overrides the file, the file
-overrides per-experiment defaults.  Each experiment's keys, type tags and
-defaults are its ``experiments.EXPERIMENTS`` entry; defaults reproduce the
-package's standard parameter sets.  Unknown keys and non-finite numbers are
-rejected.
+overrides per-experiment defaults.  An experiment's config keys are the
+keywords of its runner (``experiments.EXPERIMENTS[name].run``), their
+defaults are the runner's and their type tags the entry's ``kinds``;
+defaults reproduce the package's standard parameter sets.  Unknown keys and
+non-finite numbers are rejected.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, MODEL_NAMES
 
 __all__ = ["RunConfig", "parse_config_file", "resolve", "coerce_value"]
-
-_MODELS = ("direct", "probe_ancilla", "two_qubit_local", "two_qubit_common")
 
 
 @dataclass
@@ -52,8 +54,8 @@ def coerce_value(key: str, kind: str, raw) -> object:
     try:
         if kind == "model":
             value = str(raw).strip()
-            if value not in _MODELS:
-                raise ValueError(f"must be one of {', '.join(_MODELS)}")
+            if value not in MODEL_NAMES:
+                raise ValueError(f"must be one of {', '.join(MODEL_NAMES)}")
             return value
         if kind == "time_or_steady":
             value = str(raw).strip()
@@ -63,11 +65,11 @@ def coerce_value(key: str, kind: str, raw) -> object:
             if t < 0:
                 raise ValueError("must be >= 0 or 'steady'")
             return t
-        if kind in ("pos_float", "nonneg_float", "opt_nonneg_float", "angle"):
+        if kind in ("pos_float", "nonneg_float", "angle"):
             value = _number(raw)
             if kind == "pos_float" and value <= 0:
                 raise ValueError("must be > 0")
-            if kind in ("nonneg_float", "opt_nonneg_float") and value < 0:
+            if kind == "nonneg_float" and value < 0:
                 raise ValueError("must be >= 0")
             if kind == "angle" and not 0.0 <= value <= np.pi + 1e-12:
                 raise ValueError("must lie in [0, pi]")
@@ -131,17 +133,30 @@ def parse_config_file(path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
+@functools.cache
+def _defaults(experiment: str) -> dict:
+    """The runner's keyword defaults of one experiment, coerced as config
+    values are; a default of ``None`` (the runner decides) stays ``None``."""
+    spec = EXPERIMENTS[experiment]
+    return {
+        key: None if p.default is None else coerce_value(key, spec.kinds[key], p.default)
+        for key, p in inspect.signature(spec.run).parameters.items()
+        if key in spec.kinds
+    }
+
+
 def resolve(
     experiment: str,
     file_sections: dict[str, dict[str, str]] | None = None,
     overrides: dict[str, str] | None = None,
     out_dir: str | None = None,
 ) -> RunConfig:
-    """Merge defaults, config file and overrides for one experiment."""
+    """Merge the runner's defaults, config file and overrides for one experiment."""
     if experiment not in EXPERIMENTS:
         raise ValidationError("experiment", f"unknown experiment {experiment!r}")
-    schema = EXPERIMENTS[experiment].keys
-    options = {k: default for k, (_, default) in schema.items()}
+    kinds = EXPERIMENTS[experiment].kinds
+    # a copy per config: no two configs share a default list
+    options = {key: copy.copy(value) for key, value in _defaults(experiment).items()}
     resolved_out = "."
 
     def apply(key: str, raw):
@@ -149,9 +164,9 @@ def resolve(
         if key == "out":
             resolved_out = str(raw).strip()
             return
-        if key not in schema:
+        if key not in kinds:
             raise ValidationError(key, f"unknown key for experiment {experiment!r}")
-        options[key] = coerce_value(key, schema[key][0], raw)
+        options[key] = coerce_value(key, kinds[key], raw)
 
     if file_sections:
         # keys outside any section must be valid for the chosen run too

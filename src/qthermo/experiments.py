@@ -2,7 +2,9 @@
 
 Each runner returns a :class:`ScanResult` whose rows are plain dicts in a
 fixed column order, ready for CSV serialization.  :data:`EXPERIMENTS` holds
-one :class:`ExperimentSpec` per CLI experiment.  Runs are deterministic:
+one :class:`ExperimentSpec` per CLI experiment: the runner itself, whose
+signature declares the experiment's config keys and their defaults, and the
+type tag of each key.  Runs are deterministic:
 there is no randomness anywhere, and sweep points are independent jobs that
 a thread pool may execute in any order without changing the assembled
 output.
@@ -16,6 +18,7 @@ finite difference: closed forms and central differences are test oracles.
 
 from __future__ import annotations
 
+import inspect
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +46,7 @@ from .dynamics import _Evolution, propagate
 __all__ = [
     "EXPERIMENTS",
     "ExperimentSpec",
+    "MODEL_NAMES",
     "ScanResult",
     "OptSearchResult",
     "parallel_map",
@@ -94,14 +98,25 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One CLI experiment: ``keys`` maps config keys to (type tag, default),
-    where ``None`` keeps the runner's default; ``run`` maps the resolved
-    options (as keywords) to the scan and the summary's results payload;
-    ``plot`` names the gnuplot (x, y, group) columns, ``None`` for none."""
+    """One CLI experiment.  ``run`` is its runner: the config keys are the
+    runner's keywords (``workers`` aside) and their defaults are the
+    signature's.  ``kinds`` maps each of those keywords to its config type
+    tag; ``results`` turns what ``run`` returned into the scan and the
+    summary's results payload; ``plot`` names the gnuplot (x, y, group)
+    columns, ``None`` for none."""
 
-    keys: dict[str, tuple[str, object]]
-    run: Callable[..., tuple[ScanResult, dict]]
+    run: Callable[..., object]
+    kinds: dict[str, str]
+    results: Callable[[object], tuple[ScanResult, dict]]
     plot: tuple[str | None, str | None, str | None] = (None, None, None)
+
+    def __post_init__(self):
+        keywords = set(inspect.signature(self.run).parameters) - {"workers"}
+        missing, extra = sorted(keywords - set(self.kinds)), sorted(set(self.kinds) - keywords)
+        if missing or extra:
+            raise TypeError(
+                f"kinds of {self.run.__name__} must name its keywords: missing {missing}, extra {extra}"
+            )
 
 
 @dataclass(frozen=True)
@@ -165,6 +180,9 @@ def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-6) -> tuple[flo
     return x, fn(x)
 
 
+MODEL_NAMES = ("direct", "probe_ancilla", "two_qubit_local", "two_qubit_common")
+
+
 def make_model(
     name: str,
     *,
@@ -178,7 +196,10 @@ def make_model(
     omega0: float = 1.0,
     eta2: float | None = None,
 ):
-    """Construct a model from flat scalar parameters (CLI plumbing)."""
+    """Construct the model ``name``, one of :data:`MODEL_NAMES`, from flat
+    scalar parameters (CLI plumbing)."""
+    if name not in MODEL_NAMES:
+        raise ValidationError("model", f"must be one of {', '.join(MODEL_NAMES)}, got {name!r}")
     bath = BathSpec(eta=eta, cutoff=cutoff, temperature=temperature)
     eta2 = eta if eta2 is None else eta2
     if name == "direct":
@@ -188,35 +209,30 @@ def make_model(
             omega_p=omega_p, omega_a=omega_a, kappa=kappa, bath=bath, theta=theta
         )
     if name == "two_qubit_local":
-        bath2 = BathSpec(eta=eta2, cutoff=cutoff, temperature=temperature)
-        return TwoQubitModel(
-            omega0=omega0, kappa=kappa, bath_config=LocalBaths(bath, bath2), theta=theta
-        )
-    if name == "two_qubit_common":
+        cfg = LocalBaths(bath, BathSpec(eta=eta2, cutoff=cutoff, temperature=temperature))
+    else:
         cfg = CommonBath(eta1=eta, eta2=eta2, cutoff=cutoff, temperature=temperature)
-        return TwoQubitModel(omega0=omega0, kappa=kappa, bath_config=cfg, theta=theta)
-    raise NonPositiveInput(f"unknown model name {name!r}")
+    return TwoQubitModel(omega0=omega0, kappa=kappa, bath_config=cfg, theta=theta)
 
 
 class TemperatureFamily:
-    """States of one model as a function of t, with their exact derivatives
-    in the model's bath temperature: one Liouvillian, one initial state and
-    one decomposition of the generator serve every time.  ``reduce``
-    projects four-level states onto the probe qubit.
+    """Probe states of one model as a function of t, with their exact
+    derivatives in the model's bath temperature: one Liouvillian, one
+    initial state and one decomposition of the generator serve every time.
+    A probe+ancilla model's probe is its first qubit; the other models are
+    probes as a whole.
     """
 
-    def __init__(self, model, reduce: bool = True):
+    def __init__(self, model):
         # every bath of a model sits at the one temperature under estimation
         self.temperature = float(coupling_operators(model)[0][1].temperature)
-        self.reduce = reduce
         self.liouvillian = build_liouvillian(model)
         self.rho0 = initial_state(model)
         self._evolution = _Evolution(self.liouvillian, self.rho0)
+        self._has_ancilla = isinstance(model, ProbeAncillaModel)
 
     def _project(self, rho):
-        if self.reduce and rho.shape[-1] == 4:
-            return partial_trace(rho, keep=1)
-        return rho
+        return partial_trace(rho, keep=1) if self._has_ancilla else rho
 
     def state_and_derivative(self, t) -> tuple[np.ndarray, np.ndarray]:
         """State and temperature derivative at time ``t`` (the steady state
@@ -224,10 +240,17 @@ class TemperatureFamily:
         rho, drho = self._evolution(t)
         return self._project(rho), self._project(drho)
 
+    def records(self, t) -> dict:
+        """The record at time ``t`` (``inf``: the steady state), or the
+        records on a grid ``t``: a qubit probe's, or a two-qubit probe's."""
+        rho, drho = self.state_and_derivative(t)
+        record = _qubit_record if rho.shape[-1] == 2 else _two_qubit_record
+        return record(t, rho, drho, self.temperature)
 
-def _family(model_name: str, temperature: float, reduce: bool = True, **model_kw) -> TemperatureFamily:
+
+def _family(model_name: str, temperature: float, **model_kw) -> TemperatureFamily:
     """Family of ``make_model(model_name, temperature=temperature, **model_kw)``."""
-    return TemperatureFamily(make_model(model_name, temperature=temperature, **model_kw), reduce=reduce)
+    return TemperatureFamily(make_model(model_name, temperature=temperature, **model_kw))
 
 
 def _coherence(rho):
@@ -279,11 +302,6 @@ def _two_qubit_record(t, rho, drho, temperature):
     return _records(t, qfi_spectral(rho, drho), fi, rho, temperature)
 
 
-def _records_at(family: TemperatureFamily, record_fn, t):
-    """The record at time ``t`` (``inf``: steady state), or the records on a grid ``t``."""
-    return record_fn(t, *family.state_and_derivative(t), family.temperature)
-
-
 def _refine_max(times, values, fn, tol=1e-6) -> OptSearchResult:
     i = int(np.argmax(values))
     if i == 0 or i == len(times) - 1:
@@ -332,14 +350,13 @@ def run_theta_scan(
 
     def one(theta):
         fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta)
-        return _records_at(fam, _qubit_record, times)
+        return fam.records(times)
 
     rows = _grid_rows("theta", params["theta_list"], parallel_map(one, theta_list, workers))
     return ScanResult("theta_scan", params, ("theta", "t") + _RECORD_COLUMNS, rows)
 
 
-def _cli_theta_scan(**opt):
-    scan = run_theta_scan(**opt)
+def _theta_scan_results(scan):
     peaks = {}
     for row in scan.rows:
         peaks[row["theta"]] = max(peaks.get(row["theta"], 0.0), row["qfi"])
@@ -369,14 +386,13 @@ def run_direct_vs_ancilla(
         fam = _family(
             scheme_models[scheme], temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta
         )
-        return _records_at(fam, _qubit_record, times)
+        return fam.records(times)
 
     rows = _grid_rows("scheme", scheme_models, parallel_map(one, scheme_models, workers))
     return ScanResult("direct_vs_ancilla", params, ("scheme", "t") + _RECORD_COLUMNS, rows)
 
 
-def _cli_direct_vs_ancilla(**opt):
-    scan = run_direct_vs_ancilla(**opt)
+def _direct_vs_ancilla_results(scan):
     by = {"direct": [], "ancilla": []}
     for row in scan.rows:
         by[row["scheme"]].append(row)
@@ -394,10 +410,12 @@ def _cli_direct_vs_ancilla(**opt):
 
 def _coupling_optimum(kappa, temperature, eta, cutoff, theta, times):
     """Probe+ancilla family at one coupling, its records on ``times`` and
-    the located maximum of QSNR(t)."""
+    the located maximum of QSNR(t); the search evaluates the QSNR alone."""
     fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta)
-    recs = _records_at(fam, _qubit_record, times)
-    opt = _refine_max(times, recs["qsnr"], lambda t: _records_at(fam, _qubit_record, t)["qsnr"])
+    recs = fam.records(times)
+    opt = _refine_max(
+        times, recs["qsnr"], lambda t: qsnr(fam.temperature, qubit_qfi(*fam.state_and_derivative(t)))
+    )
     return fam, recs, opt
 
 
@@ -428,8 +446,8 @@ def run_kappa_sweep(
     return scan, [opt for _, _, opt in sweep]
 
 
-def _cli_kappa_sweep(**opt):
-    scan, optima = run_kappa_sweep(**opt)
+def _kappa_sweep_results(run_output):
+    scan, optima = run_output
     return scan, {
         "optima": [
             {"kappa": k, "t_opt": o.argmax, "qsnr_opt": o.value}
@@ -477,12 +495,9 @@ def run_coherence_parametric(
     )
 
 
-def _cli_coherence_parametric(**opt):
-    scan = run_coherence_parametric(**opt)
-    return scan, {"parametric": scan.rows}
-
-
 TWO_QUBIT_CONFIGS = ("local_separable", "local_entangled", "common_separable", "common_entangled")
+#: First nonzero time of the two-qubit grid.
+_FIRST_LOG_TIME = 0.01
 
 
 def run_two_qubit_configs(
@@ -497,13 +512,18 @@ def run_two_qubit_configs(
     workers: int | None = None,
 ) -> ScanResult:
     """Full-state QFI(t) of the four bath/preparation configurations on a
-    shared log-dense grid extending to the steady state.
+    shared grid extending to the steady state: t = 0, then ``n_points - 1``
+    log-spaced times from 0.01 to ``t_max``.
 
     The per-configuration time to reach 99% of the steady QFI is refined by
-    bisection and reported in ``params["t_99"]``; steady values are in
-    ``params["steady_qfi"]``.
+    bisection and reported in ``params["t_99"]``; steady values (the QFI at
+    ``t_max``) are in ``params["steady_qfi"]``.
     """
-    times = np.concatenate([[0.0], np.geomspace(0.01, t_max, n_points - 1)])
+    if n_points < 3:
+        raise ValidationError("n_points", f"must be >= 3 (t = 0, 0.01 and t_max), got {n_points}")
+    if t_max <= _FIRST_LOG_TIME:
+        raise ValidationError("t_max", f"must exceed {_FIRST_LOG_TIME}, the grid's first time after 0")
+    times = np.concatenate([[0.0], np.geomspace(_FIRST_LOG_TIME, t_max, n_points - 1)])
     params = dict(
         experiment="two_qubit_configs", temperature=temperature, kappa=kappa,
         eta1=eta1, eta2=eta2, cutoff=cutoff, t_max=t_max, n_points=n_points,
@@ -512,10 +532,10 @@ def run_two_qubit_configs(
     def one(config):
         fam = _family(
             "two_qubit_local" if config.startswith("local") else "two_qubit_common",
-            temperature, reduce=False, kappa=kappa, eta=eta1, eta2=eta2, cutoff=cutoff,
+            temperature, kappa=kappa, eta=eta1, eta2=eta2, cutoff=cutoff,
             theta=0.0 if config.endswith("separable") else np.pi / 2,
         )
-        recs = _records_at(fam, _two_qubit_record, times)
+        recs = fam.records(times)
         f_ss = recs["qfi"][-1]
         target = 0.99 * f_ss
         above = np.nonzero(np.array(recs["qfi"]) >= target)[0]
@@ -542,30 +562,26 @@ def run_two_qubit_configs(
     return ScanResult("two_qubit_configs", params, ("config", "t") + _RECORD_COLUMNS, rows)
 
 
-def _cli_two_qubit_configs(**opt):
-    scan = run_two_qubit_configs(**opt)
-    return scan, {"steady_qfi": scan.params["steady_qfi"], "t_99": scan.params["t_99"]}
-
-
 def run_steady_qsnr_curve(
-    ratio_grid=None,
     *,
+    ratio_min: float = 0.05,
+    ratio_max: float = 5.0,
+    ratio_points: int = 200,
     n_line: int = 50,
     line_t_min: float = 0.05,
     line_t_max: float = 2.0,
 ) -> ScanResult:
-    """Steady QSNR as a function of x = kappa/T, its maximum, and the line of
-    (T, kappa) pairs realizing the optimal ratio."""
-    if ratio_grid is None:
-        ratio_grid = np.linspace(0.05, 5.0, 200)
-    ratio_grid = np.asarray(ratio_grid, dtype=float)
+    """Steady QSNR on ``ratio_points`` values of x = kappa/T from
+    ``ratio_min`` to ``ratio_max``, its maximum, and the line of (T, kappa)
+    pairs realizing the optimal ratio."""
+    ratio_grid = np.linspace(ratio_min, ratio_max, ratio_points)
     values = np.array([steady_qsnr(x) for x in ratio_grid])
     opt = _refine_max(ratio_grid, values, steady_qsnr)
     x_star, qsnr_star = optimal_ratio()
     params = dict(
         experiment="steady_qsnr",
-        ratio_min=float(ratio_grid[0]), ratio_max=float(ratio_grid[-1]),
-        ratio_points=len(ratio_grid), n_line=n_line,
+        ratio_min=ratio_min, ratio_max=ratio_max,
+        ratio_points=ratio_points, n_line=n_line,
         line_t_min=line_t_min, line_t_max=line_t_max,
         located_max={"ratio": opt.argmax, "qsnr": opt.value},
         root_condition={"ratio": x_star, "qsnr": qsnr_star},
@@ -589,13 +605,8 @@ def run_steady_qsnr_curve(
     )
 
 
-def _cli_steady_qsnr(ratio_min, ratio_max, ratio_points, **opt):
-    scan = run_steady_qsnr_curve(np.linspace(ratio_min, ratio_max, ratio_points), **opt)
-    return scan, {k: scan.params[k] for k in ("located_max", "root_condition")}
-
-
 def run_evolve(
-    model_name: str = "probe_ancilla",
+    model: str = "probe_ancilla",
     *,
     temperature: float = 0.4,
     eta: float = 0.01,
@@ -609,14 +620,14 @@ def run_evolve(
 ) -> ScanResult:
     """Record populations, coherence and purity on the uniform grid
     ``linspace(0, t_max, n_points)``."""
-    model = make_model(
-        model_name, temperature=temperature, eta=eta, eta2=eta2,
+    system = make_model(
+        model, temperature=temperature, eta=eta, eta2=eta2,
         cutoff=cutoff, kappa=kappa, theta=theta,
     )
     times = np.linspace(0.0, t_max, n_points)
-    states, _ = propagate(build_liouvillian(model), initial_state(model), times)
+    states, _ = propagate(build_liouvillian(system), initial_state(system), times)
     params = dict(
-        experiment="evolve", model=model_name, temperature=temperature, eta=eta,
+        experiment="evolve", model=model, temperature=temperature, eta=eta,
         eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
         t_max=t_max, n_points=n_points,
     )
@@ -633,13 +644,8 @@ def run_evolve(
     return ScanResult("evolve", params, ("t", *populations, "coherence_abs", "purity"), rows)
 
 
-def _cli_evolve(model, **opt):
-    scan = run_evolve(model, **opt)
-    return scan, {"final_row": scan.rows[-1]}
-
-
 def run_qfi_point(
-    model_name: str = "probe_ancilla",
+    model: str = "probe_ancilla",
     *,
     at: float | str = "steady",
     temperature: float = 0.4,
@@ -653,101 +659,70 @@ def run_qfi_point(
     """Single-point estimate: QFI, measurement FI and QSNR at a time or at
     the steady state."""
     params = dict(
-        experiment="qfi_point", model=model_name, at=at, temperature=temperature,
+        experiment="qfi_point", model=model, at=at, temperature=temperature,
         eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
     )
-    single_qubit = model_name in ("direct", "probe_ancilla")
-    fam = _family(
-        model_name, temperature, reduce=single_qubit,
-        eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
-    )
-    record_fn = _qubit_record if single_qubit else _two_qubit_record
+    fam = _family(model, temperature, eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta)
     t = np.inf if at == "steady" else float(at)
     if t == np.inf and not any(fam.liouvillian.rates):
         raise ValidationError("eta", "at=steady needs a bath: with every rate zero no state is stationary")
-    rec = _records_at(fam, record_fn, t)
+    rec = fam.records(t)
     del rec["t"]
     rows = [{"at": "steady" if t == np.inf else t, **rec}]
     return ScanResult("qfi_point", params, ("at",) + _RECORD_COLUMNS, rows)
 
 
-def _cli_qfi_point(model, **opt):
-    scan = run_qfi_point(model, **opt)
-    return scan, {"record": scan.rows[0]}
-
-
-_BATH_KEYS = {
-    "temperature": ("pos_float", 0.4),
-    "eta": ("nonneg_float", 0.01),
-    "cutoff": ("pos_float", 10.0),
+_BATH_KINDS = {"temperature": "pos_float", "eta": "nonneg_float", "cutoff": "pos_float"}
+_MODEL_KINDS = {
+    "model": "model", **_BATH_KINDS, "eta2": "nonneg_float", "kappa": "pos_float", "theta": "angle",
 }
-_MODEL_KEYS = {
-    "model": ("model", "probe_ancilla"),
-    **_BATH_KEYS,
-    "eta2": ("opt_nonneg_float", None),
-    "kappa": ("pos_float", 0.8),
-    "theta": ("angle", np.pi / 2),
-}
-
-
-def _grid_keys(t_max: float, n_points: int) -> dict:
-    return {"t_max": ("pos_float", t_max), "n_points": ("grid_int", n_points)}
-
+_GRID_KINDS = {"t_max": "pos_float", "n_points": "grid_int"}
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     "theta_scan": ExperimentSpec(
-        {
-            **_BATH_KEYS, "kappa": ("pos_float", 0.8), **_grid_keys(50.0, 500),
-            "theta_list": ("angle_list", list(DEFAULT_THETAS)),
-        },
-        _cli_theta_scan, ("t", "qfi", "theta"),
+        run_theta_scan,
+        {"theta_list": "angle_list", **_BATH_KINDS, "kappa": "pos_float", **_GRID_KINDS},
+        _theta_scan_results, ("t", "qfi", "theta"),
     ),
     "direct_vs_ancilla": ExperimentSpec(
-        {
-            **_BATH_KEYS, "kappa": ("pos_float", 0.8), "theta": ("angle", np.pi / 2),
-            **_grid_keys(50.0, 500),
-        },
-        _cli_direct_vs_ancilla, ("t", "qfi", "scheme"),
+        run_direct_vs_ancilla,
+        {**_BATH_KINDS, "kappa": "pos_float", "theta": "angle", **_GRID_KINDS},
+        _direct_vs_ancilla_results, ("t", "qfi", "scheme"),
     ),
     "kappa_sweep": ExperimentSpec(
-        {
-            **_BATH_KEYS, "theta": ("angle", np.pi / 2), **_grid_keys(120.0, 600),
-            "kappa_list": ("pos_list", list(DEFAULT_KAPPAS)),
-        },
-        _cli_kappa_sweep, ("t", "qfi", "kappa"),
+        run_kappa_sweep,
+        {"kappa_list": "pos_list", **_BATH_KINDS, "theta": "angle", **_GRID_KINDS},
+        _kappa_sweep_results, ("t", "qfi", "kappa"),
     ),
     "coherence_parametric": ExperimentSpec(
-        {
-            **_BATH_KEYS, "eta": ("nonneg_float", 0.1), "theta": ("angle", np.pi / 2),
-            **_grid_keys(50.0, 500),
-            "kappa_list": ("pos_list", list(DEFAULT_PARAMETRIC_KAPPAS)),
-        },
-        _cli_coherence_parametric, ("max_coherence", "qsnr_opt", None),
+        run_coherence_parametric,
+        {"kappa_list": "pos_list", **_BATH_KINDS, "theta": "angle", **_GRID_KINDS},
+        lambda scan: (scan, {"parametric": scan.rows}), ("max_coherence", "qsnr_opt", None),
     ),
     "two_qubit_configs": ExperimentSpec(
+        run_two_qubit_configs,
         {
-            "temperature": ("pos_float", 0.4),
-            "kappa": ("pos_float", 0.6),
-            "eta1": ("nonneg_float", 0.01),
-            "eta2": ("nonneg_float", 0.05),
-            "cutoff": ("pos_float", 10.0),
-            **_grid_keys(2000.0, 240),
+            "temperature": "pos_float", "kappa": "pos_float", "eta1": "nonneg_float",
+            "eta2": "nonneg_float", "cutoff": "pos_float", **_GRID_KINDS,
         },
-        _cli_two_qubit_configs, ("t", "qfi", "config"),
+        lambda scan: (scan, {"steady_qfi": scan.params["steady_qfi"], "t_99": scan.params["t_99"]}),
+        ("t", "qfi", "config"),
     ),
     "steady_qsnr": ExperimentSpec(
+        run_steady_qsnr_curve,
         {
-            "ratio_min": ("pos_float", 0.05),
-            "ratio_max": ("pos_float", 5.0),
-            "ratio_points": ("grid_int", 200),
-            "n_line": ("grid_int", 50),
-            "line_t_min": ("pos_float", 0.05),
-            "line_t_max": ("pos_float", 2.0),
+            "ratio_min": "pos_float", "ratio_max": "pos_float", "ratio_points": "grid_int",
+            "n_line": "grid_int", "line_t_min": "pos_float", "line_t_max": "pos_float",
         },
-        _cli_steady_qsnr, ("ratio", "qsnr", None),
+        lambda scan: (scan, {k: scan.params[k] for k in ("located_max", "root_condition")}),
+        ("ratio", "qsnr", None),
     ),
     "evolve": ExperimentSpec(
-        {**_MODEL_KEYS, **_grid_keys(50.0, 500)}, _cli_evolve, ("t", "coherence_abs", None)
+        run_evolve, {**_MODEL_KINDS, **_GRID_KINDS},
+        lambda scan: (scan, {"final_row": scan.rows[-1]}), ("t", "coherence_abs", None),
     ),
-    "qfi_point": ExperimentSpec({**_MODEL_KEYS, "at": ("time_or_steady", "steady")}, _cli_qfi_point),
+    "qfi_point": ExperimentSpec(
+        run_qfi_point, {**_MODEL_KINDS, "at": "time_or_steady"},
+        lambda scan: (scan, {"record": scan.rows[0]}),
+    ),
 }

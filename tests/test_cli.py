@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 import re
@@ -10,7 +9,7 @@ import pytest
 import qthermo
 from qthermo import experiments
 from qthermo.cli import build_parser, main, write_csv
-from qthermo.config import coerce_value, parse_config_file, resolve
+from qthermo.config import parse_config_file, resolve
 from qthermo.errors import ParseError, ValidationError
 
 
@@ -251,6 +250,18 @@ class TestMain:
         assert main(argv) == 3
         assert "QTHERMO_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param, key", [
+        # a two-point grid is [0, 0.01] whatever t_max says
+        ("n_points=2", "n_points"),
+        # below 0.01 the log-spaced part of the grid runs backwards
+        ("t_max=0.001", "t_max"),
+        ("t_max=0.01", "t_max"),
+    ])
+    def test_two_qubit_grid_limits_rejected(self, param, key, tmp_path, capsys):
+        argv = ["two_qubit_configs", "--out", str(tmp_path), "--quiet", "--param", param]
+        assert main(argv) == 3
+        assert f"{key}: must" in capsys.readouterr().err
+
     def test_malformed_param_rejected(self, tmp_path):
         assert main(["evolve", "--out", str(tmp_path), "--param", "nonsense", "--quiet"]) == 3
 
@@ -317,34 +328,17 @@ SMALL_RUNS = {
     "direct_vs_ancilla": ["n_points=2"],
     "kappa_sweep": ["n_points=3", "kappa_list=0.6,0.9"],
     "coherence_parametric": ["n_points=3", "kappa_list=0.6,0.9"],
-    "two_qubit_configs": ["n_points=2"],
+    "two_qubit_configs": ["n_points=3"],
     "steady_qsnr": ["ratio_points=3", "n_line=2"],
     "evolve": ["n_points=2"],
     "qfi_point": [],
-}
-RUNNERS = {
-    "theta_scan": experiments.run_theta_scan,
-    "direct_vs_ancilla": experiments.run_direct_vs_ancilla,
-    "kappa_sweep": experiments.run_kappa_sweep,
-    "coherence_parametric": experiments.run_coherence_parametric,
-    "two_qubit_configs": experiments.run_two_qubit_configs,
-    "steady_qsnr": experiments.run_steady_qsnr_curve,
-    "evolve": experiments.run_evolve,
-    "qfi_point": experiments.run_qfi_point,
-}
-# config key -> runner keyword, where the two differ
-RUNNER_KEYWORD = {
-    "model": "model_name",
-    "ratio_min": "ratio_grid",
-    "ratio_max": "ratio_grid",
-    "ratio_points": "ratio_grid",
 }
 
 
 @pytest.mark.parametrize("name", list(experiments.EXPERIMENTS))
 def test_registry_entry(name, tmp_path, monkeypatch):
     spec = experiments.EXPERIMENTS[name]
-    assert set(SMALL_RUNS) == set(RUNNERS) == set(experiments.EXPERIMENTS)
+    assert set(SMALL_RUNS) == set(experiments.EXPERIMENTS)
 
     # the entry runs end to end, and its plot names columns of the CSV
     monkeypatch.setenv("QTHERMO_WORKERS", "1")
@@ -359,16 +353,17 @@ def test_registry_entry(name, tmp_path, monkeypatch):
     assert named == [c for c in spec.plot if c is not None]
     assert set(named) <= set(header)
 
-    # registry defaults agree with the runner's keyword defaults
-    params = inspect.signature(RUNNERS[name]).parameters
-    keywords = {RUNNER_KEYWORD.get(key, key) for key in spec.keys}
-    assert keywords == set(params) - {"workers"}
-    for key, (kind, default) in spec.keys.items():
-        got = default if default is None else coerce_value(key, kind, default)
-        if key.startswith("ratio_"):  # the runner's default grid
-            expected = experiments.run_steady_qsnr_curve().params[key]
-        else:
-            expected = params[RUNNER_KEYWORD.get(key, key)].default
-        if isinstance(expected, tuple):
-            expected = list(expected)
-        assert got == expected, key
+
+def test_spec_kinds_name_exactly_the_runner_keywords():
+    def run(a_list=(1.0,), *, b=2.0, workers=None):
+        return None
+
+    def results(out):
+        return out, {}
+
+    spec = experiments.ExperimentSpec(run, {"a_list": "pos_list", "b": "pos_float"}, results)
+    assert spec.run is run  # workers needs no kind: it is not a config key
+    with pytest.raises(TypeError, match=r"missing \['b'\], extra \[\]"):
+        experiments.ExperimentSpec(run, {"a_list": "pos_list"}, results)
+    with pytest.raises(TypeError, match=r"missing \[\], extra \['c'\]"):
+        experiments.ExperimentSpec(run, {"a_list": "pos_list", "b": "pos_float", "c": "angle"}, results)

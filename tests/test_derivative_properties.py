@@ -39,8 +39,7 @@ def test_exact_derivative_matches_central_difference(
     model, route, temperature, kappa, eta, eta2, theta, t
 ):
     kw = dict(kappa=kappa, eta=eta, eta2=eta2, cutoff=10.0, theta=theta)
-    reduce = model in ("direct", "probe_ancilla")
-    family = lambda tv: _family(model, tv, reduce=reduce, **kw)  # noqa: E731
+    family = lambda tv: _family(model, tv, **kw)  # noqa: E731
     at = {"grid": np.linspace(0.0, t, 7), "single": t, "steady": np.inf}[route]
     if route == "steady":
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from qthermo.closed_forms import direct_probe_qfi, optimal_ratio, steady_qfi
-from qthermo.errors import NoConvergence
+from qthermo.errors import NoConvergence, ValidationError
 from qthermo.experiments import (
+    MODEL_NAMES,
     TWO_QUBIT_CONFIGS,
     TemperatureFamily,
     _family,
     _qubit_record,
-    _records_at,
     _two_qubit_record,
     golden_section_max,
     make_model,
@@ -67,9 +67,9 @@ class TestInfrastructure:
         assert v == pytest.approx(5.0, abs=1e-10)
 
     def test_make_model_names(self):
-        for name in ("direct", "probe_ancilla", "two_qubit_local", "two_qubit_common"):
+        for name in MODEL_NAMES:
             make_model(name, temperature=0.4, eta=0.01, cutoff=10.0)
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError, match="model"):
             make_model("nope", temperature=0.4, eta=0.01, cutoff=10.0)
 
 
@@ -241,7 +241,7 @@ class TestTwoQubitConfigs:
         for config in TWO_QUBIT_CONFIGS:
             fam = _family(
                 "two_qubit_local" if config.startswith("local") else "two_qubit_common",
-                0.4, reduce=False, kappa=0.6, eta=0.01, eta2=0.05, cutoff=10.0,
+                0.4, kappa=0.6, eta=0.01, eta2=0.05, cutoff=10.0,
                 theta=0.0 if config.endswith("separable") else np.pi / 2,
             )
             qfi = [row["qfi"] for row in two_qubit_result.rows if row["config"] == config]
@@ -250,7 +250,7 @@ class TestTwoQubitConfigs:
             lo, hi = float(times[i - 1]), float(times[i])
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if _records_at(fam, _two_qubit_record, mid)["qfi"] >= target:
+                if fam.records(mid)["qfi"] >= target:
                     hi = mid
                 else:
                     lo = mid
@@ -272,17 +272,17 @@ class TestStackRecords:
         fam = pa_family(0.8)
         times = np.linspace(0.0, 50.0, 120)
         ref, rho, drho = self.per_row(fam, times, _qubit_record)
-        assert _records_at(fam, _qubit_record, times) == ref
+        assert fam.records(times) == ref
         assert abs(np.trace(rho[0] @ rho[0]).real - 1.0) < 1e-12  # the t = 0 row is pure
         assert ref["qfi"] == [qubit_qfi(a, b) for a, b in zip(rho, drho)]
         assert ref["cfi"][0] == 0.0 and ref["cfi"][1] > 0.0
 
     def test_two_qubit_records(self):
-        fam = _family("two_qubit_common", 0.4, reduce=False, kappa=0.6, eta=0.01,
+        fam = _family("two_qubit_common", 0.4, kappa=0.6, eta=0.01,
                       eta2=0.05, cutoff=10.0, theta=np.pi / 2)
         times = np.concatenate([[0.0], np.geomspace(0.01, 500.0, 59)])
         ref, rho, drho = self.per_row(fam, times, _two_qubit_record)
-        assert _records_at(fam, _two_qubit_record, times) == ref
+        assert fam.records(times) == ref
         assert ref["qfi"] == [qfi_spectral(a, b) for a, b in zip(rho, drho)]
         assert ref["qfi"][0] == 0.0  # t = 0: the pure, temperature-independent preparation
 
@@ -320,7 +320,8 @@ class TestSteadyQsnrCurve:
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_endpoints_vanish(self):
-        scan = run_steady_qsnr_curve(np.array([1e-4, 1.2, 60.0]))
+        # the grid's interior maximum sits next to the optimal ratio ~1.2
+        scan = run_steady_qsnr_curve(ratio_min=1e-4, ratio_max=60.0, ratio_points=51)
         curve = [r for r in scan.rows if r["section"] == "curve"]
         assert curve[0]["qsnr"] < 1e-7
         assert curve[-1]["qsnr"] < 1e-7
