@@ -57,11 +57,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@functools.cache
+def _row_format(types: tuple[type, ...]) -> str:
+    """``%`` format of a CSV row whose values have these types: ``_fmt``'s rule."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+
+
 def write_csv(path: str, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+            values = tuple(map(row.__getitem__, columns))
+            fh.write(_row_format(tuple(map(type, values))) % values)
 
 
 def _json_default(obj):

@@ -158,8 +158,10 @@ def steady_qfi(kappa: float, temperature: float) -> float:
 
 
 def steady_qsnr(ratio: float) -> float:
-    """Steady signal-to-noise ratio ``x^2 sech^2(x)`` of the ratio x = k/T."""
-    return (ratio * sech(ratio)) ** 2
+    """Steady signal-to-noise ratio ``x^2 sech^2(x)`` of the ratio x = k/T,
+    or of each ratio of an array; ``float_power`` rounds each value as the
+    scalar ``** 2`` does, where an array's ``** 2`` would square instead."""
+    return np.float_power(ratio * sech(ratio), 2)
 
 
 def optimal_ratio(tol: float = 1e-12) -> tuple[float, float]:

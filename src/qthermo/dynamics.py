@@ -113,9 +113,12 @@ class _Evolution:
         vecs = dvecs = None
         if self.spectral is not None:
             v, c, y, z = self.spectral
-            e = np.exp(np.multiply.outer(times, self.lam))
-            vecs = (e * c) @ v.T
-            dvecs = (e * (y.sum(axis=1) + np.multiply.outer(times, z)) - e @ y.T) @ v.T
+            # (n_t, 1, d^2): each time's vector is its own product, so a state
+            # has the same bits whether it is evaluated alone or in any stack
+            e = np.exp(np.multiply.outer(times, self.lam))[:, None]
+            tz = np.multiply.outer(times, z)[:, None]
+            vecs = ((e * c) @ v.T)[:, 0]
+            dvecs = ((e * (y.sum(axis=1) + tz) - e @ y.T) @ v.T)[:, 0]
         if vecs is None or not (np.isfinite(vecs).all() and np.isfinite(dvecs).all()):
             vecs, dvecs = self._exponentials(times)
         return vecs, dvecs

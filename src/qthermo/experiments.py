@@ -19,6 +19,7 @@ finite difference: closed forms and central differences are test oracles.
 from __future__ import annotations
 
 import inspect
+import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -160,24 +161,62 @@ def parallel_map(fn, items, workers: int | None = None) -> list:
         return list(pool.map(fn, items))
 
 
+#: Steps a search looks ahead.  A search that lacks a value makes one stacked
+#: call of its function for every point its next ``LOOKAHEAD`` steps could
+#: read, whichever way each comparison goes (2^LOOKAHEAD - 1 points when each
+#: step reads one new point), then replays its steps against those values.
+LOOKAHEAD = 5
+
+
+def _lookahead_search(fn, step, state):
+    """Run a search of comparisons from ``state`` on the values of ``fn``,
+    which maps an array of points to an array of values.
+
+    ``step(state)`` is ``(points, decide, branches)``: the points whose values
+    the step reads, ``decide(*values)`` and the states after a false and a
+    true decision.  A finished state has no branches and reads the points of
+    its result.  Returns the finished state and the values it read.
+    """
+    values = {}
+    while True:
+        points, decide, branches = step(state)
+        if any(p not in values for p in points):
+            todo, frontier = {}, [state]
+            for _ in range(LOOKAHEAD):
+                ahead = []
+                for s in frontier:
+                    reads, _, children = step(s)
+                    todo.update(dict.fromkeys(p for p in reads if p not in values))
+                    ahead += children
+                frontier = ahead
+            values.update(zip(todo, np.asarray(fn(np.array(list(todo))), dtype=float).tolist()))
+        read = tuple(values[p] for p in points)
+        if not branches:
+            return state, read
+        state = branches[decide(*read)]
+
+
 def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal function."""
+    """Golden-section search for the maximum of a unimodal function on
+    ``[lo, hi]``: the midpoint of the final bracket and its value.  ``fn``
+    maps an array of points to an array of values; the steps are those of
+    the one-point-at-a-time search, their values taken in lookahead stacks."""
+    if not hi > lo:
+        raise NonPositiveInput(f"golden-section bracket needs lo < hi, got [{lo}, {hi}]")
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def step(s):
+        a, b, c, d = s
+        if not (b - a) > tol:
+            return (0.5 * (a + b),), None, ()
+        # f(c) >= f(d) keeps [a, d], else [c, b]; the kept interior point is reused
+        return (c, d), operator.ge, ((c, b, d, c + inv_phi * (b - c)), (a, d, d - inv_phi * (d - a), c))
+
     a, b = float(lo), float(hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+    (a, b, _, _), (value,) = _lookahead_search(
+        fn, step, (a, b, b - inv_phi * (b - a), a + inv_phi * (b - a))
+    )
+    return float(0.5 * (a + b)), value
 
 
 MODEL_NAMES = ("direct", "probe_ancilla", "two_qubit_local", "two_qubit_common")
@@ -478,7 +517,7 @@ def run_coherence_parametric(
     def one(kappa):
         fam, recs, opt_r = _coupling_optimum(kappa, temperature, eta, cutoff, theta, times)
         opt_c = _refine_max(
-            times, recs["coherence_abs"], lambda t: float(_coherence(fam.state_and_derivative(t)[0]))
+            times, recs["coherence_abs"], lambda t: _coherence(fam.state_and_derivative(t)[0])
         )
         return {
             "kappa": float(kappa),
@@ -541,19 +580,20 @@ def run_two_qubit_configs(
         above = np.nonzero(np.array(recs["qfi"]) >= target)[0]
         i = int(above[0])
         if i == 0:
-            t99 = 0.0
-        else:
-            lo, hi = float(times[i - 1]), float(times[i])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break  # float64 cannot split the bracket further
-                if qfi_spectral(*fam.state_and_derivative(mid)) >= target:
-                    hi = mid
-                else:
-                    lo = mid
-            t99 = 0.5 * (lo + hi)
-        return recs, f_ss, t99
+            return recs, f_ss, 0.0
+
+        def step(s):
+            lo, hi, n = s
+            mid = 0.5 * (lo + hi)
+            if n == 60 or mid <= lo or mid >= hi:  # float64 cannot split the bracket further
+                return (), None, ()
+            return (mid,), lambda q: q >= target, ((mid, hi, n + 1), (lo, mid, n + 1))
+
+        (lo, hi, _), _ = _lookahead_search(
+            lambda t: qfi_spectral(*fam.state_and_derivative(t)),
+            step, (float(times[i - 1]), float(times[i]), 0),
+        )
+        return recs, f_ss, 0.5 * (lo + hi)
 
     sweep = parallel_map(one, TWO_QUBIT_CONFIGS, workers)
     params["steady_qfi"] = {c: f_ss for c, (_, f_ss, _) in zip(TWO_QUBIT_CONFIGS, sweep)}
@@ -574,8 +614,10 @@ def run_steady_qsnr_curve(
     """Steady QSNR on ``ratio_points`` values of x = kappa/T from
     ``ratio_min`` to ``ratio_max``, its maximum, and the line of (T, kappa)
     pairs realizing the optimal ratio."""
+    if ratio_max <= ratio_min:
+        raise ValidationError("ratio_max", f"must exceed ratio_min = {ratio_min}, got {ratio_max}")
     ratio_grid = np.linspace(ratio_min, ratio_max, ratio_points)
-    values = np.array([steady_qsnr(x) for x in ratio_grid])
+    values = steady_qsnr(ratio_grid)
     opt = _refine_max(ratio_grid, values, steady_qsnr)
     x_star, qsnr_star = optimal_ratio()
     params = dict(
@@ -632,14 +674,15 @@ def run_evolve(
         t_max=t_max, n_points=n_points,
     )
     populations = ("p0", "p1") if states.shape[-1] == 2 else ("p00", "p01", "p10", "p11")
+    columns = zip(
+        times.tolist(),
+        states.diagonal(0, -2, -1).real.tolist(),
+        _coherence(states).tolist(),
+        np.trace(states @ states, axis1=-2, axis2=-1).real.tolist(),
+    )
     rows = [
-        {
-            "t": float(t),
-            **{p: float(s[k, k].real) for k, p in enumerate(populations)},
-            "coherence_abs": c,
-            "purity": float(np.trace(s @ s).real),
-        }
-        for t, s, c in zip(times, states, _coherence(states).tolist())
+        {"t": t, **dict(zip(populations, p)), "coherence_abs": c, "purity": q}
+        for t, p, c, q in columns
     ]
     return ScanResult("evolve", params, ("t", *populations, "coherence_abs", "purity"), rows)
 

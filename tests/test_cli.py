@@ -4,11 +4,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qthermo
 from qthermo import experiments
-from qthermo.cli import build_parser, main, write_csv
+from qthermo.cli import _fmt, build_parser, main, write_csv
 from qthermo.config import parse_config_file, resolve
 from qthermo.errors import ParseError, ValidationError
 
@@ -99,6 +100,18 @@ class TestCsv:
         assert header == "a,b"
         back = float(row.split(",")[0])
         assert back == value
+
+
+    def test_mixed_column_follows_the_per_value_rule(self, tmp_path):
+        # _fmt: %.17g for float subclasses, str() for everything else, per value
+        path = tmp_path / "x.csv"
+        mixed = ["abc", "", 0.1 + 0.2, np.float64(1 / 3), 7, True, None, np.float32(0.5), -0.0]
+        rows = [{"a": i, "v": value} for i, value in enumerate(mixed)]
+        write_csv(str(path), ("a", "v"), rows)
+        expected = ["a,v"] + [f"{i},{_fmt(value)}" for i, value in enumerate(mixed)]
+        assert path.read_text().split("\n") == expected + [""]
+        write_csv(str(path), ("v",), rows)
+        assert path.read_text().split("\n") == ["v"] + [_fmt(value) for value in mixed] + [""]
 
 
 class TestMain:
@@ -261,6 +274,13 @@ class TestMain:
         argv = ["two_qubit_configs", "--out", str(tmp_path), "--quiet", "--param", param]
         assert main(argv) == 3
         assert f"{key}: must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratio_max", ["0.05", "5"])
+    def test_steady_qsnr_range_must_ascend(self, ratio_max, tmp_path, capsys):
+        argv = ["steady_qsnr", "--out", str(tmp_path), "--quiet",
+                "--param", "ratio_min=5", "--param", f"ratio_max={ratio_max}"]
+        assert main(argv) == 3
+        assert "ratio_max: must" in capsys.readouterr().err
 
     def test_malformed_param_rejected(self, tmp_path):
         assert main(["evolve", "--out", str(tmp_path), "--param", "nonsense", "--quiet"]) == 3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qthermo.closed_forms import direct_probe_qfi, optimal_ratio, steady_qfi
-from qthermo.errors import NoConvergence, ValidationError
+from qthermo.errors import NoConvergence, NonPositiveInput, ValidationError
 from qthermo.experiments import (
     MODEL_NAMES,
     TWO_QUBIT_CONFIGS,
@@ -10,6 +10,7 @@ from qthermo.experiments import (
     _family,
     _qubit_record,
     _two_qubit_record,
+    LOOKAHEAD,
     golden_section_max,
     make_model,
     parallel_map,
@@ -23,7 +24,9 @@ from qthermo.experiments import (
     run_two_qubit_configs,
 )
 from qthermo.fisher import qfi_spectral, qubit_qfi
-from qthermo.models import BathSpec, ProbeAncillaModel
+from qthermo.dynamics import propagate
+from qthermo.master_equation import build_liouvillian
+from qthermo.models import BathSpec, ProbeAncillaModel, initial_state
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +69,66 @@ class TestInfrastructure:
         assert x == pytest.approx(2.7, abs=1e-6)
         assert v == pytest.approx(5.0, abs=1e-10)
 
+    def test_golden_section_rejects_an_empty_bracket(self):
+        for lo, hi in ((2.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(NonPositiveInput, match="bracket"):
+                golden_section_max(lambda t: -t * t, lo, hi)
+
     def test_make_model_names(self):
         for name in MODEL_NAMES:
             make_model(name, temperature=0.4, eta=0.01, cutoff=10.0)
         with pytest.raises(ValidationError, match="model"):
             make_model("nope", temperature=0.4, eta=0.01, cutoff=10.0)
+
+
+def sequential_golden_section(f, lo, hi, tol):
+    """One point per step: the search golden_section_max must reproduce,
+    with its number of steps."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    steps = 0
+    while (b - a) > tol:
+        steps += 1
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x), steps
+
+
+class TestLookaheadGoldenSection:
+    """Values taken in lookahead stacks leave the search's steps unchanged."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_sequential_search(self, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-10.0, 10.0)
+        hi = lo + 10.0 ** rng.uniform(-3.0, 2.0)
+        x0 = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo))  # the peak may sit outside
+        (w1, w2), top = 10.0 ** rng.uniform(-3.0, 3.0, size=2), 0.2 * (hi - lo) * rng.uniform()
+        if seed % 2:  # asymmetric parabola
+            f = lambda x: 1.0 - np.where(x < x0, w1, w2) * (x - x0) ** 2  # noqa: E731
+        else:  # flat top: equal values exercise the tie branch
+            f = lambda x: -np.maximum(np.abs(x - x0) - top, 0.0)  # noqa: E731
+        tol = (hi - lo) * 10.0 ** rng.uniform(-12.0, -1.0)
+        calls = []
+
+        def fn(points):
+            calls.append(len(points))
+            return f(points)
+
+        x_ref, v_ref, steps = sequential_golden_section(lambda x: float(f(x)), lo, hi, tol)
+        x, v = golden_section_max(fn, lo, hi, tol)
+        assert (x, v) == (x_ref, v_ref)
+        assert len(calls) <= -(-steps // LOOKAHEAD) + 2
+        assert max(calls) <= 2 ** LOOKAHEAD
 
 
 class TestThetaScan:
@@ -348,6 +406,15 @@ class TestPointRunners:
         for row in scan.rows:
             assert abs(row["p00"]) < 1e-10
             assert abs(row["p11"]) < 1e-10
+
+    def test_evolve_rows_read_each_state(self):
+        scan = run_evolve("two_qubit_common", eta2=0.03, n_points=40)
+        model = make_model("two_qubit_common", temperature=0.4, eta=0.01, eta2=0.03, cutoff=10.0)
+        times = np.linspace(0.0, 50.0, 40)
+        states, _ = propagate(build_liouvillian(model), initial_state(model), times)
+        for row, s in zip(scan.rows, states):
+            assert [row[p] for p in ("p00", "p01", "p10", "p11")] == [float(s[k, k].real) for k in range(4)]
+            assert row["purity"] == float(np.trace(s @ s).real)
 
     def test_qfi_point_steady_two_qubit(self):
         scan = run_qfi_point(
