@@ -134,8 +134,8 @@ def direct_probe_qfi(t: float, bath: BathSpec) -> float:
         return 0.0
     g = 4.0 * np.pi * bath.eta * bath.temperature
     amp = (4.0 * np.pi * bath.eta * t) ** 2
-    e = np.exp(-2.0 * g * t)
-    return amp * e / (1.0 - e)
+    # expm1 keeps 1 - e^{-2 G t} exact where 2 G t << 1 (low T)
+    return amp * np.exp(-2.0 * g * t) / -np.expm1(-2.0 * g * t)
 
 
 def steady_two_qubit(kappa: float, temperature: float) -> np.ndarray:

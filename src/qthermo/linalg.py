@@ -65,11 +65,16 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two 2-D arrays with the first factor on the slow
     (left) index, equal entry for entry to ``np.kron``.  Raises
     ``BadDimension`` for a factor that is not 2-D."""
+    if np.ndim(a) != 2 or np.ndim(b) != 2:
+        raise BadDimension(f"kron needs 2-D factors, got {np.shape(a)} and {np.shape(b)}")
+    return _kron(a, b)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`kron` of the last two axes, broadcast over the leading ones."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise BadDimension(f"kron needs 2-D factors, got {a.shape} and {b.shape}")
-    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def dag(a: np.ndarray) -> np.ndarray:

@@ -27,6 +27,11 @@ A shared bath additionally produces cross dissipators pairing the jump
 operators of the two qubits at the same Bohr frequency, with the geometric
 mean ``sqrt(J1 J2)`` in place of J.
 
+A model's generator is built in one stacked pass: one Hamiltonian eigensystem
+for all coupling operators (so they share one frequency grouping), and every
+channel's jump operator and dissipator in a stack.  The terms are added channel
+by channel, so the generator has the bits of a channel-by-channel build.
+
 Vectorization is column-stacking:
 
     L = -i (I (x) H - H^T (x) I)
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeFrequency, NonPositiveInput
-from .linalg import dag, eig_hermitian, identity, kron, unvec, vec
+from .linalg import _kron, dag, eig_hermitian, identity, kron, unvec, vec
 from .models import CommonBath, TwoQubitModel, Model, coupling_operators, hamiltonian
 
 __all__ = [
@@ -114,15 +119,39 @@ class JumpChannel:
     bath_index: int = 0
 
 
-def _cluster(values, tol):
-    """Group sorted scalars into chains with consecutive gaps <= tol."""
-    groups = []
-    for v in values:
-        if groups and v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
+def _chains(values, tol):
+    """Group labels of sorted ``values`` (chains with consecutive gaps <= tol)
+    and each group's mean."""
+    labels = np.zeros(len(values), dtype=int)
+    np.cumsum(values[1:] - values[:-1] > tol, out=labels[1:])
+    sums = np.zeros(labels[-1] + 1)
+    np.add.at(sums, labels, values)  # left to right, as np.mean adds a few terms
+    return labels, sums / np.bincount(labels)
+
+
+def _jump_stack(h, a, freq_tol):
+    """Jump operators of each coupling operator of the ``(k, d, d)`` stack
+    ``a`` from one eigensystem of ``h``: ``(omegas, ops, keep)``, the Bohr
+    frequency of each group, ``ops[k, g]`` the jump operator of ``a[k]`` at
+    group ``g``, and ``keep[k, g]``, false where it is entrywise below
+    ``CHANNEL_PRUNE_TOL``."""
+    if freq_tol <= 0:
+        raise NonPositiveInput("freq_tol must be > 0")
+    es = eig_hermitian(h)
+    levels, energies = _chains(es.eigenvalues, freq_tol)
+    v = np.where(levels == np.arange(len(energies))[:, None, None], es.eigenvectors, 0.0)
+    p = v @ dag(v)  # one projector per level group
+    # ops[k, n, m] = (P(n) @ a[k]) @ P(m), at Bohr frequency E(m) - E(n)
+    ops = p[None, :, None] @ a[:, None, None] @ p[None, None, :]
+    w = (energies[None, :] - energies[:, None]).ravel()
+    order = np.argsort(w, kind="stable")
+    groups, omegas = _chains(w[order], freq_tol)
+    omegas[np.abs(omegas) < freq_tol] = 0.0
+    k, d = a.shape[0], h.shape[0]
+    totals = np.zeros((k, len(omegas), d, d), dtype=complex)
+    # from zero and in order, as Python's sum adds a group's terms
+    np.add.at(totals, (slice(None), groups), ops.reshape(k, -1, d, d)[:, order])
+    return omegas, totals, np.abs(totals).max(axis=(-2, -1)) >= CHANNEL_PRUNE_TOL
 
 
 def jump_operators(
@@ -139,61 +168,36 @@ def jump_operators(
     is entrywise below ``CHANNEL_PRUNE_TOL`` are dropped.  The surviving
     channels satisfy ``[A(w), h] = w A(w)`` and sum back to ``a``.
     """
-    if freq_tol <= 0:
-        raise NonPositiveInput("freq_tol must be > 0")
-    es = eig_hermitian(h)
-    groups = _cluster(list(es.eigenvalues), freq_tol)
-    energies, projectors = [], []
-    idx = 0
-    for g in groups:
-        cols = es.eigenvectors[:, idx : idx + len(g)]
-        energies.append(float(np.mean(g)))
-        projectors.append(cols @ cols.conj().T)
-        idx += len(g)
-
-    p = np.stack(projectors)
-    ops = p[:, None] @ a @ p[None, :]  # ops[n, m] = (P(n) @ a) @ P(m)
-    raw = [(e_m - e_n, ops[n, m]) for n, e_n in enumerate(energies) for m, e_m in enumerate(energies)]
-    raw.sort(key=lambda t: t[0])
-
-    channels = []
-    for group in _cluster([w for w, _ in raw], freq_tol):
-        lo, hi = group[0], group[-1]
-        total = sum(op for w, op in raw if lo <= w <= hi)
-        if np.max(np.abs(total)) < CHANNEL_PRUNE_TOL:
-            continue
-        omega = float(np.mean(group))
-        if abs(omega) < freq_tol:
-            omega = 0.0
-        channels.append(JumpChannel(omega=omega, op=total, bath_index=bath_index))
-    return channels
+    omegas, ops, keep = _jump_stack(h, np.asarray(a, dtype=complex)[None], freq_tol)
+    return [JumpChannel(w, op, bath_index) for w, op in zip(omegas[keep[0]].tolist(), ops[0, keep[0]])]
 
 
 def commutator_superop(h: np.ndarray) -> np.ndarray:
     """Column-stacked superoperator of ``rho -> -i [h, rho]``."""
-    d = h.shape[0]
-    i_d = identity(d)
+    i_d = identity(h.shape[0])
     return -1j * (kron(i_d, h) - kron(h.T, i_d))
 
 
+def _pair_superop(x, y):
+    """Superoperator of ``rho -> y rho x† - {x† y, rho}/2`` (of each pair of
+    a stack)."""
+    i_d = identity(x.shape[-1])
+    m = dag(x) @ y
+    return _kron(x.conj(), y) - 0.5 * _kron(i_d, m) - 0.5 * _kron(m.swapaxes(-1, -2), i_d)
+
+
 def dissipator_superop(a: np.ndarray) -> np.ndarray:
-    """Column-stacked superoperator of ``D[a]``."""
-    d = a.shape[0]
-    i_d = identity(d)
-    ada = dag(a) @ a
-    return kron(a.conj(), a) - 0.5 * kron(i_d, ada) - 0.5 * kron(ada.T, i_d)
+    """Column-stacked superoperator of ``D[a]``, or of each ``D[a_k]`` of a
+    ``(..., d, d)`` stack."""
+    return _pair_superop(a, a)
 
 
 def cross_dissipator_superop(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Cross terms of a shared bath, pairing two jump operators both ways:
-    ``a2 rho a1† - {a1† a2, rho}/2`` plus the same with 1 <-> 2."""
-    d = a1.shape[0]
-    i_d = identity(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for x, y in ((a1, a2), (a2, a1)):
-        m = dag(x) @ y
-        out += kron(x.conj(), y) - 0.5 * kron(i_d, m) - 0.5 * kron(m.T, i_d)
-    return out
+    ``a2 rho a1† - {a1† a2, rho}/2`` plus the same with 1 <-> 2 (of each
+    pair of two ``(..., d, d)`` stacks)."""
+    both = _pair_superop(np.stack([a1, a2]), np.stack([a2, a1]))
+    return 0.0 + both[0] + both[1]  # from zero, for the signs of zero entries
 
 
 @dataclass(frozen=True)
@@ -224,43 +228,32 @@ def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     jump operators of the two qubits are additionally paired at equal Bohr
     frequency with rate ``2 pi sqrt(J1 J2) (n or n+1)``.  Every rate's
     temperature derivative multiplies the same dissipator in ``d_superop``.
+    Terms are added in channel order: bath 1's, bath 2's, the cross terms.
     """
     h = hamiltonian(model)
-    d = h.shape[0]
+    couplings = coupling_operators(model)
+    omegas, ops, keep = _jump_stack(h, np.stack([a for a, _ in couplings]), freq_tol)
+
+    # a handful of channels: scalar rates cost less than array calls
+    channels, rates = [], []
+    for index, (kept, op, (_, bath)) in enumerate(zip(keep, ops, couplings), start=1):
+        for w, a in zip(omegas[kept].tolist(), op[kept]):
+            channels.append(JumpChannel(w, a, index))
+            rates.append(_rate_and_derivative(w, bath))
+    superops = [dissipator_superop(ops[keep])]
+    if isinstance(model, TwoQubitModel) and isinstance(model.bath_config, CommonBath):
+        # both operators share one grouping, so equal frequency is equal group
+        both = keep[0] & keep[1]
+        cross_bath = model.bath_config.cross_bath()
+        rates += [_rate_and_derivative(w, cross_bath) for w in omegas[both].tolist()]
+        superops.append(cross_dissipator_superop(ops[0, both], ops[1, both]))
+    superops = np.concatenate(superops)
+    g, dg = np.array(rates).T[:, :, None, None]
+
     superop = commutator_superop(h)
     d_superop = np.zeros_like(superop)
-
-    all_channels: list[JumpChannel] = []
-    all_rates: list[float] = []
-    per_op_channels = []
-    for index, (a, bath) in enumerate(coupling_operators(model), start=1):
-        chans = jump_operators(h, a, freq_tol=freq_tol, bath_index=index)
-        per_op_channels.append(chans)
-        for ch in chans:
-            g, dg = _rate_and_derivative(ch.omega, bath)
-            dissipator = dissipator_superop(ch.op)
-            superop = superop + g * dissipator
-            d_superop += dg * dissipator
-            all_channels.append(ch)
-            all_rates.append(g)
-
-    if isinstance(model, TwoQubitModel) and isinstance(model.bath_config, CommonBath):
-        cross_bath = model.bath_config.cross_bath()
-        first = {round(ch.omega / freq_tol): ch for ch in per_op_channels[0]}
-        for ch2 in per_op_channels[1]:
-            key = round(ch2.omega / freq_tol)
-            if key not in first:
-                continue
-            g, dg = _rate_and_derivative(ch2.omega, cross_bath)
-            cross = cross_dissipator_superop(first[key].op, ch2.op)
-            superop = superop + g * cross
-            d_superop += dg * cross
-
-    return Liouvillian(
-        dim=d,
-        superop=superop,
-        hamiltonian=h,
-        channels=tuple(all_channels),
-        rates=tuple(all_rates),
-        d_superop=d_superop,
-    )
+    for term, d_term in zip(g * superops, dg * superops):
+        superop += term
+        d_superop += d_term
+    return Liouvillian(dim=h.shape[0], superop=superop, hamiltonian=h, channels=tuple(channels),
+                       rates=tuple(r for r, _ in rates[: len(channels)]), d_superop=d_superop)

@@ -157,27 +157,27 @@ class TwoQubitModel:
 Model = DirectProbeModel | ProbeAncillaModel | TwoQubitModel
 
 
-def _exchange(kappa: float) -> np.ndarray:
-    sx, sy = pauli("x"), pauli("y")
-    return 0.5 * kappa * (kron(sx, sx) + kron(sy, sy))
+def _shared(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+# operators with exact 0 / +-1 entries, built once and shared read-only
+_SZ = _shared(pauli("z"))
+_SZ_1 = _shared(kron(pauli("z"), identity(2)))
+_1_SZ = _shared(kron(identity(2), pauli("z")))
+_SZ_TOTAL = _shared(_SZ_1 + _1_SZ)
+_XX_YY = _shared(kron(pauli("x"), pauli("x")) + kron(pauli("y"), pauli("y")))
 
 
 def hamiltonian(model: Model) -> np.ndarray:
     """System Hamiltonian of a model (2x2 or 4x4, exactly Hermitian)."""
-    sz, i2 = pauli("z"), identity(2)
     if isinstance(model, DirectProbeModel):
-        return 0.5 * model.omega_p * sz
+        return 0.5 * model.omega_p * _SZ
     if isinstance(model, ProbeAncillaModel):
-        return (
-            0.5 * model.omega_p * kron(sz, i2)
-            + 0.5 * model.omega_a * kron(i2, sz)
-            + _exchange(model.kappa)
-        )
+        return 0.5 * model.omega_p * _SZ_1 + 0.5 * model.omega_a * _1_SZ + 0.5 * model.kappa * _XX_YY
     if isinstance(model, TwoQubitModel):
-        return (
-            0.5 * model.omega0 * (kron(sz, i2) + kron(i2, sz))
-            + _exchange(model.kappa)
-        )
+        return 0.5 * model.omega0 * _SZ_TOTAL + 0.5 * model.kappa * _XX_YY
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
@@ -186,19 +186,18 @@ def coupling_operators(model: Model) -> list[tuple[np.ndarray, BathSpec]]:
 
     The shared-bath cross terms are not listed here; they are derived from
     ``isinstance(model.bath_config, CommonBath)`` by the master-equation
-    builder.
+    builder.  The operators are shared read-only arrays.
     """
-    sz, i2 = pauli("z"), identity(2)
     if isinstance(model, DirectProbeModel):
-        return [(sz, model.bath)]
+        return [(_SZ, model.bath)]
     if isinstance(model, ProbeAncillaModel):
-        return [(kron(i2, sz), model.bath)]
+        return [(_1_SZ, model.bath)]
     if isinstance(model, TwoQubitModel):
         cfg = model.bath_config
         if isinstance(cfg, LocalBaths):
-            return [(kron(sz, i2), cfg.bath1), (kron(i2, sz), cfg.bath2)]
+            return [(_SZ_1, cfg.bath1), (_1_SZ, cfg.bath2)]
         if isinstance(cfg, CommonBath):
-            return [(kron(sz, i2), cfg.bath(1)), (kron(i2, sz), cfg.bath(2))]
+            return [(_SZ_1, cfg.bath(1)), (_1_SZ, cfg.bath(2))]
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 

@@ -144,6 +144,18 @@ class TestDirectProbe:
         assert all(v > 0 for v in vals)
         assert vals[-1] < max(vals) / 100.0
 
+    @pytest.mark.parametrize("t", [0.5, 5.0])
+    def test_qfi_against_mpmath_down_to_low_temperature(self, rng, t):
+        # 1 - e^{-2 G t} cancels once 2 G t << 1; the oracle must not
+        mpmath = pytest.importorskip("mpmath")
+        eta = 0.01
+        for temp in np.exp(rng.uniform(np.log(1e-16), np.log(10.0), size=200)):
+            with mpmath.workdps(40):
+                g2t = 2 * 4 * mpmath.pi * mpmath.mpf(eta) * mpmath.mpf(float(temp)) * t
+                exact = (4 * mpmath.pi * mpmath.mpf(eta) * t) ** 2 / mpmath.expm1(g2t)
+            got = direct_probe_qfi(t, BathSpec(eta, 10.0, float(temp)))
+            assert abs(got - exact) <= 1e-14 * exact, temp
+
 
 class TestSteadyTwoQubit:
     def test_eigenvalues(self):

@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import qthermo.master_equation as me
 from qthermo.errors import NegativeFrequency, NonHermitianInput, NonPositiveInput
 from qthermo.linalg import choi_matrix, expm, identity, kron, pauli, unvec, vec
 from qthermo.master_equation import (
+    DEFAULT_FREQ_TOL,
     build_liouvillian,
     commutator_superop,
+    cross_dissipator_superop,
     decoherence_rate,
+    dissipator_superop,
     jump_operators,
     spectral_density,
     thermal_occupation,
@@ -18,6 +24,7 @@ from qthermo.models import (
     LocalBaths,
     ProbeAncillaModel,
     TwoQubitModel,
+    coupling_operators,
     hamiltonian,
     initial_state,
 )
@@ -280,3 +287,193 @@ class TestTemperatureDerivative:
             image = unvec(exact @ vec(e))
             assert abs(np.trace(image)) < 1e-12
             assert np.max(np.abs(unvec(exact @ vec(e.conj().T)) - image.conj().T)) < 1e-12
+
+
+# -- the stacked build against the per-channel one --------------------------
+
+
+def _cluster(values, tol):
+    """Sorted scalars in chains with consecutive gaps <= tol."""
+    groups = []
+    for v in values:
+        if groups and v - groups[-1][-1] <= tol:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return groups
+
+
+def loop_jump_operators(h, a, freq_tol=DEFAULT_FREQ_TOL):
+    """The per-level, per-frequency loop decomposition: [(omega, op)]."""
+    es = me.eig_hermitian(h)
+    energies, projectors, idx = [], [], 0
+    for g in _cluster(list(es.eigenvalues), freq_tol):
+        cols = es.eigenvectors[:, idx: idx + len(g)]
+        energies.append(float(np.mean(g)))
+        projectors.append(cols @ cols.conj().T)
+        idx += len(g)
+    p = np.stack(projectors)
+    ops = p[:, None] @ a @ p[None, :]
+    raw = [(e_m - e_n, ops[n, m]) for n, e_n in enumerate(energies) for m, e_m in enumerate(energies)]
+    raw.sort(key=lambda t: t[0])
+    out = []
+    for group in _cluster([w for w, _ in raw], freq_tol):
+        total = sum(op for w, op in raw if group[0] <= w <= group[-1])
+        if np.max(np.abs(total)) < me.CHANNEL_PRUNE_TOL:
+            continue
+        omega = float(np.mean(group))
+        out.append((0.0 if abs(omega) < freq_tol else omega, total))
+    return out
+
+
+def scalar_rate(omega, bath):
+    """Golden-rule rate and its T derivative of one channel, scalar code."""
+    if omega == 0.0:
+        return 2.0 * np.pi * bath.eta * bath.temperature, 2.0 * np.pi * bath.eta
+    aw, temp = abs(omega), bath.temperature
+    n = np.exp(-aw / temp) / (-np.expm1(-aw / temp))
+    j = bath.eta * aw * np.exp(-aw / bath.cutoff)
+    dn = n * (n + 1.0) * aw / temp**2
+    return 2.0 * np.pi * j * (n + 1.0 if omega > 0 else n), 2.0 * np.pi * j * dn
+
+
+def per_channel_liouvillian(model, freq_tol=DEFAULT_FREQ_TOL):
+    """Channel-by-channel build: jump operators per coupling operator, one 2-D
+    dissipator per channel, cross terms paired by ``round(omega / freq_tol)``."""
+    h = hamiltonian(model)
+    superop = commutator_superop(h)
+    d_superop = np.zeros_like(superop)
+    channels, rates, per_op = [], [], []
+    for index, (a, bath) in enumerate(coupling_operators(model), start=1):
+        chans = [me.JumpChannel(w, op, index) for w, op in loop_jump_operators(h, a, freq_tol)]
+        per_op.append(chans)
+        for ch in chans:
+            g, dg = scalar_rate(ch.omega, bath)
+            dissipator = dissipator_superop(ch.op)
+            superop = superop + g * dissipator
+            d_superop += dg * dissipator
+            channels.append(ch)
+            rates.append(g)
+    if isinstance(model, TwoQubitModel) and isinstance(model.bath_config, CommonBath):
+        first = {round(ch.omega / freq_tol): ch for ch in per_op[0]}
+        for ch2 in per_op[1]:
+            key = round(ch2.omega / freq_tol)
+            if key in first:
+                g, dg = scalar_rate(ch2.omega, model.bath_config.cross_bath())
+                cross = cross_dissipator_superop(first[key].op, ch2.op)
+                superop = superop + g * cross
+                d_superop += dg * cross
+    return superop, d_superop, channels, rates
+
+
+def drawn_models(seed, n):
+    """Every model kind, a separate eta, cutoff and T per local bath, eta = 0,
+    kappa in {0, 1, omega/3, random}, omega_a = omega_p and unit frequencies
+    (so degenerate levels, and two-qubit levels spaced equally, which puts
+    three terms in a Bohr frequency group), eta2 in {0, eta} on a shared bath."""
+    rng = np.random.default_rng(seed)
+
+    def bath():
+        eta = 0.0 if rng.random() < 0.1 else float(np.exp(rng.uniform(np.log(1e-3), np.log(0.3))))
+        temp = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+        return BathSpec(eta, float(rng.uniform(0.5, 20.0)), temp)
+
+    def pick(*fixed):
+        """Each of ``fixed`` with probability 0.2, else uniform in [0.01, 3]."""
+        k = int(rng.random() * 5)
+        return fixed[k] if k < len(fixed) else float(rng.uniform(0.01, 3.0))
+
+    out = []
+    for i in range(n):
+        theta = float(rng.uniform(0.0, np.pi))
+        w = pick(1.0)
+        if i % 4 == 0:
+            out.append(DirectProbeModel(w, bath()))
+        elif i % 4 == 1:
+            out.append(ProbeAncillaModel(w, pick(w), pick(0.0, 1.0), bath(), theta))
+        elif i % 4 == 2:
+            out.append(TwoQubitModel(w, pick(0.0, 1.0, w / 3), LocalBaths(bath(), bath()), theta))
+        else:
+            b = bath()
+            eta2 = pick(0.0, b.eta)
+            out.append(TwoQubitModel(w, pick(0.0, 1.0, w / 3), CommonBath(b.eta, eta2, b.cutoff, b.temperature), theta))
+    return out
+
+
+class TestStackedBuild:
+    def test_generator_equals_per_channel_build_bit_for_bit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # local baths at different T
+            models = drawn_models(7, 400)
+        for model in models:
+            superop, d_superop, channels, rates = per_channel_liouvillian(model)
+            liou = build_liouvillian(model)
+            assert liou.superop.tobytes() == superop.tobytes(), model
+            assert liou.d_superop.tobytes() == d_superop.tobytes(), model
+            assert [c.omega for c in liou.channels] == [c.omega for c in channels]
+            assert [c.bath_index for c in liou.channels] == [c.bath_index for c in channels]
+            assert [c.op.tobytes() for c in liou.channels] == [c.op.tobytes() for c in channels]
+            assert list(liou.rates) == rates
+
+    def test_draws_cover_degenerate_spectra(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            models = drawn_models(7, 400)
+        degenerate = sum(len(np.unique(np.round(np.linalg.eigvalsh(hamiltonian(m)), 9))) < len(hamiltonian(m))
+                         for m in models)
+        assert degenerate >= 20
+
+    @pytest.mark.parametrize("levels", [
+        None,  # generic spectrum
+        [0.0, 1.0, 2.0, 3.0],  # equally spaced: three terms at one Bohr frequency
+        [0.0, 0.0, 0.0, 1.0],  # a threefold level
+    ])
+    def test_jump_operators_equal_the_loop_decomposition(self, rng, levels):
+        from conftest import random_hermitian
+
+        for _ in range(50):
+            a = random_hermitian(rng, 4)
+            h = random_hermitian(rng, 4)
+            if levels is not None:
+                # splittings far below freq_tol, so groups hold unequal values
+                spec = rng.uniform(0.3, 2.0) * np.array(levels) + 1e-11 * rng.normal(size=4)
+                u = np.linalg.qr(random_hermitian(rng, 4))[0]
+                h = u @ np.diag(spec) @ u.conj().T
+                h = 0.5 * (h + h.conj().T)
+            got = [(c.omega, c.op.tobytes()) for c in jump_operators(h, a)]
+            assert got == [(w, op.tobytes()) for w, op in loop_jump_operators(h, a)]
+
+    @pytest.mark.parametrize("model", models_under_test())
+    def test_one_eigensystem_per_model(self, model, monkeypatch):
+        calls = []
+        real = me.eig_hermitian
+        monkeypatch.setattr(me, "eig_hermitian", lambda h, *a: calls.append(h) or real(h, *a))
+        build_liouvillian(model)
+        assert len(calls) == 1
+
+    def test_build_rejects_bad_tolerance(self):
+        with pytest.raises(NonPositiveInput):
+            build_liouvillian(models_under_test()[0], freq_tol=0.0)
+
+
+class TestSuperoperatorStacks:
+    def test_dissipator_of_a_stack_is_per_matrix(self, rng):
+        stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        out = dissipator_superop(stack)
+        assert out.shape == (5, 16, 16)
+        for a, d in zip(stack, out):
+            assert d.tobytes() == dissipator_superop(a).tobytes()
+
+    def test_cross_dissipator_of_stacks_is_per_pair(self, rng):
+        s1, s2 = (rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2)) for _ in range(2))
+        out = cross_dissipator_superop(s1, s2)
+        assert out.shape == (3, 2, 4, 4)
+        for idx in np.ndindex(3, 2):
+            assert out[idx].tobytes() == cross_dissipator_superop(s1[idx], s2[idx]).tobytes()
+
+    def test_two_d_dissipator_matches_its_definition(self, rng):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        ada = a.conj().T @ a
+        expected = a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada)
+        assert np.allclose(unvec(dissipator_superop(a) @ vec(rho)), expected, atol=1e-12)
