@@ -658,7 +658,6 @@ def run_evolve(
     theta: float = np.pi / 2,
     t_max: float = 50.0,
     n_points: int = 500,
-    workers: int | None = None,
 ) -> ScanResult:
     """Record populations, coherence and purity on the uniform grid
     ``linspace(0, t_max, n_points)``."""
@@ -697,7 +696,6 @@ def run_qfi_point(
     cutoff: float = 10.0,
     kappa: float = 0.8,
     theta: float = np.pi / 2,
-    workers: int | None = None,
 ) -> ScanResult:
     """Single-point estimate: QFI, measurement FI and QSNR at a time or at
     the steady state."""

@@ -23,10 +23,6 @@ for an Ohmic density, and emission and absorption coincide in that limit, so
 the w = 0 channel appears exactly once with rate ``2 pi eta T``.  This makes
 a directly coupled probe's coherence decay at ``4 pi eta T``.
 
-A shared bath additionally produces cross dissipators pairing the jump
-operators of the two qubits at the same Bohr frequency, with the geometric
-mean ``sqrt(J1 J2)`` in place of J.
-
 A model's generator is built in one stacked pass: one Hamiltonian eigensystem
 for all coupling operators (so they share one frequency grouping), and every
 channel's jump operator and dissipator in a stack.  The terms are added channel
@@ -46,7 +42,7 @@ import numpy as np
 
 from .errors import NegativeFrequency, NonPositiveInput
 from .linalg import _kron, dag, eig_hermitian, identity, kron, unvec, vec
-from .models import CommonBath, TwoQubitModel, Model, coupling_operators, hamiltonian
+from .models import Model, coupling_operators, hamiltonian
 
 __all__ = [
     "spectral_density",
@@ -56,7 +52,6 @@ __all__ = [
     "jump_operators",
     "Liouvillian",
     "dissipator_superop",
-    "cross_dissipator_superop",
     "commutator_superop",
     "build_liouvillian",
 ]
@@ -64,7 +59,8 @@ __all__ = [
 #: Bohr frequencies closer than this are treated as one level / one channel.
 DEFAULT_FREQ_TOL = 1e-9
 
-#: Jump operators with max entry below this are dropped.
+#: Jump operators whose max entry is at most this fraction of their
+#: coupling operator's are dropped (relative, as the decomposition is linear).
 CHANNEL_PRUNE_TOL = 1e-12
 
 
@@ -112,7 +108,8 @@ def _rate_and_derivative(omega: float, bath) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class JumpChannel:
-    """One Bohr frequency with its jump operator and originating bath index."""
+    """One Bohr frequency with its jump operator; ``bath_index`` is the
+    1-based index of its coupling into ``coupling_operators(model)``."""
 
     omega: float
     op: np.ndarray
@@ -133,8 +130,7 @@ def _jump_stack(h, a, freq_tol):
     """Jump operators of each coupling operator of the ``(k, d, d)`` stack
     ``a`` from one eigensystem of ``h``: ``(omegas, ops, keep)``, the Bohr
     frequency of each group, ``ops[k, g]`` the jump operator of ``a[k]`` at
-    group ``g``, and ``keep[k, g]``, false where it is entrywise below
-    ``CHANNEL_PRUNE_TOL``."""
+    group ``g``, and ``keep[k, g]``, false where it is pruned."""
     if freq_tol <= 0:
         raise NonPositiveInput("freq_tol must be > 0")
     es = eig_hermitian(h)
@@ -151,7 +147,8 @@ def _jump_stack(h, a, freq_tol):
     totals = np.zeros((k, len(omegas), d, d), dtype=complex)
     # from zero and in order, as Python's sum adds a group's terms
     np.add.at(totals, (slice(None), groups), ops.reshape(k, -1, d, d)[:, order])
-    return omegas, totals, np.abs(totals).max(axis=(-2, -1)) >= CHANNEL_PRUNE_TOL
+    floor = CHANNEL_PRUNE_TOL * np.abs(a).max(axis=(-2, -1))
+    return omegas, totals, np.abs(totals).max(axis=(-2, -1)) > floor[:, None]
 
 
 def jump_operators(
@@ -164,9 +161,10 @@ def jump_operators(
 
     Energy levels within ``freq_tol`` are merged (projectors are summed over
     the degenerate subspace, so the arbitrary eigenvector basis inside a
-    degenerate block cannot leak into the result).  Channels whose operator
-    is entrywise below ``CHANNEL_PRUNE_TOL`` are dropped.  The surviving
-    channels satisfy ``[A(w), h] = w A(w)`` and sum back to ``a``.
+    degenerate block cannot leak into the result).  Channels whose largest
+    entry is at most ``CHANNEL_PRUNE_TOL`` times ``a``'s are dropped, so a
+    zero ``a`` has none.  The surviving channels satisfy
+    ``[A(w), h] = w A(w)`` and sum back to ``a``.
     """
     omegas, ops, keep = _jump_stack(h, np.asarray(a, dtype=complex)[None], freq_tol)
     return [JumpChannel(w, op, bath_index) for w, op in zip(omegas[keep[0]].tolist(), ops[0, keep[0]])]
@@ -178,26 +176,12 @@ def commutator_superop(h: np.ndarray) -> np.ndarray:
     return -1j * (kron(i_d, h) - kron(h.T, i_d))
 
 
-def _pair_superop(x, y):
-    """Superoperator of ``rho -> y rho x† - {x† y, rho}/2`` (of each pair of
-    a stack)."""
-    i_d = identity(x.shape[-1])
-    m = dag(x) @ y
-    return _kron(x.conj(), y) - 0.5 * _kron(i_d, m) - 0.5 * _kron(m.swapaxes(-1, -2), i_d)
-
-
 def dissipator_superop(a: np.ndarray) -> np.ndarray:
     """Column-stacked superoperator of ``D[a]``, or of each ``D[a_k]`` of a
     ``(..., d, d)`` stack."""
-    return _pair_superop(a, a)
-
-
-def cross_dissipator_superop(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Cross terms of a shared bath, pairing two jump operators both ways:
-    ``a2 rho a1† - {a1† a2, rho}/2`` plus the same with 1 <-> 2 (of each
-    pair of two ``(..., d, d)`` stacks)."""
-    both = _pair_superop(np.stack([a1, a2]), np.stack([a2, a1]))
-    return 0.0 + both[0] + both[1]  # from zero, for the signs of zero entries
+    i_d = identity(a.shape[-1])
+    m = dag(a) @ a
+    return _kron(a.conj(), a) - 0.5 * _kron(i_d, m) - 0.5 * _kron(m.swapaxes(-1, -2), i_d)
 
 
 @dataclass(frozen=True)
@@ -205,9 +189,8 @@ class Liouvillian:
     """Generator of the open-system evolution, ``d rho / dt = L[rho]``.
 
     ``superop`` acts on column-stacked states.  ``channels`` and ``rates``
-    list every local jump channel with its golden-rule rate (cross terms of
-    a shared bath pair these channels and are folded into ``superop`` only).
-    ``d_superop`` is the exact temperature derivative of ``superop``.
+    list every jump channel with its golden-rule rate.  ``d_superop`` is the
+    exact temperature derivative of ``superop``.
     """
 
     dim: int
@@ -224,11 +207,9 @@ class Liouvillian:
 def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouvillian:
     """Assemble the global master equation generator of a model.
 
-    Local dissipators are additive across baths.  For a shared bath the
-    jump operators of the two qubits are additionally paired at equal Bohr
-    frequency with rate ``2 pi sqrt(J1 J2) (n or n+1)``.  Every rate's
+    Dissipators are additive across the model's couplings.  Every rate's
     temperature derivative multiplies the same dissipator in ``d_superop``.
-    Terms are added in channel order: bath 1's, bath 2's, the cross terms.
+    Terms are added in channel order.
     """
     h = hamiltonian(model)
     couplings = coupling_operators(model)
@@ -240,15 +221,9 @@ def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
         for w, a in zip(omegas[kept].tolist(), op[kept]):
             channels.append(JumpChannel(w, a, index))
             rates.append(_rate_and_derivative(w, bath))
-    superops = [dissipator_superop(ops[keep])]
-    if isinstance(model, TwoQubitModel) and isinstance(model.bath_config, CommonBath):
-        # both operators share one grouping, so equal frequency is equal group
-        both = keep[0] & keep[1]
-        cross_bath = model.bath_config.cross_bath()
-        rates += [_rate_and_derivative(w, cross_bath) for w in omegas[both].tolist()]
-        superops.append(cross_dissipator_superop(ops[0, both], ops[1, both]))
-    superops = np.concatenate(superops)
-    g, dg = np.array(rates).T[:, :, None, None]
+    superops = dissipator_superop(ops[keep])
+    # (-1, 2) keeps the shape when no channel survives (a zero coupling)
+    g, dg = np.reshape(rates, (-1, 2)).T[:, :, None, None]
 
     superop = commutator_superop(h)
     d_superop = np.zeros_like(superop)
@@ -256,4 +231,4 @@ def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
         superop += term
         d_superop += d_term
     return Liouvillian(dim=h.shape[0], superop=superop, hamiltonian=h, channels=tuple(channels),
-                       rates=tuple(r for r, _ in rates[: len(channels)]), d_superop=d_superop)
+                       rates=tuple(r for r, _ in rates), d_superop=d_superop)

@@ -108,8 +108,7 @@ class CommonBath:
     """One shared reservoir with per-qubit coupling strengths eta1, eta2.
 
     A single physical bath fixes one temperature and one cutoff; only the
-    coupling of each qubit to it may differ.  The shared bath adds cross
-    dissipators with geometric-mean spectral density sqrt(J1 * J2).
+    coupling of each qubit to it may differ.
     """
 
     eta1: float
@@ -117,13 +116,14 @@ class CommonBath:
     cutoff: float
     temperature: float
 
-    def bath(self, index: int) -> BathSpec:
-        eta = {1: self.eta1, 2: self.eta2}[index]
-        return BathSpec(eta, self.cutoff, self.temperature)
-
-    def cross_bath(self) -> BathSpec:
-        # sqrt(J1 J2) for a shared cutoff is Ohmic with eta = sqrt(eta1 eta2)
-        return BathSpec(float(np.sqrt(self.eta1 * self.eta2)), self.cutoff, self.temperature)
+    def __post_init__(self):
+        for name in ("eta1", "eta2"):
+            if getattr(self, name) < 0:
+                raise ValidationError(name, "must be >= 0")
+        if self.cutoff <= 0:
+            raise ValidationError("cutoff", "must be > 0")
+        if self.temperature <= 0:
+            raise ValidationError("temperature", "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -184,9 +184,9 @@ def hamiltonian(model: Model) -> np.ndarray:
 def coupling_operators(model: Model) -> list[tuple[np.ndarray, BathSpec]]:
     """Bath coupling operators with the bath each of them talks to.
 
-    The shared-bath cross terms are not listed here; they are derived from
-    ``isinstance(model.bath_config, CommonBath)`` by the master-equation
-    builder.  The operators are shared read-only arrays.
+    A common bath is one coupling: the collective operator
+    ``sqrt(eta1) sz(x)1 + sqrt(eta2) 1(x)sz`` on a unit-eta bath, whose
+    dissipator holds both qubits' terms and their cross terms.
     """
     if isinstance(model, DirectProbeModel):
         return [(_SZ, model.bath)]
@@ -197,7 +197,8 @@ def coupling_operators(model: Model) -> list[tuple[np.ndarray, BathSpec]]:
         if isinstance(cfg, LocalBaths):
             return [(_SZ_1, cfg.bath1), (_1_SZ, cfg.bath2)]
         if isinstance(cfg, CommonBath):
-            return [(_SZ_1, cfg.bath(1)), (_1_SZ, cfg.bath(2))]
+            a = np.sqrt(cfg.eta1) * _SZ_1 + np.sqrt(cfg.eta2) * _1_SZ
+            return [(a, BathSpec(1.0, cfg.cutoff, cfg.temperature))]
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 

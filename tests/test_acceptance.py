@@ -55,6 +55,7 @@ from qthermo.models import (
     LocalBaths,
     ProbeAncillaModel,
     TwoQubitModel,
+    coupling_operators,
     initial_state,
 )
 
@@ -336,14 +337,11 @@ def test_criterion_09_generator_correctness():
         kind = draw % 4
         if kind == 0:
             model = DirectProbeModel(1.0, random_bath(temp))
-            baths = {1: model.bath}
         elif kind == 1:
             model = ProbeAncillaModel(1.0, 1.0, kappa, random_bath(temp), theta)
-            baths = {1: model.bath}
         elif kind == 2:
             cfg = LocalBaths(random_bath(temp), random_bath(temp))
             model = TwoQubitModel(1.0, kappa, cfg, theta)
-            baths = {1: cfg.bath1, 2: cfg.bath2}
         else:
             cfg = CommonBath(
                 eta1=float(rng.uniform(0.001, 0.1)),
@@ -352,7 +350,8 @@ def test_criterion_09_generator_correctness():
                 temperature=temp,
             )
             model = TwoQubitModel(1.0, kappa, cfg, theta)
-            baths = {1: cfg.bath(1), 2: cfg.bath(2)}
+        # each channel's bath: bath_index counts the model's couplings from 1
+        baths = {k: bath for k, (_, bath) in enumerate(coupling_operators(model), start=1)}
         liou = build_liouvillian(model)
         test_basis = basis if liou.dim == 4 else [b[:2, :2] for b in basis[:4]]
         for e in test_basis:

@@ -450,11 +450,6 @@ def _steady_draw(n=100):
     return points
 
 
-#: Within 1 % of eta = eta2 a common bath's exchange sector relaxes at
-#: ~1e-8 of the fastest rate or less, and the rounding of L, amplified by
-#: the inverse rate, moves the steady QFI by more than 1e-6.
-_NEAR_CORNER = pytest.mark.xfail(strict=True, reason="decoherence-free corner: rounding of L / slowest rate")
-
 STEADY_CASES = [
     # kappa / T from 0.15 to 10
     *[(model, kappa, temperature, theta, 0.01, 0.05)
@@ -471,10 +466,8 @@ STEADY_CASES = [
     # perfbench seed-0 point queries #60 and #205 (slowest rates 2.2e-5 and 5.9e-6)
     ("two_qubit_common", 0.292996, 0.058916, 1.17356, 0.0251423, 0.0262908),
     ("two_qubit_common", 0.201964, 0.0726984, 0.413895, 0.0517224, 0.0527227),
-    *[pytest.param(
-        model, *point, id=f"draw{k}-{model}",
-        marks=[_NEAR_CORNER] if model == "two_qubit_common" and abs(np.log(point[3] / point[4])) < 0.01 else [],
-    ) for k, point in enumerate(_steady_draw()) for model in ("two_qubit_local", "two_qubit_common")],
+    *[pytest.param(model, *point, id=f"draw{k}-{model}")
+      for k, point in enumerate(_steady_draw()) for model in ("two_qubit_local", "two_qubit_common")],
 ]
 
 

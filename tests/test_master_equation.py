@@ -10,7 +10,6 @@ from qthermo.master_equation import (
     DEFAULT_FREQ_TOL,
     build_liouvillian,
     commutator_superop,
-    cross_dissipator_superop,
     decoherence_rate,
     dissipator_superop,
     jump_operators,
@@ -173,6 +172,18 @@ class TestJumpOperators:
         assert len(chans) == 1 and chans[0].omega == 0.0
         assert np.max(np.abs(chans[0].op - a)) < 1e-12
 
+    def test_pruning_is_relative_to_the_coupling(self):
+        # the decomposition is linear in a, so a weak coupling keeps its
+        # channels: sqrt(eta) scales a common bath's collective operator
+        h = hamiltonian(ProbeAncillaModel(1.0, 1.0, 0.8, BATH, 0.0))
+        a = kron(identity(2), pauli("z"))
+        strong = jump_operators(h, a)
+        weak = jump_operators(h, 1e-15 * a)
+        assert [c.omega for c in weak] == [c.omega for c in strong]
+        for w, s in zip(weak, strong):
+            assert np.max(np.abs(w.op - 1e-15 * s.op)) < 1e-28
+        assert jump_operators(h, 0.0 * a) == []
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             jump_operators(np.array([[0, 1], [0, 0]], dtype=complex), pauli("z"))
@@ -254,6 +265,16 @@ class TestLiouvillian:
         rho_t = unvec(expm(liou.superop * 500.0) @ vec(rho0))
         assert np.max(np.abs(rho_t - rho0)) < 1e-8
 
+    def test_uncoupled_common_bath_is_the_bare_commutator(self):
+        # a zero collective operator leaves no channel
+        model = TwoQubitModel(
+            1.0, 0.6, CommonBath(eta1=0.0, eta2=0.0, cutoff=10.0, temperature=0.4), np.pi / 2
+        )
+        liou = build_liouvillian(model)
+        assert liou.channels == () and liou.rates == ()
+        assert liou.superop.tobytes() == commutator_superop(liou.hamiltonian).tobytes()
+        assert not liou.d_superop.any()
+
 
 class TestTemperatureDerivative:
     """``d_superop`` is the exact dL/dT: only n(w) and the zero-frequency rate
@@ -319,7 +340,7 @@ def loop_jump_operators(h, a, freq_tol=DEFAULT_FREQ_TOL):
     out = []
     for group in _cluster([w for w, _ in raw], freq_tol):
         total = sum(op for w, op in raw if group[0] <= w <= group[-1])
-        if np.max(np.abs(total)) < me.CHANNEL_PRUNE_TOL:
+        if np.max(np.abs(total)) <= me.CHANNEL_PRUNE_TOL * np.max(np.abs(a)):
             continue
         omega = float(np.mean(group))
         out.append((0.0 if abs(omega) < freq_tol else omega, total))
@@ -337,14 +358,34 @@ def scalar_rate(omega, bath):
     return 2.0 * np.pi * j * (n + 1.0 if omega > 0 else n), 2.0 * np.pi * j * dn
 
 
+def cross_dissipator(a1, a2):
+    """Cross terms of a shared bath, pairing two jump operators both ways:
+    ``a2 rho a1† - {a1† a2, rho}/2`` plus the same with 1 <-> 2."""
+    i_d = identity(a1.shape[0])
+    pairs = []
+    for x, y in ((a1, a2), (a2, a1)):
+        m = x.conj().T @ y
+        pairs.append(kron(x.conj(), y) - 0.5 * kron(i_d, m) - 0.5 * kron(m.T, i_d))
+    return 0.0 + pairs[0] + pairs[1]
+
+
 def per_channel_liouvillian(model, freq_tol=DEFAULT_FREQ_TOL):
     """Channel-by-channel build: jump operators per coupling operator, one 2-D
-    dissipator per channel, cross terms paired by ``round(omega / freq_tol)``."""
+    dissipator per channel.  A common bath is built the local way, one
+    operator per qubit on its own eta, plus cross dissipators paired by
+    ``round(omega / freq_tol)`` at ``sqrt(J1 J2)``."""
     h = hamiltonian(model)
     superop = commutator_superop(h)
     d_superop = np.zeros_like(superop)
     channels, rates, per_op = [], [], []
-    for index, (a, bath) in enumerate(coupling_operators(model), start=1):
+    common = is_common(model)
+    if common:
+        cfg = model.bath_config
+        couplings = [(kron(pauli("z"), identity(2)), BathSpec(cfg.eta1, cfg.cutoff, cfg.temperature)),
+                     (kron(identity(2), pauli("z")), BathSpec(cfg.eta2, cfg.cutoff, cfg.temperature))]
+    else:
+        couplings = coupling_operators(model)
+    for index, (a, bath) in enumerate(couplings, start=1):
         chans = [me.JumpChannel(w, op, index) for w, op in loop_jump_operators(h, a, freq_tol)]
         per_op.append(chans)
         for ch in chans:
@@ -354,13 +395,14 @@ def per_channel_liouvillian(model, freq_tol=DEFAULT_FREQ_TOL):
             d_superop += dg * dissipator
             channels.append(ch)
             rates.append(g)
-    if isinstance(model, TwoQubitModel) and isinstance(model.bath_config, CommonBath):
+    if common:
+        cross_bath = BathSpec(float(np.sqrt(cfg.eta1 * cfg.eta2)), cfg.cutoff, cfg.temperature)
         first = {round(ch.omega / freq_tol): ch for ch in per_op[0]}
         for ch2 in per_op[1]:
             key = round(ch2.omega / freq_tol)
             if key in first:
-                g, dg = scalar_rate(ch2.omega, model.bath_config.cross_bath())
-                cross = cross_dissipator_superop(first[key].op, ch2.op)
+                g, dg = scalar_rate(ch2.omega, cross_bath)
+                cross = cross_dissipator(first[key].op, ch2.op)
                 superop = superop + g * cross
                 d_superop += dg * cross
     return superop, d_superop, channels, rates
@@ -392,7 +434,9 @@ def drawn_models(seed, n):
         elif i % 4 == 1:
             out.append(ProbeAncillaModel(w, pick(w), pick(0.0, 1.0), bath(), theta))
         elif i % 4 == 2:
-            out.append(TwoQubitModel(w, pick(0.0, 1.0, w / 3), LocalBaths(bath(), bath()), theta))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # local baths at different T
+                out.append(TwoQubitModel(w, pick(0.0, 1.0, w / 3), LocalBaths(bath(), bath()), theta))
         else:
             b = bath()
             eta2 = pick(0.0, b.eta)
@@ -400,12 +444,15 @@ def drawn_models(seed, n):
     return out
 
 
+def is_common(model):
+    return isinstance(getattr(model, "bath_config", None), CommonBath)
+
+
 class TestStackedBuild:
     def test_generator_equals_per_channel_build_bit_for_bit(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # local baths at different T
-            models = drawn_models(7, 400)
-        for model in models:
+        for model in drawn_models(7, 400):
+            if is_common(model):
+                continue
             superop, d_superop, channels, rates = per_channel_liouvillian(model)
             liou = build_liouvillian(model)
             assert liou.superop.tobytes() == superop.tobytes(), model
@@ -415,10 +462,19 @@ class TestStackedBuild:
             assert [c.op.tobytes() for c in liou.channels] == [c.op.tobytes() for c in channels]
             assert list(liou.rates) == rates
 
+    def test_common_bath_equals_local_couplings_with_cross_terms(self):
+        # the collective coupling sums the local and cross terms in another
+        # order: equal to rounding, not bit for bit
+        models = [m for m in drawn_models(7, 400) if is_common(m)]
+        assert len(models) == 100
+        for model in models:
+            superop, d_superop, _, _ = per_channel_liouvillian(model)
+            liou = build_liouvillian(model)
+            assert np.max(np.abs(liou.superop - superop)) <= 4e-15 * np.max(np.abs(superop)), model
+            assert np.max(np.abs(liou.d_superop - d_superop)) <= 4e-15 * np.max(np.abs(d_superop)), model
+
     def test_draws_cover_degenerate_spectra(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            models = drawn_models(7, 400)
+        models = drawn_models(7, 400)
         degenerate = sum(len(np.unique(np.round(np.linalg.eigvalsh(hamiltonian(m)), 9))) < len(hamiltonian(m))
                          for m in models)
         assert degenerate >= 20
@@ -464,12 +520,12 @@ class TestSuperoperatorStacks:
         for a, d in zip(stack, out):
             assert d.tobytes() == dissipator_superop(a).tobytes()
 
-    def test_cross_dissipator_of_stacks_is_per_pair(self, rng):
-        s1, s2 = (rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2)) for _ in range(2))
-        out = cross_dissipator_superop(s1, s2)
-        assert out.shape == (3, 2, 4, 4)
-        for idx in np.ndindex(3, 2):
-            assert out[idx].tobytes() == cross_dissipator_superop(s1[idx], s2[idx]).tobytes()
+    def test_reference_cross_dissipator_is_the_cross_term_of_a_sum(self, rng):
+        # D[a1 + a2] = D[a1] + D[a2] + cross terms: the collective coupling
+        # of a common bath holds what the reference builds separately
+        a1, a2 = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
+        expected = dissipator_superop(a1) + dissipator_superop(a2) + cross_dissipator(a1, a2)
+        assert np.max(np.abs(dissipator_superop(a1 + a2) - expected)) < 1e-13
 
     def test_two_d_dissipator_matches_its_definition(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

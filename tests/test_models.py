@@ -41,6 +41,15 @@ class TestBathSpec:
         with pytest.raises(ValidationError):
             BathSpec(eta=0.1, cutoff=10.0, temperature=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eta1", -0.01), ("eta2", -0.01), ("cutoff", 0.0), ("cutoff", -1.0), ("temperature", 0.0),
+    ])
+    def test_common_bath_validation_names_the_field(self, field, value):
+        kw = dict(eta1=0.01, eta2=0.05, cutoff=10.0, temperature=0.4)
+        with pytest.raises(ValidationError) as err:
+            CommonBath(**{**kw, field: value})
+        assert err.value.key == field
+
     def test_mismatched_local_temperatures_warn(self):
         with pytest.warns(UserWarning, match="different temperatures"):
             TwoQubitModel(1.0, 0.6, LocalBaths(bath(T=0.4), bath(T=0.5)), 0.0)
@@ -94,11 +103,11 @@ class TestCouplingOperators:
         assert ops[0][1].eta == 0.01 and ops[1][1].eta == 0.05
 
     def test_common_shares_temperature_and_cutoff(self):
-        ops = coupling_operators(tq_model(common=True))
-        assert {b.eta for _, b in ops} == {0.01, 0.05}
-        assert {b.temperature for _, b in ops} == {0.4}
-        cfg = tq_model(common=True).bath_config
-        assert cfg.cross_bath().eta == pytest.approx(np.sqrt(0.01 * 0.05), rel=1e-15)
+        # one collective operator on a unit-eta bath at the shared T and cutoff
+        (op, b), = coupling_operators(tq_model(common=True))
+        expected = np.sqrt(0.01) * kron(pauli("z"), identity(2)) + np.sqrt(0.05) * kron(identity(2), pauli("z"))
+        assert np.array_equal(op, expected)
+        assert (b.eta, b.cutoff, b.temperature) == (1.0, 10.0, 0.4)
 
 
 class TestInitialState:
