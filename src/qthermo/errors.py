@@ -48,7 +48,8 @@ class PureStateSingularity(QThermoError):
 
 class ResolutionLimit(QThermoError):
     """A result is below what float64 states resolve: a measurement's
-    Fisher information exceeds the QFI of the same states."""
+    Fisher information exceeds the QFI of the same states, or a measurement
+    basis population of a state rounds below 0."""
 
 
 class ParseError(QThermoError):

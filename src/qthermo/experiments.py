@@ -19,6 +19,7 @@ finite difference: closed forms and central differences are test oracles.
 from __future__ import annotations
 
 import inspect
+import math
 import operator
 import os
 from collections.abc import Callable
@@ -162,13 +163,13 @@ def parallel_map(fn, items, workers: int | None = None) -> list:
 
 
 #: Steps a search looks ahead.  A search that lacks a value makes one stacked
-#: call of its function for every point its next ``LOOKAHEAD`` steps could
-#: read, whichever way each comparison goes (2^LOOKAHEAD - 1 points when each
-#: step reads one new point), then replays its steps against those values.
+#: call of its function for up to 2^LOOKAHEAD - 1 unread points of its
+#: predicted path, or for every point its next ``LOOKAHEAD`` steps could read,
+#: then replays its steps against those values.
 LOOKAHEAD = 5
 
 
-def _lookahead_search(fn, step, state):
+def _lookahead_search(fn, step, state, guess=None):
     """Run a search of comparisons from ``state`` on the values of ``fn``,
     which maps an array of points to an array of values.
 
@@ -176,34 +177,47 @@ def _lookahead_search(fn, step, state):
     the step reads, ``decide(*values)`` and the states after a false and a
     true decision.  A finished state has no branches and reads the points of
     its result.  Returns the finished state and the values it read.
+
+    ``guess(state, values)`` returns a predictor ``state -> branch index``,
+    or ``None`` for the full tree, which is used for good once a path call
+    after the first has carried fewer than ``LOOKAHEAD`` steps.  Predictions
+    pick only the points evaluated, never a step's decision.
     """
-    values = {}
+    values, calls, taken, tree = {}, 0, 0, guess is None
     while True:
         points, decide, branches = step(state)
         if any(p not in values for p in points):
-            todo, frontier = {}, [state]
-            for _ in range(LOOKAHEAD):
+            tree = tree or (calls > 1 and taken < LOOKAHEAD)  # a tree call carries LOOKAHEAD steps
+            predict = None if tree else guess(state, values)
+            todo, frontier, depth = {}, [state], 0
+            while frontier and (len(todo) < 2**LOOKAHEAD - 1 if predict else depth < LOOKAHEAD):
                 ahead = []
                 for s in frontier:
                     reads, _, children = step(s)
                     todo.update(dict.fromkeys(p for p in reads if p not in values))
-                    ahead += children
-                frontier = ahead
+                    ahead += (children[predict(s)],) if predict and children else children
+                frontier, depth = ahead, depth + 1
             values.update(zip(todo, np.asarray(fn(np.array(list(todo))), dtype=float).tolist()))
+            calls, taken = calls + 1, 0
         read = tuple(values[p] for p in points)
         if not branches:
             return state, read
-        state = branches[decide(*read)]
+        state, taken = branches[decide(*read)], taken + 1
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
+def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-6, known=()) -> tuple[float, float]:
     """Golden-section search for the maximum of a unimodal function on
     ``[lo, hi]``: the midpoint of the final bracket and its value.  ``fn``
     maps an array of points to an array of values; the steps are those of
-    the one-point-at-a-time search, their values taken in lookahead stacks."""
+    the one-point-at-a-time search, their values taken in lookahead stacks.
+
+    ``known`` holds ``(x, f(x))`` pairs the caller has; with the values read
+    they place the vertex of the parabola through the bracket's highest sample
+    and its neighbours, which predicts the steps.  They are never read.
+    """
     if not hi > lo:
         raise NonPositiveInput(f"golden-section bracket needs lo < hi, got [{lo}, {hi}]")
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    inv_phi, known = (np.sqrt(5.0) - 1.0) / 2.0, dict(known)
 
     def step(s):
         a, b, c, d = s
@@ -212,9 +226,21 @@ def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-6) -> tuple[flo
         # f(c) >= f(d) keeps [a, d], else [c, b]; the kept interior point is reused
         return (c, d), operator.ge, ((c, b, d, c + inv_phi * (b - c)), (a, d, d - inv_phi * (d - a), c))
 
+    def guess(s, values):
+        xs = sorted({**known, **values}.items())
+        k = max((k for k, (x, _) in enumerate(xs) if s[0] <= x <= s[1]), key=lambda k: xs[k][1], default=0)
+        if not 0 < k < len(xs) - 1:
+            return None
+        (x0, f0), (x1, f1), (x2, f2) = xs[k - 1 : k + 2]
+        p, q = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
+        if p == q:
+            return None
+        vertex = x1 - 0.5 * ((x1 - x0) * p - (x1 - x2) * q) / (p - q)
+        return lambda s: int(abs(s[2] - vertex) <= abs(s[3] - vertex))
+
     a, b = float(lo), float(hi)
     (a, b, _, _), (value,) = _lookahead_search(
-        fn, step, (a, b, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        fn, step, (a, b, b - inv_phi * (b - a), a + inv_phi * (b - a)), guess
     )
     return float(0.5 * (a + b)), value
 
@@ -336,8 +362,14 @@ def _tq_probs(m: np.ndarray) -> np.ndarray:
 
 
 def _two_qubit_record(t, rho, drho, temperature):
-    """Two-qubit record, or records on a grid, measured in ``_TQ_BASIS``."""
-    fi = cfi_povm(_tq_probs(rho), _tq_probs(drho))
+    """Two-qubit record, or records on a grid, measured in ``_TQ_BASIS``; a
+    basis population below -1e-12 is a :class:`ResolutionLimit` at its ``t``."""
+    probs = _tq_probs(rho)
+    low = np.ravel(probs.min(axis=-1))
+    bad = np.flatnonzero(low < -1e-12)
+    if bad.size:
+        raise ResolutionLimit(f"basis population {low[bad[0]]} below 0 at t = {np.ravel(t)[bad[0]]}")
+    fi = cfi_povm(probs, _tq_probs(drho))
     return _records(t, qfi_spectral(rho, drho), fi, rho, temperature)
 
 
@@ -348,7 +380,7 @@ def _refine_max(times, values, fn, tol=1e-6) -> OptSearchResult:
             f"maximum at grid edge t={times[i]}; extend the time grid to bracket it"
         )
     lo, hi = float(times[i - 1]), float(times[i + 1])
-    x, v = golden_section_max(fn, lo, hi, tol)
+    x, v = golden_section_max(fn, lo, hi, tol, known=zip(times[i - 1 : i + 2], values[i - 1 : i + 2]))
     return OptSearchResult(
         argmax=x, value=v, bracket=(lo, hi),
         bracket_values=(float(values[i - 1]), float(values[i + 1])), tolerance=tol,
@@ -534,6 +566,33 @@ def run_coherence_parametric(
     )
 
 
+def _t99_bracket(q, times, grid_q, i, target) -> tuple[float, float]:
+    """Final bracket of the bisection of ``[times[i-1], times[i]]`` for ``q = target``, its
+    steps predicted by interpolation in the known samples (``grid_q`` on ``times``)."""
+
+    def step(s):
+        lo, hi, n = s
+        mid = 0.5 * (lo + hi)
+        if n == 60 or mid <= lo or mid >= hi:  # float64 cannot split the bracket further
+            return (), None, ()
+        return (mid,), lambda q: q >= target, ((mid, hi, n + 1), (lo, mid, n + 1))
+
+    grid = dict(zip(times[max(i - 2, 0) : i + 2].tolist(), grid_q[max(i - 2, 0) : i + 2]))
+
+    def guess(s, values):
+        lo, hi, _ = s
+        known = {**grid, **values}
+        near = sorted(known.items(), key=lambda tq: abs(tq[0] - 0.5 * (lo + hi)))[:3]
+        qs = {q for _, q in near}
+        t_hat = sum(t * math.prod((target - r) / (q - r) for r in qs - {q}) for t, q in near)
+        if len(qs) < 3 or not lo <= t_hat <= hi:
+            t_hat = lo + (target - known[lo]) * (hi - lo) / (known[hi] - known[lo])
+        return lambda s: int(0.5 * (s[0] + s[1]) >= t_hat)
+
+    (lo, hi, _), _ = _lookahead_search(q, step, (float(times[i - 1]), float(times[i]), 0), guess)
+    return lo, hi
+
+
 TWO_QUBIT_CONFIGS = ("local_separable", "local_entangled", "common_separable", "common_entangled")
 #: First nonzero time of the two-qubit grid.
 _FIRST_LOG_TIME = 0.01
@@ -581,17 +640,8 @@ def run_two_qubit_configs(
         i = int(above[0])
         if i == 0:
             return recs, f_ss, 0.0
-
-        def step(s):
-            lo, hi, n = s
-            mid = 0.5 * (lo + hi)
-            if n == 60 or mid <= lo or mid >= hi:  # float64 cannot split the bracket further
-                return (), None, ()
-            return (mid,), lambda q: q >= target, ((mid, hi, n + 1), (lo, mid, n + 1))
-
-        (lo, hi, _), _ = _lookahead_search(
-            lambda t: qfi_spectral(*fam.state_and_derivative(t)),
-            step, (float(times[i - 1]), float(times[i]), 0),
+        lo, hi = _t99_bracket(
+            lambda t: qfi_spectral(*fam.state_and_derivative(t)), times, recs["qfi"], i, target
         )
         return recs, f_ss, 0.5 * (lo + hi)
 

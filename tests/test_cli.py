@@ -237,6 +237,24 @@ class TestMain:
             assert main(argv) == 17
         assert "exceeds QFI" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, population", [
+        # perfbench point queries seed 4 #156 and seed 19 #256, next to the
+        # common bath's decoherence-free corner: every input is valid, and a
+        # doublet-basis population of the steady state rounds below 0
+        (["temperature=0.0792883", "kappa=1.01153", "theta=0.331794",
+          "eta=0.034329", "eta2=0.0344895"], -3.88e-11),
+        (["temperature=0.0824759", "kappa=1.21599", "theta=0.783238",
+          "eta=0.00609977", "eta2=0.00601916"], -2.22e-11),
+    ])
+    def test_negative_basis_population_exits_17(self, params, population, tmp_path, capsys):
+        argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", "at=steady",
+                "--param", "model=two_qubit_common"]
+        for p in params:
+            argv += ["--param", p]
+        assert main(argv) == 17
+        found = re.search(r"basis population (\S+) below 0 at t = inf", capsys.readouterr().err)
+        assert float(found.group(1)) == pytest.approx(population, rel=1e-2)
+
     @pytest.mark.parametrize("at", ["1e6", "1e300"])
     def test_far_time_point(self, at, tmp_path):
         # the dephased probe carries no information; the exact derivative says so

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qthermo.closed_forms import direct_probe_qfi, optimal_ratio, steady_qfi
+from qthermo import experiments
 from qthermo.errors import NoConvergence, NonPositiveInput, ValidationError
 from qthermo.experiments import (
     MODEL_NAMES,
@@ -9,6 +10,7 @@ from qthermo.experiments import (
     TemperatureFamily,
     _family,
     _qubit_record,
+    _t99_bracket,
     _two_qubit_record,
     LOOKAHEAD,
     golden_section_max,
@@ -131,6 +133,143 @@ class TestLookaheadGoldenSection:
         assert max(calls) <= 2 ** LOOKAHEAD
 
 
+def sequential_t99_bisection(q, lo, hi, target):
+    """One point per step: the bracket _t99_bracket must reproduce, with its
+    number of steps."""
+    steps = 0
+    while steps < 60 and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if q(mid) >= target else (mid, hi)
+        steps += 1
+    return (lo, hi), steps
+
+
+def two_qubit_searches(**params):
+    """(q, times, grid q, i, target) of each two-qubit config's t_99 search,
+    with the run's t_99, for run_two_qubit_configs(**params)."""
+    run = run_two_qubit_configs(workers=1, **params)
+    times = np.concatenate([[0.0], np.geomspace(0.01, run.params["t_max"], run.params["n_points"] - 1)])
+    for config in TWO_QUBIT_CONFIGS:
+        fam = _family(
+            "two_qubit_local" if config.startswith("local") else "two_qubit_common",
+            run.params["temperature"], kappa=run.params["kappa"], eta=run.params["eta1"],
+            eta2=run.params["eta2"], cutoff=run.params["cutoff"],
+            theta=0.0 if config.endswith("separable") else np.pi / 2,
+        )
+        qfi = [row["qfi"] for row in run.rows if row["config"] == config]
+        target = 0.99 * qfi[-1]
+        i = int(np.nonzero(np.array(qfi) >= target)[0][0])
+        q = lambda t, fam=fam: qfi_spectral(*fam.state_and_derivative(t))  # noqa: E731
+        yield q, times, qfi, i, target, run.params["t_99"][config]
+
+
+def _draw_two_qubit_params(seed):
+    rng = np.random.default_rng(seed)
+    return dict(
+        temperature=rng.uniform(0.3, 1.0), kappa=rng.uniform(0.3, 1.2),
+        eta1=10.0 ** rng.uniform(-2.5, -1.0), eta2=10.0 ** rng.uniform(-2.5, -1.0), n_points=120,
+    )
+
+
+class TestLookaheadBisection:
+    """The t_99 bisection, its values taken in lookahead stacks, takes the
+    steps of the one-point-at-a-time bisection."""
+
+    @pytest.mark.parametrize("seed", [None, *range(4)])
+    def test_matches_the_sequential_bisection(self, seed):
+        params = {} if seed is None else _draw_two_qubit_params(seed)
+        for q, times, qfi, i, target, t99 in two_qubit_searches(**params):
+            calls = []
+
+            def fn(points):
+                calls.append(len(points))
+                return q(points)
+
+            lo, hi = float(times[i - 1]), float(times[i])
+            bracket, steps = sequential_t99_bisection(q, lo, hi, target)
+            assert _t99_bracket(fn, times, qfi, i, target) == bracket
+            assert t99 == 0.5 * sum(bracket)
+            assert len(calls) <= -(-steps // LOOKAHEAD) + 2
+            assert max(calls) <= 2 ** LOOKAHEAD
+
+
+def _with_predictor(monkeypatch, predictor):
+    """Make every lookahead search use ``predictor(step)``'s predictions."""
+    search = experiments._lookahead_search
+    monkeypatch.setattr(
+        experiments, "_lookahead_search",
+        lambda fn, step, state, guess=None: search(fn, step, state, lambda s, v: predictor(step)),
+    )
+
+
+class TestBadPredictors:
+    """A predictor that is always wrong, or random, changes which points are
+    evaluated, never the result, and keeps the call bounds."""
+
+    @staticmethod
+    def predictors(f, seed):
+        rng = np.random.default_rng(seed)
+
+        def wrong(step):  # the branch the step does not take, read off f itself
+            return lambda s: 1 - int(step(s)[1](*(float(f(np.array([p]))[0]) for p in step(s)[0])))
+
+        return {"wrong": wrong, "random": lambda step: lambda s: int(rng.integers(2))}
+
+    @pytest.mark.parametrize("kind", ["wrong", "random"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_golden_section(self, kind, seed, monkeypatch):
+        rng = np.random.default_rng(100 + seed)
+        lo, x0 = rng.uniform(-5.0, 5.0), rng.uniform(0.0, 1.0)
+        hi, w = lo + 10.0 ** rng.uniform(-2.0, 1.0), 10.0 ** rng.uniform(-2.0, 2.0)
+        f = lambda x: 1.0 - w * (x - lo - x0 * (hi - lo)) ** 2  # noqa: E731
+        tol = (hi - lo) * 10.0 ** rng.uniform(-10.0, -2.0)
+        calls = []
+
+        def fn(points):
+            calls.append(len(points))
+            return f(points)
+
+        x_ref, v_ref, steps = sequential_golden_section(lambda x: float(f(x)), lo, hi, tol)
+        _with_predictor(monkeypatch, self.predictors(f, seed)[kind])
+        assert golden_section_max(fn, lo, hi, tol) == (x_ref, v_ref)
+        assert len(calls) <= -(-steps // LOOKAHEAD) + 2
+        assert max(calls) <= 2 ** LOOKAHEAD
+
+    @pytest.mark.parametrize("kind", ["wrong", "random"])
+    def test_bisection(self, kind, monkeypatch):
+        for seed, (q, times, qfi, i, target, _) in enumerate(two_qubit_searches(n_points=120)):
+            calls = []
+
+            def fn(points):
+                calls.append(len(points))
+                return q(points)
+
+            bracket, steps = sequential_t99_bisection(q, float(times[i - 1]), float(times[i]), target)
+            with monkeypatch.context() as m:
+                _with_predictor(m, self.predictors(q, seed)[kind])
+                assert _t99_bracket(fn, times, qfi, i, target) == bracket
+            assert len(calls) <= -(-steps // LOOKAHEAD) + 2
+            assert max(calls) <= 2 ** LOOKAHEAD
+
+
+class TestSearchCallCounts:
+    """Stacked search calls per default request, pinned: the predicted path
+    takes at most half the calls of the full lookahead tree (24, 72, 40)."""
+
+    @pytest.mark.parametrize("run, expected", [
+        (run_kappa_sweep, 8), (run_coherence_parametric, 28), (run_two_qubit_configs, 21),
+    ])
+    def test_default_request(self, run, expected, monkeypatch):
+        search, calls = experiments._lookahead_search, []
+
+        def counted(fn, *args):
+            return search(lambda points: calls.append(len(points)) or fn(points), *args)
+
+        monkeypatch.setattr(experiments, "_lookahead_search", counted)
+        run(workers=1)
+        assert len(calls) == expected
+
+
 class TestThetaScan:
     def test_balanced_preparation_is_best(self, theta_scan_result):
         peaks = {}
@@ -232,7 +371,7 @@ class TestKappaSweep:
 
         times = np.linspace(0.0, 1.0, 21)
         values = [1.0 - (t - 0.52) ** 2 for t in times]
-        golden_section_max(fn, times[9], times[11])
+        golden_section_max(fn, times[9], times[11], known=list(zip(times[9:12], values[9:12])))
         n_golden, calls[:] = len(calls), []
         opt = _refine_max(times, values, fn)
         # the bracket ends come from the grid values; only the search (with
