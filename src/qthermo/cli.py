@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -180,26 +181,34 @@ def _overrides(pairs) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "selftest":
-            ok = run_selftest(out=(lambda *_: None) if args.quiet else print)
-            return 0 if ok else 1
-        sections = parse_config_file(args.config) if args.config else None
-        if args.command == "validate":
-            todo = [s for s in (sections or {}) if s] or list(EXPERIMENTS)
-            for name in todo:
-                resolve(name, sections, _overrides(args.param), args.out)
-            if not args.quiet:
-                print(f"config valid for: {', '.join(todo)}")
-            return 0
-        cfg = resolve(args.command, sections, _overrides(args.param), args.out)
-        return run(cfg, quiet=args.quiet)
-    except QThermoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for klass, code in EXIT_CODES:
-            if isinstance(exc, klass):
-                return code
-        return 1  # pragma: no cover
+    # every warning of the request, each time it is raised, goes to stderr
+    # before any error line, whatever --quiet says
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if args.command == "selftest":
+                ok = run_selftest(out=(lambda *_: None) if args.quiet else print)
+                return 0 if ok else 1
+            sections = parse_config_file(args.config) if args.config else None
+            if args.command == "validate":
+                todo = [s for s in (sections or {}) if s] or list(EXPERIMENTS)
+                for name in todo:
+                    resolve(name, sections, _overrides(args.param), args.out)
+                if not args.quiet:
+                    print(f"config valid for: {', '.join(todo)}")
+                return 0
+            cfg = resolve(args.command, sections, _overrides(args.param), args.out)
+            return run(cfg, quiet=args.quiet)
+        except QThermoError as exc:
+            error = exc
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    for klass, code in EXIT_CODES:
+        if isinstance(error, klass):
+            return code
+    return 1  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

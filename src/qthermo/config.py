@@ -10,10 +10,11 @@ Config grammar (documented in the README):
 
 Precedence: command-line ``--param key=value`` overrides the file, the file
 overrides per-experiment defaults.  An experiment's config keys are the
-keywords of its runner (``experiments.EXPERIMENTS[name].run``), their
-defaults are the runner's and their type tags the entry's ``kinds``;
-defaults reproduce the package's standard parameter sets.  Unknown keys and
-non-finite numbers are rejected.
+keywords of its runner (``experiments.EXPERIMENTS[name].run``) and their
+defaults are the runner's; defaults reproduce the package's standard
+parameter sets.  A key has one config type, the same in every experiment
+that takes it: :data:`KINDS` holds it, and :func:`coerce_value` interprets
+it.  Unknown keys and non-finite numbers are rejected.
 """
 
 from __future__ import annotations
@@ -28,7 +29,16 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .experiments import EXPERIMENTS, MODEL_NAMES
 
-__all__ = ["RunConfig", "parse_config_file", "resolve", "coerce_value"]
+__all__ = ["KINDS", "RunConfig", "parse_config_file", "resolve", "coerce_value"]
+
+#: The config type of every key of every experiment.
+KINDS = {
+    "model": "model", "at": "time_or_steady", "theta": "angle", "theta_list": "angle_list",
+    "kappa_list": "pos_list", **dict.fromkeys(("n_points", "ratio_points", "n_line"), "grid_int"),
+    **dict.fromkeys(("eta", "eta1", "eta2"), "nonneg_float"),
+    **dict.fromkeys(("temperature", "kappa", "cutoff", "t_max"), "pos_float"),
+    **dict.fromkeys(("ratio_min", "ratio_max", "line_t_min", "line_t_max"), "pos_float"),
+}
 
 
 @dataclass
@@ -49,8 +59,10 @@ def _number(raw) -> float:
     return value
 
 
-def coerce_value(key: str, kind: str, raw) -> object:
-    """Coerce and range-check one config value; raw is a string or a number."""
+def coerce_value(key: str, raw) -> object:
+    """Coerce and range-check one value of ``key``, by its kind in
+    :data:`KINDS`; raw is a string or a number."""
+    kind = KINDS[key]
     try:
         if kind == "model":
             value = str(raw).strip()
@@ -71,7 +83,7 @@ def coerce_value(key: str, kind: str, raw) -> object:
                 raise ValueError("must be > 0")
             if kind == "nonneg_float" and value < 0:
                 raise ValueError("must be >= 0")
-            if kind == "angle" and not 0.0 <= value <= np.pi + 1e-12:
+            if kind == "angle" and not 0.0 <= value <= np.pi:
                 raise ValueError("must lie in [0, pi]")
             return value
         if kind == "grid_int":
@@ -79,8 +91,8 @@ def coerce_value(key: str, kind: str, raw) -> object:
             if value != int(value):
                 raise ValueError("must be an integer")
             value = int(value)
-            if value < 2:
-                raise ValueError("must be >= 2")
+            if not 2 <= value <= 100_000:  # a grid's states are held at once
+                raise ValueError("must lie in [2, 100000]")
             return value
         if kind in ("pos_list", "angle_list"):
             items = [p.strip() for p in raw.split(",") if p.strip()] if isinstance(raw, str) else raw
@@ -90,7 +102,7 @@ def coerce_value(key: str, kind: str, raw) -> object:
             for v in values:
                 if kind == "pos_list" and v <= 0:
                     raise ValueError("list entries must be > 0")
-                if kind == "angle_list" and not 0.0 <= v <= np.pi + 1e-12:
+                if kind == "angle_list" and not 0.0 <= v <= np.pi:
                     raise ValueError("list entries must lie in [0, pi]")
             return values
     except ValueError as exc:
@@ -135,13 +147,13 @@ def parse_config_file(path: str) -> dict[str, dict[str, str]]:
 
 @functools.cache
 def _defaults(experiment: str) -> dict:
-    """The runner's keyword defaults of one experiment, coerced as config
-    values are; a default of ``None`` (the runner decides) stays ``None``."""
-    spec = EXPERIMENTS[experiment]
+    """The runner's keyword defaults of one experiment (``workers`` aside),
+    coerced as config values are; a default of ``None`` (the runner decides)
+    stays ``None``."""
     return {
-        key: None if p.default is None else coerce_value(key, spec.kinds[key], p.default)
-        for key, p in inspect.signature(spec.run).parameters.items()
-        if key in spec.kinds
+        key: None if p.default is None else coerce_value(key, p.default)
+        for key, p in inspect.signature(EXPERIMENTS[experiment].run).parameters.items()
+        if key != "workers" and KINDS[key]  # a keyword with no kind raises KeyError here
     }
 
 
@@ -154,9 +166,9 @@ def resolve(
     """Merge the runner's defaults, config file and overrides for one experiment."""
     if experiment not in EXPERIMENTS:
         raise ValidationError("experiment", f"unknown experiment {experiment!r}")
-    kinds = EXPERIMENTS[experiment].kinds
+    defaults = _defaults(experiment)
     # a copy per config: no two configs share a default list
-    options = {key: copy.copy(value) for key, value in _defaults(experiment).items()}
+    options = {key: copy.copy(value) for key, value in defaults.items()}
     resolved_out = "."
 
     def apply(key: str, raw):
@@ -164,9 +176,9 @@ def resolve(
         if key == "out":
             resolved_out = str(raw).strip()
             return
-        if key not in kinds:
+        if key not in defaults:
             raise ValidationError(key, f"unknown key for experiment {experiment!r}")
-        options[key] = coerce_value(key, kinds[key], raw)
+        options[key] = coerce_value(key, raw)
 
     if file_sections:
         # keys outside any section must be valid for the chosen run too

@@ -3,8 +3,8 @@
 Each runner returns a :class:`ScanResult` whose rows are plain dicts in a
 fixed column order, ready for CSV serialization.  :data:`EXPERIMENTS` holds
 one :class:`ExperimentSpec` per CLI experiment: the runner itself, whose
-signature declares the experiment's config keys and their defaults, and the
-type tag of each key.  Runs are deterministic:
+signature declares the experiment's config keys and their defaults, its
+results payload and its plot.  Runs are deterministic:
 there is no randomness anywhere, and sweep points are independent jobs that
 a thread pool may execute in any order without changing the assembled
 output.
@@ -18,7 +18,6 @@ finite difference: closed forms and central differences are test oracles.
 
 from __future__ import annotations
 
-import inspect
 import math
 import operator
 import os
@@ -102,23 +101,14 @@ class ScanResult:
 class ExperimentSpec:
     """One CLI experiment.  ``run`` is its runner: the config keys are the
     runner's keywords (``workers`` aside) and their defaults are the
-    signature's.  ``kinds`` maps each of those keywords to its config type
-    tag; ``results`` turns what ``run`` returned into the scan and the
+    signature's; each key's config type is ``config.KINDS``'s, one per key
+    name.  ``results`` turns what ``run`` returned into the scan and the
     summary's results payload; ``plot`` names the gnuplot (x, y, group)
     columns, ``None`` for none."""
 
     run: Callable[..., object]
-    kinds: dict[str, str]
     results: Callable[[object], tuple[ScanResult, dict]]
     plot: tuple[str | None, str | None, str | None] = (None, None, None)
-
-    def __post_init__(self):
-        keywords = set(inspect.signature(self.run).parameters) - {"workers"}
-        missing, extra = sorted(keywords - set(self.kinds)), sorted(set(self.kinds) - keywords)
-        if missing or extra:
-            raise TypeError(
-                f"kinds of {self.run.__name__} must name its keywords: missing {missing}, extra {extra}"
-            )
 
 
 @dataclass(frozen=True)
@@ -763,57 +753,28 @@ def run_qfi_point(
     return ScanResult("qfi_point", params, ("at",) + _RECORD_COLUMNS, rows)
 
 
-_BATH_KINDS = {"temperature": "pos_float", "eta": "nonneg_float", "cutoff": "pos_float"}
-_MODEL_KINDS = {
-    "model": "model", **_BATH_KINDS, "eta2": "nonneg_float", "kappa": "pos_float", "theta": "angle",
-}
-_GRID_KINDS = {"t_max": "pos_float", "n_points": "grid_int"}
-
 EXPERIMENTS: dict[str, ExperimentSpec] = {
-    "theta_scan": ExperimentSpec(
-        run_theta_scan,
-        {"theta_list": "angle_list", **_BATH_KINDS, "kappa": "pos_float", **_GRID_KINDS},
-        _theta_scan_results, ("t", "qfi", "theta"),
-    ),
+    "theta_scan": ExperimentSpec(run_theta_scan, _theta_scan_results, ("t", "qfi", "theta")),
     "direct_vs_ancilla": ExperimentSpec(
-        run_direct_vs_ancilla,
-        {**_BATH_KINDS, "kappa": "pos_float", "theta": "angle", **_GRID_KINDS},
-        _direct_vs_ancilla_results, ("t", "qfi", "scheme"),
+        run_direct_vs_ancilla, _direct_vs_ancilla_results, ("t", "qfi", "scheme")
     ),
-    "kappa_sweep": ExperimentSpec(
-        run_kappa_sweep,
-        {"kappa_list": "pos_list", **_BATH_KINDS, "theta": "angle", **_GRID_KINDS},
-        _kappa_sweep_results, ("t", "qfi", "kappa"),
-    ),
+    "kappa_sweep": ExperimentSpec(run_kappa_sweep, _kappa_sweep_results, ("t", "qfi", "kappa")),
     "coherence_parametric": ExperimentSpec(
         run_coherence_parametric,
-        {"kappa_list": "pos_list", **_BATH_KINDS, "theta": "angle", **_GRID_KINDS},
         lambda scan: (scan, {"parametric": scan.rows}), ("max_coherence", "qsnr_opt", None),
     ),
     "two_qubit_configs": ExperimentSpec(
         run_two_qubit_configs,
-        {
-            "temperature": "pos_float", "kappa": "pos_float", "eta1": "nonneg_float",
-            "eta2": "nonneg_float", "cutoff": "pos_float", **_GRID_KINDS,
-        },
         lambda scan: (scan, {"steady_qfi": scan.params["steady_qfi"], "t_99": scan.params["t_99"]}),
         ("t", "qfi", "config"),
     ),
     "steady_qsnr": ExperimentSpec(
         run_steady_qsnr_curve,
-        {
-            "ratio_min": "pos_float", "ratio_max": "pos_float", "ratio_points": "grid_int",
-            "n_line": "grid_int", "line_t_min": "pos_float", "line_t_max": "pos_float",
-        },
         lambda scan: (scan, {k: scan.params[k] for k in ("located_max", "root_condition")}),
         ("ratio", "qsnr", None),
     ),
     "evolve": ExperimentSpec(
-        run_evolve, {**_MODEL_KINDS, **_GRID_KINDS},
-        lambda scan: (scan, {"final_row": scan.rows[-1]}), ("t", "coherence_abs", None),
+        run_evolve, lambda scan: (scan, {"final_row": scan.rows[-1]}), ("t", "coherence_abs", None)
     ),
-    "qfi_point": ExperimentSpec(
-        run_qfi_point, {**_MODEL_KINDS, "at": "time_or_steady"},
-        lambda scan: (scan, {"record": scan.rows[0]}),
-    ),
+    "qfi_point": ExperimentSpec(run_qfi_point, lambda scan: (scan, {"record": scan.rows[0]})),
 }

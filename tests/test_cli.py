@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 import qthermo
 from qthermo import experiments
 from qthermo.cli import _fmt, build_parser, main, write_csv
-from qthermo.config import parse_config_file, resolve
+from qthermo.config import KINDS, parse_config_file, resolve
 from qthermo.errors import ParseError, ValidationError
 
 
@@ -67,6 +68,37 @@ class TestConfig:
     def test_grid_int_rejects_fraction(self):
         with pytest.raises(ValidationError, match="n_points"):
             resolve("evolve", None, {"n_points": "10.5"})
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("theta_scan", "n_points"), ("evolve", "n_points"), ("steady_qsnr", "ratio_points"),
+        ("steady_qsnr", "n_line"),
+    ])
+    def test_grid_int_ceiling(self, experiment, key, tmp_path, capsys):
+        # a grid's states are held at once: sizes above 100000 are refused
+        # before any array is allocated
+        assert resolve(experiment, None, {key: "100000"}).options[key] == 100000
+        for value in ("100001", "1e20"):
+            with pytest.raises(ValidationError, match=key):
+                resolve(experiment, None, {key: value})
+            argv = [experiment, "--out", str(tmp_path), "--quiet", "--param", f"{key}={value}"]
+            assert main(argv) == 3
+            assert f"{key}: must lie in [2, 100000]" in capsys.readouterr().err
+
+    def test_angles_lie_in_closed_zero_pi(self, tmp_path, capsys):
+        # every model rejects theta > pi, so the validator does too
+        path = tmp_path / "angles.cfg"
+        body = {"direct_vs_ancilla": "theta = 3.14159265359", "theta_scan": "theta_list = 0, 3.14159265359"}
+        path.write_text("".join(f"[{name}]\n{line}\n" for name, line in body.items()))
+        assert main(["validate", "--config", str(path), "--quiet"]) == 3
+        assert "theta:" in capsys.readouterr().err
+        path.write_text(f"[theta_scan]\n{body['theta_scan']}\n")
+        assert main(["validate", "--config", str(path), "--quiet"]) == 3
+        assert "theta_list:" in capsys.readouterr().err
+        pi = repr(np.pi)
+        assert resolve("direct_vs_ancilla", None, {"theta": pi}).options["theta"] == np.pi
+        assert resolve("theta_scan", None, {"theta_list": f"0, {pi}"}).options["theta_list"] == [0.0, np.pi]
+        argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", f"theta={pi}"]
+        assert main(argv + ["--param", "at=1"]) == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -233,9 +265,26 @@ class TestMain:
         # basis still measures, and FI > QFI is a resolution limit
         argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", "model=two_qubit_common",
                 "--param", "eta2=0.05", "--param", "kappa=1", "--param", "temperature=0.07"]
-        with pytest.warns(UserWarning, match="boundary-of-support"):
+        assert main(argv) == 17
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: spectral QFI dropped a boundary-of-support term")
+        assert err[-1].startswith("error: ") and "exceeds QFI" in err[-1]
+
+    def test_warning_printed_on_every_request(self, tmp_path, capsys):
+        # perfbench point queries seed 1 #138: the same warning, raised from
+        # the same line, reaches stderr on each request, with no source path
+        argv = ["qfi_point", "--out", str(tmp_path), "--quiet", "--param", "at=steady",
+                "--param", "model=two_qubit_common", "--param", "temperature=0.0904707",
+                "--param", "kappa=1.33478", "--param", "theta=1.37929",
+                "--param", "eta=0.00917723", "--param", "eta2=0.0162549"]
+        lines = []
+        for _ in range(2):
             assert main(argv) == 17
-        assert "exceeds QFI" in capsys.readouterr().err
+            warned = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning: ")]
+            assert len(warned) == 1 and ".py:" not in warned[0]
+            lines += warned
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("warning: spectral QFI dropped a boundary-of-support term")
 
     @pytest.mark.parametrize("params, population", [
         # perfbench point queries seed 4 #156 and seed 19 #256, next to the
@@ -392,16 +441,16 @@ def test_registry_entry(name, tmp_path, monkeypatch):
     assert set(named) <= set(header)
 
 
-def test_spec_kinds_name_exactly_the_runner_keywords():
-    def run(a_list=(1.0,), *, b=2.0, workers=None):
+def test_kinds_type_exactly_the_runner_keywords(monkeypatch):
+    # one kind per key name: no runner keyword untyped, no kind unused
+    keywords = set().union(
+        *(inspect.signature(spec.run).parameters for spec in experiments.EXPERIMENTS.values())
+    )
+    assert keywords - {"workers"} == set(KINDS)
+
+    def run(kappa_list=(1.0,), *, untyped_key=2.0, workers=None):
         return None
 
-    def results(out):
-        return out, {}
-
-    spec = experiments.ExperimentSpec(run, {"a_list": "pos_list", "b": "pos_float"}, results)
-    assert spec.run is run  # workers needs no kind: it is not a config key
-    with pytest.raises(TypeError, match=r"missing \['b'\], extra \[\]"):
-        experiments.ExperimentSpec(run, {"a_list": "pos_list"}, results)
-    with pytest.raises(TypeError, match=r"missing \[\], extra \['c'\]"):
-        experiments.ExperimentSpec(run, {"a_list": "pos_list", "b": "pos_float", "c": "angle"}, results)
+    monkeypatch.setitem(experiments.EXPERIMENTS, "untyped_toy", experiments.ExperimentSpec(run, None))
+    with pytest.raises(KeyError, match="untyped_key"):
+        resolve("untyped_toy")
