@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, parse_config_file, resolve
+from .config import RunConfig, parse_config_file, resolve, validate
 from .errors import (
     BadDimension,
     NegativeFrequency,
@@ -190,23 +190,24 @@ def main(argv=None) -> int:
                 ok = run_selftest(out=(lambda *_: None) if args.quiet else print)
                 return 0 if ok else 1
             sections = parse_config_file(args.config) if args.config else None
-            if args.command == "validate":
-                todo = [s for s in (sections or {}) if s] or list(EXPERIMENTS)
-                for name in todo:
-                    resolve(name, sections, _overrides(args.param), args.out)
+            if args.command != "validate":
+                cfg = resolve(args.command, sections, _overrides(args.param), args.out)
+                return run(cfg, quiet=args.quiet)
+            valid, failures = validate(sections, _overrides(args.param))
+            if not failures:
                 if not args.quiet:
-                    print(f"config valid for: {', '.join(todo)}")
+                    print(f"config valid for: {', '.join(valid)}")
                 return 0
-            cfg = resolve(args.command, sections, _overrides(args.param), args.out)
-            return run(cfg, quiet=args.quiet)
+            errors = [(f"[{name}] {exc}", exc) for name, exc in failures.items()]
         except QThermoError as exc:
-            error = exc
+            errors = [(str(exc), exc)]
         finally:
             for warning in caught:
                 print(f"warning: {warning.message}", file=sys.stderr)
-    print(f"error: {error}", file=sys.stderr)
+    for message, _ in errors:
+        print(f"error: {message}", file=sys.stderr)
     for klass, code in EXIT_CODES:
-        if isinstance(error, klass):
+        if isinstance(errors[0][1], klass):
             return code
     return 1  # pragma: no cover
 

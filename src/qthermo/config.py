@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .experiments import EXPERIMENTS, MODEL_NAMES
 
-__all__ = ["KINDS", "RunConfig", "parse_config_file", "resolve", "coerce_value"]
+__all__ = ["KINDS", "RunConfig", "parse_config_file", "resolve", "validate", "coerce_value"]
 
 #: The config type of every key of every experiment.
 KINDS = {
@@ -190,3 +190,25 @@ def resolve(
     if out_dir is not None:
         resolved_out = out_dir
     return RunConfig(experiment=experiment, options=options, out_dir=resolved_out)
+
+
+def validate(file_sections: dict | None = None, overrides: dict | None = None) -> tuple[list, dict]:
+    """The experiments a config is valid for, and the error of each it fails
+    for: a file's sections (every experiment if it has none), or without a
+    file those whose runners take an override's key (every one without
+    overrides); a key that none takes, or a value its kind rejects, raises."""
+    todo = [name for name in file_sections or {} if name] or list(EXPERIMENTS)
+    if file_sections is None:
+        keys = [key for key in overrides or {} if key != "out"]
+        for key in keys:
+            if not any(key in _defaults(name) for name in EXPERIMENTS):
+                raise ValidationError(key, "unknown key for every experiment")
+            coerce_value(key, overrides[key])  # then every experiment taking it resolves
+        return [name for name in todo if any(key in _defaults(name) for key in keys)] or todo, {}
+    failures = {}
+    for name in todo:
+        try:
+            resolve(name, file_sections, overrides)
+        except ValidationError as exc:
+            failures[name] = exc
+    return [name for name in todo if name not in failures], failures

@@ -1,8 +1,8 @@
 """Exact time evolution under a fixed Liouvillian (at most 16x16), up to and
 including t = inf, with exact temperature derivatives.
 
-Every propagation diagonalises the generator once, ``L = V diag(lam) V^-1``,
-and takes all requested times from that as one validated ``(n_t, d, d)``
+Each generator is diagonalised once, ``L = V diag(lam) V^-1``, for all its
+initial states and times; a grid's states are one validated ``(n_t, d, d)``
 stack: ``vec rho(t) = V (e * c)``, ``e = exp(lam t)``, ``c = V^-1 vec(rho0)``.
 
 Only the bath occupations depend on T, so ``build_liouvillian`` also builds
@@ -30,6 +30,8 @@ gives the derivative.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -67,29 +69,40 @@ def _states(vecs: np.ndarray) -> np.ndarray:
 
 
 class _Evolution:
-    """States of ``rho0`` at any times up to ``inf``, with their exact
-    temperature derivatives, from one decomposition of the generator."""
+    """States of ``rho0`` up to ``t = inf`` and their exact temperature
+    derivatives, from one decomposition of L, which :meth:`prepared` shares."""
 
     def __init__(self, liouvillian: Liouvillian, rho0: np.ndarray):
         self.superop = liouvillian.superop
         self.d_superop = liouvillian.d_superop
-        self.v0 = vec(rho0)
-        self.spectral = None  # (V, c, Y, z) of a decomposition that passes both tests
+        self.basis = None  # (V, V^-1, gap, equal, V^-1 dL/dT V) if both tests pass
         lam, v = np.linalg.eig(self.superop)
         # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
         lam[np.abs(lam) <= EQUAL_EIG_TOL * np.max(np.abs(lam))] = 0.0
         self.lam = lam
-        self.excited = np.ones(len(lam), dtype=bool)  # without a decomposition, every mode
-        if not np.linalg.cond(v) <= SPECTRAL_COND_MAX:
+        if np.linalg.cond(v) <= SPECTRAL_COND_MAX:
+            v_inv = np.linalg.inv(v)
+            residual = np.max(np.abs((v * lam) @ v_inv - self.superop))
+            if residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(self.superop)):
+                gap = np.subtract.outer(lam, lam)
+                equal = np.abs(gap) <= EQUAL_EIG_TOL * np.max(np.abs(lam))
+                self.basis = (v, v_inv, gap, equal, v_inv @ self.d_superop @ v)
+        self._prepare(rho0)
+
+    def prepared(self, rho0: np.ndarray) -> _Evolution:
+        """The evolution of ``rho0`` under the same generator."""
+        evolution = copy.copy(self)
+        evolution._prepare(rho0)
+        return evolution
+
+    def _prepare(self, rho0):
+        self.v0 = vec(rho0)
+        self.spectral = None  # (V, c, Y, z) of a decomposition that passes both tests
+        self.excited = np.ones(len(self.lam), dtype=bool)  # without a decomposition, every mode
+        if self.basis is None:
             return
-        v_inv = np.linalg.inv(v)
-        residual = np.max(np.abs((v * lam) @ v_inv - self.superop))
-        if not residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(self.superop)):
-            return
+        lam, (v, v_inv, gap, equal, x) = self.lam, self.basis
         c = v_inv @ self.v0
-        gap = np.subtract.outer(lam, lam)
-        equal = np.abs(gap) <= EQUAL_EIG_TOL * np.max(np.abs(lam))
-        x = v_inv @ self.d_superop @ v
         xc = x * c
         # the conserved quantities (the left null space) do not depend on T
         xc[lam == 0] = 0.0

@@ -9,21 +9,24 @@ there is no randomness anywhere, and sweep points are independent jobs that
 a thread pool may execute in any order without changing the assembled
 output.
 
-Each job builds one model, one Liouvillian with its closed-form ``dL/dT``
-and one initial state; :class:`TemperatureFamily` takes the states and their
-exact temperature derivatives from them, a time grid's as one stack each,
-and the grid's records are computed on whole stacks.  No experiment takes a
+Each job builds one model and one initial state, and one Liouvillian with
+its closed-form ``dL/dT`` per distinct generator: preparations of one
+generator share it and its decomposition (:meth:`TemperatureFamily.prepared`).
+:class:`TemperatureFamily` takes the states and their exact temperature
+derivatives from them, a time grid's as one stack each, and the grid's
+records are computed on whole stacks.  No experiment takes a
 finite difference: closed forms and central differences are test oracles.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -282,9 +285,18 @@ class TemperatureFamily:
         # every bath of a model sits at the one temperature under estimation
         self.temperature = float(coupling_operators(model)[0][1].temperature)
         self.liouvillian = build_liouvillian(model)
-        self.rho0 = initial_state(model)
+        self.model, self.rho0 = model, initial_state(model)
         self._evolution = _Evolution(self.liouvillian, self.rho0)
         self._has_ancilla = isinstance(model, ProbeAncillaModel)
+
+    def prepared(self, theta: float) -> TemperatureFamily:
+        """This model's family prepared at angle ``theta``, which enters only
+        the initial state: the Liouvillian and its decomposition are shared."""
+        family = copy.copy(self)
+        family.model = replace(self.model, theta=theta)
+        family.rho0 = initial_state(family.model)
+        family._evolution = self._evolution.prepared(family.rho0)
+        return family
 
     def _project(self, rho):
         return partial_trace(rho, keep=1) if self._has_ancilla else rho
@@ -409,11 +421,9 @@ def run_theta_scan(
         t_max=t_max, n_points=n_points,
     )
 
-    def one(theta):
-        fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta)
-        return fam.records(times)
-
-    rows = _grid_rows("theta", params["theta_list"], parallel_map(one, theta_list, workers))
+    fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff)
+    grids = parallel_map(lambda theta: fam.prepared(theta).records(times), theta_list, workers)
+    rows = _grid_rows("theta", params["theta_list"], grids)
     return ScanResult("theta_scan", params, ("theta", "t") + _RECORD_COLUMNS, rows)
 
 
@@ -617,12 +627,14 @@ def run_two_qubit_configs(
         eta1=eta1, eta2=eta2, cutoff=cutoff, t_max=t_max, n_points=n_points,
     )
 
+    baths = {
+        bath: _family(f"two_qubit_{bath}", temperature, kappa=kappa, eta=eta1, eta2=eta2, cutoff=cutoff)
+        for bath in ("local", "common")
+    }
+
     def one(config):
-        fam = _family(
-            "two_qubit_local" if config.startswith("local") else "two_qubit_common",
-            temperature, kappa=kappa, eta=eta1, eta2=eta2, cutoff=cutoff,
-            theta=0.0 if config.endswith("separable") else np.pi / 2,
-        )
+        bath, preparation = config.split("_")
+        fam = baths[bath].prepared(0.0 if preparation == "separable" else np.pi / 2)
         recs = fam.records(times)
         f_ss = recs["qfi"][-1]
         target = 0.99 * f_ss

@@ -297,9 +297,9 @@ def measurement_fi(observable: np.ndarray, rho: np.ndarray, drho: np.ndarray):
     if hermiticity_defect(x) > 1e-10:
         raise NonHermitianInput("observable must be Hermitian")
     rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
-    mean = np.trace(rho @ x, axis1=-2, axis2=-1).real
-    var = np.trace(rho @ (x @ x), axis1=-2, axis2=-1).real - mean * mean
-    dmean = np.trace(drho @ x, axis1=-2, axis2=-1).real
+    mean = np.einsum("...ij,ji->...", rho, x).real
+    var = np.einsum("...ij,ji->...", rho, x @ x).real - mean * mean
+    dmean = np.einsum("...ij,ji->...", drho, x).real
     f = np.divide(dmean * dmean, var, out=np.zeros_like(var), where=var > 1e-14)
     return float(f) if f.ndim == 0 else f
 

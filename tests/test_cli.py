@@ -357,6 +357,36 @@ class TestMain:
         out = capsys.readouterr().out
         assert "steady_qsnr" in out
 
+    @pytest.mark.parametrize("key, value, takers", [
+        ("kappa", "0.5", ["theta_scan", "direct_vs_ancilla", "two_qubit_configs", "evolve", "qfi_point"]),
+        ("ratio_points", "5", ["steady_qsnr"]),
+    ])
+    def test_validate_override_checks_the_experiments_taking_it(self, key, value, takers, capsys):
+        assert main(["validate", "--param", f"{key}={value}"]) == 0
+        assert capsys.readouterr().out == f"config valid for: {', '.join(takers)}\n"
+
+    @pytest.mark.parametrize("param, message", [
+        ("nonsense=1", "error: nonsense: unknown key for every experiment\n"),
+        ("kappa=-1", "error: kappa: must be > 0\n"),
+        ("ratio_points=1.5", "error: ratio_points: must be an integer\n"),
+    ])
+    def test_validate_override_no_experiment_accepts(self, param, message, capsys):
+        assert main(["validate", "--param", param]) == 3
+        assert capsys.readouterr().err == message
+
+    def test_validate_names_every_failing_section(self, tmp_path, capsys):
+        path = tmp_path / "two.cfg"
+        path.write_text(
+            "[direct_vs_ancilla]\ntheta = 4\n[qfi_point]\nkappa = 0.6\n[theta_scan]\ntheta_list = 0, 4\n"
+        )
+        assert main(["validate", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: [direct_vs_ancilla] theta: must lie in [0, pi]\n"
+            "error: [theta_scan] theta_list: list entries must lie in [0, pi]\n"
+        )
+
     def test_selftest_subcommand(self):
         assert main(["selftest", "--quiet"]) == 0
 

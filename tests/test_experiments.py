@@ -663,3 +663,59 @@ class TestClosedFormRegressions:
             theta=0.202607, eta=0.0216013, eta2=0.0500739,
         ).rows[0]
         self.assert_rel(row["qfi"], steady_qfi(kappa, temperature), 1e-5)
+
+
+class TestSharedGenerator:
+    """A preparation sweep builds one generator per bath and gets the bits
+    of families built one by one."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return build_liouvillian(model)
+
+        monkeypatch.setattr(experiments, "build_liouvillian", counted)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_theta_scan(self, monkeypatch, workers):
+        calls = self.count_builds(monkeypatch)
+        scan = run_theta_scan(n_points=60, workers=workers)
+        assert len(calls) == 1
+        times = np.linspace(0.0, 50.0, 60)
+        grids = [
+            TemperatureFamily(make_model(
+                "probe_ancilla", temperature=0.4, eta=0.01, cutoff=10.0, kappa=0.8, theta=theta,
+            )).records(times)
+            for theta in experiments.DEFAULT_THETAS
+        ]
+        assert scan.rows == experiments._grid_rows("theta", scan.params["theta_list"], grids)
+
+    def test_two_qubit_configs(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        scan = run_two_qubit_configs(n_points=40, workers=1)
+        assert len(calls) == 2
+        times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 39)])
+        grids = [
+            TemperatureFamily(make_model(
+                f"two_qubit_{config.split('_')[0]}", temperature=0.4, kappa=0.6, eta=0.01,
+                eta2=0.05, cutoff=10.0, theta=0.0 if config.endswith("separable") else np.pi / 2,
+            )).records(times)
+            for config in TWO_QUBIT_CONFIGS
+        ]
+        assert scan.rows == experiments._grid_rows("config", TWO_QUBIT_CONFIGS, grids)
+
+    def test_prepared_family_shares_the_generator(self):
+        fam = pa_family(0.8, theta=0.0)
+        other = fam.prepared(np.pi / 3)
+        assert other.liouvillian is fam.liouvillian
+        assert other._evolution.basis is fam._evolution.basis
+        assert other.model.theta == np.pi / 3 and fam.model.theta == 0.0
+        alone = pa_family(0.8, theta=np.pi / 3)
+        for got, want in zip(other.state_and_derivative(7.5), alone.state_and_derivative(7.5)):
+            assert np.array_equal(got, want)
+        with pytest.raises(ValidationError, match="theta"):
+            fam.prepared(4.0)

@@ -376,6 +376,25 @@ class TestStacks:
         assert measurement_fi(pauli("x"), rho, drho)[3] == 0.0
         assert measurement_fi(identity(2), rho, drho).tolist() == [0.0] * 6
 
+    def test_measurement_fi_of_sigma_x_keeps_the_trace_form_bits(self, rng):
+        # sigma_x's entries are 0 and 1, so each trace is the same sum of exact
+        # products as Tr(rho @ x) in every form
+        def trace_form(x, rho, drho):
+            mean = np.trace(rho @ x, axis1=-2, axis2=-1).real
+            var = np.trace(rho @ (x @ x), axis1=-2, axis2=-1).real - mean * mean
+            dmean = np.trace(drho @ x, axis1=-2, axis2=-1).real
+            return np.divide(dmean * dmean, var, out=np.zeros_like(var), where=var > 1e-14)
+
+        for _ in range(200):
+            n = int(rng.integers(1, 600))
+            a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+            rho = a @ a.conj().transpose(0, 2, 1)
+            rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+            drho = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+            drho = drho + drho.conj().transpose(0, 2, 1)
+            got = measurement_fi(pauli("x"), rho, drho)
+            assert got.tolist() == trace_form(pauli("x"), rho, drho).tolist()
+
     def test_cfi_povm_per_distribution(self, rng):
         p = rng.dirichlet(np.ones(4), size=5)
         dp = rng.normal(size=(5, 4))

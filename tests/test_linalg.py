@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qthermo.errors import BadDimension, NonHermitianInput, PositivityViolation
+from qthermo.errors import BadDimension, NonFinite, NonHermitianInput, PositivityViolation
 from qthermo.linalg import (
+    dag,
     choi_matrix,
     eig_hermitian,
     expm,
@@ -271,6 +272,17 @@ class TestStacks:
             validate_density_matrix, stack[1, 1]
         )
 
+    def test_no_eigenvalues_for_a_trace_only_check(self, rng, monkeypatch):
+        def refuse(_):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        stack = np.array([random_density(rng, 4) for _ in range(5)])
+        stack[2] = np.diag([1.2, -0.2, 0.0, 0.0])
+        assert validate_density_matrix(stack, herm_tol=np.inf, eig_floor=-np.inf) is stack
+        good = stack[:2]
+        assert validate_density_matrix(good) is good  # the gate passes it unaided
+
     def test_partial_trace_per_state(self, rng):
         stack = np.array([random_density(rng, 4) for _ in range(7)])
         for keep in (1, 2):
@@ -298,3 +310,84 @@ class TestStacks:
         stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
         vecs = np.array([vec(m) for m in stack])
         assert np.array_equal(unvec(vecs), stack)
+
+
+def _eigenvalue_check(rho, herm_tol=1e-12, trace_tol=1e-10, eig_floor=-1e-10):
+    """``validate_density_matrix`` as it was before the Cholesky gate:
+    positivity by the minimum eigenvalue of every state."""
+    rho = np.asarray(rho, dtype=complex)
+    head = rho
+    if not np.isfinite(rho).all():
+        finite = np.isfinite(rho).all(axis=(-2, -1)).reshape(-1)
+        head = rho.reshape(-1, *rho.shape[-2:])[: int(np.argmin(finite))]
+    adj = dag(head)
+    defect = np.abs(head - adj).max(axis=(-2, -1))
+    tr_dev = np.abs(head.diagonal(0, -2, -1).sum(-1) - 1.0)
+    lam_min = np.linalg.eigvalsh(0.5 * (head + adj)).min(axis=-1)
+    bad = np.ravel((defect > herm_tol) | (tr_dev > trace_tol) | (lam_min < eig_floor))
+    if bad.any():
+        k = int(np.argmax(bad))
+        defect, tr_dev, lam_min = (float(np.ravel(x)[k]) for x in (defect, tr_dev, lam_min))
+        if defect > herm_tol:
+            raise NonHermitianInput(f"hermiticity defect {defect:.3e} > {herm_tol:.1e}")
+        if tr_dev > trace_tol:
+            raise PositivityViolation(f"trace deviates from 1 by {tr_dev:.3e}")
+        raise PositivityViolation(f"minimum eigenvalue {lam_min:.3e} < {eig_floor:.1e}")
+    if head is not rho:
+        raise NonFinite("density matrix has non-finite entries")
+    return rho
+
+
+def _near_floor(rng, dim, floor, sign):
+    """Hermitian unit-trace state whose minimum eigenvalue is ``floor`` plus
+    (``sign`` +1) or minus (-1) a log-uniform offset in [1e-14, 1e-6]."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    low = floor + sign * 10.0 ** rng.uniform(-14.0, -6.0)
+    lam = np.concatenate([[low], (1.0 - low) * rng.dirichlet(np.ones(dim - 1))])
+    rho = (q * lam) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _verdict(check, rho, eig_floor):
+    try:
+        check(rho, eig_floor=eig_floor)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestPositivityGate:
+    """The Cholesky gate decides exactly what the eigenvalue test decides."""
+
+    FLOORS = [-1e-8, -1e-10]  # the propagated states' floor, and the default
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_single_states_at_the_floor(self, rng, dim, floor):
+        verdicts = set()
+        for sign in (1, -1) * 150:
+            rho = _near_floor(rng, dim, floor, sign)
+            expected = _verdict(_eigenvalue_check, rho, floor)
+            assert _verdict(validate_density_matrix, rho, floor) == expected
+            verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_offender_anywhere_in_a_stack(self, rng, dim, floor, k):
+        for _ in range(20):
+            stack = np.array([_near_floor(rng, dim, floor, 1) for _ in range(7)])
+            stack[k] = _near_floor(rng, dim, floor, -1)
+            expected = _verdict(_eigenvalue_check, stack, floor)
+            assert _verdict(validate_density_matrix, stack, floor) == expected
+
+    @pytest.mark.parametrize("floor", FLOORS)
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_finite_state_after_a_bad_one(self, rng, dim, floor):
+        stack = np.array([_near_floor(rng, dim, floor, 1) for _ in range(6)])
+        stack[4, 0, 0] = np.nan
+        assert _verdict(validate_density_matrix, stack, floor)[0] is NonFinite
+        stack[2] = _near_floor(rng, dim, floor, -1)
+        expected = _verdict(_eigenvalue_check, stack, floor)
+        assert _verdict(validate_density_matrix, stack, floor) == expected
