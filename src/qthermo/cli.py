@@ -11,6 +11,7 @@ import os
 import sys
 import time
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -58,18 +59,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@functools.cache
-def _row_format(types: tuple[type, ...]) -> str:
-    """``%`` format of a CSV row whose values have these types: ``_fmt``'s rule."""
-    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+#: Rows of a CSV body formatted by one ``%`` and written by one ``write``.
+_CSV_CHUNK = 4096
 
 
-def write_csv(path: str, columns, rows) -> None:
+def write_csv(path: str, columns, data) -> None:
+    """Write the table ``data`` (column name -> list of values) in the order
+    ``columns``, each value by ``_fmt``'s rule.  A column of plain floats is
+    formatted by its chunk's ``%``, any other column value by value first."""
+    fields, cols = [], []
+    for name in columns:
+        col = data[name]
+        plain = set(map(type, col)) == {float}
+        fields.append("%.17g" if plain else "%s")
+        cols.append(col if plain else list(map(_fmt, col)))
+    line = ",".join(fields) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            values = tuple(map(row.__getitem__, columns))
-            fh.write(_row_format(tuple(map(type, values))) % values)
+        for start in range(0, len(cols[0]), _CSV_CHUNK):
+            chunk = [col[start : start + _CSV_CHUNK] for col in cols]
+            fh.write(line * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 
 def _json_default(obj):
@@ -81,12 +90,12 @@ def _json_default(obj):
 
 
 def write_summary(path: str, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def write_gnuplot(path: str, experiment: str, csv_name: str, columns, rows) -> None:
+def write_gnuplot(path: str, experiment: str, csv_name: str, columns, data) -> None:
     xcol, ycol, group = EXPERIMENTS[experiment].plot
     lines = [
         f"# gnuplot companion for the {experiment} data file",
@@ -102,12 +111,8 @@ def write_gnuplot(path: str, experiment: str, csv_name: str, columns, rows) -> N
             lines.append(f"plot '{csv_name}' using {xi}:{yi} with linespoints title '{ycol}'")
         else:
             gi = columns.index(group) + 1
-            seen = []
-            for row in rows:
-                if row[group] not in seen:
-                    seen.append(row[group])
             parts = []
-            for val in seen:
+            for val in dict.fromkeys(data[group]):
                 if isinstance(val, str):
                     cond = f"strcol({gi}) eq '{val}'"
                 else:
@@ -128,8 +133,8 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     base = os.path.join(cfg.out_dir, cfg.experiment)
     csv_path = base + ".csv"
-    write_csv(csv_path, scan.columns, scan.rows)
-    write_gnuplot(base + ".gp", cfg.experiment, os.path.basename(csv_path), scan.columns, scan.rows)
+    write_csv(csv_path, scan.columns, scan.data)
+    write_gnuplot(base + ".gp", cfg.experiment, os.path.basename(csv_path), scan.columns, scan.data)
     payload = {
         "experiment": cfg.experiment,
         "version": __version__,
@@ -140,7 +145,7 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     }
     write_summary(base + ".summary.json", payload)
     if not quiet:
-        print(f"{cfg.experiment}: {len(scan.rows)} rows -> {csv_path}")
+        print(f"{cfg.experiment}: {len(scan.data[scan.columns[0]])} rows -> {csv_path}")
     return 0
 
 

@@ -1,13 +1,13 @@
 """Scripted scan runners producing the package's standard data products.
 
-Each runner returns a :class:`ScanResult` whose rows are plain dicts in a
-fixed column order, ready for CSV serialization.  :data:`EXPERIMENTS` holds
-one :class:`ExperimentSpec` per CLI experiment: the runner itself, whose
-signature declares the experiment's config keys and their defaults, its
-results payload and its plot.  Runs are deterministic:
-there is no randomness anywhere, and sweep points are independent jobs that
-a thread pool may execute in any order without changing the assembled
-output.
+Each runner returns a :class:`ScanResult` whose table is held as columns:
+one list of values per column name, in a fixed column order, ready for CSV
+serialization.  :data:`EXPERIMENTS` holds one :class:`ExperimentSpec` per
+CLI experiment: the runner itself, whose signature declares the
+experiment's config keys and their defaults, its results payload and its
+plot.  Runs are deterministic: there is no randomness anywhere, and sweep
+points are independent jobs that a thread pool may execute in any order
+without changing the assembled output.
 
 Each job builds one model and one initial state, and one Liouvillian with
 its closed-form ``dL/dT`` per distinct generator: preparations of one
@@ -27,11 +27,12 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .closed_forms import optimal_ratio, steady_qsnr
-from .errors import NoConvergence, NonPositiveInput, ResolutionLimit, ValidationError
+from .errors import BadDimension, NoConvergence, NonPositiveInput, ResolutionLimit, ValidationError
 from .fisher import cfi_povm, measurement_fi, qfi_spectral, qsnr, qubit_qfi
 from .linalg import partial_trace, pauli
 from .master_equation import build_liouvillian
@@ -87,17 +88,33 @@ _TQ_BASIS = np.array(
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Output table of one experiment: column order, rows, and the complete
-    resolved parameter set needed to reproduce the run."""
+    """Output table of one experiment: column order, one equally long list
+    of values per column, and the complete resolved parameter set needed to
+    reproduce the run."""
 
     label: str
     params: dict
     columns: tuple[str, ...]
-    rows: list[dict]
+    data: dict[str, list]
 
     def __post_init__(self):
-        if not self.rows:
+        lengths = {len(col) for col in self.data.values()}
+        if sorted(self.data) != sorted(self.columns) or len(lengths) != 1:
+            raise BadDimension(
+                f"experiment {self.label!r}: table columns {list(self.data)} with lengths "
+                f"{sorted(lengths)} are not the equally long columns {list(self.columns)}"
+            )
+        if not lengths.pop():
             raise NonPositiveInput(f"experiment {self.label!r} produced no rows")
+
+    def row(self, i: int) -> dict:
+        """Row ``i`` as a dict in column order."""
+        return {name: self.data[name][i] for name in self.columns}
+
+    @property
+    def rows(self) -> list[dict]:
+        """The table as one dict per row, in column order (built on each read)."""
+        return [dict(zip(self.columns, values)) for values in zip(*map(self.data.get, self.columns))]
 
 
 @dataclass(frozen=True)
@@ -392,14 +409,14 @@ def _refine_max(times, values, fn, tol=1e-6) -> OptSearchResult:
 _RECORD_COLUMNS = ("qfi", "cfi", "qsnr", "qfi_per_t", "coherence_abs")
 
 
-def _grid_rows(axis: str, labels, grids) -> list[dict]:
-    """One row per (sweep label, grid time) of the grids' record columns,
-    the label in column ``axis``."""
-    return [
-        {axis: label, **dict(zip(recs, values))}
-        for label, recs in zip(labels, grids)
-        for values in zip(*recs.values())
-    ]
+def _grid_table(axis: str, labels, grids) -> dict[str, list]:
+    """Columns ``axis, t`` and the record columns of the grids' records,
+    block after block, each block's sweep label repeated in column ``axis``."""
+    blocks = ([label] * len(recs["t"]) for label, recs in zip(labels, grids))
+    table = {axis: list(chain.from_iterable(blocks))}
+    for name in ("t", *_RECORD_COLUMNS):
+        table[name] = list(chain.from_iterable(recs[name] for recs in grids))
+    return table
 
 
 def run_theta_scan(
@@ -423,14 +440,14 @@ def run_theta_scan(
 
     fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff)
     grids = parallel_map(lambda theta: fam.prepared(theta).records(times), theta_list, workers)
-    rows = _grid_rows("theta", params["theta_list"], grids)
-    return ScanResult("theta_scan", params, ("theta", "t") + _RECORD_COLUMNS, rows)
+    data = _grid_table("theta", params["theta_list"], grids)
+    return ScanResult("theta_scan", params, ("theta", "t") + _RECORD_COLUMNS, data)
 
 
 def _theta_scan_results(scan):
     peaks = {}
-    for row in scan.rows:
-        peaks[row["theta"]] = max(peaks.get(row["theta"], 0.0), row["qfi"])
+    for theta, qfi in zip(scan.data["theta"], scan.data["qfi"]):
+        peaks[theta] = max(peaks.get(theta, 0.0), qfi)
     return scan, {"peak_qfi_by_theta": peaks}
 
 
@@ -459,23 +476,25 @@ def run_direct_vs_ancilla(
         )
         return fam.records(times)
 
-    rows = _grid_rows("scheme", scheme_models, parallel_map(one, scheme_models, workers))
-    return ScanResult("direct_vs_ancilla", params, ("scheme", "t") + _RECORD_COLUMNS, rows)
+    data = _grid_table("scheme", scheme_models, parallel_map(one, scheme_models, workers))
+    return ScanResult("direct_vs_ancilla", params, ("scheme", "t") + _RECORD_COLUMNS, data)
 
 
 def _direct_vs_ancilla_results(scan):
-    by = {"direct": [], "ancilla": []}
-    for row in scan.rows:
-        by[row["scheme"]].append(row)
+    by = {"direct": ([], []), "ancilla": ([], [])}  # scheme -> (t, qfi)
+    for scheme, t, qfi in zip(scan.data["scheme"], scan.data["t"], scan.data["qfi"]):
+        by[scheme][0].append(t)
+        by[scheme][1].append(qfi)
+    (_, direct), (times, ancilla) = by["direct"], by["ancilla"]
     crossover = None
-    n = len(by["direct"])
+    n = len(direct)
     for i in range(1, n):
-        if all(by["ancilla"][j]["qfi"] > by["direct"][j]["qfi"] for j in range(i, n)):
-            crossover = by["ancilla"][i]["t"]
+        if all(ancilla[j] > direct[j] for j in range(i, n)):
+            crossover = times[i]
             break
     return scan, {
         "crossover_time": crossover,
-        "peak_qfi": {k: max(r["qfi"] for r in v) for k, v in by.items()},
+        "peak_qfi": {k: max(qfi) for k, (_, qfi) in by.items()},
     }
 
 
@@ -512,8 +531,8 @@ def run_kappa_sweep(
         lambda kappa: _coupling_optimum(kappa, temperature, eta, cutoff, theta, times),
         kappa_list, workers,
     )
-    rows = _grid_rows("kappa", params["kappa_list"], [recs for _, recs, _ in sweep])
-    scan = ScanResult("kappa_sweep", params, ("kappa", "t") + _RECORD_COLUMNS, rows)
+    data = _grid_table("kappa", params["kappa_list"], [recs for _, recs, _ in sweep])
+    scan = ScanResult("kappa_sweep", params, ("kappa", "t") + _RECORD_COLUMNS, data)
     return scan, [opt for _, _, opt in sweep]
 
 
@@ -551,19 +570,12 @@ def run_coherence_parametric(
         opt_c = _refine_max(
             times, recs["coherence_abs"], lambda t: _coherence(fam.state_and_derivative(t)[0])
         )
-        return {
-            "kappa": float(kappa),
-            "max_coherence": opt_c.value,
-            "t_max_coherence": opt_c.argmax,
-            "qsnr_opt": opt_r.value,
-            "t_opt": opt_r.argmax,
-        }
+        return float(kappa), opt_c.value, opt_c.argmax, opt_r.value, opt_r.argmax
 
-    return ScanResult(
-        "coherence_parametric", params,
-        ("kappa", "max_coherence", "t_max_coherence", "qsnr_opt", "t_opt"),
-        parallel_map(one, kappa_list, workers),
-    )
+    columns = ("kappa", "max_coherence", "t_max_coherence", "qsnr_opt", "t_opt")
+    points = parallel_map(one, kappa_list, workers)
+    data = {name: [p[k] for p in points] for k, name in enumerate(columns)}
+    return ScanResult("coherence_parametric", params, columns, data)
 
 
 def _t99_bracket(q, times, grid_q, i, target) -> tuple[float, float]:
@@ -650,8 +662,8 @@ def run_two_qubit_configs(
     sweep = parallel_map(one, TWO_QUBIT_CONFIGS, workers)
     params["steady_qfi"] = {c: f_ss for c, (_, f_ss, _) in zip(TWO_QUBIT_CONFIGS, sweep)}
     params["t_99"] = {c: t99 for c, (_, _, t99) in zip(TWO_QUBIT_CONFIGS, sweep)}
-    rows = _grid_rows("config", TWO_QUBIT_CONFIGS, [recs for recs, _, _ in sweep])
-    return ScanResult("two_qubit_configs", params, ("config", "t") + _RECORD_COLUMNS, rows)
+    data = _grid_table("config", TWO_QUBIT_CONFIGS, [recs for recs, _, _ in sweep])
+    return ScanResult("two_qubit_configs", params, ("config", "t") + _RECORD_COLUMNS, data)
 
 
 def run_steady_qsnr_curve(
@@ -680,22 +692,17 @@ def run_steady_qsnr_curve(
         located_max={"ratio": opt.argmax, "qsnr": opt.value},
         root_condition={"ratio": x_star, "qsnr": qsnr_star},
     )
-    rows = [
-        {"section": "curve", "ratio": float(x), "temperature": "", "kappa": "", "qsnr": float(v)}
-        for x, v in zip(ratio_grid, values)
-    ]
-    for t in np.linspace(line_t_min, line_t_max, n_line):
-        rows.append(
-            {
-                "section": "optimal_line",
-                "ratio": x_star,
-                "temperature": float(t),
-                "kappa": float(x_star * t),
-                "qsnr": qsnr_star,
-            }
-        )
+    line = np.linspace(line_t_min, line_t_max, n_line)
+    curve, blank = ["curve"] * len(ratio_grid), [""] * len(ratio_grid)
+    data = {
+        "section": curve + ["optimal_line"] * n_line,
+        "ratio": ratio_grid.tolist() + [x_star] * n_line,
+        "temperature": blank + line.tolist(),
+        "kappa": blank + (x_star * line).tolist(),
+        "qsnr": values.tolist() + [qsnr_star] * n_line,
+    }
     return ScanResult(
-        "steady_qsnr", params, ("section", "ratio", "temperature", "kappa", "qsnr"), rows
+        "steady_qsnr", params, ("section", "ratio", "temperature", "kappa", "qsnr"), data
     )
 
 
@@ -725,17 +732,13 @@ def run_evolve(
         t_max=t_max, n_points=n_points,
     )
     populations = ("p0", "p1") if states.shape[-1] == 2 else ("p00", "p01", "p10", "p11")
-    columns = zip(
-        times.tolist(),
-        states.diagonal(0, -2, -1).real.tolist(),
-        _coherence(states).tolist(),
-        np.trace(states @ states, axis1=-2, axis2=-1).real.tolist(),
-    )
-    rows = [
-        {"t": t, **dict(zip(populations, p)), "coherence_abs": c, "purity": q}
-        for t, p, c, q in columns
-    ]
-    return ScanResult("evolve", params, ("t", *populations, "coherence_abs", "purity"), rows)
+    data = {
+        "t": times.tolist(),
+        **dict(zip(populations, states.diagonal(0, -2, -1).real.T.tolist())),
+        "coherence_abs": _coherence(states).tolist(),
+        "purity": np.trace(states @ states, axis1=-2, axis2=-1).real.tolist(),
+    }
+    return ScanResult("evolve", params, ("t", *populations, "coherence_abs", "purity"), data)
 
 
 def run_qfi_point(
@@ -760,9 +763,8 @@ def run_qfi_point(
     if t == np.inf and not any(fam.liouvillian.rates):
         raise ValidationError("eta", "at=steady needs a bath: with every rate zero no state is stationary")
     rec = fam.records(t)
-    del rec["t"]
-    rows = [{"at": "steady" if t == np.inf else t, **rec}]
-    return ScanResult("qfi_point", params, ("at",) + _RECORD_COLUMNS, rows)
+    data = {"at": ["steady" if t == np.inf else t], **{name: [rec[name]] for name in _RECORD_COLUMNS}}
+    return ScanResult("qfi_point", params, ("at",) + _RECORD_COLUMNS, data)
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -786,7 +788,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         ("ratio", "qsnr", None),
     ),
     "evolve": ExperimentSpec(
-        run_evolve, lambda scan: (scan, {"final_row": scan.rows[-1]}), ("t", "coherence_abs", None)
+        run_evolve, lambda scan: (scan, {"final_row": scan.row(-1)}), ("t", "coherence_abs", None)
     ),
-    "qfi_point": ExperimentSpec(run_qfi_point, lambda scan: (scan, {"record": scan.rows[0]})),
+    "qfi_point": ExperimentSpec(run_qfi_point, lambda scan: (scan, {"record": scan.row(0)})),
 }

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qthermo.cli import _fmt
 from qthermo.models import BathSpec
 
 try:
@@ -33,3 +34,10 @@ def random_density(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = m @ m.conj().T
     return rho / np.trace(rho)
+
+
+def reference_csv(columns, rows) -> str:
+    """CSV text of ``rows`` (dicts) written row by row, each value by
+    ``cli._fmt``: the reference for ``cli.write_csv``."""
+    lines = [",".join(columns)] + [",".join(_fmt(row[name]) for name in columns) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -127,7 +127,7 @@ class TestCsv:
     def test_seventeen_digit_roundtrip(self, tmp_path):
         path = tmp_path / "x.csv"
         value = 0.1 + 0.2 + 1e-17
-        write_csv(str(path), ("a", "b"), [{"a": value, "b": "s"}])
+        write_csv(str(path), ("a", "b"), {"a": [value], "b": ["s"]})
         header, row = path.read_text().strip().split("\n")
         assert header == "a,b"
         back = float(row.split(",")[0])
@@ -138,11 +138,11 @@ class TestCsv:
         # _fmt: %.17g for float subclasses, str() for everything else, per value
         path = tmp_path / "x.csv"
         mixed = ["abc", "", 0.1 + 0.2, np.float64(1 / 3), 7, True, None, np.float32(0.5), -0.0]
-        rows = [{"a": i, "v": value} for i, value in enumerate(mixed)]
-        write_csv(str(path), ("a", "v"), rows)
+        data = {"a": list(range(len(mixed))), "v": mixed}
+        write_csv(str(path), ("a", "v"), data)
         expected = ["a,v"] + [f"{i},{_fmt(value)}" for i, value in enumerate(mixed)]
         assert path.read_text().split("\n") == expected + [""]
-        write_csv(str(path), ("v",), rows)
+        write_csv(str(path), ("v",), data)
         assert path.read_text().split("\n") == ["v"] + [_fmt(value) for value in mixed] + [""]
 
 

@@ -692,7 +692,7 @@ class TestSharedGenerator:
             )).records(times)
             for theta in experiments.DEFAULT_THETAS
         ]
-        assert scan.rows == experiments._grid_rows("theta", scan.params["theta_list"], grids)
+        assert scan.data == experiments._grid_table("theta", scan.params["theta_list"], grids)
 
     def test_two_qubit_configs(self, monkeypatch):
         calls = self.count_builds(monkeypatch)
@@ -706,7 +706,7 @@ class TestSharedGenerator:
             )).records(times)
             for config in TWO_QUBIT_CONFIGS
         ]
-        assert scan.rows == experiments._grid_rows("config", TWO_QUBIT_CONFIGS, grids)
+        assert scan.data == experiments._grid_table("config", TWO_QUBIT_CONFIGS, grids)
 
     def test_prepared_family_shares_the_generator(self):
         fam = pa_family(0.8, theta=0.0)

@@ -6,6 +6,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import reference_csv  # noqa: E402
+from qthermo.cli import write_csv  # noqa: E402
 from qthermo.dynamics import propagate  # noqa: E402
 from qthermo.errors import NoConvergence  # noqa: E402
 from qthermo.experiments import TemperatureFamily, make_model  # noqa: E402
@@ -65,3 +67,38 @@ def test_stacked_states_equal_single_states(model, temperature, kappa, eta, eta2
     for k in range(len(ts)):
         one, d_one = fam.state_and_derivative(ts[k])
         assert np.array_equal(rho[k], one) and np.array_equal(drho[k], d_one)
+
+
+_SPECIAL_FLOATS = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 2.2250738585072014e-308)
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_MIXED = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.just(""),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+# a pool of values per column, spread over the rows by a seeded draw
+_COLUMN = st.tuples(
+    st.lists(_FLOATS, min_size=1, max_size=8) | st.lists(_MIXED, min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 4095, 4096, 4097, 8193])
+@settings(max_examples=8, deadline=None)
+@given(pools=st.lists(_COLUMN, min_size=1, max_size=4))
+def test_csv_writer_matches_row_wise_reference(n_rows, pools, tmp_path_factory):
+    # chunks of 4096 rows: tables end before, on and after a chunk boundary
+    columns = tuple(f"c{k}" for k in range(len(pools)))
+    data = {
+        name: [pool[k] for k in np.random.default_rng(seed).integers(len(pool), size=n_rows)]
+        for name, (pool, seed) in zip(columns, pools)
+    }
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    write_csv(str(path), columns, data)
+    rows = [dict(zip(columns, values)) for values in zip(*data.values())]
+    assert path.read_bytes() == reference_csv(columns, rows).encode("utf-8")

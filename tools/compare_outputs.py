@@ -1,0 +1,123 @@
+"""Compare the outputs of two qthermo source trees on benchmark requests.
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC --workload W --seeds A-B
+
+Each source tree is a checkout's root or its ``src`` directory.  The request
+lists are those of ``perfbench/workloads.py`` (read, never written) for the
+workload ``W`` (``scans``, ``point_queries``, ``scan_pool`` or ``all``) at
+seeds ``A`` to ``B`` inclusive.  Each tree's ``qthermo.cli.main`` runs every
+request in this process, one tree after the other, with the workload's
+``QTHERMO_WORKERS`` setting.  A request differs when its exit code, CSV,
+gnuplot file, summary (its ``wall_time_s`` line aside) or stderr differs;
+each such request is printed, and the exit status is 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import re
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+OUTPUTS = (".csv", ".gp", ".summary.json")
+WALL_TIME = re.compile(r'^ *"wall_time_s": .*\n', re.MULTILINE)
+
+
+def package_dir(tree: str) -> Path:
+    root = Path(tree).resolve()
+    for src in (root / "src", root):
+        if (src / "qthermo" / "cli.py").is_file():
+            return src
+    raise SystemExit(f"compare_outputs: no qthermo package under {root}")
+
+
+def import_cli(src: Path):
+    """``qthermo.cli`` from ``src``, with every earlier qthermo module dropped."""
+    for name in [m for m in sys.modules if m == "qthermo" or m.startswith("qthermo.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        import qthermo.cli as cli
+    finally:
+        sys.path.remove(str(src))
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"compare_outputs: imported qthermo from {cli.__file__}, not {src}")
+    return cli
+
+
+def outcome(cli, argv, out_dir: str) -> dict:
+    """Exit code, stderr and output files of one request."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--out", out_dir, "--quiet"])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash is an outcome to compare too
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    result = {"exit code": code, "stderr": err.getvalue()}
+    for ext in OUTPUTS:
+        path = os.path.join(out_dir, argv[0] + ext)
+        if os.path.exists(path):
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            result[ext.lstrip(".")] = WALL_TIME.sub("", text) if ext == ".summary.json" else text
+    return result
+
+
+def run_tree(tree: str, jobs, out_dir: str) -> list[dict]:
+    cli = import_cli(package_dir(tree))
+    results = []
+    for workers, argv in jobs:
+        if workers is None:
+            os.environ.pop("QTHERMO_WORKERS", None)
+        else:
+            os.environ["QTHERMO_WORKERS"] = workers
+        results.append(outcome(cli, argv, out_dir))
+    return results
+
+
+def seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="source tree of the parent")
+    parser.add_argument("change", help="source tree of the change")
+    parser.add_argument("--workload", required=True, choices=[*workloads.WORKLOADS, "all"])
+    parser.add_argument("--seeds", type=seed_range, default=range(1), help="A-B, inclusive")
+    args = parser.parse_args(argv)
+    names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
+    labels, jobs = [], []
+    for name in names:
+        workers = workloads.WORKLOADS[name][0]
+        for seed in args.seeds:
+            for i, request in enumerate(workloads.requests(name, seed)):
+                labels.append(f"{name} seed {seed} #{i}: {' '.join(request)}")
+                jobs.append((workers, request))
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "out")
+        parent, change = (run_tree(tree, jobs, out_dir) for tree in (args.parent, args.change))
+    differing = 0
+    for label, a, b in zip(labels, parent, change):
+        fields = [f for f in dict.fromkeys([*a, *b]) if a.get(f) != b.get(f)]
+        if fields:
+            differing += 1
+            print(f"{label}\n    differs in: {', '.join(fields)}")
+    print(f"{differing} of {len(jobs)} requests differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
