@@ -16,13 +16,18 @@ generator share it and its decomposition (:meth:`TemperatureFamily.prepared`).
 derivatives from them, a time grid's as one stack each, and the grid's
 records are computed on whole stacks.  No experiment takes a
 finite difference: closed forms and central differences are test oracles.
+
+Located optima and ``t_99`` come from one piecewise Chebyshev fit of the
+searched function on its grid bracket: every open piece of a level is one
+stacked call, and a piece is halved until its trailing coefficients fall to
+``FIT_TOL`` of the grid's largest value.  An optimum is the best derivative
+root or piece end of the fit, where the function itself is then evaluated;
+``t_99`` is the fit's first crossing of its target.
 """
 
 from __future__ import annotations
 
 import copy
-import math
-import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +35,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
 from .closed_forms import optimal_ratio, steady_qsnr
 from .errors import BadDimension, NoConvergence, NonPositiveInput, ResolutionLimit, ValidationError
@@ -56,7 +62,6 @@ __all__ = [
     "OptSearchResult",
     "parallel_map",
     "worker_count",
-    "golden_section_max",
     "make_model",
     "run_theta_scan",
     "run_direct_vs_ancilla",
@@ -133,7 +138,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class OptSearchResult:
-    """Located interior maximum of a 1-d scan."""
+    """Located interior maximum of a 1-d scan; ``tolerance`` is its fit's
+    margin, the largest trailing-coefficient ratio over the pieces."""
 
     argmax: float
     value: float
@@ -172,87 +178,45 @@ def parallel_map(fn, items, workers: int | None = None) -> list:
         return list(pool.map(fn, items))
 
 
-#: Steps a search looks ahead.  A search that lacks a value makes one stacked
-#: call of its function for up to 2^LOOKAHEAD - 1 unread points of its
-#: predicted path, or for every point its next ``LOOKAHEAD`` steps could read,
-#: then replays its steps against those values.
-LOOKAHEAD = 5
+#: Chebyshev nodes (of the first kind) per piece of a search's fit.
+NODES = 16
+#: A piece is resolved once its two trailing coefficients are at most FIT_TOL x scale.
+FIT_TOL = 1e-7
+#: Most pieces a fit may take: a function that needs more raises NoConvergence.
+MAX_PIECES = 256
+
+_NODES_S = C.chebpts1(NODES)
+#: Values at ``_NODES_S`` times this are the interpolant's Chebyshev coefficients.
+_TO_COEFFS = C.chebvander(_NODES_S, NODES - 1) * np.r_[1.0, np.full(NODES - 1, 2.0)] / NODES
 
 
-def _lookahead_search(fn, step, state, guess=None):
-    """Run a search of comparisons from ``state`` on the values of ``fn``,
-    which maps an array of points to an array of values.
+def _fit(fn, lo: float, hi: float, scale: float) -> list:
+    """Piecewise Chebyshev interpolant on ``[lo, hi]`` of ``fn``, which maps
+    an array of points to an array of values: its pieces ``(a, b, c, tail)``
+    in order, ``c`` the series in ``s = (2x - a - b) / (b - a)`` and ``tail``
+    its larger trailing coefficient relative to ``scale``.
 
-    ``step(state)`` is ``(points, decide, branches)``: the points whose values
-    the step reads, ``decide(*values)`` and the states after a false and a
-    true decision.  A finished state has no branches and reads the points of
-    its result.  Returns the finished state and the values it read.
-
-    ``guess(state, values)`` returns a predictor ``state -> branch index``,
-    or ``None`` for the full tree, which is used for good once a path call
-    after the first has carried fewer than ``LOOKAHEAD`` steps.  Predictions
-    pick only the points evaluated, never a step's decision.
-    """
-    values, calls, taken, tree = {}, 0, 0, guess is None
-    while True:
-        points, decide, branches = step(state)
-        if any(p not in values for p in points):
-            tree = tree or (calls > 1 and taken < LOOKAHEAD)  # a tree call carries LOOKAHEAD steps
-            predict = None if tree else guess(state, values)
-            todo, frontier, depth = {}, [state], 0
-            while frontier and (len(todo) < 2**LOOKAHEAD - 1 if predict else depth < LOOKAHEAD):
-                ahead = []
-                for s in frontier:
-                    reads, _, children = step(s)
-                    todo.update(dict.fromkeys(p for p in reads if p not in values))
-                    ahead += (children[predict(s)],) if predict and children else children
-                frontier, depth = ahead, depth + 1
-            values.update(zip(todo, np.asarray(fn(np.array(list(todo))), dtype=float).tolist()))
-            calls, taken = calls + 1, 0
-        read = tuple(values[p] for p in points)
-        if not branches:
-            return state, read
-        state, taken = branches[decide(*read)], taken + 1
-
-
-def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-6, known=()) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal function on
-    ``[lo, hi]``: the midpoint of the final bracket and its value.  ``fn``
-    maps an array of points to an array of values; the steps are those of
-    the one-point-at-a-time search, their values taken in lookahead stacks.
-
-    ``known`` holds ``(x, f(x))`` pairs the caller has; with the values read
-    they place the vertex of the parabola through the bracket's highest sample
-    and its neighbours, which predicts the steps.  They are never read.
+    Every open piece of a level is read in one stacked call of ``fn`` at its
+    ``NODES`` nodes; it is done once its ``tail`` is at most ``FIT_TOL``, and
+    halved otherwise.
     """
     if not hi > lo:
-        raise NonPositiveInput(f"golden-section bracket needs lo < hi, got [{lo}, {hi}]")
-    inv_phi, known = (np.sqrt(5.0) - 1.0) / 2.0, dict(known)
-
-    def step(s):
-        a, b, c, d = s
-        if not (b - a) > tol:
-            return (0.5 * (a + b),), None, ()
-        # f(c) >= f(d) keeps [a, d], else [c, b]; the kept interior point is reused
-        return (c, d), operator.ge, ((c, b, d, c + inv_phi * (b - c)), (a, d, d - inv_phi * (d - a), c))
-
-    def guess(s, values):
-        xs = sorted({**known, **values}.items())
-        k = max((k for k, (x, _) in enumerate(xs) if s[0] <= x <= s[1]), key=lambda k: xs[k][1], default=0)
-        if not 0 < k < len(xs) - 1:
-            return None
-        (x0, f0), (x1, f1), (x2, f2) = xs[k - 1 : k + 2]
-        p, q = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
-        if p == q:
-            return None
-        vertex = x1 - 0.5 * ((x1 - x0) * p - (x1 - x2) * q) / (p - q)
-        return lambda s: int(abs(s[2] - vertex) <= abs(s[3] - vertex))
-
-    a, b = float(lo), float(hi)
-    (a, b, _, _), (value,) = _lookahead_search(
-        fn, step, (a, b, b - inv_phi * (b - a), a + inv_phi * (b - a)), guess
-    )
-    return float(0.5 * (a + b)), value
+        raise NonPositiveInput(f"fit bracket needs lo < hi, got [{lo}, {hi}]")
+    done, todo = [], [(float(lo), float(hi))]
+    while todo:
+        if len(done) + len(todo) > MAX_PIECES:
+            raise NoConvergence(
+                f"no fit of {MAX_PIECES} pieces of {NODES} nodes resolves [{lo}, {hi}] "
+                f"to {FIT_TOL} of {scale}"
+            )
+        ends = np.array(todo)
+        x = ends.mean(axis=1, keepdims=True) + 0.5 * np.diff(ends, axis=1) * _NODES_S
+        coeffs = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape) @ _TO_COEFFS
+        tails = np.abs(coeffs[:, -2:]).max(axis=1) / scale
+        done += [(a, b, c, tail) for (a, b), c, tail in zip(todo, coeffs, tails) if tail <= FIT_TOL]
+        todo = [half for (a, b), tail in zip(todo, tails) if not tail <= FIT_TOL
+                for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+    return sorted(done, key=lambda piece: piece[0])
 
 
 MODEL_NAMES = ("direct", "probe_ancilla", "two_qubit_local", "two_qubit_common")
@@ -392,18 +356,37 @@ def _two_qubit_record(t, rho, drho, temperature):
     return _records(t, qfi_spectral(rho, drho), fi, rho, temperature)
 
 
-def _refine_max(times, values, fn, tol=1e-6) -> OptSearchResult:
+def _refine_max(times, values, fn) -> OptSearchResult:
+    """Maximum of ``fn`` between the grid points either side of the largest of
+    ``values`` on ``times``: the best of its fit's derivative roots and piece
+    ends, where ``fn`` itself is then evaluated once."""
     i = int(np.argmax(values))
     if i == 0 or i == len(times) - 1:
         raise NoConvergence(
             f"maximum at grid edge t={times[i]}; extend the time grid to bracket it"
         )
     lo, hi = float(times[i - 1]), float(times[i + 1])
-    x, v = golden_section_max(fn, lo, hi, tol, known=zip(times[i - 1 : i + 2], values[i - 1 : i + 2]))
+    pieces, best = _fit(fn, lo, hi, float(np.max(np.abs(values)))), -np.inf
+    for a, b, c, _ in pieces:
+        s = np.r_[-1.0, 1.0, np.clip(C.chebroots(C.chebtrim(C.chebder(c))).real, -1.0, 1.0)]
+        v = C.chebval(s, c)
+        if v.max() > best:
+            best, x = v.max(), float(0.5 * (a + b) + 0.5 * (b - a) * s[np.argmax(v)])
     return OptSearchResult(
-        argmax=x, value=v, bracket=(lo, hi),
-        bracket_values=(float(values[i - 1]), float(values[i + 1])), tolerance=tol,
+        argmax=x, value=float(np.asarray(fn(np.array([x])))[0]), bracket=(lo, hi),
+        bracket_values=(float(values[i - 1]), float(values[i + 1])),
+        tolerance=float(max(piece[3] for piece in pieces)),
     )
+
+
+def _first_root(fn, lo: float, hi: float, target: float, scale: float) -> float:
+    """First root of ``fn - target`` on ``[lo, hi]``, from the fit of ``fn``."""
+    for a, b, c, _ in _fit(fn, lo, hi, scale):
+        s = C.chebroots(C.chebtrim(C.chebsub(c, target)))
+        s = s.real[(s.imag == 0) & (np.abs(s.real) <= 1.0)]
+        if s.size:
+            return float(0.5 * (a + b) + 0.5 * (b - a) * s.min())
+    raise NoConvergence(f"the fit of [{lo}, {hi}] does not reach {target}")
 
 
 _RECORD_COLUMNS = ("qfi", "cfi", "qsnr", "qfi_per_t", "coherence_abs")
@@ -578,33 +561,6 @@ def run_coherence_parametric(
     return ScanResult("coherence_parametric", params, columns, data)
 
 
-def _t99_bracket(q, times, grid_q, i, target) -> tuple[float, float]:
-    """Final bracket of the bisection of ``[times[i-1], times[i]]`` for ``q = target``, its
-    steps predicted by interpolation in the known samples (``grid_q`` on ``times``)."""
-
-    def step(s):
-        lo, hi, n = s
-        mid = 0.5 * (lo + hi)
-        if n == 60 or mid <= lo or mid >= hi:  # float64 cannot split the bracket further
-            return (), None, ()
-        return (mid,), lambda q: q >= target, ((mid, hi, n + 1), (lo, mid, n + 1))
-
-    grid = dict(zip(times[max(i - 2, 0) : i + 2].tolist(), grid_q[max(i - 2, 0) : i + 2]))
-
-    def guess(s, values):
-        lo, hi, _ = s
-        known = {**grid, **values}
-        near = sorted(known.items(), key=lambda tq: abs(tq[0] - 0.5 * (lo + hi)))[:3]
-        qs = {q for _, q in near}
-        t_hat = sum(t * math.prod((target - r) / (q - r) for r in qs - {q}) for t, q in near)
-        if len(qs) < 3 or not lo <= t_hat <= hi:
-            t_hat = lo + (target - known[lo]) * (hi - lo) / (known[hi] - known[lo])
-        return lambda s: int(0.5 * (s[0] + s[1]) >= t_hat)
-
-    (lo, hi, _), _ = _lookahead_search(q, step, (float(times[i - 1]), float(times[i]), 0), guess)
-    return lo, hi
-
-
 TWO_QUBIT_CONFIGS = ("local_separable", "local_entangled", "common_separable", "common_entangled")
 #: First nonzero time of the two-qubit grid.
 _FIRST_LOG_TIME = 0.01
@@ -625,8 +581,9 @@ def run_two_qubit_configs(
     shared grid extending to the steady state: t = 0, then ``n_points - 1``
     log-spaced times from 0.01 to ``t_max``.
 
-    The per-configuration time to reach 99% of the steady QFI is refined by
-    bisection and reported in ``params["t_99"]``; steady values (the QFI at
+    The per-configuration time to reach 99% of the steady QFI is the first
+    root of ``QFI - target`` of a Chebyshev fit between the grid points that
+    bracket it, reported in ``params["t_99"]``; steady values (the QFI at
     ``t_max``) are in ``params["steady_qfi"]``.
     """
     if n_points < 3:
@@ -654,10 +611,11 @@ def run_two_qubit_configs(
         i = int(above[0])
         if i == 0:
             return recs, f_ss, 0.0
-        lo, hi = _t99_bracket(
-            lambda t: qfi_spectral(*fam.state_and_derivative(t)), times, recs["qfi"], i, target
+        t99 = _first_root(
+            lambda t: qfi_spectral(*fam.state_and_derivative(t)),
+            float(times[i - 1]), float(times[i]), target, float(np.max(np.abs(recs["qfi"]))),
         )
-        return recs, f_ss, 0.5 * (lo + hi)
+        return recs, f_ss, t99
 
     sweep = parallel_map(one, TWO_QUBIT_CONFIGS, workers)
     params["steady_qfi"] = {c: f_ss for c, (_, f_ss, _) in zip(TWO_QUBIT_CONFIGS, sweep)}

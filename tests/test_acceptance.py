@@ -31,7 +31,7 @@ from qthermo.errors import StepTooLarge
 from qthermo.experiments import (
     TemperatureFamily,
     _qubit_record,
-    golden_section_max,
+    _refine_max,
     run_coherence_parametric,
     run_direct_vs_ancilla,
     run_kappa_sweep,
@@ -169,12 +169,10 @@ def test_criterion_04_sigma_x_measurement_optimality(probe_family):
     recs = [_qubit_record(t, a, b, fam.temperature) for t, a, b in zip(times, rho, drho)]
     bound_ok = all(r["cfi"] <= r["qfi"] + 1e-9 for r in recs)
 
-    i_peak = int(np.argmax([r["qfi"] for r in recs]))
-    t_opt, f_opt = golden_section_max(
+    t_opt = _refine_max(
+        times, [r["qfi"] for r in recs],
         lambda t: _qubit_record(t, *fam.state_and_derivative(t), fam.temperature)["qfi"],
-        times[i_peak - 1],
-        times[i_peak + 1],
-    )
+    ).argmax
     rec_opt = _qubit_record(t_opt, *fam.state_and_derivative(t_opt), fam.temperature)
     deficit = (rec_opt["qfi"] - rec_opt["cfi"]) / rec_opt["qfi"]
     ok = bound_ok and deficit <= 1e-3

@@ -225,7 +225,7 @@ class TestOptimalRatio:
         assert steady_qsnr(x_star + 0.1) < qsnr_star
 
     def test_steady_qsnr_of_an_array_rounds_as_each_scalar(self):
-        # the golden-section search reads the curve in stacks
+        # the optimum's fit reads the curve in stacks
         ratios = np.linspace(0.05, 60.0, 4001)
         assert steady_qsnr(ratios).tolist() == [float(steady_qsnr(x)) for x in ratios]
 

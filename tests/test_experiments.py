@@ -9,11 +9,10 @@ from qthermo.experiments import (
     TWO_QUBIT_CONFIGS,
     TemperatureFamily,
     _family,
+    _fit,
     _qubit_record,
-    _t99_bracket,
+    _refine_max,
     _two_qubit_record,
-    LOOKAHEAD,
-    golden_section_max,
     make_model,
     parallel_map,
     run_coherence_parametric,
@@ -66,15 +65,29 @@ class TestInfrastructure:
         f = lambda x: x * x + 1
         assert parallel_map(f, items, workers=1) == parallel_map(f, items, workers=4)
 
-    def test_golden_section(self):
-        x, v = golden_section_max(lambda t: -(t - 2.7) ** 2 + 5.0, 1.0, 4.0, tol=1e-8)
-        assert x == pytest.approx(2.7, abs=1e-6)
-        assert v == pytest.approx(5.0, abs=1e-10)
+    def test_refine_max_of_a_parabola(self):
+        times = np.linspace(1.0, 4.0, 7)
+        opt = _refine_max(times, 5.0 - (times - 2.7) ** 2, lambda t: 5.0 - (t - 2.7) ** 2)
+        assert opt.argmax == pytest.approx(2.7, abs=1e-12)
+        assert opt.value == pytest.approx(5.0, abs=1e-15)
+        assert opt.tolerance <= 1e-14
 
-    def test_golden_section_rejects_an_empty_bracket(self):
+    def test_fit_rejects_an_empty_bracket(self):
         for lo, hi in ((2.0, 1.0), (1.0, 1.0)):
             with pytest.raises(NonPositiveInput, match="bracket"):
-                golden_section_max(lambda t: -t * t, lo, hi)
+                _fit(lambda t: -t * t, lo, hi, 1.0)
+
+    def test_fit_of_noise_raises_after_one_call_per_level(self):
+        rng, calls = np.random.default_rng(0), []
+
+        def noise(points):
+            calls.append(len(points))
+            return rng.standard_normal(len(points))
+
+        with pytest.raises(NoConvergence, match=r"\[0.0, 1.0\]"):
+            _fit(noise, 0.0, 1.0, 1.0)
+        assert len(calls) <= np.log2(experiments.MAX_PIECES) + 1
+        assert calls[-1] == experiments.MAX_PIECES * experiments.NODES
 
     def test_make_model_names(self):
         for name in MODEL_NAMES:
@@ -84,8 +97,8 @@ class TestInfrastructure:
 
 
 def sequential_golden_section(f, lo, hi, tol):
-    """One point per step: the search golden_section_max must reproduce,
-    with its number of steps."""
+    """One point per step: golden-section search for the maximum of a unimodal
+    ``f`` on ``[lo, hi]``, with its number of steps."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
@@ -105,37 +118,9 @@ def sequential_golden_section(f, lo, hi, tol):
     return x, f(x), steps
 
 
-class TestLookaheadGoldenSection:
-    """Values taken in lookahead stacks leave the search's steps unchanged."""
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_matches_the_sequential_search(self, seed):
-        rng = np.random.default_rng(seed)
-        lo = rng.uniform(-10.0, 10.0)
-        hi = lo + 10.0 ** rng.uniform(-3.0, 2.0)
-        x0 = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo))  # the peak may sit outside
-        (w1, w2), top = 10.0 ** rng.uniform(-3.0, 3.0, size=2), 0.2 * (hi - lo) * rng.uniform()
-        if seed % 2:  # asymmetric parabola
-            f = lambda x: 1.0 - np.where(x < x0, w1, w2) * (x - x0) ** 2  # noqa: E731
-        else:  # flat top: equal values exercise the tie branch
-            f = lambda x: -np.maximum(np.abs(x - x0) - top, 0.0)  # noqa: E731
-        tol = (hi - lo) * 10.0 ** rng.uniform(-12.0, -1.0)
-        calls = []
-
-        def fn(points):
-            calls.append(len(points))
-            return f(points)
-
-        x_ref, v_ref, steps = sequential_golden_section(lambda x: float(f(x)), lo, hi, tol)
-        x, v = golden_section_max(fn, lo, hi, tol)
-        assert (x, v) == (x_ref, v_ref)
-        assert len(calls) <= -(-steps // LOOKAHEAD) + 2
-        assert max(calls) <= 2 ** LOOKAHEAD
-
-
 def sequential_t99_bisection(q, lo, hi, target):
-    """One point per step: the bracket _t99_bracket must reproduce, with its
-    number of steps."""
+    """One point per step: the final bracket of the bisection of ``[lo, hi]``
+    for ``q = target``, with its number of steps."""
     steps = 0
     while steps < 60 and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
@@ -171,103 +156,57 @@ def _draw_two_qubit_params(seed):
     )
 
 
-class TestLookaheadBisection:
-    """The t_99 bisection, its values taken in lookahead stacks, takes the
-    steps of the one-point-at-a-time bisection."""
+class TestFittedSearches:
+    """The fitted searches against one-point-at-a-time references."""
 
-    @pytest.mark.parametrize("seed", [None, *range(4)])
-    def test_matches_the_sequential_bisection(self, seed):
-        params = {} if seed is None else _draw_two_qubit_params(seed)
-        for q, times, qfi, i, target, t99 in two_qubit_searches(**params):
-            calls = []
-
-            def fn(points):
-                calls.append(len(points))
-                return q(points)
-
-            lo, hi = float(times[i - 1]), float(times[i])
-            bracket, steps = sequential_t99_bisection(q, lo, hi, target)
-            assert _t99_bracket(fn, times, qfi, i, target) == bracket
-            assert t99 == 0.5 * sum(bracket)
-            assert len(calls) <= -(-steps // LOOKAHEAD) + 2
-            assert max(calls) <= 2 ** LOOKAHEAD
-
-
-def _with_predictor(monkeypatch, predictor):
-    """Make every lookahead search use ``predictor(step)``'s predictions."""
-    search = experiments._lookahead_search
-    monkeypatch.setattr(
-        experiments, "_lookahead_search",
-        lambda fn, step, state, guess=None: search(fn, step, state, lambda s, v: predictor(step)),
-    )
-
-
-class TestBadPredictors:
-    """A predictor that is always wrong, or random, changes which points are
-    evaluated, never the result, and keeps the call bounds."""
-
-    @staticmethod
-    def predictors(f, seed):
+    @pytest.mark.parametrize("seed", range(40))
+    def test_maximum_matches_the_golden_section(self, seed):
+        # analytic peaks, resolved by one piece as the experiments' curves are
         rng = np.random.default_rng(seed)
+        lo = rng.uniform(-10.0, 10.0)
+        hi = lo + 10.0 ** rng.uniform(-3.0, 2.0)
+        x0 = rng.uniform(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo))
+        w = 10.0 ** rng.uniform(0.0, 0.5) / (hi - lo)
+        a, b, c = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-0.01, 0.01), rng.uniform(0.0, 1.0)
+        f = lambda x: a * (c + 1.0 / np.cosh(w * (x - x0)) ** 2 + b * w * (x - x0))  # noqa: E731
+        times = np.linspace(lo, hi, 11)
+        opt = _refine_max(times, f(times), f)
+        x_ref, v_ref, _ = sequential_golden_section(lambda x: float(f(x)), *opt.bracket, 1e-10 * (hi - lo))
+        assert abs(opt.argmax - x_ref) <= 1e-6 * (hi - lo)
+        assert opt.value >= v_ref - 4 * np.spacing(v_ref)
+        assert opt.tolerance <= experiments.FIT_TOL
 
-        def wrong(step):  # the branch the step does not take, read off f itself
-            return lambda s: 1 - int(step(s)[1](*(float(f(np.array([p]))[0]) for p in step(s)[0])))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_t99_matches_the_sequential_bisection(self, seed):
+        for q, times, qfi, i, target, t99 in two_qubit_searches(**_draw_two_qubit_params(seed)):
+            bracket, _ = sequential_t99_bisection(q, float(times[i - 1]), float(times[i]), target)
+            assert t99 == pytest.approx(0.5 * sum(bracket), rel=1e-12, abs=0.0)
 
-        return {"wrong": wrong, "random": lambda step: lambda s: int(rng.integers(2))}
-
-    @pytest.mark.parametrize("kind", ["wrong", "random"])
-    @pytest.mark.parametrize("seed", range(8))
-    def test_golden_section(self, kind, seed, monkeypatch):
-        rng = np.random.default_rng(100 + seed)
-        lo, x0 = rng.uniform(-5.0, 5.0), rng.uniform(0.0, 1.0)
-        hi, w = lo + 10.0 ** rng.uniform(-2.0, 1.0), 10.0 ** rng.uniform(-2.0, 2.0)
-        f = lambda x: 1.0 - w * (x - lo - x0 * (hi - lo)) ** 2  # noqa: E731
-        tol = (hi - lo) * 10.0 ** rng.uniform(-10.0, -2.0)
-        calls = []
-
-        def fn(points):
-            calls.append(len(points))
-            return f(points)
-
-        x_ref, v_ref, steps = sequential_golden_section(lambda x: float(f(x)), lo, hi, tol)
-        _with_predictor(monkeypatch, self.predictors(f, seed)[kind])
-        assert golden_section_max(fn, lo, hi, tol) == (x_ref, v_ref)
-        assert len(calls) <= -(-steps // LOOKAHEAD) + 2
-        assert max(calls) <= 2 ** LOOKAHEAD
-
-    @pytest.mark.parametrize("kind", ["wrong", "random"])
-    def test_bisection(self, kind, monkeypatch):
-        for seed, (q, times, qfi, i, target, _) in enumerate(two_qubit_searches(n_points=120)):
-            calls = []
-
-            def fn(points):
-                calls.append(len(points))
-                return q(points)
-
-            bracket, steps = sequential_t99_bisection(q, float(times[i - 1]), float(times[i]), target)
-            with monkeypatch.context() as m:
-                _with_predictor(m, self.predictors(q, seed)[kind])
-                assert _t99_bracket(fn, times, qfi, i, target) == bracket
-            assert len(calls) <= -(-steps // LOOKAHEAD) + 2
-            assert max(calls) <= 2 ** LOOKAHEAD
+    def test_t99_near_the_decoherence_free_corner(self):
+        # eta2/eta = 1.00001: the common-bath QFI carries ~1e-7 relative noise
+        run = run_two_qubit_configs(eta2=0.0100001, workers=1)
+        assert run.params["t_99"]["common_separable"] == pytest.approx(1979.999935280562, rel=1e-6)
 
 
 class TestSearchCallCounts:
-    """Stacked search calls per default request, pinned: the predicted path
-    takes at most half the calls of the full lookahead tree (24, 72, 40)."""
+    """Stacked calls of the searched functions per default request, pinned:
+    each fit is one 16-node piece, and an optimum evaluates its result once."""
 
     @pytest.mark.parametrize("run, expected", [
-        (run_kappa_sweep, 8), (run_coherence_parametric, 28), (run_two_qubit_configs, 21),
+        (run_kappa_sweep, 8), (run_coherence_parametric, 24), (run_two_qubit_configs, 4),
     ])
     def test_default_request(self, run, expected, monkeypatch):
-        search, calls = experiments._lookahead_search, []
+        calls = []
 
-        def counted(fn, *args):
-            return search(lambda points: calls.append(len(points)) or fn(points), *args)
+        def counted(fn):
+            return lambda points: calls.append(len(points)) or fn(points)
 
-        monkeypatch.setattr(experiments, "_lookahead_search", counted)
+        refine, root = experiments._refine_max, experiments._first_root
+        monkeypatch.setattr(experiments, "_refine_max", lambda times, values, fn: refine(times, values, counted(fn)))
+        monkeypatch.setattr(experiments, "_first_root", lambda fn, *args: root(counted(fn), *args))
         run(workers=1)
         assert len(calls) == expected
+        assert set(calls) <= {1, experiments.NODES}
 
 
 class TestThetaScan:
@@ -360,9 +299,7 @@ class TestKappaSweep:
         f9 = _qubit_record(300.0, *pa_family(0.9).state_and_derivative(300.0), 0.4)
         assert f9["qfi_per_t"] > f6["qfi_per_t"]
 
-    def test_refinement_calls_only_the_golden_section(self):
-        from qthermo.experiments import _refine_max
-
+    def test_refinement_calls_fn_only_in_its_fit_and_at_its_result(self):
         calls = []
 
         def fn(t):
@@ -371,14 +308,23 @@ class TestKappaSweep:
 
         times = np.linspace(0.0, 1.0, 21)
         values = [1.0 - (t - 0.52) ** 2 for t in times]
-        golden_section_max(fn, times[9], times[11], known=list(zip(times[9:12], values[9:12])))
-        n_golden, calls[:] = len(calls), []
+        _fit(fn, times[9], times[11], max(np.abs(values)))
+        fit_calls, calls[:] = [c.tolist() for c in calls], []
         opt = _refine_max(times, values, fn)
-        # the bracket ends come from the grid values; only the search (with
-        # its final midpoint) evaluates fn
-        assert len(calls) == n_golden
+        # the bracket ends come from the grid values; fn is read by the fit
+        # and once at the located maximum
+        assert [c.tolist() for c in calls] == fit_calls + [[opt.argmax]]
         assert opt.bracket_values == (values[9], values[11])
-        assert opt.argmax == pytest.approx(0.52, abs=1e-6)
+        assert opt.value == float(fn(np.array([opt.argmax]))[0])
+        assert opt.argmax == pytest.approx(0.52, abs=1e-12)
+
+    def test_coarse_grid_finds_the_default_optima(self, kappa_sweep_result):
+        # three grid points bracket all of [0, t_max]: the fit finds the
+        # global maximum there, not a local one
+        _, coarse = run_kappa_sweep(n_points=3, workers=1)
+        for o, ref in zip(coarse, kappa_sweep_result[1]):
+            assert o.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
+            assert o.argmax == pytest.approx(ref.argmax, rel=1e-9, abs=0.0)
 
     def test_edge_maximum_rejected(self):
         from qthermo.experiments import _refine_max
@@ -433,7 +379,7 @@ class TestTwoQubitConfigs:
 
 
     def test_t99_bisection_stops_at_float_resolution(self, two_qubit_result):
-        # the full 60-halving loop of the bracket gives the same t_99 bit for bit
+        # the fitted root is the full 60-halving loop's t_99 to rounding
         times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 239)])
         for config in TWO_QUBIT_CONFIGS:
             fam = _family(
@@ -451,7 +397,7 @@ class TestTwoQubitConfigs:
                     hi = mid
                 else:
                     lo = mid
-            assert two_qubit_result.params["t_99"][config] == 0.5 * (lo + hi)
+            assert two_qubit_result.params["t_99"][config] == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=0.0)
 
 
 class TestStackRecords:
@@ -507,8 +453,18 @@ class TestSteadyQsnrCurve:
         scan = run_steady_qsnr_curve()
         loc = scan.params["located_max"]
         x_star, qsnr_star = optimal_ratio()
-        assert loc["ratio"] == pytest.approx(x_star, abs=1e-4)
+        assert loc["ratio"] == pytest.approx(x_star, rel=1e-10, abs=0.0)
         assert loc["qsnr"] == pytest.approx(qsnr_star, abs=1e-9)
+
+    def test_maximum_location_on_a_coarse_grid(self):
+        # one fit over [ratio_min, ratio_max]; the piece holding the maximum
+        # is resolved to FIT_TOL, which bounds how well its derivative root
+        # places the ratio
+        scan = run_steady_qsnr_curve(ratio_points=3)
+        loc = scan.params["located_max"]
+        x_star, qsnr_star = optimal_ratio()
+        assert loc["ratio"] == pytest.approx(x_star, rel=1e-8, abs=0.0)
+        assert loc["qsnr"] == pytest.approx(qsnr_star, rel=1e-15, abs=0.0)
 
     def test_ratio_only_dependence(self):
         # same ratio, different scales: identical steady QSNR

@@ -8,15 +8,21 @@ workload ``W`` (``scans``, ``point_queries``, ``scan_pool`` or ``all``) at
 seeds ``A`` to ``B`` inclusive.  Each tree's ``qthermo.cli.main`` runs every
 request in this process, one tree after the other, with the workload's
 ``QTHERMO_WORKERS`` setting.  A request differs when its exit code, CSV,
-gnuplot file, summary (its ``wall_time_s`` line aside) or stderr differs;
-each such request is printed, and the exit status is 1 if there is one.
+gnuplot file, summary (its ``wall_time_s`` value aside) or stderr differs;
+each such request is printed with the largest relative deviation in each
+CSV column and each path of the summary's ``results`` that moved (list
+indices folded into ``[]``; ``nan`` for a value that is not a number on
+both sides), and the exit status is 1 if there is one.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
+import json
+import math
 import os
 import re
 import shutil
@@ -28,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 OUTPUTS = (".csv", ".gp", ".summary.json")
-WALL_TIME = re.compile(r'^ *"wall_time_s": .*\n', re.MULTILINE)
+WALL_TIME = re.compile(r'("wall_time_s": )[^,\n}]*')
 
 
 def package_dir(tree: str) -> Path:
@@ -70,8 +76,57 @@ def outcome(cli, argv, out_dir: str) -> dict:
         if os.path.exists(path):
             with open(path, encoding="utf-8", newline="") as fh:
                 text = fh.read()
-            result[ext.lstrip(".")] = WALL_TIME.sub("", text) if ext == ".summary.json" else text
+            result[ext.lstrip(".")] = WALL_TIME.sub(r"\1null", text) if ext == ".summary.json" else text
     return result
+
+
+def relative(a, b) -> float:
+    """|a - b| relative to the larger magnitude; ``nan`` unless both are numbers."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return math.nan
+    if x == y:
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x) and math.isfinite(y) else math.nan
+
+
+def leaves(node, path="results"):
+    """(path, value) of every leaf of a JSON tree, list indices folded into ``[]``."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from leaves(child, f"{path}.{key}")
+    elif isinstance(node, list):
+        for child in node:
+            yield from leaves(child, f"{path}[]")
+    else:
+        yield path, node
+
+
+def deviations(a: dict, b: dict) -> dict:
+    """Largest relative deviation per CSV column and per ``results`` path
+    that moved between two outcomes of one request."""
+    pairs = []
+    if "csv" in a and "csv" in b:
+        (head_a, *rows_a), (head_b, *rows_b) = (list(csv.reader(io.StringIO(o["csv"]))) for o in (a, b))
+        if head_a != head_b or len(rows_a) != len(rows_b):
+            pairs.append(("csv table shape", math.nan))
+        else:
+            pairs += [(f"csv {name}", relative(x, y))
+                      for ra, rb in zip(rows_a, rows_b) for name, x, y in zip(head_a, ra, rb)]
+    if "summary.json" in a and "summary.json" in b:
+        la, lb = (list(leaves(json.loads(o["summary.json"])["results"])) for o in (a, b))
+        if [p for p, _ in la] != [p for p, _ in lb]:
+            pairs.append(("results tree shape", math.nan))
+        else:
+            pairs += [(p, relative(x, y)) for (p, x), (_, y) in zip(la, lb)]
+    worst = {}
+    for name, dev in pairs:
+        if dev != 0.0 and not math.isnan(worst.get(name, 0.0)):
+            worst[name] = dev if math.isnan(dev) else max(dev, worst.get(name, 0.0))
+    return worst
 
 
 def run_tree(tree: str, jobs, out_dir: str) -> list[dict]:
@@ -115,6 +170,8 @@ def main(argv=None) -> int:
         if fields:
             differing += 1
             print(f"{label}\n    differs in: {', '.join(fields)}")
+            for name, dev in deviations(a, b).items():
+                print(f"    {name}: {dev:.2e}")
     print(f"{differing} of {len(jobs)} requests differ")
     return 1 if differing else 0
 
