@@ -128,8 +128,7 @@ def write_gnuplot(path: str, experiment: str, csv_name: str, columns, data) -> N
 
 def run(cfg: RunConfig, quiet: bool = False) -> int:
     started = time.perf_counter()
-    spec = EXPERIMENTS[cfg.experiment]
-    scan, results = spec.results(spec.run(**cfg.options))
+    scan = EXPERIMENTS[cfg.experiment].run(**cfg.options)
     os.makedirs(cfg.out_dir, exist_ok=True)
     base = os.path.join(cfg.out_dir, cfg.experiment)
     csv_path = base + ".csv"
@@ -138,8 +137,8 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     payload = {
         "experiment": cfg.experiment,
         "version": __version__,
-        "parameters": scan.params,
-        "results": results,
+        "parameters": {"experiment": cfg.experiment, **cfg.options},
+        "results": scan.results,
         "csv": os.path.basename(csv_path),
         "wall_time_s": time.perf_counter() - started,
     }

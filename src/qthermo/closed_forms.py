@@ -164,15 +164,16 @@ def steady_qsnr(ratio: float) -> float:
     return np.float_power(ratio * sech(ratio), 2)
 
 
-def optimal_ratio(tol: float = 1e-12) -> tuple[float, float]:
-    """Maximize the steady QSNR: bisect ``tanh(x) - 1/x`` on [1, 2].
+def optimal_ratio() -> tuple[float, float]:
+    """Maximize the steady QSNR: bisect ``tanh(x) - 1/x`` on [1, 2] to a
+    bracket of 1e-12.
 
     Returns ``(x_star, qsnr_star)``; at the root ``qsnr_star = x^2 - 1``.
     """
     f = lambda x: np.tanh(x) - 1.0 / x
     lo, hi = 1.0, 2.0
     # tanh(1) - 1 < 0 and tanh(2) - 1/2 > 0: the bracket is always valid
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
             lo = mid

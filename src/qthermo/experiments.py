@@ -1,13 +1,15 @@
 """Scripted scan runners producing the package's standard data products.
 
-Each runner returns a :class:`ScanResult` whose table is held as columns:
-one list of values per column name, in a fixed column order, ready for CSV
-serialization.  :data:`EXPERIMENTS` holds one :class:`ExperimentSpec` per
-CLI experiment: the runner itself, whose signature declares the
-experiment's config keys and their defaults, its results payload and its
-plot.  Runs are deterministic: there is no randomness anywhere, and sweep
-points are independent jobs that a thread pool may execute in any order
-without changing the assembled output.
+Each runner returns a :class:`ScanResult`: its table, held as columns (one
+list of values per column name, in a fixed column order, ready for CSV
+serialization), and its headline results (the summary's payload), built
+from the grids, optima and records the runner holds; a run's parameters
+are its resolved config, the runner's keywords.  :data:`EXPERIMENTS` holds
+one :class:`ExperimentSpec` per CLI experiment: the runner itself, whose
+signature declares the experiment's config keys and their defaults, and
+its plot.  Runs are deterministic: there is no randomness anywhere, and
+sweep points are independent jobs that a thread pool may execute in any
+order without changing the assembled output.
 
 Each job builds one model and one initial state, and one Liouvillian with
 its closed-form ``dL/dT`` per distinct generator: preparations of one
@@ -93,14 +95,13 @@ _TQ_BASIS = np.array(
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Output table of one experiment: column order, one equally long list
-    of values per column, and the complete resolved parameter set needed to
-    reproduce the run."""
+    """Output of one experiment: its table (column order and one equally
+    long list of values per column) and its headline results."""
 
     label: str
-    params: dict
     columns: tuple[str, ...]
     data: dict[str, list]
+    results: dict
 
     def __post_init__(self):
         lengths = {len(col) for col in self.data.values()}
@@ -111,10 +112,6 @@ class ScanResult:
             )
         if not lengths.pop():
             raise NonPositiveInput(f"experiment {self.label!r} produced no rows")
-
-    def row(self, i: int) -> dict:
-        """Row ``i`` as a dict in column order."""
-        return {name: self.data[name][i] for name in self.columns}
 
     @property
     def rows(self) -> list[dict]:
@@ -127,12 +124,10 @@ class ExperimentSpec:
     """One CLI experiment.  ``run`` is its runner: the config keys are the
     runner's keywords (``workers`` aside) and their defaults are the
     signature's; each key's config type is ``config.KINDS``'s, one per key
-    name.  ``results`` turns what ``run`` returned into the scan and the
-    summary's results payload; ``plot`` names the gnuplot (x, y, group)
-    columns, ``None`` for none."""
+    name.  ``plot`` names the gnuplot (x, y, group) columns, ``None`` for
+    none."""
 
-    run: Callable[..., object]
-    results: Callable[[object], tuple[ScanResult, dict]]
+    run: Callable[..., ScanResult]
     plot: tuple[str | None, str | None, str | None] = (None, None, None)
 
 
@@ -415,23 +410,16 @@ def run_theta_scan(
 ) -> ScanResult:
     """Reduced-probe QFI(t) for a list of ancilla preparation angles."""
     times = np.linspace(0.0, t_max, n_points)
-    params = dict(
-        experiment="theta_scan", theta_list=list(map(float, theta_list)),
-        temperature=temperature, kappa=kappa, eta=eta, cutoff=cutoff,
-        t_max=t_max, n_points=n_points,
-    )
-
+    thetas = list(map(float, theta_list))
     fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff)
-    grids = parallel_map(lambda theta: fam.prepared(theta).records(times), theta_list, workers)
-    data = _grid_table("theta", params["theta_list"], grids)
-    return ScanResult("theta_scan", params, ("theta", "t") + _RECORD_COLUMNS, data)
-
-
-def _theta_scan_results(scan):
-    peaks = {}
-    for theta, qfi in zip(scan.data["theta"], scan.data["qfi"]):
-        peaks[theta] = max(peaks.get(theta, 0.0), qfi)
-    return scan, {"peak_qfi_by_theta": peaks}
+    grids = parallel_map(lambda theta: fam.prepared(theta).records(times), thetas, workers)
+    peaks = {}  # a repeated angle keeps its larger peak
+    for theta, recs in zip(thetas, grids):
+        peaks[theta] = max([peaks.get(theta, 0.0), *recs["qfi"]])
+    data = _grid_table("theta", thetas, grids)
+    return ScanResult(
+        "theta_scan", ("theta", "t") + _RECORD_COLUMNS, data, {"peak_qfi_by_theta": peaks}
+    )
 
 
 def run_direct_vs_ancilla(
@@ -445,12 +433,10 @@ def run_direct_vs_ancilla(
     n_points: int = 500,
     workers: int | None = None,
 ) -> ScanResult:
-    """QFI(t) of the bare dephasing probe against the ancilla-shielded one."""
+    """QFI(t) of the bare dephasing probe against the ancilla-shielded one,
+    and the crossover: the first time after 0 from which the ancilla's QFI
+    stays strictly above the direct probe's to the end of the grid."""
     times = np.linspace(0.0, t_max, n_points)
-    params = dict(
-        experiment="direct_vs_ancilla", temperature=temperature, kappa=kappa,
-        eta=eta, cutoff=cutoff, theta=theta, t_max=t_max, n_points=n_points,
-    )
     scheme_models = {"direct": "direct", "ancilla": "probe_ancilla"}
 
     def one(scheme):
@@ -459,26 +445,17 @@ def run_direct_vs_ancilla(
         )
         return fam.records(times)
 
-    data = _grid_table("scheme", scheme_models, parallel_map(one, scheme_models, workers))
-    return ScanResult("direct_vs_ancilla", params, ("scheme", "t") + _RECORD_COLUMNS, data)
-
-
-def _direct_vs_ancilla_results(scan):
-    by = {"direct": ([], []), "ancilla": ([], [])}  # scheme -> (t, qfi)
-    for scheme, t, qfi in zip(scan.data["scheme"], scan.data["t"], scan.data["qfi"]):
-        by[scheme][0].append(t)
-        by[scheme][1].append(qfi)
-    (_, direct), (times, ancilla) = by["direct"], by["ancilla"]
-    crossover = None
-    n = len(direct)
-    for i in range(1, n):
-        if all(ancilla[j] > direct[j] for j in range(i, n)):
-            crossover = times[i]
-            break
-    return scan, {
-        "crossover_time": crossover,
-        "peak_qfi": {k: max(qfi) for k, (_, qfi) in by.items()},
+    grids = parallel_map(one, scheme_models, workers)
+    direct, ancilla = (np.array(recs["qfi"]) for recs in grids)
+    # the crossover follows the last point after t = 0 where the ancilla is not above
+    below = np.flatnonzero(~(ancilla[1:] > direct[1:]))
+    i = 2 + int(below[-1]) if below.size else 1
+    results = {
+        "crossover_time": grids[1]["t"][i] if i < len(times) else None,
+        "peak_qfi": {scheme: max(recs["qfi"]) for scheme, recs in zip(scheme_models, grids)},
     }
+    data = _grid_table("scheme", scheme_models, grids)
+    return ScanResult("direct_vs_ancilla", ("scheme", "t") + _RECORD_COLUMNS, data, results)
 
 
 def _coupling_optimum(kappa, temperature, eta, cutoff, theta, times):
@@ -502,31 +479,20 @@ def run_kappa_sweep(
     t_max: float = 120.0,
     n_points: int = 600,
     workers: int | None = None,
-) -> tuple[ScanResult, list[OptSearchResult]]:
+) -> ScanResult:
     """QFI(t), QFI/t and the located QSNR optimum for each coupling."""
     times = np.linspace(0.0, t_max, n_points)
-    params = dict(
-        experiment="kappa_sweep", kappa_list=list(map(float, kappa_list)),
-        temperature=temperature, eta=eta, cutoff=cutoff, theta=theta,
-        t_max=t_max, n_points=n_points,
-    )
+    kappas = list(map(float, kappa_list))
     sweep = parallel_map(
         lambda kappa: _coupling_optimum(kappa, temperature, eta, cutoff, theta, times),
-        kappa_list, workers,
+        kappas, workers,
     )
-    data = _grid_table("kappa", params["kappa_list"], [recs for _, recs, _ in sweep])
-    scan = ScanResult("kappa_sweep", params, ("kappa", "t") + _RECORD_COLUMNS, data)
-    return scan, [opt for _, _, opt in sweep]
-
-
-def _kappa_sweep_results(run_output):
-    scan, optima = run_output
-    return scan, {
-        "optima": [
-            {"kappa": k, "t_opt": o.argmax, "qsnr_opt": o.value}
-            for k, o in zip(scan.params["kappa_list"], optima)
-        ]
-    }
+    optima = [
+        {"kappa": kappa, "t_opt": opt.argmax, "qsnr_opt": opt.value}
+        for kappa, (_, _, opt) in zip(kappas, sweep)
+    ]
+    data = _grid_table("kappa", kappas, [recs for _, recs, _ in sweep])
+    return ScanResult("kappa_sweep", ("kappa", "t") + _RECORD_COLUMNS, data, {"optima": optima})
 
 
 def run_coherence_parametric(
@@ -542,11 +508,6 @@ def run_coherence_parametric(
 ) -> ScanResult:
     """Parametric curve (max coherence generated, optimal QSNR) over coupling."""
     times = np.linspace(0.0, t_max, n_points)
-    params = dict(
-        experiment="coherence_parametric", kappa_list=list(map(float, kappa_list)),
-        temperature=temperature, eta=eta, cutoff=cutoff, theta=theta,
-        t_max=t_max, n_points=n_points,
-    )
 
     def one(kappa):
         fam, recs, opt_r = _coupling_optimum(kappa, temperature, eta, cutoff, theta, times)
@@ -558,7 +519,8 @@ def run_coherence_parametric(
     columns = ("kappa", "max_coherence", "t_max_coherence", "qsnr_opt", "t_opt")
     points = parallel_map(one, kappa_list, workers)
     data = {name: [p[k] for p in points] for k, name in enumerate(columns)}
-    return ScanResult("coherence_parametric", params, columns, data)
+    parametric = [dict(zip(columns, p)) for p in points]
+    return ScanResult("coherence_parametric", columns, data, {"parametric": parametric})
 
 
 TWO_QUBIT_CONFIGS = ("local_separable", "local_entangled", "common_separable", "common_entangled")
@@ -583,18 +545,14 @@ def run_two_qubit_configs(
 
     The per-configuration time to reach 99% of the steady QFI is the first
     root of ``QFI - target`` of a Chebyshev fit between the grid points that
-    bracket it, reported in ``params["t_99"]``; steady values (the QFI at
-    ``t_max``) are in ``params["steady_qfi"]``.
+    bracket it, reported in ``results["t_99"]``; steady values (the QFI at
+    ``t_max``) are in ``results["steady_qfi"]``.
     """
     if n_points < 3:
         raise ValidationError("n_points", f"must be >= 3 (t = 0, 0.01 and t_max), got {n_points}")
     if t_max <= _FIRST_LOG_TIME:
         raise ValidationError("t_max", f"must exceed {_FIRST_LOG_TIME}, the grid's first time after 0")
     times = np.concatenate([[0.0], np.geomspace(_FIRST_LOG_TIME, t_max, n_points - 1)])
-    params = dict(
-        experiment="two_qubit_configs", temperature=temperature, kappa=kappa,
-        eta1=eta1, eta2=eta2, cutoff=cutoff, t_max=t_max, n_points=n_points,
-    )
 
     baths = {
         bath: _family(f"two_qubit_{bath}", temperature, kappa=kappa, eta=eta1, eta2=eta2, cutoff=cutoff)
@@ -618,10 +576,12 @@ def run_two_qubit_configs(
         return recs, f_ss, t99
 
     sweep = parallel_map(one, TWO_QUBIT_CONFIGS, workers)
-    params["steady_qfi"] = {c: f_ss for c, (_, f_ss, _) in zip(TWO_QUBIT_CONFIGS, sweep)}
-    params["t_99"] = {c: t99 for c, (_, _, t99) in zip(TWO_QUBIT_CONFIGS, sweep)}
+    results = {
+        "steady_qfi": {c: f_ss for c, (_, f_ss, _) in zip(TWO_QUBIT_CONFIGS, sweep)},
+        "t_99": {c: t99 for c, (_, _, t99) in zip(TWO_QUBIT_CONFIGS, sweep)},
+    }
     data = _grid_table("config", TWO_QUBIT_CONFIGS, [recs for recs, _, _ in sweep])
-    return ScanResult("two_qubit_configs", params, ("config", "t") + _RECORD_COLUMNS, data)
+    return ScanResult("two_qubit_configs", ("config", "t") + _RECORD_COLUMNS, data, results)
 
 
 def run_steady_qsnr_curve(
@@ -642,14 +602,10 @@ def run_steady_qsnr_curve(
     values = steady_qsnr(ratio_grid)
     opt = _refine_max(ratio_grid, values, steady_qsnr)
     x_star, qsnr_star = optimal_ratio()
-    params = dict(
-        experiment="steady_qsnr",
-        ratio_min=ratio_min, ratio_max=ratio_max,
-        ratio_points=ratio_points, n_line=n_line,
-        line_t_min=line_t_min, line_t_max=line_t_max,
-        located_max={"ratio": opt.argmax, "qsnr": opt.value},
-        root_condition={"ratio": x_star, "qsnr": qsnr_star},
-    )
+    results = {
+        "located_max": {"ratio": opt.argmax, "qsnr": opt.value},
+        "root_condition": {"ratio": x_star, "qsnr": qsnr_star},
+    }
     line = np.linspace(line_t_min, line_t_max, n_line)
     curve, blank = ["curve"] * len(ratio_grid), [""] * len(ratio_grid)
     data = {
@@ -660,7 +616,7 @@ def run_steady_qsnr_curve(
         "qsnr": values.tolist() + [qsnr_star] * n_line,
     }
     return ScanResult(
-        "steady_qsnr", params, ("section", "ratio", "temperature", "kappa", "qsnr"), data
+        "steady_qsnr", ("section", "ratio", "temperature", "kappa", "qsnr"), data, results
     )
 
 
@@ -684,11 +640,6 @@ def run_evolve(
     )
     times = np.linspace(0.0, t_max, n_points)
     states, _ = propagate(build_liouvillian(system), initial_state(system), times)
-    params = dict(
-        experiment="evolve", model=model, temperature=temperature, eta=eta,
-        eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
-        t_max=t_max, n_points=n_points,
-    )
     populations = ("p0", "p1") if states.shape[-1] == 2 else ("p00", "p01", "p10", "p11")
     data = {
         "t": times.tolist(),
@@ -696,7 +647,8 @@ def run_evolve(
         "coherence_abs": _coherence(states).tolist(),
         "purity": np.trace(states @ states, axis1=-2, axis2=-1).real.tolist(),
     }
-    return ScanResult("evolve", params, ("t", *populations, "coherence_abs", "purity"), data)
+    final_row = {name: col[-1] for name, col in data.items()}
+    return ScanResult("evolve", tuple(data), data, {"final_row": final_row})
 
 
 def run_qfi_point(
@@ -712,41 +664,23 @@ def run_qfi_point(
 ) -> ScanResult:
     """Single-point estimate: QFI, measurement FI and QSNR at a time or at
     the steady state."""
-    params = dict(
-        experiment="qfi_point", model=model, at=at, temperature=temperature,
-        eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta,
-    )
     fam = _family(model, temperature, eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta)
     t = np.inf if at == "steady" else float(at)
     if t == np.inf and not any(fam.liouvillian.rates):
         raise ValidationError("eta", "at=steady needs a bath: with every rate zero no state is stationary")
     rec = fam.records(t)
-    data = {"at": ["steady" if t == np.inf else t], **{name: [rec[name]] for name in _RECORD_COLUMNS}}
-    return ScanResult("qfi_point", params, ("at",) + _RECORD_COLUMNS, data)
+    record = {"at": "steady" if t == np.inf else t, **{name: rec[name] for name in _RECORD_COLUMNS}}
+    data = {name: [value] for name, value in record.items()}
+    return ScanResult("qfi_point", tuple(record), data, {"record": record})
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
-    "theta_scan": ExperimentSpec(run_theta_scan, _theta_scan_results, ("t", "qfi", "theta")),
-    "direct_vs_ancilla": ExperimentSpec(
-        run_direct_vs_ancilla, _direct_vs_ancilla_results, ("t", "qfi", "scheme")
-    ),
-    "kappa_sweep": ExperimentSpec(run_kappa_sweep, _kappa_sweep_results, ("t", "qfi", "kappa")),
-    "coherence_parametric": ExperimentSpec(
-        run_coherence_parametric,
-        lambda scan: (scan, {"parametric": scan.rows}), ("max_coherence", "qsnr_opt", None),
-    ),
-    "two_qubit_configs": ExperimentSpec(
-        run_two_qubit_configs,
-        lambda scan: (scan, {"steady_qfi": scan.params["steady_qfi"], "t_99": scan.params["t_99"]}),
-        ("t", "qfi", "config"),
-    ),
-    "steady_qsnr": ExperimentSpec(
-        run_steady_qsnr_curve,
-        lambda scan: (scan, {k: scan.params[k] for k in ("located_max", "root_condition")}),
-        ("ratio", "qsnr", None),
-    ),
-    "evolve": ExperimentSpec(
-        run_evolve, lambda scan: (scan, {"final_row": scan.row(-1)}), ("t", "coherence_abs", None)
-    ),
-    "qfi_point": ExperimentSpec(run_qfi_point, lambda scan: (scan, {"record": scan.row(0)})),
+    "theta_scan": ExperimentSpec(run_theta_scan, ("t", "qfi", "theta")),
+    "direct_vs_ancilla": ExperimentSpec(run_direct_vs_ancilla, ("t", "qfi", "scheme")),
+    "kappa_sweep": ExperimentSpec(run_kappa_sweep, ("t", "qfi", "kappa")),
+    "coherence_parametric": ExperimentSpec(run_coherence_parametric, ("max_coherence", "qsnr_opt", None)),
+    "two_qubit_configs": ExperimentSpec(run_two_qubit_configs, ("t", "qfi", "config")),
+    "steady_qsnr": ExperimentSpec(run_steady_qsnr_curve, ("ratio", "qsnr", None)),
+    "evolve": ExperimentSpec(run_evolve, ("t", "coherence_abs", None)),
+    "qfi_point": ExperimentSpec(run_qfi_point),
 }

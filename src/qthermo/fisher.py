@@ -86,13 +86,13 @@ def _raise_first(bad, error, message: str, values) -> None:
         raise error(message.format(np.ravel(values)[idx[0]]))
 
 
-def halving_consistency(d_h: np.ndarray, d_half: np.ndarray, rel_tol: float = 1e-5) -> None:
+def halving_consistency(d_h: np.ndarray, d_half: np.ndarray) -> None:
     """Require a central difference to agree with its half-step refinement.
 
     Derivatives below 1e-8 in every entry count as zero (the family is
     temperature independent up to evaluation noise, e.g. a dephased steady
     state, and a relative comparison of noise would be meaningless).  Above
-    that floor a relative discrepancy exceeding ``rel_tol`` raises
+    that floor a relative discrepancy exceeding 1e-5 raises
     :class:`StepTooLarge`.  For ``(..., d, d)`` stacks each matrix is checked
     on its own scale.
     """
@@ -102,7 +102,7 @@ def halving_consistency(d_h: np.ndarray, d_half: np.ndarray, rel_tol: float = 1e
     scale = np.maximum(big_half, np.abs(d_h).max(axis=axes))
     rel = np.abs(d_h - d_half).max(axis=axes) / np.maximum(big_half, 1e-300)
     _raise_first(
-        (scale >= 1e-8) & (rel > rel_tol), StepTooLarge,
+        (scale >= 1e-8) & (rel > 1e-5), StepTooLarge,
         "central difference differs from half step by {:.3e} relative", rel,
     )
 
@@ -123,10 +123,10 @@ def d_rho_dT(state_fn, temperature: float, h: float | None = None) -> np.ndarray
     return d_h
 
 
-def qfi_spectral(rho: np.ndarray, drho: np.ndarray, eig_cutoff: float = EIG_CUTOFF):
+def qfi_spectral(rho: np.ndarray, drho: np.ndarray):
     """Quantum Fisher information from the eigendecomposition of ``rho``.
 
-    Terms with ``lam_k + lam_l <= eig_cutoff`` are dropped; if such a term
+    Terms with ``lam_k + lam_l <= EIG_CUTOFF`` are dropped; if such a term
     carries a squared numerator above ``NUMERATOR_FLOOR`` a warning is
     emitted (once per affected state), since that signals information
     sitting on the boundary of the state's support where the float
@@ -144,7 +144,7 @@ def qfi_spectral(rho: np.ndarray, drho: np.ndarray, eig_cutoff: float = EIG_CUTO
     m = dag(v) @ drho @ v
     s = lam[..., :, None] + lam[..., None, :]
     num = np.float_power(np.hypot(m.real, m.imag), 2)  # rounds as abs(m_kl) ** 2 does
-    kept = s > eig_cutoff
+    kept = s > EIG_CUTOFF
     terms = np.divide(2.0 * num, s, out=np.zeros_like(num), where=kept)
     # summed term by term in (k, l) order, as a running total
     total = np.cumsum(terms.reshape(*terms.shape[:-2], -1), axis=-1)[..., -1]

@@ -111,19 +111,19 @@ class EigenSystem:
         return (v * self.eigenvalues[..., None, :]) @ dag(v)
 
 
-def eig_hermitian(h: np.ndarray, herm_tol: float = 1e-12) -> EigenSystem:
+def eig_hermitian(h: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with deterministic phases.
 
     Raises
     ------
     NonHermitianInput
-        If any entry of ``h - h†`` exceeds ``herm_tol``.
+        If any entry of ``h - h†`` exceeds 1e-12.
     """
     h = np.asarray(h, dtype=complex)
     defect = hermiticity_defect(h)
-    k = _first(defect > herm_tol)
+    k = _first(defect > 1e-12)
     if k is not None:
-        raise NonHermitianInput(f"hermiticity defect {np.ravel(defect)[k]:.3e} > {herm_tol:.1e}")
+        raise NonHermitianInput(f"hermiticity defect {np.ravel(defect)[k]:.3e} > 1.0e-12")
     vals, vecs = np.linalg.eigh(0.5 * (h + dag(h)))
     # phase reference: the first component of each column above 1e-8 in modulus
     first = np.argmax(np.abs(vecs) > 1e-8, axis=-2)[..., None, :]

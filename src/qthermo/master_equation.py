@@ -126,23 +126,21 @@ def _chains(values, tol):
     return labels, sums / np.bincount(labels)
 
 
-def _jump_stack(h, a, freq_tol):
+def _jump_stack(h, a):
     """Jump operators of each coupling operator of the ``(k, d, d)`` stack
     ``a`` from one eigensystem of ``h``: ``(omegas, ops, keep)``, the Bohr
     frequency of each group, ``ops[k, g]`` the jump operator of ``a[k]`` at
     group ``g``, and ``keep[k, g]``, false where it is pruned."""
-    if freq_tol <= 0:
-        raise NonPositiveInput("freq_tol must be > 0")
     es = eig_hermitian(h)
-    levels, energies = _chains(es.eigenvalues, freq_tol)
+    levels, energies = _chains(es.eigenvalues, DEFAULT_FREQ_TOL)
     v = np.where(levels == np.arange(len(energies))[:, None, None], es.eigenvectors, 0.0)
     p = v @ dag(v)  # one projector per level group
     # ops[k, n, m] = (P(n) @ a[k]) @ P(m), at Bohr frequency E(m) - E(n)
     ops = p[None, :, None] @ a[:, None, None] @ p[None, None, :]
     w = (energies[None, :] - energies[:, None]).ravel()
     order = np.argsort(w, kind="stable")
-    groups, omegas = _chains(w[order], freq_tol)
-    omegas[np.abs(omegas) < freq_tol] = 0.0
+    groups, omegas = _chains(w[order], DEFAULT_FREQ_TOL)
+    omegas[np.abs(omegas) < DEFAULT_FREQ_TOL] = 0.0
     k, d = a.shape[0], h.shape[0]
     totals = np.zeros((k, len(omegas), d, d), dtype=complex)
     # from zero and in order, as Python's sum adds a group's terms
@@ -151,22 +149,17 @@ def _jump_stack(h, a, freq_tol):
     return omegas, totals, np.abs(totals).max(axis=(-2, -1)) > floor[:, None]
 
 
-def jump_operators(
-    h: np.ndarray,
-    a: np.ndarray,
-    freq_tol: float = DEFAULT_FREQ_TOL,
-    bath_index: int = 0,
-) -> list[JumpChannel]:
+def jump_operators(h: np.ndarray, a: np.ndarray, bath_index: int = 0) -> list[JumpChannel]:
     """Decompose a coupling operator into jump operators of ``h``.
 
-    Energy levels within ``freq_tol`` are merged (projectors are summed over
-    the degenerate subspace, so the arbitrary eigenvector basis inside a
-    degenerate block cannot leak into the result).  Channels whose largest
+    Energy levels within ``DEFAULT_FREQ_TOL`` are merged (projectors are
+    summed over the degenerate subspace, so the arbitrary eigenvector basis
+    inside a degenerate block cannot leak into the result).  Channels whose largest
     entry is at most ``CHANNEL_PRUNE_TOL`` times ``a``'s are dropped, so a
     zero ``a`` has none.  The surviving channels satisfy
     ``[A(w), h] = w A(w)`` and sum back to ``a``.
     """
-    omegas, ops, keep = _jump_stack(h, np.asarray(a, dtype=complex)[None], freq_tol)
+    omegas, ops, keep = _jump_stack(h, np.asarray(a, dtype=complex)[None])
     return [JumpChannel(w, op, bath_index) for w, op in zip(omegas[keep[0]].tolist(), ops[0, keep[0]])]
 
 
@@ -204,7 +197,7 @@ class Liouvillian:
         return unvec(self.superop @ vec(rho))
 
 
-def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouvillian:
+def build_liouvillian(model: Model) -> Liouvillian:
     """Assemble the global master equation generator of a model.
 
     Dissipators are additive across the model's couplings.  Every rate's
@@ -213,7 +206,7 @@ def build_liouvillian(model: Model, freq_tol: float = DEFAULT_FREQ_TOL) -> Liouv
     """
     h = hamiltonian(model)
     couplings = coupling_operators(model)
-    omegas, ops, keep = _jump_stack(h, np.stack([a for a, _ in couplings]), freq_tol)
+    omegas, ops, keep = _jump_stack(h, np.stack([a for a, _ in couplings]))
 
     # a handful of channels: scalar rates cost less than array calls
     channels, rates = [], []

@@ -137,7 +137,7 @@ def test_criterion_01_steady_qfi_identity():
 
 def test_criterion_02_optimality_condition():
     scan = run_steady_qsnr_curve()
-    loc = scan.params["located_max"]
+    loc = scan.results["located_max"]
     ok = abs(loc["ratio"] - 1.19968) <= 1e-4 and abs(loc["qsnr"] - 0.4392) <= 1e-3
     detail = f"located maximum at x={loc['ratio']:.6f}, value={loc['qsnr']:.6f}"
     assert report(2, ok, detail), detail
@@ -254,12 +254,12 @@ def test_criterion_05_dual_oracle_probe_state():
 
 def test_criterion_06_four_configuration_convergence(two_qubit_result):
     scan = two_qubit_result
-    steady = scan.params["steady_qfi"]
+    steady = scan.results["steady_qfi"]
     vals = list(steady.values())
     pairwise = max(vals) - min(vals)
     exact = steady_qfi(0.6, 0.4)
     worst_rel = max(abs(v - exact) / exact for v in vals)
-    t99 = scan.params["t_99"]
+    t99 = scan.results["t_99"]
     order_ok = t99["local_separable"] <= t99["common_entangled"]
     ok = pairwise < 1e-6 and worst_rel < 1e-6 and order_ok
     detail = (
@@ -271,10 +271,9 @@ def test_criterion_06_four_configuration_convergence(two_qubit_result):
 
 
 def test_criterion_07_monotonicity_suite(kappa_sweep_result):
-    scan, optima = kappa_sweep_result
-    kappas = scan.params["kappa_list"]
-    r_opts = [o.value for o in optima]
-    t_opts = [o.argmax for o in optima]
+    optima = kappa_sweep_result.results["optima"]
+    r_opts = [o["qsnr_opt"] for o in optima]
+    t_opts = [o["t_opt"] for o in optima]
     r_up = all(a < b for a, b in zip(r_opts, r_opts[1:]))
     t_up = all(a < b for a, b in zip(t_opts, t_opts[1:]))
 

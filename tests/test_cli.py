@@ -471,6 +471,13 @@ def test_registry_entry(name, tmp_path, monkeypatch):
     assert set(named) <= set(header)
 
 
+@pytest.mark.parametrize("name", list(experiments.EXPERIMENTS))
+def test_summary_parameters_are_the_resolved_config(name, tmp_path):
+    assert main([name, "--out", str(tmp_path), "--quiet"]) == 0
+    summary = json.loads((tmp_path / f"{name}.summary.json").read_text())
+    assert summary["parameters"] == {"experiment": name, **resolve(name).options}
+
+
 def test_kinds_type_exactly_the_runner_keywords(monkeypatch):
     # one kind per key name: no runner keyword untyped, no kind unused
     keywords = set().union(
@@ -481,6 +488,6 @@ def test_kinds_type_exactly_the_runner_keywords(monkeypatch):
     def run(kappa_list=(1.0,), *, untyped_key=2.0, workers=None):
         return None
 
-    monkeypatch.setitem(experiments.EXPERIMENTS, "untyped_toy", experiments.ExperimentSpec(run, None))
+    monkeypatch.setitem(experiments.EXPERIMENTS, "untyped_toy", experiments.ExperimentSpec(run))
     with pytest.raises(KeyError, match="untyped_key"):
         resolve("untyped_toy")

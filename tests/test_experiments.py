@@ -3,6 +3,7 @@ import pytest
 
 from qthermo.closed_forms import direct_probe_qfi, optimal_ratio, steady_qfi
 from qthermo import experiments
+from qthermo.config import resolve
 from qthermo.errors import NoConvergence, NonPositiveInput, ValidationError
 from qthermo.experiments import (
     MODEL_NAMES,
@@ -104,7 +105,9 @@ def sequential_golden_section(f, lo, hi, tol):
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     steps = 0
-    while (b - a) > tol:
+    # stop once a probe no longer lies strictly inside (a, b): the bracket
+    # cannot shrink below the float spacing of its ends
+    while (b - a) > tol and a < c < b and a < d < b:
         steps += 1
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -133,19 +136,19 @@ def two_qubit_searches(**params):
     """(q, times, grid q, i, target) of each two-qubit config's t_99 search,
     with the run's t_99, for run_two_qubit_configs(**params)."""
     run = run_two_qubit_configs(workers=1, **params)
-    times = np.concatenate([[0.0], np.geomspace(0.01, run.params["t_max"], run.params["n_points"] - 1)])
+    p = {**resolve("two_qubit_configs").options, **params}
+    times = np.concatenate([[0.0], np.geomspace(0.01, p["t_max"], p["n_points"] - 1)])
     for config in TWO_QUBIT_CONFIGS:
         fam = _family(
             "two_qubit_local" if config.startswith("local") else "two_qubit_common",
-            run.params["temperature"], kappa=run.params["kappa"], eta=run.params["eta1"],
-            eta2=run.params["eta2"], cutoff=run.params["cutoff"],
+            p["temperature"], kappa=p["kappa"], eta=p["eta1"], eta2=p["eta2"], cutoff=p["cutoff"],
             theta=0.0 if config.endswith("separable") else np.pi / 2,
         )
         qfi = [row["qfi"] for row in run.rows if row["config"] == config]
         target = 0.99 * qfi[-1]
         i = int(np.nonzero(np.array(qfi) >= target)[0][0])
         q = lambda t, fam=fam: qfi_spectral(*fam.state_and_derivative(t))  # noqa: E731
-        yield q, times, qfi, i, target, run.params["t_99"][config]
+        yield q, times, qfi, i, target, run.results["t_99"][config]
 
 
 def _draw_two_qubit_params(seed):
@@ -176,6 +179,14 @@ class TestFittedSearches:
         assert opt.value >= v_ref - 4 * np.spacing(v_ref)
         assert opt.tolerance <= experiments.FIT_TOL
 
+    def test_golden_section_reference_stops_at_float_resolution(self):
+        # tol = 0: the bracket's ends become adjacent floats, where no probe
+        # lies strictly inside it, long before b - a reaches 0
+        x0 = 10.0 + 1.1e-4
+        x, _, steps = sequential_golden_section(lambda x: -(x - x0) ** 2, 10.0, 10.0 + 2e-4, 0.0)
+        assert abs(x - x0) <= 1e-12
+        assert steps < 100
+
     @pytest.mark.parametrize("seed", range(4))
     def test_t99_matches_the_sequential_bisection(self, seed):
         for q, times, qfi, i, target, t99 in two_qubit_searches(**_draw_two_qubit_params(seed)):
@@ -185,7 +196,7 @@ class TestFittedSearches:
     def test_t99_near_the_decoherence_free_corner(self):
         # eta2/eta = 1.00001: the common-bath QFI carries ~1e-7 relative noise
         run = run_two_qubit_configs(eta2=0.0100001, workers=1)
-        assert run.params["t_99"]["common_separable"] == pytest.approx(1979.999935280562, rel=1e-6)
+        assert run.results["t_99"]["common_separable"] == pytest.approx(1979.999935280562, rel=1e-6)
 
 
 class TestSearchCallCounts:
@@ -276,21 +287,21 @@ class TestDirectVsAncilla:
 
 class TestKappaSweep:
     def test_optimal_time_grows_with_coupling(self, kappa_sweep_result):
-        _, optima = kappa_sweep_result
-        t_opts = [o.argmax for o in optima]
+        t_opts = [o["t_opt"] for o in kappa_sweep_result.results["optima"]]
         assert all(a < b for a, b in zip(t_opts, t_opts[1:]))
 
     def test_optima_are_interior_and_refined(self, kappa_sweep_result):
-        _, optima = kappa_sweep_result
-        for o in optima:
+        times = np.linspace(0.0, 120.0, 600)
+        for kappa, optimum in zip(experiments.DEFAULT_KAPPAS, kappa_sweep_result.results["optima"]):
+            _, _, o = experiments._coupling_optimum(kappa, 0.4, 0.01, 10.0, np.pi / 2, times)
+            assert optimum == {"kappa": kappa, "t_opt": o.argmax, "qsnr_opt": o.value}
             assert o.value >= max(o.bracket_values)
             assert o.bracket[0] < o.argmax < o.bracket[1]
             assert o.tolerance <= 1e-6
 
     def test_frozen_optimum_values(self, kappa_sweep_result):
         # pinned from the converged generator: peaks of T^2 * QFI(t)
-        _, optima = kappa_sweep_result
-        got = [o.value for o in optima]
+        got = [o["qsnr_opt"] for o in kappa_sweep_result.results["optima"]]
         assert np.allclose(got, [0.07606, 0.06452, 0.05628, 0.05036], atol=2e-4)
 
     def test_persistence_at_long_times(self):
@@ -321,10 +332,10 @@ class TestKappaSweep:
     def test_coarse_grid_finds_the_default_optima(self, kappa_sweep_result):
         # three grid points bracket all of [0, t_max]: the fit finds the
         # global maximum there, not a local one
-        _, coarse = run_kappa_sweep(n_points=3, workers=1)
-        for o, ref in zip(coarse, kappa_sweep_result[1]):
-            assert o.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
-            assert o.argmax == pytest.approx(ref.argmax, rel=1e-9, abs=0.0)
+        coarse = run_kappa_sweep(n_points=3, workers=1).results["optima"]
+        for o, ref in zip(coarse, kappa_sweep_result.results["optima"]):
+            assert o["qsnr_opt"] == pytest.approx(ref["qsnr_opt"], rel=1e-9, abs=0.0)
+            assert o["t_opt"] == pytest.approx(ref["t_opt"], rel=1e-9, abs=0.0)
 
     def test_edge_maximum_rejected(self):
         from qthermo.experiments import _refine_max
@@ -357,16 +368,16 @@ class TestCoherenceParametric:
 
 class TestTwoQubitConfigs:
     def test_all_configs_converge_to_same_value(self, two_qubit_result):
-        vals = list(two_qubit_result.params["steady_qfi"].values())
+        vals = list(two_qubit_result.results["steady_qfi"].values())
         assert max(vals) - min(vals) < 1e-6
 
     def test_steady_value_matches_closed_form(self, two_qubit_result):
         exact = steady_qfi(0.6, 0.4)
-        for v in two_qubit_result.params["steady_qfi"].values():
+        for v in two_qubit_result.results["steady_qfi"].values():
             assert v == pytest.approx(exact, rel=1e-6)
 
     def test_local_separable_fastest(self, two_qubit_result):
-        t99 = two_qubit_result.params["t_99"]
+        t99 = two_qubit_result.results["t_99"]
         assert t99["local_separable"] <= t99["common_entangled"]
         assert t99["local_separable"] == min(t99.values())
 
@@ -397,7 +408,7 @@ class TestTwoQubitConfigs:
                     hi = mid
                 else:
                     lo = mid
-            assert two_qubit_result.params["t_99"][config] == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=0.0)
+            assert two_qubit_result.results["t_99"][config] == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=0.0)
 
 
 class TestStackRecords:
@@ -451,7 +462,7 @@ class TestStackRecords:
 class TestSteadyQsnrCurve:
     def test_maximum_location(self):
         scan = run_steady_qsnr_curve()
-        loc = scan.params["located_max"]
+        loc = scan.results["located_max"]
         x_star, qsnr_star = optimal_ratio()
         assert loc["ratio"] == pytest.approx(x_star, rel=1e-10, abs=0.0)
         assert loc["qsnr"] == pytest.approx(qsnr_star, abs=1e-9)
@@ -461,7 +472,7 @@ class TestSteadyQsnrCurve:
         # is resolved to FIT_TOL, which bounds how well its derivative root
         # places the ratio
         scan = run_steady_qsnr_curve(ratio_points=3)
-        loc = scan.params["located_max"]
+        loc = scan.results["located_max"]
         x_star, qsnr_star = optimal_ratio()
         assert loc["ratio"] == pytest.approx(x_star, rel=1e-8, abs=0.0)
         assert loc["qsnr"] == pytest.approx(qsnr_star, rel=1e-15, abs=0.0)
@@ -648,7 +659,7 @@ class TestSharedGenerator:
             )).records(times)
             for theta in experiments.DEFAULT_THETAS
         ]
-        assert scan.data == experiments._grid_table("theta", scan.params["theta_list"], grids)
+        assert scan.data == experiments._grid_table("theta", list(experiments.DEFAULT_THETAS), grids)
 
     def test_two_qubit_configs(self, monkeypatch):
         calls = self.count_builds(monkeypatch)

@@ -9,10 +9,12 @@ seeds ``A`` to ``B`` inclusive.  Each tree's ``qthermo.cli.main`` runs every
 request in this process, one tree after the other, with the workload's
 ``QTHERMO_WORKERS`` setting.  A request differs when its exit code, CSV,
 gnuplot file, summary (its ``wall_time_s`` value aside) or stderr differs;
-each such request is printed with the largest relative deviation in each
-CSV column and each path of the summary's ``results`` that moved (list
-indices folded into ``[]``; ``nan`` for a value that is not a number on
-both sides), and the exit status is 1 if there is one.
+each such request is printed with the summary's top-level fields that
+moved, the ``parameters`` keys added, removed or changed, and the largest
+relative deviation in each CSV column and each path of the summary's
+``results`` that moved (list indices folded into ``[]``; ``nan`` for a value
+that is not a number on both sides), and the exit status is 1 if there is
+one.
 """
 
 from __future__ import annotations
@@ -129,6 +131,28 @@ def deviations(a: dict, b: dict) -> dict:
     return worst
 
 
+def _same(x, y) -> bool:
+    """JSON values equal as text, so that a ``nan`` equals itself."""
+    return json.dumps(x, sort_keys=True) == json.dumps(y, sort_keys=True)
+
+
+def summary_moves(a: dict, b: dict) -> list[str]:
+    """The top-level summary fields that moved between two outcomes, and
+    the ``parameters`` keys added, removed or changed."""
+    sa, sb = (json.loads(o["summary.json"]) for o in (a, b))
+    fields = [k for k in dict.fromkeys([*sa, *sb]) if not _same(sa.get(k), sb.get(k))]
+    lines = [f"summary fields moved: {', '.join(fields)}"]
+    pa, pb = sa.get("parameters", {}), sb.get("parameters", {})
+    for verb, keys in (
+        ("added", pb.keys() - pa.keys()),
+        ("removed", pa.keys() - pb.keys()),
+        ("changed", {k for k in pa.keys() & pb.keys() if not _same(pa[k], pb[k])}),
+    ):
+        if keys:
+            lines.append(f"parameters {verb}: {', '.join(sorted(keys))}")
+    return lines
+
+
 def run_tree(tree: str, jobs, out_dir: str) -> list[dict]:
     cli = import_cli(package_dir(tree))
     results = []
@@ -170,6 +194,9 @@ def main(argv=None) -> int:
         if fields:
             differing += 1
             print(f"{label}\n    differs in: {', '.join(fields)}")
+            if "summary.json" in fields and "summary.json" in a and "summary.json" in b:
+                for line in summary_moves(a, b):
+                    print(f"    {line}")
             for name, dev in deviations(a, b).items():
                 print(f"    {name}: {dev:.2e}")
     print(f"{differing} of {len(jobs)} requests differ")
