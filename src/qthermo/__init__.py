@@ -37,8 +37,6 @@ from .closed_forms import (
     steady_two_qubit,
 )
 from .fisher import (
-    BlochVector,
-    SLDOperator,
     bloch_components,
     cfi_povm,
     d_rho_dT,
@@ -74,8 +72,6 @@ __all__ = [
     "steady_qfi",
     "steady_qsnr",
     "steady_two_qubit",
-    "BlochVector",
-    "SLDOperator",
     "bloch_components",
     "cfi_povm",
     "d_rho_dT",

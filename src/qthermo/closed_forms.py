@@ -129,8 +129,9 @@ def direct_probe_coherence(t: float, bath: BathSpec) -> float:
 
 def direct_probe_qfi(t: float, bath: BathSpec) -> float:
     """Temperature QFI of the direct probe,
-    ``(4 pi eta t)^2 e^{-2 G t} / (1 - e^{-2 G t})`` with ``G = 4 pi eta T``."""
-    if t == 0.0:
+    ``(4 pi eta t)^2 e^{-2 G t} / (1 - e^{-2 G t})`` with ``G = 4 pi eta T``,
+    and 0 at ``t = 0`` or ``eta = 0``, where the probe stays pure."""
+    if t == 0.0 or bath.eta == 0.0:
         return 0.0
     g = 4.0 * np.pi * bath.eta * bath.temperature
     amp = (4.0 * np.pi * bath.eta * t) ** 2

@@ -95,23 +95,27 @@ _TQ_BASIS = np.array(
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Output of one experiment: its table (column order and one equally
-    long list of values per column) and its headline results."""
+    """Output of one experiment: its table (one equally long list of values
+    per column, in column order) and its headline results."""
 
     label: str
-    columns: tuple[str, ...]
     data: dict[str, list]
     results: dict
 
     def __post_init__(self):
         lengths = {len(col) for col in self.data.values()}
-        if sorted(self.data) != sorted(self.columns) or len(lengths) != 1:
+        if len(lengths) != 1:
             raise BadDimension(
                 f"experiment {self.label!r}: table columns {list(self.data)} with lengths "
-                f"{sorted(lengths)} are not the equally long columns {list(self.columns)}"
+                f"{sorted(lengths)} are not equally long"
             )
         if not lengths.pop():
             raise NonPositiveInput(f"experiment {self.label!r} produced no rows")
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The column names, in the order of ``data``."""
+        return tuple(self.data)
 
     @property
     def rows(self) -> list[dict]:
@@ -225,28 +229,23 @@ def make_model(
     cutoff: float,
     kappa: float = 0.8,
     theta: float = np.pi / 2,
-    omega_p: float = 1.0,
-    omega_a: float = 1.0,
-    omega0: float = 1.0,
     eta2: float | None = None,
 ):
-    """Construct the model ``name``, one of :data:`MODEL_NAMES`, from flat
-    scalar parameters (CLI plumbing)."""
+    """Construct the model ``name``, one of :data:`MODEL_NAMES`, with unit
+    qubit frequencies from flat scalar parameters (CLI plumbing)."""
     if name not in MODEL_NAMES:
         raise ValidationError("model", f"must be one of {', '.join(MODEL_NAMES)}, got {name!r}")
     bath = BathSpec(eta=eta, cutoff=cutoff, temperature=temperature)
     eta2 = eta if eta2 is None else eta2
     if name == "direct":
-        return DirectProbeModel(omega_p=omega_p, bath=bath)
+        return DirectProbeModel(omega_p=1.0, bath=bath)
     if name == "probe_ancilla":
-        return ProbeAncillaModel(
-            omega_p=omega_p, omega_a=omega_a, kappa=kappa, bath=bath, theta=theta
-        )
+        return ProbeAncillaModel(omega_p=1.0, omega_a=1.0, kappa=kappa, bath=bath, theta=theta)
     if name == "two_qubit_local":
         cfg = LocalBaths(bath, BathSpec(eta=eta2, cutoff=cutoff, temperature=temperature))
     else:
         cfg = CommonBath(eta1=eta, eta2=eta2, cutoff=cutoff, temperature=temperature)
-    return TwoQubitModel(omega0=omega0, kappa=kappa, bath_config=cfg, theta=theta)
+    return TwoQubitModel(omega0=1.0, kappa=kappa, bath_config=cfg, theta=theta)
 
 
 class TemperatureFamily:
@@ -417,9 +416,7 @@ def run_theta_scan(
     for theta, recs in zip(thetas, grids):
         peaks[theta] = max([peaks.get(theta, 0.0), *recs["qfi"]])
     data = _grid_table("theta", thetas, grids)
-    return ScanResult(
-        "theta_scan", ("theta", "t") + _RECORD_COLUMNS, data, {"peak_qfi_by_theta": peaks}
-    )
+    return ScanResult("theta_scan", data, {"peak_qfi_by_theta": peaks})
 
 
 def run_direct_vs_ancilla(
@@ -455,7 +452,7 @@ def run_direct_vs_ancilla(
         "peak_qfi": {scheme: max(recs["qfi"]) for scheme, recs in zip(scheme_models, grids)},
     }
     data = _grid_table("scheme", scheme_models, grids)
-    return ScanResult("direct_vs_ancilla", ("scheme", "t") + _RECORD_COLUMNS, data, results)
+    return ScanResult("direct_vs_ancilla", data, results)
 
 
 def _coupling_optimum(kappa, temperature, eta, cutoff, theta, times):
@@ -492,7 +489,7 @@ def run_kappa_sweep(
         for kappa, (_, _, opt) in zip(kappas, sweep)
     ]
     data = _grid_table("kappa", kappas, [recs for _, recs, _ in sweep])
-    return ScanResult("kappa_sweep", ("kappa", "t") + _RECORD_COLUMNS, data, {"optima": optima})
+    return ScanResult("kappa_sweep", data, {"optima": optima})
 
 
 def run_coherence_parametric(
@@ -520,7 +517,7 @@ def run_coherence_parametric(
     points = parallel_map(one, kappa_list, workers)
     data = {name: [p[k] for p in points] for k, name in enumerate(columns)}
     parametric = [dict(zip(columns, p)) for p in points]
-    return ScanResult("coherence_parametric", columns, data, {"parametric": parametric})
+    return ScanResult("coherence_parametric", data, {"parametric": parametric})
 
 
 TWO_QUBIT_CONFIGS = ("local_separable", "local_entangled", "common_separable", "common_entangled")
@@ -581,7 +578,7 @@ def run_two_qubit_configs(
         "t_99": {c: t99 for c, (_, _, t99) in zip(TWO_QUBIT_CONFIGS, sweep)},
     }
     data = _grid_table("config", TWO_QUBIT_CONFIGS, [recs for recs, _, _ in sweep])
-    return ScanResult("two_qubit_configs", ("config", "t") + _RECORD_COLUMNS, data, results)
+    return ScanResult("two_qubit_configs", data, results)
 
 
 def run_steady_qsnr_curve(
@@ -615,9 +612,7 @@ def run_steady_qsnr_curve(
         "kappa": blank + (x_star * line).tolist(),
         "qsnr": values.tolist() + [qsnr_star] * n_line,
     }
-    return ScanResult(
-        "steady_qsnr", ("section", "ratio", "temperature", "kappa", "qsnr"), data, results
-    )
+    return ScanResult("steady_qsnr", data, results)
 
 
 def run_evolve(
@@ -648,7 +643,7 @@ def run_evolve(
         "purity": np.trace(states @ states, axis1=-2, axis2=-1).real.tolist(),
     }
     final_row = {name: col[-1] for name, col in data.items()}
-    return ScanResult("evolve", tuple(data), data, {"final_row": final_row})
+    return ScanResult("evolve", data, {"final_row": final_row})
 
 
 def run_qfi_point(
@@ -671,7 +666,7 @@ def run_qfi_point(
     rec = fam.records(t)
     record = {"at": "steady" if t == np.inf else t, **{name: rec[name] for name in _RECORD_COLUMNS}}
     data = {name: [value] for name, value in record.items()}
-    return ScanResult("qfi_point", tuple(record), data, {"record": record})
+    return ScanResult("qfi_point", data, {"record": record})
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {

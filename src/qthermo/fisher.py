@@ -28,16 +28,16 @@ Every form, and the derivative check, accepts one state (distribution) or a
 stack: a stack gives one value per state, and a failed check raises what
 the single-state call raises for the first offending state.
 
-The symmetric logarithmic derivative of a mixed qubit is
-``L = c0 I + cx sx + cy sy + cz sz`` with ``c0 = dP / (2 (P - 1))`` and
-``c_i = r_i dP / (2 - 2P) + dr_i``; its eigenbasis is an optimal
-measurement and ``Tr(rho L^2) = F``.
+The Bloch form and the SLD take the real ``(..., 3)`` Pauli components
+that :func:`bloch_components` gives.  The symmetric logarithmic derivative
+of a mixed qubit is the matrix ``L = c0 I + cx sx + cy sy + cz sz`` with
+``c0 = dP / (2 (P - 1))`` and ``c_i = r_i dP / (2 - 2P) + dr_i``; its
+eigenbasis is an optimal measurement and ``Tr(rho L^2) = F``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,11 +53,9 @@ __all__ = [
     "halving_consistency",
     "d_rho_dT",
     "qfi_spectral",
-    "BlochVector",
     "bloch_components",
     "qfi_bloch",
     "qubit_qfi",
-    "SLDOperator",
     "sld",
     "cfi_povm",
     "measurement_fi",
@@ -139,8 +137,7 @@ def qfi_spectral(rho: np.ndarray, drho: np.ndarray):
         defect > 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(-2, -1))), NonHermitianInput,
         "state derivative has hermiticity defect {:.3e}", defect,
     )
-    es = eig_hermitian(np.asarray(rho, dtype=complex))
-    lam, v = es.eigenvalues, es.eigenvectors
+    lam, v = eig_hermitian(np.asarray(rho, dtype=complex))
     m = dag(v) @ drho @ v
     s = lam[..., :, None] + lam[..., None, :]
     num = np.float_power(np.hypot(m.real, m.imag), 2)  # rounds as abs(m_kl) ** 2 does
@@ -157,53 +154,39 @@ def qfi_spectral(rho: np.ndarray, drho: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Real components of a Hermitian 2x2 matrix in the Pauli basis (for a
-    state: the Bloch vector; for a state derivative: its derivative).  For a
-    stack of matrices the components are arrays."""
-
-    rx: float
-    ry: float
-    rz: float
-
-    @property
-    def norm2(self) -> float:
-        return self.rx * self.rx + self.ry * self.ry + self.rz * self.rz
-
-    @property
-    def purity(self) -> float:
-        return 0.5 * (1.0 + self.norm2)
-
-    def as_array(self) -> np.ndarray:
-        """Components along the last axis: shape ``(3,)``, or ``(..., 3)``."""
-        return np.stack([self.rx, self.ry, self.rz], axis=-1)
-
-    def dot(self, other: BlochVector):
-        """``r . other``, summed exactly as ``a @ b`` sums one pair of 3-vectors."""
-        return (self.as_array()[..., None, :] @ other.as_array()[..., :, None])[..., 0, 0]
+def _norm2(r):
+    """``|r|^2`` of ``(..., 3)`` components, summed x, y, z in order."""
+    return r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1] + r[..., 2] * r[..., 2]
 
 
-def bloch_components(mat: np.ndarray) -> BlochVector:
+def _dot(r, dr):
+    """``r . dr``, summed exactly as ``a @ b`` sums one pair of 3-vectors."""
+    return (r[..., None, :] @ dr[..., :, None])[..., 0, 0]
+
+
+def bloch_components(mat: np.ndarray) -> np.ndarray:
+    """Real Pauli components ``(x, y, z)`` of a Hermitian 2x2 matrix (for a
+    state: its Bloch vector; for a state derivative: its derivative), on the
+    last axis: ``(3,)``, or ``(..., 3)`` for a stack."""
     mat = np.asarray(mat, dtype=complex)
     c = mat[..., 0, 1]
-    comps = (2.0 * c.real, -2.0 * c.imag, (mat[..., 0, 0] - mat[..., 1, 1]).real)
-    return BlochVector(*(map(float, comps) if mat.ndim == 2 else comps))
+    return np.stack([2.0 * c.real, -2.0 * c.imag, (mat[..., 0, 0] - mat[..., 1, 1]).real], axis=-1)
 
 
-def qfi_bloch(r: BlochVector, dr: BlochVector):
-    """Bloch-form QFI of a mixed qubit family (per state of a stack).
+def qfi_bloch(r: np.ndarray, dr: np.ndarray):
+    """Bloch-form QFI of a mixed qubit family from the ``(..., 3)``
+    components of its states and their derivatives (per state of a stack).
 
     Raises :class:`PureStateSingularity` when ``|r|^2 > 1 - 1e-9``; callers
     should fall back to :func:`qfi_spectral` (see :func:`qubit_qfi`).
     """
-    n2 = np.asarray(r.norm2)
+    n2 = _norm2(r)
     _raise_first(
         n2 > PURE_NORM2, PureStateSingularity, "|r|^2 = {} too close to 1 for the Bloch form", n2
     )
-    dp = r.dot(dr)
+    dp = _dot(r, dr)
     # 4 (P - 1)^2 = (1 - |r|^2)^2
-    f = dp * dp / (1.0 - n2) + dr.norm2
+    f = dp * dp / (1.0 - n2) + _norm2(dr)
     return float(f) if f.ndim == 0 else f
 
 
@@ -215,48 +198,28 @@ def qubit_qfi(rho: np.ndarray, drho: np.ndarray):
     """
     rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
     r = bloch_components(rho)
-    pure = np.asarray(r.norm2 > PURE_NORM2)
+    pure = np.asarray(_norm2(r) > PURE_NORM2)
     if not pure.any():
         return qfi_bloch(r, bloch_components(drho))
     if pure.ndim == 0:
         return qfi_spectral(rho, drho)
     out = np.empty(pure.shape)
     mixed = ~pure
-    out[mixed] = qfi_bloch(bloch_components(rho[mixed]), bloch_components(drho[mixed]))
+    out[mixed] = qfi_bloch(r[mixed], bloch_components(drho[mixed]))
     out[pure] = qfi_spectral(rho[pure], drho[pure])
     return out
 
 
-@dataclass(frozen=True)
-class SLDOperator:
-    """Pauli coefficients of the symmetric logarithmic derivative."""
-
-    c0: float
-    cx: float
-    cy: float
-    cz: float
-
-    def matrix(self) -> np.ndarray:
-        return (
-            self.c0 * np.eye(2, dtype=complex)
-            + self.cx * pauli("x")
-            + self.cy * pauli("y")
-            + self.cz * pauli("z")
-        )
-
-
-def sld(r: BlochVector, dr: BlochVector) -> SLDOperator:
-    """Symmetric logarithmic derivative of a mixed qubit family."""
-    n2 = r.norm2
+def sld(r: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    """Symmetric logarithmic derivative ``c0 I + cx sx + cy sy + cz sz`` of
+    a mixed qubit family with Bloch vector ``r`` and derivative ``dr``
+    (``(3,)`` arrays)."""
+    n2 = _norm2(r)
     if n2 > PURE_NORM2:
         raise PureStateSingularity(f"|r|^2 = {n2} too close to 1 for the SLD coefficients")
-    u = float(r.dot(dr)) / (1.0 - n2)  # dP / (2 - 2P)
-    return SLDOperator(
-        c0=-u,
-        cx=u * r.rx + dr.rx,
-        cy=u * r.ry + dr.ry,
-        cz=u * r.rz + dr.rz,
-    )
+    u = float(_dot(r, dr)) / (1.0 - n2)  # dP / (2 - 2P)
+    c = u * r + dr
+    return -u * np.eye(2, dtype=complex) + c[0] * pauli("x") + c[1] * pauli("y") + c[2] * pauli("z")
 
 
 def cfi_povm(probs, dprobs):

@@ -19,8 +19,6 @@ Basis and sign conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadDimension, NonFinite, NonHermitianInput, PositivityViolation
@@ -29,7 +27,6 @@ __all__ = [
     "pauli",
     "identity",
     "kron",
-    "EigenSystem",
     "eig_hermitian",
     "expm",
     "partial_trace",
@@ -94,25 +91,12 @@ def _first(bad) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigendecomposition of a Hermitian matrix (or of each in a stack).
-
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenvectors with the phase of the first
-    non-negligible component fixed to be real positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dag(v)
-
-
-def eig_hermitian(h: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases.
+def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(eigenvalues, eigenvectors)`` of a Hermitian
+    matrix (or of each in a stack) with deterministic phases: the eigenvalues
+    are real and ascending, and the columns of ``eigenvectors`` are the
+    matching orthonormal eigenvectors, each with its first component above
+    1e-8 in modulus made real and positive.
 
     Raises
     ------
@@ -129,7 +113,7 @@ def eig_hermitian(h: np.ndarray) -> EigenSystem:
     first = np.argmax(np.abs(vecs) > 1e-8, axis=-2)[..., None, :]
     lead = np.take_along_axis(vecs, first, axis=-2)
     ph = lead / np.hypot(lead.real, lead.imag)
-    return EigenSystem(eigenvalues=vals, eigenvectors=vecs * ph.conj())
+    return vals, vecs * ph.conj()
 
 
 def expm(m: np.ndarray) -> np.ndarray:

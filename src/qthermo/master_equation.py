@@ -131,9 +131,9 @@ def _jump_stack(h, a):
     ``a`` from one eigensystem of ``h``: ``(omegas, ops, keep)``, the Bohr
     frequency of each group, ``ops[k, g]`` the jump operator of ``a[k]`` at
     group ``g``, and ``keep[k, g]``, false where it is pruned."""
-    es = eig_hermitian(h)
-    levels, energies = _chains(es.eigenvalues, DEFAULT_FREQ_TOL)
-    v = np.where(levels == np.arange(len(energies))[:, None, None], es.eigenvectors, 0.0)
+    vals, vecs = eig_hermitian(h)
+    levels, energies = _chains(vals, DEFAULT_FREQ_TOL)
+    v = np.where(levels == np.arange(len(energies))[:, None, None], vecs, 0.0)
     p = v @ dag(v)  # one projector per level group
     # ops[k, n, m] = (P(n) @ a[k]) @ P(m), at Bohr frequency E(m) - E(n)
     ops = p[None, :, None] @ a[:, None, None] @ p[None, None, :]

@@ -72,7 +72,7 @@ def _check_qfi_equivalence(rng, trials=100):
         fb = qfi_bloch(bloch_components(rho), bloch_components(drho))
         fs = qfi_spectral(rho, drho)
         worst = max(worst, abs(fb - fs))
-        lam = sld(bloch_components(rho), bloch_components(drho)).matrix()
+        lam = sld(bloch_components(rho), bloch_components(drho))
         worst = max(worst, float(np.max(np.abs(0.5 * (rho @ lam + lam @ rho) - drho))))
         worst = max(worst, abs(float(np.trace(rho @ lam @ lam).real) - fb))
     return worst < 1e-8, f"worst defect {worst:.2e}"

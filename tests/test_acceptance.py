@@ -403,7 +403,7 @@ def test_criterion_10_qfi_machinery_equivalence():
         rb, db = bloch_components(rho), bloch_components(drho)
         fb = qfi_bloch(rb, db)
         worst_eq = max(worst_eq, abs(fb - qfi_spectral(rho, drho)))
-        lam = sld(rb, db).matrix()
+        lam = sld(rb, db)
         worst_sld = max(
             worst_sld, float(np.max(np.abs(0.5 * (rho @ lam + lam @ rho) - drho)))
         )

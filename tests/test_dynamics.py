@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from qthermo.closed_forms import steady_two_qubit
-from qthermo.dynamics import SPECTRAL_COND_MAX, _Evolution, propagate
+from qthermo.dynamics import (
+    EQUAL_EIG_TOL,
+    SPECTRAL_COND_MAX,
+    SPECTRAL_RESIDUAL_MAX,
+    _Evolution,
+    propagate,
+)
 from qthermo.errors import NoConvergence, NonPositiveInput, PositivityViolation
 from qthermo.linalg import expm, identity, partial_trace, pauli, unvec, vec
 from qthermo.master_equation import (
@@ -192,6 +198,29 @@ class TestStacks:
         got = propagate(liou, rho0, times)[0]
         ref = np.array([unvec(expm(liou.superop * t) @ vec(rho0)) for t in times])
         assert np.array_equal(got, 0.5 * (ref + ref.conj().transpose(0, 2, 1)))
+
+    @pytest.mark.parametrize("config", [
+        LocalBaths(BathSpec(0.01, 0.05, 0.4), BathSpec(0.05, 0.05, 0.4)),
+        CommonBath(0.01, 0.05, 0.05, 0.4),
+    ])
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+    def test_zeroed_decaying_mode_falls_back_to_exponentials(self, config, theta):
+        # the two-qubit defaults at cutoff 0.05: a decaying mode within
+        # EQUAL_EIG_TOL of 0 is zeroed as stationary, and the zeroed
+        # decomposition no longer reproduces L although the eigenbasis is fine
+        model = TwoQubitModel(1.0, 0.6, config, theta)
+        liou, rho0 = build_liouvillian(model), initial_state(model)
+        lam, v = np.linalg.eig(liou.superop)
+        v_inv = np.linalg.inv(v)
+        rel = np.abs(lam) / np.max(np.abs(lam))
+        assert np.any((rel > 1e-12) & (rel <= EQUAL_EIG_TOL))
+        assert np.linalg.cond(v) <= SPECTRAL_COND_MAX
+        residual = np.max(np.abs((v * lam) @ v_inv - liou.superop))
+        assert residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(liou.superop))
+        assert _Evolution(liou, rho0).spectral is None
+        for t in (1.0, 100.0, 1e4):
+            ref = unvec(v @ (np.exp(lam * t) * (v_inv @ vec(rho0))))
+            assert np.max(np.abs(propagate(liou, rho0, t)[0] - ref)) <= 1e-11
 
     def test_propagate_validates_the_stack(self):
         sz = pauli("z")

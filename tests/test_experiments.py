@@ -587,7 +587,7 @@ class TestClosedFormRegressions:
         assert abs(got - ref) <= rel * abs(ref), (got, ref)
 
     @pytest.mark.parametrize("temperature", [0.05, 0.1, 0.4, 2.0])
-    @pytest.mark.parametrize("eta", [0.005, 0.1])
+    @pytest.mark.parametrize("eta", [0.0, 0.005, 0.1])
     def test_direct_probe_qfi(self, temperature, eta):
         bath = BathSpec(eta, 10.0, temperature)
         scan = run_direct_vs_ancilla(

@@ -10,7 +10,6 @@ from qthermo.errors import (
 )
 from qthermo.experiments import TemperatureFamily, _records, make_model
 from qthermo.fisher import (
-    BlochVector,
     bloch_components,
     cfi_povm,
     d_rho_dT,
@@ -136,8 +135,8 @@ class TestSpectralQfi:
 
 class TestBlochQfi:
     def test_zero_derivative(self):
-        r = BlochVector(0.2, -0.1, 0.4)
-        assert qfi_bloch(r, BlochVector(0.0, 0.0, 0.0)) == 0.0
+        r = np.array([0.2, -0.1, 0.4])
+        assert qfi_bloch(r, np.array([0.0, 0.0, 0.0])) == 0.0
 
     def test_matches_spectral_on_random_families(self, rng):
         worst = 0.0
@@ -149,9 +148,9 @@ class TestBlochQfi:
         assert worst < 1e-9
 
     def test_pure_state_routed(self):
-        r = BlochVector(1.0, 0.0, 0.0)
+        r = np.array([1.0, 0.0, 0.0])
         with pytest.raises(PureStateSingularity):
-            qfi_bloch(r, BlochVector(0.0, 0.0, 1.0))
+            qfi_bloch(r, np.array([0.0, 0.0, 1.0]))
         rho = 0.5 * (identity(2) + pauli("x"))
         drho = 0.1 * pauli("z")
         assert qubit_qfi(rho, drho) == pytest.approx(qfi_spectral(rho, drho))
@@ -174,14 +173,14 @@ class TestBlochQfi:
 
 class TestSld:
     def test_zero_derivative_gives_zero_operator(self):
-        lam = sld(BlochVector(0.1, 0.2, -0.3), BlochVector(0.0, 0.0, 0.0))
-        assert np.max(np.abs(lam.matrix())) == 0.0
+        lam = sld(np.array([0.1, 0.2, -0.3]), np.array([0.0, 0.0, 0.0]))
+        assert np.max(np.abs(lam)) == 0.0
 
     def test_defining_relation_and_variance(self, rng):
         for _ in range(100):
             rho, drho = random_qubit_family(rng)
             r, dr = bloch_components(rho), bloch_components(drho)
-            lam = sld(r, dr).matrix()
+            lam = sld(r, dr)
             defect = 0.5 * (rho @ lam + lam @ rho) - drho
             assert np.max(np.abs(defect)) < 1e-8
             assert abs(np.trace(rho @ lam).real) < 1e-8
@@ -193,7 +192,7 @@ class TestSld:
         for _ in range(20):
             rho, drho = random_qubit_family(rng)
             r, dr = bloch_components(rho), bloch_components(drho)
-            lam = sld(r, dr).matrix()
+            lam = sld(r, dr)
             _, vecs = np.linalg.eigh(lam)
             probs = np.array([(vecs[:, k].conj() @ rho @ vecs[:, k]).real for k in range(2)])
             dprobs = np.array([(vecs[:, k].conj() @ drho @ vecs[:, k]).real for k in range(2)])
@@ -255,8 +254,8 @@ class TestMeasurementFi:
         rho = state(0.4)
         drho = d_rho_dT(state, 0.4)
         got = measurement_fi(pauli("x"), rho, drho)
-        rx = bloch_components(rho).rx
-        drx = bloch_components(drho).rx
+        rx = bloch_components(rho)[..., 0]
+        drx = bloch_components(drho)[..., 0]
         assert got == pytest.approx(drx * drx / (1.0 - rx * rx), rel=1e-10)
 
     def test_bounded_by_qfi(self, paper_bath):
@@ -358,11 +357,10 @@ class TestStacks:
     def test_bloch_components_of_a_stack(self, rng):
         rho = np.array([random_qubit_family(rng)[0] for _ in range(4)])
         r = bloch_components(rho)
-        assert r.as_array().shape == (4, 3)
+        assert r.shape == (4, 3)
         for k in range(4):
             one = bloch_components(rho[k])
-            assert isinstance(one.rx, float)
-            assert np.array_equal(one.as_array(), r.as_array()[k])
+            assert np.array_equal(one, r[k])
 
     def test_measurement_fi_per_state(self, rng):
         pairs = [random_qubit_family(rng) for _ in range(6)]

@@ -86,38 +86,38 @@ class TestKron:
 
 class TestEigHermitian:
     def test_diag(self):
-        es = eig_hermitian(np.diag([1.0, -1.0]).astype(complex))
-        assert np.allclose(es.eigenvalues, [-1.0, 1.0])
+        vals, _ = eig_hermitian(np.diag([1.0, -1.0]).astype(complex))
+        assert np.allclose(vals, [-1.0, 1.0])
 
     def test_probe_ancilla_spectrum(self):
         # resonant pair at coupling 0.8: singlet/triplet at -+kappa, ends at -+1
         from qthermo.models import BathSpec, ProbeAncillaModel, hamiltonian
 
         model = ProbeAncillaModel(1.0, 1.0, 0.8, BathSpec(0.01, 10.0, 0.4), np.pi / 2)
-        es = eig_hermitian(hamiltonian(model))
-        assert np.allclose(es.eigenvalues, [-1.0, -0.8, 0.8, 1.0], atol=1e-12)
+        vals, _ = eig_hermitian(hamiltonian(model))
+        assert np.allclose(vals, [-1.0, -0.8, 0.8, 1.0], atol=1e-12)
 
     def test_sigma_x_eigensystem(self):
-        es = eig_hermitian(pauli("x"))
-        assert np.allclose(es.eigenvalues, [-1.0, 1.0])
+        vals, vecs = eig_hermitian(pauli("x"))
+        assert np.allclose(vals, [-1.0, 1.0])
         s = 1.0 / np.sqrt(2.0)
-        assert np.allclose(np.abs(es.eigenvectors), [[s, s], [s, s]])
+        assert np.allclose(np.abs(vecs), [[s, s], [s, s]])
 
     def test_reconstruction_and_orthonormality(self, rng):
         for _ in range(200):
             h = random_hermitian(rng, 4)
-            es = eig_hermitian(h)
-            assert np.max(np.abs(es.reconstruct() - h)) < 1e-10
-            gram = es.eigenvectors.conj().T @ es.eigenvectors
+            w, v = eig_hermitian(h)
+            assert np.max(np.abs((v * w[..., None, :]) @ dag(v) - h)) < 1e-10
+            gram = v.conj().T @ v
             assert np.max(np.abs(gram - identity(4))) < 1e-10
 
     def test_phase_determinism(self, rng):
         h = random_hermitian(rng, 4)
-        a = eig_hermitian(h)
-        b = eig_hermitian(h.copy())
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        _, a = eig_hermitian(h)
+        _, b = eig_hermitian(h.copy())
+        assert np.array_equal(a, b)
         for j in range(4):
-            col = a.eigenvectors[:, j]
+            col = a[:, j]
             first = col[np.argmax(np.abs(col) > 1e-8)]
             assert first.real > 0 and abs(first.imag) < 1e-12
 
@@ -296,12 +296,12 @@ class TestStacks:
     def test_eig_hermitian_per_matrix(self, rng):
         stack = np.array([random_hermitian(rng, 4) for _ in range(9)])
         stack[4, 0, :] = stack[4, :, 0] = 0.0  # first component zero: phase from the next
-        es = eig_hermitian(stack)
-        for h, vals, vecs in zip(stack, es.eigenvalues, es.eigenvectors):
-            one = eig_hermitian(h)
-            assert np.array_equal(one.eigenvalues, vals)
-            assert np.array_equal(one.eigenvectors, vecs)
-        assert np.max(np.abs(es.reconstruct() - stack)) < 1e-12
+        w, v = eig_hermitian(stack)
+        for h, vals, vecs in zip(stack, w, v):
+            one_vals, one_vecs = eig_hermitian(h)
+            assert np.array_equal(one_vals, vals)
+            assert np.array_equal(one_vecs, vecs)
+        assert np.max(np.abs((v * w[..., None, :]) @ dag(v) - stack)) < 1e-12
         skewed = stack.copy()
         skewed[6, 0, 1] += 1e-6
         assert _raised(eig_hermitian, skewed) == _raised(eig_hermitian, skewed[6])

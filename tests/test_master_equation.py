@@ -322,10 +322,10 @@ def _cluster(values, tol):
 
 def loop_jump_operators(h, a, freq_tol=DEFAULT_FREQ_TOL):
     """The per-level, per-frequency loop decomposition: [(omega, op)]."""
-    es = me.eig_hermitian(h)
+    vals, vecs = me.eig_hermitian(h)
     energies, projectors, idx = [], [], 0
-    for g in _cluster(list(es.eigenvalues), freq_tol):
-        cols = es.eigenvectors[:, idx: idx + len(g)]
+    for g in _cluster(list(vals), freq_tol):
+        cols = vecs[:, idx: idx + len(g)]
         energies.append(float(np.mean(g)))
         projectors.append(cols @ cols.conj().T)
         idx += len(g)
