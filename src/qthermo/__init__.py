@@ -39,7 +39,6 @@ from .closed_forms import (
 from .fisher import (
     bloch_components,
     cfi_povm,
-    d_rho_dT,
     measurement_fi,
     qfi_bloch,
     qfi_spectral,
@@ -74,7 +73,6 @@ __all__ = [
     "steady_two_qubit",
     "bloch_components",
     "cfi_povm",
-    "d_rho_dT",
     "measurement_fi",
     "qfi_bloch",
     "qfi_spectral",

@@ -29,7 +29,6 @@ from .errors import (
     PureStateSingularity,
     QThermoError,
     ResolutionLimit,
-    StepTooLarge,
     ValidationError,
 )
 from .experiments import EXPERIMENTS
@@ -42,7 +41,6 @@ EXIT_CODES = [
     (NonHermitianInput, 4),
     (PositivityViolation, 5),
     (NoConvergence, 6),
-    (StepTooLarge, 8),
     (PureStateSingularity, 9),
     (NegativeFrequency, 12),
     (NonPositiveInput, 13),

@@ -38,10 +38,6 @@ class NoConvergence(QThermoError):
     maximum not bracketed by its grid."""
 
 
-class StepTooLarge(QThermoError):
-    """Finite-difference step failed the half-step consistency check."""
-
-
 class PureStateSingularity(QThermoError):
     """Bloch-form expressions are singular at (numerically) pure states."""
 

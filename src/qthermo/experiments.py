@@ -17,7 +17,8 @@ generator share it and its decomposition (:meth:`TemperatureFamily.prepared`).
 :class:`TemperatureFamily` takes the states and their exact temperature
 derivatives from them, a time grid's as one stack each, and the grid's
 records are computed on whole stacks.  No experiment takes a
-finite difference: closed forms and central differences are test oracles.
+finite difference: closed forms and the central differences of
+``tests/reference.py`` are test oracles.
 
 Located optima and ``t_99`` come from one piecewise Chebyshev fit of the
 searched function on its grid bracket: every open piece of a level is one

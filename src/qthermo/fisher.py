@@ -1,9 +1,7 @@
 """Fisher-information machinery for temperature estimation.
 
-The central objects are a state and its temperature derivative.  The
-experiments take exact derivatives from the dynamics; :func:`d_rho_dT`
-(validated central differences of any family ``T -> rho(T)``) is their
-independent cross-check.
+The central objects are a state and its exact temperature derivative,
+which the dynamics give.
 
 Quantum Fisher information comes in two equivalent forms:
 
@@ -24,9 +22,9 @@ Measurement Fisher information takes the same ``(rho, drho)`` pairs:
   ``sum dp^2 / p`` over the outcomes with ``p > 1e-14``, summed outcome by
   outcome as a running total.
 
-Every form, and the derivative check, accepts one state (distribution) or a
-stack: a stack gives one value per state, and a failed check raises what
-the single-state call raises for the first offending state.
+Every form accepts one state (distribution) or a stack: a stack gives one
+value per state, and a failed check raises what the single-state call
+raises for the first offending state.
 
 The Bloch form and the SLD take the real ``(..., 3)`` Pauli components
 that :func:`bloch_components` gives.  The symmetric logarithmic derivative
@@ -41,17 +39,10 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    NonHermitianInput,
-    NonPositiveInput,
-    PureStateSingularity,
-    StepTooLarge,
-)
+from .errors import NonHermitianInput, NonPositiveInput, PureStateSingularity
 from .linalg import dag, eig_hermitian, hermiticity_defect, pauli
 
 __all__ = [
-    "halving_consistency",
-    "d_rho_dT",
     "qfi_spectral",
     "bloch_components",
     "qfi_bloch",
@@ -73,52 +64,11 @@ NUMERATOR_FLOOR = 1e-24
 PURE_NORM2 = 1.0 - 1e-9
 
 
-def _central(state_fn, temperature, h):
-    return (np.asarray(state_fn(temperature + h)) - np.asarray(state_fn(temperature - h))) / (2.0 * h)
-
-
 def _raise_first(bad, error, message: str, values) -> None:
     """Raise ``error(message.format(v))`` for the first state flagged in ``bad``."""
     idx = np.flatnonzero(bad)
     if idx.size:
         raise error(message.format(np.ravel(values)[idx[0]]))
-
-
-def halving_consistency(d_h: np.ndarray, d_half: np.ndarray) -> None:
-    """Require a central difference to agree with its half-step refinement.
-
-    Derivatives below 1e-8 in every entry count as zero (the family is
-    temperature independent up to evaluation noise, e.g. a dephased steady
-    state, and a relative comparison of noise would be meaningless).  Above
-    that floor a relative discrepancy exceeding 1e-5 raises
-    :class:`StepTooLarge`.  For ``(..., d, d)`` stacks each matrix is checked
-    on its own scale.
-    """
-    d_h, d_half = np.asarray(d_h), np.asarray(d_half)
-    axes = tuple(range(max(d_h.ndim - 2, 0), d_h.ndim))
-    big_half = np.abs(d_half).max(axis=axes)
-    scale = np.maximum(big_half, np.abs(d_h).max(axis=axes))
-    rel = np.abs(d_h - d_half).max(axis=axes) / np.maximum(big_half, 1e-300)
-    _raise_first(
-        (scale >= 1e-8) & (rel > 1e-5), StepTooLarge,
-        "central difference differs from half step by {:.3e} relative", rel,
-    )
-
-
-def d_rho_dT(state_fn, temperature: float, h: float | None = None) -> np.ndarray:
-    """Central-difference temperature derivative of a matrix-valued family.
-
-    The derivative at step ``h`` (default ``max(1e-5, 1e-4 T)``) is
-    validated against the half-step result via :func:`halving_consistency`.
-    """
-    if h is None:
-        h = max(1e-5, 1e-4 * temperature)
-    if temperature - h <= 0:
-        raise NonPositiveInput(f"need T - h > 0, got T={temperature}, h={h}")
-    d_h = _central(state_fn, temperature, h)
-    d_half = _central(state_fn, temperature, 0.5 * h)
-    halving_consistency(d_h, d_half)
-    return d_h
 
 
 def qfi_spectral(rho: np.ndarray, drho: np.ndarray):

@@ -52,9 +52,6 @@ class BathSpec:
         if self.temperature <= 0:
             raise ValidationError("temperature", "must be > 0")
 
-    def with_temperature(self, temperature: float) -> "BathSpec":
-        return BathSpec(self.eta, self.cutoff, temperature)
-
 
 @dataclass(frozen=True)
 class DirectProbeModel:
@@ -146,7 +143,7 @@ class TwoQubitModel:
         if isinstance(self.bath_config, LocalBaths):
             t1 = self.bath_config.bath1.temperature
             t2 = self.bath_config.bath2.temperature
-            if abs(t1 - t2) > 1e-12:
+            if abs(t1 - t2) > 1e-12 * max(t1, t2):
                 warnings.warn(
                     "local baths have different temperatures "
                     f"(T1={t1}, T2={t2}); thermometry runs assume a single T",

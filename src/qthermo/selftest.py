@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closed_forms import optimal_ratio, steady_qfi, steady_two_qubit
+from .closed_forms import optimal_ratio, steady_qfi
 from .dynamics import propagate
-from .fisher import bloch_components, d_rho_dT, qfi_bloch, qfi_spectral, sld
+from .fisher import bloch_components, qfi_bloch, qfi_spectral, sld
 from .linalg import choi_matrix, expm, identity, pauli
 from .master_equation import build_liouvillian, decoherence_rate
-from .models import BathSpec, ProbeAncillaModel, initial_state
+from .models import BathSpec, CommonBath, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
 
 __all__ = ["run_selftest"]
 
@@ -78,15 +78,20 @@ def _check_qfi_equivalence(rng, trials=100):
     return worst < 1e-8, f"worst defect {worst:.2e}"
 
 
-def _check_steady_identity():
+def _check_steady_qfi():
+    """The engine's steady state and exact derivative against ``steady_qfi``,
+    on local baths and on a common bath, both with eta2 != eta."""
     worst = 0.0
     for kappa, temp in ((0.4, 0.3), (0.6, 0.4), (1.0, 0.8)):
-        rho = steady_two_qubit(kappa, temp)
-        drho = d_rho_dT(lambda tv: steady_two_qubit(kappa, tv), temp)
-        est = qfi_spectral(rho, drho)
         exact = steady_qfi(kappa, temp)
-        worst = max(worst, abs(est - exact) / exact)
-    return worst < 1e-6, f"worst relative error {worst:.2e}"
+        for baths in (
+            LocalBaths(BathSpec(0.01, 10.0, temp), BathSpec(0.05, 10.0, temp)),
+            CommonBath(0.01, 0.05, 10.0, temp),
+        ):
+            model = TwoQubitModel(omega0=1.0, kappa=kappa, bath_config=baths, theta=np.pi / 2)
+            rho, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
+            worst = max(worst, abs(qfi_spectral(rho, drho) - exact) / exact)
+    return worst < 1e-10, f"worst relative error {worst:.2e}"
 
 
 def _check_optimal_ratio():
@@ -116,7 +121,7 @@ def run_selftest(out=print) -> bool:
     checks = [
         ("generator trace/hermiticity/ladder/detailed-balance/choi", lambda: _check_generator(rng)),
         ("qfi bloch-spectral equivalence and SLD identities", lambda: _check_qfi_equivalence(rng)),
-        ("steady-state QFI identity", _check_steady_identity),
+        ("engine steady-state QFI against steady_qfi, local and common baths", _check_steady_qfi),
         ("optimal steady ratio", _check_optimal_ratio),
         ("semigroup and steady-state convergence", _check_semigroup),
     ]

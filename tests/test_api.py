@@ -1,5 +1,6 @@
 """Public names, the bindings that the benchmark harness in ``perfbench/``
-(outside this suite's test paths) looks up by name, and the exit-code table."""
+(outside this suite's test paths) looks up by name, the exit-code table and
+the README's library example."""
 
 import importlib
 import inspect
@@ -39,3 +40,13 @@ def test_exit_code_table_matches_error_classes_and_readme():
     # whole numbers only: the digits of "1e-10" name no code
     named = {int(n) for n in re.findall(r"(?<![\w.-])\d+(?![\w.])", paragraph)}
     assert set(codes) <= named, f"README exit codes omit {sorted(set(codes) - named)}"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("(500, 4, 4) (500, 2, 2)\n")
+    assert "QFI at t=20:" in out and "sigma_x FI at t=20:" in out

@@ -1,6 +1,7 @@
 """Property tests: the exact temperature derivatives agree with the
-independent central-difference oracle ``fisher.d_rho_dT`` over the
-parameter ranges the config accepts, on every route a family offers."""
+independent central-difference oracle ``d_rho_dT`` (``tests/reference.py``)
+over the parameter ranges the config accepts, on every route a family
+offers."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from scipy.linalg import null_space  # noqa: E402
 
-from qthermo.errors import NoConvergence, StepTooLarge  # noqa: E402
+from reference import StepTooLarge, d_rho_dT  # noqa: E402
+from qthermo.errors import NoConvergence  # noqa: E402
 from qthermo.experiments import _family  # noqa: E402
-from qthermo.fisher import d_rho_dT  # noqa: E402
 from qthermo.linalg import expm, unvec, vec  # noqa: E402
 
 MODELS = ("direct", "probe_ancilla", "two_qubit_local", "two_qubit_common")

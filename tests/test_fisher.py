@@ -1,19 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from reference import StepTooLarge, d_rho_dT, halving_consistency
 from qthermo.closed_forms import probe_state_closed_form, sech, steady_qfi, steady_two_qubit
-from qthermo.errors import (
-    NonPositiveInput,
-    PureStateSingularity,
-    ResolutionLimit,
-    StepTooLarge,
-)
+from qthermo.errors import NonPositiveInput, PureStateSingularity, ResolutionLimit
 from qthermo.experiments import TemperatureFamily, _records, make_model
 from qthermo.fisher import (
     bloch_components,
     cfi_povm,
-    d_rho_dT,
-    halving_consistency,
     measurement_fi,
     qfi_bloch,
     qfi_spectral,
@@ -161,7 +157,7 @@ class TestBlochQfi:
         worst = 0.0
         for t in ts:
             state = lambda tv: probe_state_closed_form(
-                t, 0.8, paper_bath.with_temperature(tv), include_zero_freq_dephasing=True
+                t, 0.8, replace(paper_bath, temperature=tv), include_zero_freq_dephasing=True
             )
             rho = state(0.4)
             drho = d_rho_dT(state, 0.4, h)
@@ -241,7 +237,7 @@ class TestMeasurementFi:
     def test_identity_observable_gives_zero(self, paper_bath):
         # Var(I) = 0: the information (d<I>/dT)^2 <= Var(I) F_Q vanishes with it
         state = lambda tv: probe_state_closed_form(
-            5.0, 0.8, paper_bath.with_temperature(tv), include_zero_freq_dephasing=True
+            5.0, 0.8, replace(paper_bath, temperature=tv), include_zero_freq_dephasing=True
         )
         assert measurement_fi(identity(2), state(0.4), d_rho_dT(state, 0.4)) == 0.0
 
@@ -249,7 +245,7 @@ class TestMeasurementFi:
         # (d<sx>/dT)^2 / (1 - rx^2) for a qubit family
         t = 7.0
         state = lambda tv: probe_state_closed_form(
-            t, 0.8, paper_bath.with_temperature(tv), include_zero_freq_dephasing=True
+            t, 0.8, replace(paper_bath, temperature=tv), include_zero_freq_dephasing=True
         )
         rho = state(0.4)
         drho = d_rho_dT(state, 0.4)
@@ -261,7 +257,7 @@ class TestMeasurementFi:
     def test_bounded_by_qfi(self, paper_bath):
         for t in np.linspace(1.0, 40.0, 14):
             state = lambda tv: probe_state_closed_form(
-                t, 0.8, paper_bath.with_temperature(tv), include_zero_freq_dephasing=True
+                t, 0.8, replace(paper_bath, temperature=tv), include_zero_freq_dephasing=True
             )
             rho = state(0.4)
             drho = d_rho_dT(state, 0.4)
@@ -282,7 +278,7 @@ class TestHermiticityGuards:
         from qthermo.errors import NonHermitianInput
 
         state = lambda tv: probe_state_closed_form(
-            5.0, 0.8, paper_bath.with_temperature(tv), include_zero_freq_dephasing=True
+            5.0, 0.8, replace(paper_bath, temperature=tv), include_zero_freq_dephasing=True
         )
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NonHermitianInput):

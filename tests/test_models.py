@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,15 @@ class TestBathSpec:
     def test_mismatched_local_temperatures_warn(self):
         with pytest.warns(UserWarning, match="different temperatures"):
             TwoQubitModel(1.0, 0.6, LocalBaths(bath(T=0.4), bath(T=0.5)), 0.0)
+
+    def test_local_temperature_check_is_relative(self):
+        # a difference counts on the temperatures' own scale: at any T, not
+        # only above an absolute 1e-12, and not at rounding level
+        with pytest.warns(UserWarning, match="different temperatures"):
+            TwoQubitModel(1.0, 0.6, LocalBaths(bath(T=1e-13), bath(T=2e-13)), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            TwoQubitModel(1.0, 0.6, LocalBaths(bath(T=1e6), bath(T=np.nextafter(1e6, 2e6))), 0.0)
 
 
 class TestHamiltonian:
