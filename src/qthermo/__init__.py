@@ -20,7 +20,6 @@ from .models import (
     initial_state,
 )
 from .master_equation import (
-    JumpChannel,
     Liouvillian,
     build_liouvillian,
     decoherence_rate,
@@ -58,7 +57,6 @@ __all__ = [
     "coupling_operators",
     "hamiltonian",
     "initial_state",
-    "JumpChannel",
     "Liouvillian",
     "build_liouvillian",
     "decoherence_rate",

@@ -127,20 +127,23 @@ def write_gnuplot(path: str, experiment: str, csv_name: str, columns, data) -> N
 def run(cfg: RunConfig, quiet: bool = False) -> int:
     started = time.perf_counter()
     scan = EXPERIMENTS[cfg.experiment].run(**cfg.options)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     base = os.path.join(cfg.out_dir, cfg.experiment)
     csv_path = base + ".csv"
-    write_csv(csv_path, scan.columns, scan.data)
-    write_gnuplot(base + ".gp", cfg.experiment, os.path.basename(csv_path), scan.columns, scan.data)
-    payload = {
-        "experiment": cfg.experiment,
-        "version": __version__,
-        "parameters": {"experiment": cfg.experiment, **cfg.options},
-        "results": scan.results,
-        "csv": os.path.basename(csv_path),
-        "wall_time_s": time.perf_counter() - started,
-    }
-    write_summary(base + ".summary.json", payload)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        write_csv(csv_path, scan.columns, scan.data)
+        write_gnuplot(base + ".gp", cfg.experiment, os.path.basename(csv_path), scan.columns, scan.data)
+        payload = {
+            "experiment": cfg.experiment,
+            "version": __version__,
+            "parameters": {"experiment": cfg.experiment, **cfg.options},
+            "results": scan.results,
+            "csv": os.path.basename(csv_path),
+            "wall_time_s": time.perf_counter() - started,
+        }
+        write_summary(base + ".summary.json", payload)
+    except OSError as exc:  # not a directory, or not writable
+        raise ValidationError("out", str(exc)) from None
     if not quiet:
         print(f"{cfg.experiment}: {len(scan.data[scan.columns[0]])} rows -> {csv_path}")
     return 0

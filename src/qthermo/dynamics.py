@@ -82,15 +82,16 @@ class _Evolution:
         self.d_superop = liouvillian.d_superop
         self.basis = None  # (V, V^-1, gap, equal, V^-1 dL/dT V) if both tests pass
         lam, v = np.linalg.eig(self.superop)
+        self.scale = scale = np.max(np.abs(lam))  # zeroing below keeps it
         # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
-        lam[np.abs(lam) <= EQUAL_EIG_TOL * np.max(np.abs(lam))] = 0.0
+        lam[np.abs(lam) <= EQUAL_EIG_TOL * scale] = 0.0
         self.lam = lam
         if np.linalg.cond(v) <= SPECTRAL_COND_MAX:
             v_inv = np.linalg.inv(v)
             residual = np.max(np.abs((v * lam) @ v_inv - self.superop))
             if residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(self.superop)):
                 gap = np.subtract.outer(lam, lam)
-                equal = np.abs(gap) <= EQUAL_EIG_TOL * np.max(np.abs(lam))
+                equal = np.abs(gap) <= EQUAL_EIG_TOL * scale
                 self.basis = (v, v_inv, gap, equal, v_inv @ self.d_superop @ v)
         self._prepare(rho0)
 
@@ -143,8 +144,7 @@ class _Evolution:
 
     def _limit(self):
         """vec of the steady state and of its derivative."""
-        lam = self.lam
-        scale = np.max(np.abs(lam))
+        lam, scale = self.lam, self.scale
         stuck = (lam != 0) & (lam.real >= -EQUAL_EIG_TOL * scale) & self.excited
         if np.any(stuck):
             raise NoConvergence(
@@ -180,9 +180,10 @@ class _Evolution:
         times = np.asarray(t, dtype=float).reshape(-1)
         if np.any(times < 0):
             raise NonPositiveInput(f"propagation time must be >= 0, got {times[times < 0][0]}")
-        steady = times == np.inf
-        # the steady rows, evaluated at t = 0 here, are replaced by the limit
-        vecs, dvecs = self._finite(np.where(steady, 0.0, times))
+        vecs, dvecs = np.empty((2, len(times), len(self.v0)), dtype=complex)
+        finite, steady = (times > 0) & (times < np.inf), times == np.inf
+        if np.any(finite):
+            vecs[finite], dvecs[finite] = self._finite(times[finite])
         if np.any(steady):
             vecs[steady], dvecs[steady] = self._limit()
         # exp(L 0) = I exactly, which the decomposition reproduces only to rounding

@@ -662,7 +662,7 @@ def run_qfi_point(
     the steady state."""
     fam = _family(model, temperature, eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta)
     t = np.inf if at == "steady" else float(at)
-    if t == np.inf and not any(fam.liouvillian.rates):
+    if t == np.inf and not fam.liouvillian.rates.any():
         raise ValidationError("eta", "at=steady needs a bath: with every rate zero no state is stationary")
     rec = fam.records(t)
     record = {"at": "steady" if t == np.inf else t, **{name: rec[name] for name in _RECORD_COLUMNS}}

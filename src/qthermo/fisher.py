@@ -39,7 +39,7 @@ import warnings
 
 import numpy as np
 
-from .errors import NonHermitianInput, NonPositiveInput, PureStateSingularity
+from .errors import NonHermitianInput, NonPositiveInput, PureStateSingularity, ResolutionLimit
 from .linalg import dag, eig_hermitian, hermiticity_defect, pauli
 
 __all__ = [
@@ -219,8 +219,10 @@ def measurement_fi(observable: np.ndarray, rho: np.ndarray, drho: np.ndarray):
 
 def qsnr(temperature: float, fisher):
     """Signal-to-noise ratio ``T^2 F`` of a Fisher information value, or of
-    each value of an array."""
+    each value of an array; :class:`ResolutionLimit` if it overflows."""
     f = np.asarray(fisher, dtype=float)
     _raise_first(f < 0, NonPositiveInput, "Fisher information must be >= 0, got {}", f)
-    out = temperature * temperature * f
+    t2 = temperature * temperature  # inf above about 1.34e154, where T (T F) need not be
+    out = t2 * f if t2 < np.inf else temperature * (temperature * f)
+    _raise_first(np.isinf(out), ResolutionLimit, f"QSNR at T = {temperature:g} overflows for F = {{}}", f)
     return float(out) if out.ndim == 0 else out

@@ -104,11 +104,12 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         If any entry of ``h - h†`` exceeds 1e-12.
     """
     h = np.asarray(h, dtype=complex)
-    defect = hermiticity_defect(h)
+    h_dag = dag(h)
+    defect = np.abs(h - h_dag).max(axis=(-2, -1))  # hermiticity_defect, sharing h_dag
     k = _first(defect > 1e-12)
     if k is not None:
         raise NonHermitianInput(f"hermiticity defect {np.ravel(defect)[k]:.3e} > 1.0e-12")
-    vals, vecs = np.linalg.eigh(0.5 * (h + dag(h)))
+    vals, vecs = np.linalg.eigh(0.5 * (h + h_dag))
     # phase reference: the first component of each column above 1e-8 in modulus
     first = np.argmax(np.abs(vecs) > 1e-8, axis=-2)[..., None, :]
     lead = np.take_along_axis(vecs, first, axis=-2)

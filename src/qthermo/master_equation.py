@@ -48,7 +48,6 @@ __all__ = [
     "spectral_density",
     "thermal_occupation",
     "decoherence_rate",
-    "JumpChannel",
     "jump_operators",
     "Liouvillian",
     "dissipator_superop",
@@ -62,6 +61,11 @@ DEFAULT_FREQ_TOL = 1e-9
 #: Jump operators whose max entry is at most this fraction of their
 #: coupling operator's are dropped (relative, as the decomposition is linear).
 CHANNEL_PRUNE_TOL = 1e-12
+
+#: ``T^2`` and ``n (n + 1)`` are formed only while T and n(w) are at most
+#: this and T at least its inverse: past about 1.34e154 (the root of the
+#: largest float) they overflow, and T^2 underflows to 0 below 1e-162.
+SQUARE_RANGE = 1e150
 
 
 def spectral_density(omega: float, bath) -> float:
@@ -99,21 +103,14 @@ def _rate_and_derivative(omega: float, bath) -> tuple[float, float]:
     for emission and absorption alike."""
     if omega == 0.0:
         return 2.0 * np.pi * bath.eta * bath.temperature, 2.0 * np.pi * bath.eta
-    aw = abs(omega)
-    n = thermal_occupation(aw, bath.temperature)
+    aw, temp = abs(omega), bath.temperature
+    n = thermal_occupation(aw, temp)
     j = spectral_density(aw, bath)
-    dn = n * (n + 1.0) * aw / bath.temperature**2
+    if 1.0 / SQUARE_RANGE <= temp <= SQUARE_RANGE and n <= SQUARE_RANGE:
+        dn = n * (n + 1.0) * aw / temp**2
+    else:  # n |w| stays near T, where T^2 or n (n + 1) would leave the float64 range
+        dn = n * aw / temp / temp * (n + 1.0)
     return 2.0 * np.pi * j * (n + 1.0 if omega > 0 else n), 2.0 * np.pi * j * dn
-
-
-@dataclass(frozen=True)
-class JumpChannel:
-    """One Bohr frequency with its jump operator; ``bath_index`` is the
-    1-based index of its coupling into ``coupling_operators(model)``."""
-
-    omega: float
-    op: np.ndarray
-    bath_index: int = 0
 
 
 def _chains(values, tol):
@@ -121,8 +118,7 @@ def _chains(values, tol):
     and each group's mean."""
     labels = np.zeros(len(values), dtype=int)
     np.cumsum(values[1:] - values[:-1] > tol, out=labels[1:])
-    sums = np.zeros(labels[-1] + 1)
-    np.add.at(sums, labels, values)  # left to right, as np.mean adds a few terms
+    sums = np.bincount(labels, weights=values)  # left to right, as np.mean adds a few terms
     return labels, sums / np.bincount(labels)
 
 
@@ -149,8 +145,9 @@ def _jump_stack(h, a):
     return omegas, totals, np.abs(totals).max(axis=(-2, -1)) > floor[:, None]
 
 
-def jump_operators(h: np.ndarray, a: np.ndarray, bath_index: int = 0) -> list[JumpChannel]:
-    """Decompose a coupling operator into jump operators of ``h``.
+def jump_operators(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decompose a coupling operator into jump operators of ``h``: ``(omegas,
+    ops)``, ascending Bohr frequencies ``(n,)`` and their ``(n, d, d)`` operators.
 
     Energy levels within ``DEFAULT_FREQ_TOL`` are merged (projectors are
     summed over the degenerate subspace, so the arbitrary eigenvector basis
@@ -160,7 +157,7 @@ def jump_operators(h: np.ndarray, a: np.ndarray, bath_index: int = 0) -> list[Ju
     ``[A(w), h] = w A(w)`` and sum back to ``a``.
     """
     omegas, ops, keep = _jump_stack(h, np.asarray(a, dtype=complex)[None])
-    return [JumpChannel(w, op, bath_index) for w, op in zip(omegas[keep[0]].tolist(), ops[0, keep[0]])]
+    return omegas[keep[0]], ops[0, keep[0]]
 
 
 def commutator_superop(h: np.ndarray) -> np.ndarray:
@@ -181,16 +178,19 @@ def dissipator_superop(a: np.ndarray) -> np.ndarray:
 class Liouvillian:
     """Generator of the open-system evolution, ``d rho / dt = L[rho]``.
 
-    ``superop`` acts on column-stacked states.  ``channels`` and ``rates``
-    list every jump channel with its golden-rule rate.  ``d_superop`` is the
-    exact temperature derivative of ``superop``.
+    ``superop`` acts on column-stacked states; ``d_superop`` is its exact
+    temperature derivative.  The jump channels, coupling by coupling in
+    ascending frequency, are the aligned arrays ``omegas``, ``ops`` ``(n, d, d)``,
+    ``bath_index`` (1-based, into ``coupling_operators(model)``) and ``rates``.
     """
 
     dim: int
     superop: np.ndarray
     hamiltonian: np.ndarray
-    channels: tuple[JumpChannel, ...]
-    rates: tuple[float, ...]
+    omegas: np.ndarray
+    ops: np.ndarray
+    bath_index: np.ndarray
+    rates: np.ndarray
     d_superop: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -207,21 +207,19 @@ def build_liouvillian(model: Model) -> Liouvillian:
     h = hamiltonian(model)
     couplings = coupling_operators(model)
     omegas, ops, keep = _jump_stack(h, np.stack([a for a, _ in couplings]))
+    coupling, group = np.nonzero(keep)  # coupling by coupling, ascending frequency
+    omegas, ops = omegas[group], ops[keep]
 
     # a handful of channels: scalar rates cost less than array calls
-    channels, rates = [], []
-    for index, (kept, op, (_, bath)) in enumerate(zip(keep, ops, couplings), start=1):
-        for w, a in zip(omegas[kept].tolist(), op[kept]):
-            channels.append(JumpChannel(w, a, index))
-            rates.append(_rate_and_derivative(w, bath))
-    superops = dissipator_superop(ops[keep])
+    rates = [_rate_and_derivative(w, couplings[k][1]) for k, w in zip(coupling.tolist(), omegas.tolist())]
     # (-1, 2) keeps the shape when no channel survives (a zero coupling)
-    g, dg = np.reshape(rates, (-1, 2)).T[:, :, None, None]
+    g, dg = np.reshape(rates, (-1, 2)).T
+    superops = dissipator_superop(ops)
 
     superop = commutator_superop(h)
     d_superop = np.zeros_like(superop)
-    for term, d_term in zip(g * superops, dg * superops):
+    for term, d_term in zip(g[:, None, None] * superops, dg[:, None, None] * superops):
         superop += term
         d_superop += d_term
-    return Liouvillian(dim=h.shape[0], superop=superop, hamiltonian=h, channels=tuple(channels),
-                       rates=tuple(r for r, _ in rates), d_superop=d_superop)
+    return Liouvillian(dim=h.shape[0], superop=superop, hamiltonian=h, omegas=omegas, ops=ops,
+                       bath_index=coupling + 1, rates=g, d_superop=d_superop)

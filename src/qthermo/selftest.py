@@ -44,16 +44,12 @@ def _check_generator(rng, draws=10):
             image = liou.apply(e)
             worst = max(worst, abs(np.trace(image)))
             worst = max(worst, float(np.max(np.abs(liou.apply(e.conj().T) - image.conj().T))))
-        for ch in liou.channels:
-            comm = ch.op @ liou.hamiltonian - liou.hamiltonian @ ch.op
-            worst = max(worst, float(np.max(np.abs(comm - ch.omega * ch.op))))
-            if ch.omega > 0:
-                ratio = decoherence_rate(ch.omega, model.bath) / decoherence_rate(
-                    -ch.omega, model.bath
-                )
-                worst = max(
-                    worst, abs(ratio / np.exp(ch.omega / model.bath.temperature) - 1.0)
-                )
+        h, omegas = liou.hamiltonian, liou.omegas
+        comm = liou.ops @ h - h @ liou.ops
+        worst = max(worst, float(np.max(np.abs(comm - omegas[:, None, None] * liou.ops))))
+        for w in omegas[omegas > 0].tolist():
+            ratio = decoherence_rate(w, model.bath) / decoherence_rate(-w, model.bath)
+            worst = max(worst, abs(ratio / np.exp(w / model.bath.temperature) - 1.0))
         for t in (0.1, 1.0, 10.0):
             choi = choi_matrix(expm(liou.superop * t))
             lam = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))

@@ -357,16 +357,17 @@ def test_criterion_09_generator_correctness():
                 worst["herm"],
                 float(np.max(np.abs(liou.apply(e.conj().T) - image.conj().T))),
             )
-        for ch, rate in zip(liou.channels, liou.rates):
+        channels = zip(liou.omegas.tolist(), liou.ops, liou.bath_index.tolist(), liou.rates)
+        for omega, op, index, rate in channels:
             h = liou.hamiltonian
-            defect = ch.op @ h - h @ ch.op - ch.omega * ch.op
+            defect = op @ h - h @ op - omega * op
             worst["ladder"] = max(worst["ladder"], float(np.max(np.abs(defect))))
-            if ch.omega > 0:
-                bath = baths[ch.bath_index]
-                ratio = rate / decoherence_rate(-ch.omega, bath)
+            if omega > 0:
+                bath = baths[index]
+                ratio = rate / decoherence_rate(-omega, bath)
                 worst["balance"] = max(
                     worst["balance"],
-                    abs(ratio / np.exp(ch.omega / bath.temperature) - 1.0),
+                    abs(ratio / np.exp(omega / bath.temperature) - 1.0),
                 )
         for t in (0.1, 1.0, 10.0):
             choi = choi_matrix(expm(liou.superop * t))

@@ -10,7 +10,7 @@ import pytest
 
 import qthermo
 from qthermo import experiments
-from qthermo.cli import _fmt, build_parser, main, write_csv
+from qthermo.cli import EXIT_CODES, _fmt, build_parser, main, write_csv
 from qthermo.config import KINDS, parse_config_file, resolve
 from qthermo.errors import ParseError, ValidationError
 
@@ -387,6 +387,12 @@ class TestMain:
             "error: [theta_scan] theta_list: list entries must lie in [0, pi]\n"
         )
 
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_out_that_cannot_be_a_directory_exits_3(self, target, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["qfi_point", "--out", str(tmp_path / target), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("error: out: ")
+
     def test_selftest_subcommand(self):
         assert main(["selftest", "--quiet"]) == 0
 
@@ -491,3 +497,25 @@ def test_kinds_type_exactly_the_runner_keywords(monkeypatch):
     monkeypatch.setitem(experiments.EXPERIMENTS, "untyped_toy", experiments.ExperimentSpec(run))
     with pytest.raises(KeyError, match="untyped_key"):
         resolve("untyped_toy")
+
+
+# Accepted values far from the defaults, one key at a time: the first slice
+# of a property test over the whole accepted range, without value oracles.
+EXTREME_REQUESTS = (["qfi_point", "--param", "at=steady"], ["qfi_point", "--param", "at=5"],
+                    ["evolve", "--param", "n_points=5", "--param", "t_max=3"])
+
+
+@pytest.mark.parametrize("model", experiments.MODEL_NAMES)
+def test_accepted_extreme_values_never_crash(model, tmp_path, capsys):
+    keys = ["temperature", "kappa", "eta", "cutoff"] + (["eta2"] if model.startswith("two_qubit") else [])
+    codes = {code for _, code in EXIT_CODES}
+    for key in keys:
+        for value in ("1e-300", "1e155", "1e300"):
+            for request in EXTREME_REQUESTS:
+                argv = [*request, "--param", f"model={model}", "--param", f"{key}={value}"]
+                code = main(argv + ["--out", str(tmp_path), "--quiet"])
+                assert code == 0 or code in codes, (argv, code)
+                if code == 0:
+                    text = (tmp_path / f"{request[0]}.csv").read_text()
+                    assert "nan" not in text and "inf" not in text, (argv, text)
+    capsys.readouterr()

@@ -39,21 +39,31 @@ def pa_liouvillian(eta=0.01, kappa=0.8, theta=np.pi / 2):
     return build_liouvillian(model), initial_state(model)
 
 
+def no_channels(dim):
+    """The channel arrays of a generator without jump channels."""
+    return dict(omegas=np.zeros(0), ops=np.zeros((0, dim, dim), dtype=complex),
+                bath_index=np.zeros(0, dtype=int), rates=np.zeros(0))
+
+
 def custom_liouvillian(h, couplings):
     """Assemble a generator and its dL/dT from explicit (operator, bath) pairs."""
     superop = commutator_superop(h)
     d_superop = np.zeros_like(superop)
-    channels, rates = [], []
-    for a, bath in couplings:
-        for ch in jump_operators(h, a):
-            g, dg = _rate_and_derivative(ch.omega, bath)
-            superop = superop + g * dissipator_superop(ch.op)
-            d_superop = d_superop + dg * dissipator_superop(ch.op)
-            channels.append(ch)
+    omegas, ops, bath_index, rates = [], [], [], []
+    for index, (a, bath) in enumerate(couplings, start=1):
+        ws, jumps = jump_operators(h, a)
+        for w, op in zip(ws.tolist(), jumps):
+            g, dg = _rate_and_derivative(w, bath)
+            superop = superop + g * dissipator_superop(op)
+            d_superop = d_superop + dg * dissipator_superop(op)
             rates.append(g)
+        omegas.append(ws)
+        ops.append(jumps)
+        bath_index += [index] * len(ws)
     return Liouvillian(
-        dim=h.shape[0], superop=superop, hamiltonian=h,
-        channels=tuple(channels), rates=tuple(rates), d_superop=d_superop,
+        dim=h.shape[0], superop=superop, hamiltonian=h, omegas=np.concatenate(omegas),
+        ops=np.concatenate(ops), bath_index=np.array(bath_index), rates=np.array(rates),
+        d_superop=d_superop,
     )
 
 
@@ -88,8 +98,7 @@ class TestPropagate:
             dim=2,
             superop=-0.1 * dissipator_superop(sz),
             hamiltonian=0.5 * sz,
-            channels=(),
-            rates=(),
+            **no_channels(2),
             d_superop=np.zeros((4, 4), dtype=complex),
         )
         rho0 = 0.5 * np.ones((2, 2), dtype=complex)
@@ -188,7 +197,7 @@ class TestStacks:
         h = 0.5 * g * pauli("x")
         liou = Liouvillian(
             dim=2, superop=commutator_superop(h) + g * dissipator_superop(pauli("z")),
-            hamiltonian=h, channels=(), rates=(), d_superop=np.zeros((4, 4), dtype=complex),
+            hamiltonian=h, **no_channels(2), d_superop=np.zeros((4, 4), dtype=complex),
         )
         _, v = np.linalg.eig(liou.superop)
         assert np.linalg.cond(v) > SPECTRAL_COND_MAX
@@ -226,7 +235,7 @@ class TestStacks:
         sz = pauli("z")
         bad = Liouvillian(
             dim=2, superop=-0.1 * dissipator_superop(sz), hamiltonian=0.5 * sz,
-            channels=(), rates=(), d_superop=np.zeros((4, 4), dtype=complex),
+            **no_channels(2), d_superop=np.zeros((4, 4), dtype=complex),
         )
         rho0 = 0.5 * np.ones((2, 2), dtype=complex)
         with pytest.raises(PositivityViolation):
@@ -265,7 +274,7 @@ class TestExactDerivative:
         h = 0.15 * pauli("x")
         gen = lambda temp: commutator_superop(h) + 0.75 * temp * dissipator_superop(pauli("z"))  # noqa: E731
         liou = Liouvillian(
-            dim=2, superop=gen(0.4), hamiltonian=h, channels=(), rates=(),
+            dim=2, superop=gen(0.4), hamiltonian=h, **no_channels(2),
             d_superop=0.75 * dissipator_superop(pauli("z")),
         )
         rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -438,7 +447,7 @@ class TestSteadyState:
         h = 0.15 * pauli("x")
         liou = Liouvillian(
             dim=2, superop=commutator_superop(h) + 0.3 * dissipator_superop(pauli("z")),
-            hamiltonian=h, channels=(), rates=(),
+            hamiltonian=h, **no_channels(2),
             d_superop=0.75 * dissipator_superop(pauli("z")),
         )
         rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -483,7 +492,7 @@ class TestSteadyState:
         d_superop[1, 0] = d_superop[2, 0] = 1.0
         liou = Liouvillian(
             dim=2, superop=superop, hamiltonian=np.zeros((2, 2), dtype=complex),
-            channels=(), rates=(), d_superop=d_superop,
+            **no_channels(2), d_superop=d_superop,
         )
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(NoConvergence, match=r"lam = \S*[+-]1j"):
@@ -500,7 +509,7 @@ class TestSteadyState:
         superop = np.outer(sigma, vec(identity(2))) - np.eye(4)
         liou = Liouvillian(
             dim=2, superop=superop, hamiltonian=np.zeros((2, 2), dtype=complex),
-            channels=(), rates=(), d_superop=np.zeros_like(superop),
+            **no_channels(2), d_superop=np.zeros_like(superop),
         )
         with pytest.raises(PositivityViolation, match="minimum eigenvalue"):
             propagate(liou, np.diag([1.0, 0.0]).astype(complex), np.inf)

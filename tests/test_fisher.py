@@ -292,6 +292,14 @@ class TestQsnrRecord:
         with pytest.raises(NonPositiveInput):
             qsnr(0.4, -1.0)
 
+    def test_qsnr_beyond_the_root_of_the_largest_float(self):
+        # T * T overflows above about 1.34e154; T^2 F itself need not
+        assert qsnr(1e155, 0.0) == 0.0
+        assert qsnr(1e300, 1e-300) == pytest.approx(1e300, rel=1e-15)
+        assert qsnr(1e154, 1e-300) == 1e154 * 1e154 * 1e-300
+        with pytest.raises(ResolutionLimit, match="T = 1e"), np.errstate(over="ignore"):
+            qsnr(1e300, 1.0)
+
     def test_record_rejects_fi_above_qfi(self):
         rho = np.array([np.diag([0.6, 0.4])] * 3, dtype=complex)
         with pytest.raises(ResolutionLimit, match="FI 1.1 exceeds QFI 1.0 at t = 2.0"):

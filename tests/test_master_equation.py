@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,53 +115,49 @@ class TestJumpOperators:
         model = ProbeAncillaModel(1.0, 1.0, 0.8, BATH, np.pi / 2)
         h = hamiltonian(model)
         a = kron(identity(2), pauli("z"))
-        chans = jump_operators(h, a)
-        freqs = sorted(c.omega for c in chans)
-        assert np.allclose(freqs, [-1.6, 0.0, 1.6], atol=1e-9)
+        omegas, ops = jump_operators(h, a)
+        assert np.allclose(omegas, [-1.6, 0.0, 1.6], atol=1e-9)
         oracle = brute_force_channels(h, a)
         assert len(oracle) == 3
-        for c in chans:
-            ref = oracle[round(c.omega, 9)]
-            assert np.max(np.abs(c.op - ref)) < 1e-9
+        for w, op in zip(omegas.tolist(), ops):
+            assert np.max(np.abs(op - oracle[round(w, 9)])) < 1e-9
 
     def test_identity_coupling(self):
         h = hamiltonian(ProbeAncillaModel(1.0, 1.0, 0.8, BATH, 0.0))
-        chans = jump_operators(h, identity(4))
-        assert len(chans) == 1
-        assert chans[0].omega == 0.0
-        assert np.allclose(chans[0].op, identity(4))
+        omegas, ops = jump_operators(h, identity(4))
+        assert omegas.tolist() == [0.0]
+        assert np.allclose(ops[0], identity(4))
 
     def test_direct_probe_single_channel(self):
-        chans = jump_operators(0.5 * pauli("z"), pauli("z"))
-        assert len(chans) == 1 and chans[0].omega == 0.0
-        assert np.allclose(chans[0].op, pauli("z"))
+        omegas, ops = jump_operators(0.5 * pauli("z"), pauli("z"))
+        assert omegas.tolist() == [0.0]
+        assert np.allclose(ops[0], pauli("z"))
 
     def test_sigma_x_coupling_two_channels(self):
         # non-commuting coupling splits into raising and lowering parts
-        chans = jump_operators(0.5 * pauli("z"), pauli("x"))
-        freqs = sorted(c.omega for c in chans)
-        assert np.allclose(freqs, [-1.0, 1.0])
+        omegas, _ = jump_operators(0.5 * pauli("z"), pauli("x"))
+        assert np.allclose(omegas, [-1.0, 1.0])
 
     def test_ladder_relation(self):
         for kappa in (0.3, 0.8, 1.3):
             h = hamiltonian(ProbeAncillaModel(1.0, 1.0, kappa, BATH, 0.0))
             a = kron(identity(2), pauli("z"))
-            for c in jump_operators(h, a):
-                defect = c.op @ h - h @ c.op - c.omega * c.op
-                assert np.max(np.abs(defect)) < 1e-9
+            omegas, ops = jump_operators(h, a)
+            defect = ops @ h - h @ ops - omegas[:, None, None] * ops
+            assert np.max(np.abs(defect)) < 1e-9
 
     def test_completeness(self, rng):
         from conftest import random_hermitian
 
         h = random_hermitian(rng, 4)
         a = random_hermitian(rng, 4)
-        chans = jump_operators(h, a)
-        total = sum(c.op for c in chans)
-        assert np.max(np.abs(total - a)) < 1e-10
+        _, ops = jump_operators(h, a)
+        assert np.max(np.abs(ops.sum(axis=0) - a)) < 1e-10
 
     def test_adjoint_pairing(self):
         h = hamiltonian(TwoQubitModel(1.0, 0.6, LocalBaths(BATH, BATH), 0.0))
-        chans = {round(c.omega, 9): c.op for c in jump_operators(h, kron(pauli("z"), identity(2)))}
+        omegas, ops = jump_operators(h, kron(pauli("z"), identity(2)))
+        chans = {round(w, 9): op for w, op in zip(omegas.tolist(), ops)}
         for w, op in chans.items():
             assert np.max(np.abs(chans[-w] - op.conj().T)) < 1e-10
 
@@ -168,9 +165,9 @@ class TestJumpOperators:
         # kappa=0 makes |01> and |10> degenerate; projector sum is basis free
         h = hamiltonian(ProbeAncillaModel(1.0, 1.0, 0.0, BATH, 0.0))
         a = kron(identity(2), pauli("z"))
-        chans = jump_operators(h, a)
-        assert len(chans) == 1 and chans[0].omega == 0.0
-        assert np.max(np.abs(chans[0].op - a)) < 1e-12
+        omegas, ops = jump_operators(h, a)
+        assert omegas.tolist() == [0.0]
+        assert np.max(np.abs(ops[0] - a)) < 1e-12
 
     def test_pruning_is_relative_to_the_coupling(self):
         # the decomposition is linear in a, so a weak coupling keeps its
@@ -179,10 +176,10 @@ class TestJumpOperators:
         a = kron(identity(2), pauli("z"))
         strong = jump_operators(h, a)
         weak = jump_operators(h, 1e-15 * a)
-        assert [c.omega for c in weak] == [c.omega for c in strong]
-        for w, s in zip(weak, strong):
-            assert np.max(np.abs(w.op - 1e-15 * s.op)) < 1e-28
-        assert jump_operators(h, 0.0 * a) == []
+        assert weak[0].tolist() == strong[0].tolist()
+        assert np.max(np.abs(weak[1] - 1e-15 * strong[1])) < 1e-28
+        omegas, ops = jump_operators(h, 0.0 * a)
+        assert omegas.shape == (0,) and ops.shape == (0, 4, 4)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
@@ -235,8 +232,9 @@ class TestLiouvillian:
     def test_channel_rates_match_convention(self):
         model = ProbeAncillaModel(1.0, 1.0, 0.8, BATH, np.pi / 2)
         liou = build_liouvillian(model)
-        for ch, rate in zip(liou.channels, liou.rates):
-            assert rate == pytest.approx(decoherence_rate(ch.omega, BATH), rel=1e-14)
+        assert len(liou.rates) == len(liou.omegas) == len(liou.ops) == len(liou.bath_index) == 3
+        for w, rate in zip(liou.omegas.tolist(), liou.rates):
+            assert rate == pytest.approx(decoherence_rate(w, BATH), rel=1e-14)
 
     def test_vectorization_convention_fixture(self):
         # frozen fixture: pure dephasing qubit, L = -i[H, .] + g D[sz]
@@ -267,7 +265,8 @@ class TestLiouvillian:
             1.0, 0.6, CommonBath(eta1=0.0, eta2=0.0, cutoff=10.0, temperature=0.4), np.pi / 2
         )
         liou = build_liouvillian(model)
-        assert liou.channels == () and liou.rates == ()
+        assert liou.omegas.shape == liou.bath_index.shape == liou.rates.shape == (0,)
+        assert liou.ops.shape == (0, 4, 4)
         assert liou.superop.tobytes() == commutator_superop(liou.hamiltonian).tobytes()
         assert not liou.d_superop.any()
 
@@ -286,6 +285,20 @@ class TestTemperatureDerivative:
         g, dg = _rate_and_derivative(omega, BathSpec(0.03, 10.0, temperature))
         assert g == rate(temperature)
         assert dg == pytest.approx((rate(temperature + h) - rate(temperature - h)) / (2 * h), rel=1e-8)
+
+    @pytest.mark.parametrize("omega", [-2.4, 2.4])
+    def test_rate_derivative_at_extreme_temperatures(self, omega):
+        from qthermo.master_equation import _rate_and_derivative
+
+        # n -> T/|w| as T grows, so dn/dT -> 1/|w| while T^2 and n (n + 1) overflow
+        hot = BathSpec(0.03, 10.0, 1e300)
+        j = spectral_density(abs(omega), hot)
+        g, dg = _rate_and_derivative(omega, hot)
+        assert g == pytest.approx(2 * np.pi * j * 1e300 / abs(omega), rel=1e-12)
+        assert dg == pytest.approx(2 * np.pi * j / abs(omega), rel=1e-12)
+        # exp(-|w|/T) and T^2 underflow to 0 as T -> 0: no absorption, and no T dependence
+        g, dg = _rate_and_derivative(omega, replace(hot, temperature=1e-300))
+        assert (g, dg) == ((2 * np.pi * j, 0.0) if omega > 0 else (0.0, 0.0))
 
     @pytest.mark.parametrize("name", ["direct", "probe_ancilla", "two_qubit_local", "two_qubit_common"])
     def test_generator_derivative_matches_central_difference(self, name):
@@ -382,23 +395,23 @@ def per_channel_liouvillian(model, freq_tol=DEFAULT_FREQ_TOL):
     else:
         couplings = coupling_operators(model)
     for index, (a, bath) in enumerate(couplings, start=1):
-        chans = [me.JumpChannel(w, op, index) for w, op in loop_jump_operators(h, a, freq_tol)]
+        chans = loop_jump_operators(h, a, freq_tol)
         per_op.append(chans)
-        for ch in chans:
-            g, dg = scalar_rate(ch.omega, bath)
-            dissipator = dissipator_superop(ch.op)
+        for w, op in chans:
+            g, dg = scalar_rate(w, bath)
+            dissipator = dissipator_superop(op)
             superop = superop + g * dissipator
             d_superop += dg * dissipator
-            channels.append(ch)
+            channels.append((w, op, index))
             rates.append(g)
     if common:
         cross_bath = BathSpec(float(np.sqrt(cfg.eta1 * cfg.eta2)), cfg.cutoff, cfg.temperature)
-        first = {round(ch.omega / freq_tol): ch for ch in per_op[0]}
-        for ch2 in per_op[1]:
-            key = round(ch2.omega / freq_tol)
+        first = {round(w / freq_tol): op for w, op in per_op[0]}
+        for w, op2 in per_op[1]:
+            key = round(w / freq_tol)
             if key in first:
-                g, dg = scalar_rate(ch2.omega, cross_bath)
-                cross = cross_dissipator(first[key].op, ch2.op)
+                g, dg = scalar_rate(w, cross_bath)
+                cross = cross_dissipator(first[key], op2)
                 superop = superop + g * cross
                 d_superop += dg * cross
     return superop, d_superop, channels, rates
@@ -453,10 +466,10 @@ class TestStackedBuild:
             liou = build_liouvillian(model)
             assert liou.superop.tobytes() == superop.tobytes(), model
             assert liou.d_superop.tobytes() == d_superop.tobytes(), model
-            assert [c.omega for c in liou.channels] == [c.omega for c in channels]
-            assert [c.bath_index for c in liou.channels] == [c.bath_index for c in channels]
-            assert [c.op.tobytes() for c in liou.channels] == [c.op.tobytes() for c in channels]
-            assert list(liou.rates) == rates
+            assert liou.omegas.tolist() == [w for w, _, _ in channels]
+            assert liou.bath_index.tolist() == [index for _, _, index in channels]
+            assert [op.tobytes() for op in liou.ops] == [op.tobytes() for _, op, _ in channels]
+            assert liou.rates.tolist() == rates
 
     def test_common_bath_equals_local_couplings_with_cross_terms(self):
         # the collective coupling sums the local and cross terms in another
@@ -492,7 +505,8 @@ class TestStackedBuild:
                 u = np.linalg.qr(random_hermitian(rng, 4))[0]
                 h = u @ np.diag(spec) @ u.conj().T
                 h = 0.5 * (h + h.conj().T)
-            got = [(c.omega, c.op.tobytes()) for c in jump_operators(h, a)]
+            omegas, ops = jump_operators(h, a)
+            got = [(w, op.tobytes()) for w, op in zip(omegas.tolist(), ops)]
             assert got == [(w, op.tobytes()) for w, op in loop_jump_operators(h, a)]
 
     @pytest.mark.parametrize("model", models_under_test())
