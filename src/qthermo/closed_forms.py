@@ -5,8 +5,8 @@ frequency, hbar = k_B = 1.
 
 Transient probe state
 ---------------------
-For the probe + ancilla model at ``omega_p = omega_a = 1`` the reduced probe
-state is ``[[ (1+W)/2, X ], [X*, (1-W)/2]]`` with
+For the probe + ancilla model the reduced probe state is
+``[[ (1+W)/2, X ], [X*, (1-W)/2]]`` with
 
     W(t) = (-2 + (1 + e^{4 i k t}) (sinh(B t) - cosh(B t))) / 4
          = -1/2 - cos(2 k t) e^{-Re(B) t} / 2,

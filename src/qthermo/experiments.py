@@ -41,7 +41,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .closed_forms import optimal_ratio, steady_qsnr
-from .errors import BadDimension, NoConvergence, NonPositiveInput, ResolutionLimit, ValidationError
+from .errors import BadDimension, NoConvergence, NonFinite, NonPositiveInput, ResolutionLimit, ValidationError
 from .fisher import cfi_povm, measurement_fi, qfi_spectral, qsnr, qubit_qfi
 from .linalg import partial_trace, pauli
 from .master_equation import build_liouvillian
@@ -232,21 +232,21 @@ def make_model(
     theta: float = np.pi / 2,
     eta2: float | None = None,
 ):
-    """Construct the model ``name``, one of :data:`MODEL_NAMES`, with unit
-    qubit frequencies from flat scalar parameters (CLI plumbing)."""
+    """Construct the model ``name``, one of :data:`MODEL_NAMES`, from flat
+    scalar parameters (CLI plumbing)."""
     if name not in MODEL_NAMES:
         raise ValidationError("model", f"must be one of {', '.join(MODEL_NAMES)}, got {name!r}")
     bath = BathSpec(eta=eta, cutoff=cutoff, temperature=temperature)
     eta2 = eta if eta2 is None else eta2
     if name == "direct":
-        return DirectProbeModel(omega_p=1.0, bath=bath)
+        return DirectProbeModel(bath=bath)
     if name == "probe_ancilla":
-        return ProbeAncillaModel(omega_p=1.0, omega_a=1.0, kappa=kappa, bath=bath, theta=theta)
+        return ProbeAncillaModel(kappa=kappa, bath=bath, theta=theta)
     if name == "two_qubit_local":
         cfg = LocalBaths(bath, BathSpec(eta=eta2, cutoff=cutoff, temperature=temperature))
     else:
         cfg = CommonBath(eta1=eta, eta2=eta2, cutoff=cutoff, temperature=temperature)
-    return TwoQubitModel(omega0=1.0, kappa=kappa, bath_config=cfg, theta=theta)
+    return TwoQubitModel(kappa=kappa, bath_config=cfg, theta=theta)
 
 
 class TemperatureFamily:
@@ -307,10 +307,15 @@ def _records(t, qfi, fi, rho, temperature) -> dict:
     """Record columns ``t, qfi, cfi, qsnr, qfi_per_t, coherence_abs`` from
     per-state values and states: floats at one time ``t``, lists on a grid.
 
-    A measurement FI above the QFI (beyond 1e-9) means the states cannot
-    resolve the information: :class:`ResolutionLimit` names the first such row.
+    A non-finite QFI or FI is :class:`NonFinite`, and a measurement FI above
+    the QFI (beyond 1e-9) means the states cannot resolve the information:
+    :class:`ResolutionLimit`.  Each names its first row.
     """
     t, qfi, fi = (np.asarray(x, dtype=float) for x in (t, qfi, fi))
+    for name, col in (("qfi", qfi), ("cfi", fi)):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise NonFinite(f"{name} is {col.flat[bad[0]]} at t = {t.flat[bad[0]]:g}")
     bad = np.flatnonzero(fi > qfi + 1e-9)
     if bad.size:
         k = bad[0]

@@ -222,7 +222,9 @@ def qsnr(temperature: float, fisher):
     each value of an array; :class:`ResolutionLimit` if it overflows."""
     f = np.asarray(fisher, dtype=float)
     _raise_first(f < 0, NonPositiveInput, "Fisher information must be >= 0, got {}", f)
-    t2 = temperature * temperature  # inf above about 1.34e154, where T (T F) need not be
-    out = t2 * f if t2 < np.inf else temperature * (temperature * f)
+    # T^2 leaves the normal floats above about 1.34e154 and below about
+    # 1.5e-154, where T (T F) need not
+    t2 = temperature * temperature
+    out = t2 * f if np.finfo(float).tiny <= t2 < np.inf else temperature * (temperature * f)
     _raise_first(np.isinf(out), ResolutionLimit, f"QSNR at T = {temperature:g} overflows for F = {{}}", f)
     return float(out) if out.ndim == 0 else out

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeFrequency, NonPositiveInput
+from .errors import NegativeFrequency, NonFinite, NonPositiveInput
 from .linalg import _kron, dag, eig_hermitian, identity, kron, unvec, vec
 from .models import Model, coupling_operators, hamiltonian
 
@@ -202,7 +202,9 @@ def build_liouvillian(model: Model) -> Liouvillian:
 
     Dissipators are additive across the model's couplings.  Every rate's
     temperature derivative multiplies the same dissipator in ``d_superop``.
-    Terms are added in channel order.
+    Terms are added in channel order.  :class:`NonFinite` if the generator or
+    its derivative leaves the float64 range (finite rates can still overflow
+    in the sum).
     """
     h = hamiltonian(model)
     couplings = coupling_operators(model)
@@ -221,5 +223,7 @@ def build_liouvillian(model: Model) -> Liouvillian:
     for term, d_term in zip(g[:, None, None] * superops, dg[:, None, None] * superops):
         superop += term
         d_superop += d_term
+    if not (np.isfinite(superop).all() and np.isfinite(d_superop).all()):
+        raise NonFinite(f"generator overflows float64; largest rate {g.max(initial=0.0):g}")
     return Liouvillian(dim=h.shape[0], superop=superop, hamiltonian=h, omegas=omegas, ops=ops,
                        bath_index=coupling + 1, rates=g, d_superop=d_superop)

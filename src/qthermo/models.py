@@ -1,8 +1,8 @@
 """Physical scenarios: probe qubits, coupling operators, baths, initial states.
 
 All frequencies and energies are expressed in units of the qubit transition
-frequency (set to 1 by default), with hbar = k_B = 1.  Temperatures are in the
-same units.
+frequency, which is 1 for every qubit, with hbar = k_B = 1.  Temperatures are
+in the same units.
 
 Four scenarios are covered:
 
@@ -59,33 +59,26 @@ class DirectProbeModel:
     ``(|0> + |1>)/sqrt(2)``, the preparation that maximizes the dephasing
     signal."""
 
-    omega_p: float
     bath: BathSpec
-
-    def __post_init__(self):
-        if self.omega_p <= 0:
-            raise ValidationError("omega_p", "must be > 0")
 
 
 @dataclass(frozen=True)
 class ProbeAncillaModel:
-    """Probe qubit coupled only to an ancilla qubit; the ancilla dephases in
-    the bath through its own sigma_z.
+    """Probe qubit coupled only to a resonant ancilla qubit, by an exchange
+    (XX+YY) coupling of strength ``kappa`` (the Hamiltonian of
+    :class:`TwoQubitModel`); the ancilla dephases in the bath through its own
+    sigma_z.
 
     The probe starts in its excited level ``|1>``; the ancilla starts in
     ``cos(theta/2)|0> + sin(theta/2)|1>``.  The probe is the first tensor
     factor.
     """
 
-    omega_p: float
-    omega_a: float
     kappa: float
     bath: BathSpec
     theta: float
 
     def __post_init__(self):
-        if self.omega_p <= 0 or self.omega_a <= 0:
-            raise ValidationError("omega", "transition frequencies must be > 0")
         if self.kappa < 0:
             raise ValidationError("kappa", "must be >= 0")
         if not 0.0 <= self.theta <= np.pi:
@@ -128,14 +121,11 @@ class TwoQubitModel:
     """Two resonant qubits with an exchange (XX+YY) coupling of strength
     ``kappa``, prepared in ``cos(theta/2)|01> + sin(theta/2)|10>``."""
 
-    omega0: float
     kappa: float
     bath_config: "LocalBaths | CommonBath"
     theta: float
 
     def __post_init__(self):
-        if self.omega0 <= 0:
-            raise ValidationError("omega0", "must be > 0")
         if self.kappa < 0:
             raise ValidationError("kappa", "must be >= 0")
         if not 0.0 <= self.theta <= np.pi:
@@ -168,13 +158,12 @@ _XX_YY = _shared(kron(pauli("x"), pauli("x")) + kron(pauli("y"), pauli("y")))
 
 
 def hamiltonian(model: Model) -> np.ndarray:
-    """System Hamiltonian of a model (2x2 or 4x4, exactly Hermitian)."""
+    """System Hamiltonian of a model (2x2 or 4x4, exactly Hermitian): the
+    qubits' ``sz / 2`` terms plus, for two qubits, the exchange coupling."""
     if isinstance(model, DirectProbeModel):
-        return 0.5 * model.omega_p * _SZ
-    if isinstance(model, ProbeAncillaModel):
-        return 0.5 * model.omega_p * _SZ_1 + 0.5 * model.omega_a * _1_SZ + 0.5 * model.kappa * _XX_YY
-    if isinstance(model, TwoQubitModel):
-        return 0.5 * model.omega0 * _SZ_TOTAL + 0.5 * model.kappa * _XX_YY
+        return 0.5 * _SZ
+    if isinstance(model, (ProbeAncillaModel, TwoQubitModel)):
+        return 0.5 * _SZ_TOTAL + 0.5 * model.kappa * _XX_YY
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 

@@ -20,8 +20,6 @@ __all__ = ["run_selftest"]
 
 def _random_model(rng):
     return ProbeAncillaModel(
-        omega_p=1.0,
-        omega_a=1.0,
         kappa=float(rng.uniform(0.1, 1.4)),
         bath=BathSpec(
             eta=float(rng.uniform(0.001, 0.1)),
@@ -84,7 +82,7 @@ def _check_steady_qfi():
             LocalBaths(BathSpec(0.01, 10.0, temp), BathSpec(0.05, 10.0, temp)),
             CommonBath(0.01, 0.05, 10.0, temp),
         ):
-            model = TwoQubitModel(omega0=1.0, kappa=kappa, bath_config=baths, theta=np.pi / 2)
+            model = TwoQubitModel(kappa=kappa, bath_config=baths, theta=np.pi / 2)
             rho, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
             worst = max(worst, abs(qfi_spectral(rho, drho) - exact) / exact)
     return worst < 1e-10, f"worst relative error {worst:.2e}"
@@ -97,10 +95,7 @@ def _check_optimal_ratio():
 
 
 def _check_semigroup():
-    model = ProbeAncillaModel(
-        omega_p=1.0, omega_a=1.0, kappa=0.8,
-        bath=BathSpec(0.01, 10.0, 0.4), theta=np.pi / 2,
-    )
+    model = ProbeAncillaModel(kappa=0.8, bath=BathSpec(0.01, 10.0, 0.4), theta=np.pi / 2)
     liou = build_liouvillian(model)
     rho0 = initial_state(model)
     one = propagate(liou, rho0, 7.0)[0]

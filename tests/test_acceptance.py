@@ -84,7 +84,7 @@ def report(criterion, ok, detail):
 def probe_family():
     return TemperatureFamily(
         ProbeAncillaModel(
-            1.0, 1.0, FIG1["kappa"],
+            FIG1["kappa"],
             BathSpec(FIG1["eta"], FIG1["cutoff"], FIG1["temperature"]), np.pi / 2,
         )
     )
@@ -187,7 +187,7 @@ def test_criterion_04_sigma_x_measurement_optimality(probe_family):
 
 def test_criterion_05_dual_oracle_probe_state():
     bath = BathSpec(FIG1["eta"], FIG1["cutoff"], FIG1["temperature"])
-    model = ProbeAncillaModel(1.0, 1.0, FIG1["kappa"], bath, np.pi / 2)
+    model = ProbeAncillaModel(FIG1["kappa"], bath, np.pi / 2)
     liou = build_liouvillian(model)
     times = np.linspace(0.0, 50.0, 500)
     reduced = partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)
@@ -332,12 +332,12 @@ def test_criterion_09_generator_correctness():
         theta = float(rng.uniform(0.0, np.pi))
         kind = draw % 4
         if kind == 0:
-            model = DirectProbeModel(1.0, random_bath(temp))
+            model = DirectProbeModel(random_bath(temp))
         elif kind == 1:
-            model = ProbeAncillaModel(1.0, 1.0, kappa, random_bath(temp), theta)
+            model = ProbeAncillaModel(kappa, random_bath(temp), theta)
         elif kind == 2:
             cfg = LocalBaths(random_bath(temp), random_bath(temp))
-            model = TwoQubitModel(1.0, kappa, cfg, theta)
+            model = TwoQubitModel(kappa, cfg, theta)
         else:
             cfg = CommonBath(
                 eta1=float(rng.uniform(0.001, 0.1)),
@@ -345,7 +345,7 @@ def test_criterion_09_generator_correctness():
                 cutoff=float(rng.uniform(2.0, 20.0)),
                 temperature=temp,
             )
-            model = TwoQubitModel(1.0, kappa, cfg, theta)
+            model = TwoQubitModel(kappa, cfg, theta)
         # each channel's bath: bath_index counts the model's couplings from 1
         baths = {k: bath for k, (_, bath) in enumerate(coupling_operators(model), start=1)}
         liou = build_liouvillian(model)

@@ -15,6 +15,11 @@ from qthermo.config import KINDS, parse_config_file, resolve
 from qthermo.errors import ParseError, ValidationError
 
 
+def with_params(command, *params):
+    """``command`` with one ``--param`` flag per ``KEY=VALUE`` of ``params``."""
+    return [command, *(arg for p in params for arg in ("--param", p))]
+
+
 class TestConfig:
     def test_defaults_match_standard_parameters(self):
         cfg = resolve("kappa_sweep")
@@ -304,6 +309,31 @@ class TestMain:
         found = re.search(r"basis population (\S+) below 0 at t = inf", capsys.readouterr().err)
         assert float(found.group(1)) == pytest.approx(population, rel=1e-2)
 
+    @pytest.mark.parametrize("params", [
+        ["qfi_point", "model=direct", "temperature=1e300", "eta=1e300", "at=5"],
+        ["qfi_point", "model=two_qubit_local", "temperature=1e200", "eta=1e200", "at=5"],
+        ["direct_vs_ancilla", "temperature=1e155", "kappa=1", "eta=1e300", "theta=0.5"],
+        ["coherence_parametric", "temperature=1e300", "eta=1e300", "cutoff=1e-300"],
+        ["evolve", "model=probe_ancilla", "temperature=1e300", "eta=1e300", "kappa=1e-300", "n_points=60"],
+    ])
+    def test_overflowing_generator_exits_15(self, params, tmp_path, capsys):
+        assert main(with_params(*params) + ["--out", str(tmp_path), "--quiet"]) == 15
+        assert "error: generator overflows float64; largest rate inf\n" in capsys.readouterr().err
+
+    @staticmethod
+    def tiny_t_and_kappa_at(at, tmp_path):
+        argv = with_params("qfi_point", f"at={at}", "temperature=1e-300", "kappa=1e-300", f"theta={np.pi!r}")
+        return main(argv + ["--out", str(tmp_path), "--quiet"])
+
+    def test_non_finite_qfi_exits_15(self, tmp_path, capsys):
+        assert self.tiny_t_and_kappa_at("1e300", tmp_path) == 15
+        assert "error: qfi is inf at t = 1e+300\n" in capsys.readouterr().err
+
+    def test_qsnr_survives_t_squared_underflow(self, tmp_path, capsys):
+        assert self.tiny_t_and_kappa_at("1e200", tmp_path) == 0
+        record = json.loads((tmp_path / "qfi_point.summary.json").read_text())["results"]["record"]
+        assert record["qsnr"] == 1e-300 * (1e-300 * record["qfi"]) == 6.0085498459721239e-300
+
     @pytest.mark.parametrize("at", ["1e6", "1e300"])
     def test_far_time_point(self, at, tmp_path):
         # the dephased probe carries no information; the exact derivative says so
@@ -505,17 +535,38 @@ EXTREME_REQUESTS = (["qfi_point", "--param", "at=steady"], ["qfi_point", "--para
                     ["evolve", "--param", "n_points=5", "--param", "t_max=3"])
 
 
+def assert_finite_or_named(argv, tmp_path):
+    """The request exits 0 with finite CSV values, or with a code of ``EXIT_CODES``."""
+    code = main(argv + ["--out", str(tmp_path), "--quiet"])
+    assert code == 0 or code in {c for _, c in EXIT_CODES}, (argv, code)
+    if code == 0:
+        text = (tmp_path / f"{argv[0]}.csv").read_text()
+        assert "nan" not in text and "inf" not in text, (argv, text)
+
+
 @pytest.mark.parametrize("model", experiments.MODEL_NAMES)
 def test_accepted_extreme_values_never_crash(model, tmp_path, capsys):
     keys = ["temperature", "kappa", "eta", "cutoff"] + (["eta2"] if model.startswith("two_qubit") else [])
-    codes = {code for _, code in EXIT_CODES}
     for key in keys:
         for value in ("1e-300", "1e155", "1e300"):
             for request in EXTREME_REQUESTS:
-                argv = [*request, "--param", f"model={model}", "--param", f"{key}={value}"]
-                code = main(argv + ["--out", str(tmp_path), "--quiet"])
-                assert code == 0 or code in codes, (argv, code)
-                if code == 0:
-                    text = (tmp_path / f"{request[0]}.csv").read_text()
-                    assert "nan" not in text and "inf" not in text, (argv, text)
+                assert_finite_or_named([*request, "--param", f"model={model}", "--param", f"{key}={value}"], tmp_path)
+    capsys.readouterr()
+
+
+# Several keys at their extremes at once, at theta = pi: rates whose generator
+# overflows, a QFI that overflows, and T^2 below the smallest normal float.
+MULTI_KEY_EXTREMES = (
+    *({"temperature": "1e-300", "kappa": "1e-300", "at": at} for at in ("1e200", "1e300", "steady")),
+    *({"eta": "1e300", "temperature": temp, "at": "5"} for temp in ("1e300", "1e155", "1e-300")),
+    {"temperature": "1e300", "eta": "1e300", "kappa": "1e-300", "at": "steady"},
+)
+
+
+@pytest.mark.parametrize("model", experiments.MODEL_NAMES)
+def test_multi_key_extremes_never_crash(model, tmp_path, capsys):
+    for params in MULTI_KEY_EXTREMES:
+        shared = [f"model={model}", f"theta={np.pi!r}", *(f"{k}={v}" for k, v in params.items() if k != "at")]
+        for request in (["qfi_point", f"at={params['at']}"], ["evolve", "n_points=5", "t_max=3"]):
+            assert_finite_or_named(with_params(*request, *shared), tmp_path)
     capsys.readouterr()

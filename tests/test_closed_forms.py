@@ -23,7 +23,7 @@ KAPPA = 0.8
 
 
 def numeric_reduced_states(t_max=50.0, n_points=251):
-    model = ProbeAncillaModel(1.0, 1.0, KAPPA, BATH, np.pi / 2)
+    model = ProbeAncillaModel(KAPPA, BATH, np.pi / 2)
     liou = build_liouvillian(model)
     times = np.linspace(0.0, t_max, n_points)
     return times, partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)
@@ -110,7 +110,7 @@ class TestGeneralPreparationOracle:
 
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 3, 3 * np.pi / 4])
     def test_angle_dependence(self, theta):
-        model = ProbeAncillaModel(1.0, 1.0, KAPPA, BATH, theta)
+        model = ProbeAncillaModel(KAPPA, BATH, theta)
         liou = build_liouvillian(model)
         times = np.linspace(0.0, 40.0, 81)
         reduced = partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)

@@ -35,7 +35,7 @@ BATH = BathSpec(eta=0.01, cutoff=10.0, temperature=0.4)
 
 
 def pa_liouvillian(eta=0.01, kappa=0.8, theta=np.pi / 2):
-    model = ProbeAncillaModel(1.0, 1.0, kappa, BathSpec(eta, 10.0, 0.4), theta)
+    model = ProbeAncillaModel(kappa, BathSpec(eta, 10.0, 0.4), theta)
     return build_liouvillian(model), initial_state(model)
 
 
@@ -134,7 +134,7 @@ class TestGrid:
     def test_sector_populations_frozen(self):
         # starting inside {|01>, |10>}, the |00> and |11> populations stay 0
         model = TwoQubitModel(
-            1.0, 0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 3
+            0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 3
         )
         liou = build_liouvillian(model)
         states = propagate(liou, initial_state(model), np.linspace(0.0, 100.0, 101))[0]
@@ -145,7 +145,7 @@ class TestGrid:
 
     def test_long_horizon_convergence(self):
         model = TwoQubitModel(
-            1.0, 0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2
+            0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2
         )
         liou = build_liouvillian(model)
         states = propagate(liou, initial_state(model), np.linspace(0.0, 1000.0, 60))[0]
@@ -166,10 +166,10 @@ class TestStacks:
             assert np.max(np.abs(rho - 0.5 * (ref + ref.conj().T))) <= 1e-12
 
     @pytest.mark.parametrize("make", [
-        lambda: DirectProbeModel(1.0, BATH),
-        lambda: ProbeAncillaModel(1.0, 1.0, 0.8, BATH, np.pi / 2),
-        lambda: TwoQubitModel(1.0, 0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2),
-        lambda: TwoQubitModel(1.0, 0.6, CommonBath(0.01, 0.05, 10.0, 0.4), 0.0),
+        lambda: DirectProbeModel(BATH),
+        lambda: ProbeAncillaModel(0.8, BATH, np.pi / 2),
+        lambda: TwoQubitModel(0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2),
+        lambda: TwoQubitModel(0.6, CommonBath(0.01, 0.05, 10.0, 0.4), 0.0),
     ])
     def test_spectral_states_match_exponentials(self, make):
         model = make()
@@ -217,7 +217,7 @@ class TestStacks:
         # the two-qubit defaults at cutoff 0.05: a decaying mode within
         # EQUAL_EIG_TOL of 0 is zeroed as stationary, and the zeroed
         # decomposition no longer reproduces L although the eigenbasis is fine
-        model = TwoQubitModel(1.0, 0.6, config, theta)
+        model = TwoQubitModel(0.6, config, theta)
         liou, rho0 = build_liouvillian(model), initial_state(model)
         lam, v = np.linalg.eig(liou.superop)
         v_inv = np.linalg.inv(v)
@@ -248,10 +248,10 @@ class TestExactDerivative:
     """States' temperature derivatives from the decomposition of L."""
 
     MODELS = [
-        lambda: DirectProbeModel(1.0, BATH),
-        lambda: ProbeAncillaModel(1.0, 1.0, 0.8, BATH, np.pi / 2),
-        lambda: TwoQubitModel(1.0, 0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2),
-        lambda: TwoQubitModel(1.0, 0.6, CommonBath(0.01, 0.05, 10.0, 0.4), 0.3),
+        lambda: DirectProbeModel(BATH),
+        lambda: ProbeAncillaModel(0.8, BATH, np.pi / 2),
+        lambda: TwoQubitModel(0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2),
+        lambda: TwoQubitModel(0.6, CommonBath(0.01, 0.05, 10.0, 0.4), 0.3),
     ]
 
     @pytest.mark.parametrize("make", MODELS)
@@ -292,7 +292,7 @@ class TestExactDerivative:
         kappa, temp = 0.6, 0.4
         cfg = (CommonBath(0.01, 0.05, 10.0, temp) if common
                else LocalBaths(BathSpec(0.01, 10.0, temp), BathSpec(0.05, 10.0, temp)))
-        model = TwoQubitModel(1.0, kappa, cfg, np.pi / 2)
+        model = TwoQubitModel(kappa, cfg, np.pi / 2)
         _, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
         exact = np.zeros((4, 4), dtype=complex)
         # d/dT of the exchange coherence tanh(-kappa/T)/2; the populations are fixed by rho0
@@ -351,7 +351,7 @@ class TestExchangeSectorOracle:
             cfg = CommonBath(eta1=eta1, eta2=eta2, cutoff=cutoff, temperature=temp)
         else:
             cfg = LocalBaths(BathSpec(eta1, cutoff, temp), BathSpec(eta2, cutoff, temp))
-        model = TwoQubitModel(1.0, kappa, cfg, theta)
+        model = TwoQubitModel(kappa, cfg, theta)
         liou = build_liouvillian(model)
         rho0 = initial_state(model)
         for t in (0.0, 0.7, 3.0, 12.0, 60.0):
@@ -366,7 +366,7 @@ class TestExchangeSectorOracle:
             cfg = CommonBath(eta1=eta1, eta2=eta2, cutoff=cutoff, temperature=temp)
         else:
             cfg = LocalBaths(BathSpec(eta1, cutoff, temp), BathSpec(eta2, cutoff, temp))
-        liou = build_liouvillian(TwoQubitModel(1.0, kappa, cfg, np.pi / 2))
+        liou = build_liouvillian(TwoQubitModel(kappa, cfg, np.pi / 2))
         plus = np.zeros(4, dtype=complex)
         minus = np.zeros(4, dtype=complex)
         plus[1] = plus[2] = 1.0 / np.sqrt(2.0)
@@ -386,7 +386,7 @@ class TestSteadyState:
     solve when the decomposition is rejected."""
 
     def test_direct_probe_dephases_to_maximally_mixed(self):
-        model = DirectProbeModel(1.0, BATH)
+        model = DirectProbeModel(BATH)
         rho, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
         # the coherence's limit is exactly 0, not a decaying remainder
         assert np.max(np.abs(rho - identity(2) / 2)) <= 1e-15
@@ -413,7 +413,7 @@ class TestSteadyState:
             cfg = CommonBath(eta1=0.01, eta2=0.05, cutoff=10.0, temperature=0.4)
         else:
             cfg = LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4))
-        model = TwoQubitModel(1.0, 0.6, cfg, theta)
+        model = TwoQubitModel(0.6, cfg, theta)
         rho, _ = propagate(build_liouvillian(model), initial_state(model), np.inf)
         assert np.max(np.abs(rho - steady_two_qubit(0.6, 0.4))) < 1e-12
 
@@ -464,7 +464,7 @@ class TestSteadyState:
     def test_decoherence_free_sector_has_no_limit(self):
         # a common bath with eta1 = eta2 leaves the exchange sector's
         # coherence precessing at 2 kappa forever
-        model = TwoQubitModel(1.0, 5.5, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 3)
+        model = TwoQubitModel(5.5, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 3)
         with pytest.raises(NoConvergence, match=r"lam = \S*[+-]11j"):
             propagate(build_liouvillian(model), initial_state(model), np.inf)
 
@@ -473,7 +473,7 @@ class TestSteadyState:
         # theta = pi/2 prepares the exchange state the common bath cannot
         # reach: stationary at every T, though the sector's coherence
         # mode never decays
-        model = TwoQubitModel(1.0, kappa, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 2)
+        model = TwoQubitModel(kappa, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 2)
         liou, rho0 = build_liouvillian(model), initial_state(model)
         lam = _Evolution(liou, rho0).lam
         assert np.any((lam != 0) & (np.abs(lam.real) <= 1e-12))

@@ -57,7 +57,7 @@ def two_qubit_result():
 
 
 def pa_family(kappa, temperature=0.4, eta=0.01, theta=np.pi / 2):
-    return TemperatureFamily(ProbeAncillaModel(1.0, 1.0, kappa, BathSpec(eta, 10.0, temperature), theta))
+    return TemperatureFamily(ProbeAncillaModel(kappa, BathSpec(eta, 10.0, temperature), theta))
 
 
 class TestInfrastructure:

@@ -5,7 +5,7 @@ import pytest
 
 from reference import StepTooLarge, d_rho_dT, halving_consistency
 from qthermo.closed_forms import probe_state_closed_form, sech, steady_qfi, steady_two_qubit
-from qthermo.errors import NonPositiveInput, PureStateSingularity, ResolutionLimit
+from qthermo.errors import NonFinite, NonPositiveInput, PureStateSingularity, ResolutionLimit
 from qthermo.experiments import TemperatureFamily, _records, make_model
 from qthermo.fisher import (
     bloch_components,
@@ -299,6 +299,21 @@ class TestQsnrRecord:
         assert qsnr(1e154, 1e-300) == 1e154 * 1e154 * 1e-300
         with pytest.raises(ResolutionLimit, match="T = 1e"), np.errstate(over="ignore"):
             qsnr(1e300, 1.0)
+
+    def test_qsnr_below_the_root_of_the_smallest_normal_float(self):
+        # T * T underflows below about 1.5e-154; T (T F) need not
+        assert qsnr(1e-300, 6.0085498459721236e+300) == 1e-300 * (1e-300 * 6.0085498459721236e+300)
+        assert qsnr(1e-150, 2.0) == 1e-150 * 1e-150 * 2.0
+
+    @pytest.mark.parametrize("qfi, fi, match", [
+        ([1.0, np.inf, 1.0], [1.0, 1.0, 1.0], "qfi is inf at t = 2"),
+        ([1.0, 1.0, 1.0], [1.0, np.nan, 1.0], "cfi is nan at t = 2"),
+        ([1.0, 1.0, 1.0], [1.0, 1.0, np.inf], "cfi is inf at t = 3"),  # not FI > QFI
+    ])
+    def test_record_rejects_non_finite_information(self, qfi, fi, match):
+        rho = np.array([np.diag([0.6, 0.4])] * 3, dtype=complex)
+        with pytest.raises(NonFinite, match=match):
+            _records(np.array([1.0, 2.0, 3.0]), qfi, fi, rho, 0.4)
 
     def test_record_rejects_fi_above_qfi(self):
         rho = np.array([np.diag([0.6, 0.4])] * 3, dtype=complex)

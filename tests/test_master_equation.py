@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qthermo.master_equation as me
-from qthermo.errors import NegativeFrequency, NonHermitianInput, NonPositiveInput
+from qthermo.errors import NegativeFrequency, NonFinite, NonHermitianInput, NonPositiveInput
 from qthermo.linalg import choi_matrix, expm, identity, kron, pauli, unvec, vec
 from qthermo.master_equation import (
     DEFAULT_FREQ_TOL,
@@ -112,7 +112,7 @@ def brute_force_channels(h, a):
 
 class TestJumpOperators:
     def test_probe_ancilla_three_channels(self):
-        model = ProbeAncillaModel(1.0, 1.0, 0.8, BATH, np.pi / 2)
+        model = ProbeAncillaModel(0.8, BATH, np.pi / 2)
         h = hamiltonian(model)
         a = kron(identity(2), pauli("z"))
         omegas, ops = jump_operators(h, a)
@@ -123,7 +123,7 @@ class TestJumpOperators:
             assert np.max(np.abs(op - oracle[round(w, 9)])) < 1e-9
 
     def test_identity_coupling(self):
-        h = hamiltonian(ProbeAncillaModel(1.0, 1.0, 0.8, BATH, 0.0))
+        h = hamiltonian(ProbeAncillaModel(0.8, BATH, 0.0))
         omegas, ops = jump_operators(h, identity(4))
         assert omegas.tolist() == [0.0]
         assert np.allclose(ops[0], identity(4))
@@ -140,7 +140,7 @@ class TestJumpOperators:
 
     def test_ladder_relation(self):
         for kappa in (0.3, 0.8, 1.3):
-            h = hamiltonian(ProbeAncillaModel(1.0, 1.0, kappa, BATH, 0.0))
+            h = hamiltonian(ProbeAncillaModel(kappa, BATH, 0.0))
             a = kron(identity(2), pauli("z"))
             omegas, ops = jump_operators(h, a)
             defect = ops @ h - h @ ops - omegas[:, None, None] * ops
@@ -155,7 +155,7 @@ class TestJumpOperators:
         assert np.max(np.abs(ops.sum(axis=0) - a)) < 1e-10
 
     def test_adjoint_pairing(self):
-        h = hamiltonian(TwoQubitModel(1.0, 0.6, LocalBaths(BATH, BATH), 0.0))
+        h = hamiltonian(TwoQubitModel(0.6, LocalBaths(BATH, BATH), 0.0))
         omegas, ops = jump_operators(h, kron(pauli("z"), identity(2)))
         chans = {round(w, 9): op for w, op in zip(omegas.tolist(), ops)}
         for w, op in chans.items():
@@ -163,7 +163,7 @@ class TestJumpOperators:
 
     def test_degenerate_levels_merged(self):
         # kappa=0 makes |01> and |10> degenerate; projector sum is basis free
-        h = hamiltonian(ProbeAncillaModel(1.0, 1.0, 0.0, BATH, 0.0))
+        h = hamiltonian(ProbeAncillaModel(0.0, BATH, 0.0))
         a = kron(identity(2), pauli("z"))
         omegas, ops = jump_operators(h, a)
         assert omegas.tolist() == [0.0]
@@ -172,7 +172,7 @@ class TestJumpOperators:
     def test_pruning_is_relative_to_the_coupling(self):
         # the decomposition is linear in a, so a weak coupling keeps its
         # channels: sqrt(eta) scales a common bath's collective operator
-        h = hamiltonian(ProbeAncillaModel(1.0, 1.0, 0.8, BATH, 0.0))
+        h = hamiltonian(ProbeAncillaModel(0.8, BATH, 0.0))
         a = kron(identity(2), pauli("z"))
         strong = jump_operators(h, a)
         weak = jump_operators(h, 1e-15 * a)
@@ -187,11 +187,11 @@ class TestJumpOperators:
 
 
 def models_under_test():
-    pa = ProbeAncillaModel(1.0, 1.0, 0.8, BATH, np.pi / 2)
-    direct = DirectProbeModel(1.0, BATH)
-    local = TwoQubitModel(1.0, 0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), 0.0)
+    pa = ProbeAncillaModel(0.8, BATH, np.pi / 2)
+    direct = DirectProbeModel(BATH)
+    local = TwoQubitModel(0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), 0.0)
     common = TwoQubitModel(
-        1.0, 0.6, CommonBath(eta1=0.01, eta2=0.05, cutoff=10.0, temperature=0.4), np.pi / 2
+        0.6, CommonBath(eta1=0.01, eta2=0.05, cutoff=10.0, temperature=0.4), np.pi / 2
     )
     return [pa, direct, local, common]
 
@@ -206,14 +206,14 @@ class TestLiouvillian:
             assert np.max(np.abs(liou.apply(e.conj().T) - image.conj().T)) < 1e-10
 
     def test_unitary_when_decoupled(self):
-        model = ProbeAncillaModel(1.0, 1.0, 0.8, BathSpec(0.0, 10.0, 0.4), np.pi / 2)
+        model = ProbeAncillaModel(0.8, BathSpec(0.0, 10.0, 0.4), np.pi / 2)
         liou = build_liouvillian(model)
         h = liou.hamiltonian
         assert np.max(np.abs(liou.superop - commutator_superop(h))) < 1e-14
 
     def test_swap_symmetric_evolution_common_bath(self):
         model = TwoQubitModel(
-            1.0, 0.6, CommonBath(eta1=0.02, eta2=0.02, cutoff=10.0, temperature=0.4), np.pi / 2
+            0.6, CommonBath(eta1=0.02, eta2=0.02, cutoff=10.0, temperature=0.4), np.pi / 2
         )
         liou = build_liouvillian(model)
         swap = np.zeros((4, 4))
@@ -230,16 +230,25 @@ class TestLiouvillian:
             assert lam.min() > -1e-8
 
     def test_channel_rates_match_convention(self):
-        model = ProbeAncillaModel(1.0, 1.0, 0.8, BATH, np.pi / 2)
+        model = ProbeAncillaModel(0.8, BATH, np.pi / 2)
         liou = build_liouvillian(model)
         assert len(liou.rates) == len(liou.omegas) == len(liou.ops) == len(liou.bath_index) == 3
         for w, rate in zip(liou.omegas.tolist(), liou.rates):
             assert rate == pytest.approx(decoherence_rate(w, BATH), rel=1e-14)
 
+    @pytest.mark.parametrize("eta, temperature, largest", [
+        (2e307, 1.0, "1.25664e\\+308"),  # a finite rate whose D[sz] term 2 g overflows
+        (1e300, 1e300, "inf"),
+    ])
+    def test_overflowing_generator_is_non_finite(self, eta, temperature, largest):
+        model = DirectProbeModel(BathSpec(eta, 10.0, temperature))
+        with pytest.raises(NonFinite, match=f"largest rate {largest}$"), np.errstate(all="ignore"):
+            build_liouvillian(model)
+
     def test_vectorization_convention_fixture(self):
         # frozen fixture: pure dephasing qubit, L = -i[H, .] + g D[sz]
         g = 0.0251327412287183
-        liou = build_liouvillian(DirectProbeModel(1.0, BATH))
+        liou = build_liouvillian(DirectProbeModel(BATH))
         sz = pauli("z")
         i2 = identity(2)
         expected = (
@@ -252,7 +261,7 @@ class TestLiouvillian:
         # equal couplings to one bath cancel the exchange-sector channels:
         # the entangled preparation then never thermalizes
         model = TwoQubitModel(
-            1.0, 0.6, CommonBath(eta1=0.02, eta2=0.02, cutoff=10.0, temperature=0.4), np.pi / 2
+            0.6, CommonBath(eta1=0.02, eta2=0.02, cutoff=10.0, temperature=0.4), np.pi / 2
         )
         liou = build_liouvillian(model)
         rho0 = initial_state(model)
@@ -262,7 +271,7 @@ class TestLiouvillian:
     def test_uncoupled_common_bath_is_the_bare_commutator(self):
         # a zero collective operator leaves no channel
         model = TwoQubitModel(
-            1.0, 0.6, CommonBath(eta1=0.0, eta2=0.0, cutoff=10.0, temperature=0.4), np.pi / 2
+            0.6, CommonBath(eta1=0.0, eta2=0.0, cutoff=10.0, temperature=0.4), np.pi / 2
         )
         liou = build_liouvillian(model)
         assert liou.omegas.shape == liou.bath_index.shape == liou.rates.shape == (0,)
@@ -419,9 +428,9 @@ def per_channel_liouvillian(model, freq_tol=DEFAULT_FREQ_TOL):
 
 def drawn_models(seed, n):
     """Every model kind, a separate eta, cutoff and T per local bath, eta = 0,
-    kappa in {0, 1, omega/3, random}, omega_a = omega_p and unit frequencies
-    (so degenerate levels, and two-qubit levels spaced equally, which puts
-    three terms in a Bohr frequency group), eta2 in {0, eta} on a shared bath."""
+    kappa in {0, 1, 1/3, random} at unit frequencies (so degenerate levels,
+    and two-qubit levels spaced equally, which puts three terms in a Bohr
+    frequency group), eta2 in {0, eta} on a shared bath."""
     rng = np.random.default_rng(seed)
 
     def bath():
@@ -437,19 +446,18 @@ def drawn_models(seed, n):
     out = []
     for i in range(n):
         theta = float(rng.uniform(0.0, np.pi))
-        w = pick(1.0)
         if i % 4 == 0:
-            out.append(DirectProbeModel(w, bath()))
+            out.append(DirectProbeModel(bath()))
         elif i % 4 == 1:
-            out.append(ProbeAncillaModel(w, pick(w), pick(0.0, 1.0), bath(), theta))
+            out.append(ProbeAncillaModel(pick(0.0, 1.0), bath(), theta))
         elif i % 4 == 2:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # local baths at different T
-                out.append(TwoQubitModel(w, pick(0.0, 1.0, w / 3), LocalBaths(bath(), bath()), theta))
+                out.append(TwoQubitModel(pick(0.0, 1.0, 1 / 3), LocalBaths(bath(), bath()), theta))
         else:
             b = bath()
             eta2 = pick(0.0, b.eta)
-            out.append(TwoQubitModel(w, pick(0.0, 1.0, w / 3), CommonBath(b.eta, eta2, b.cutoff, b.temperature), theta))
+            out.append(TwoQubitModel(pick(0.0, 1.0, 1 / 3), CommonBath(b.eta, eta2, b.cutoff, b.temperature), theta))
     return out
 
 

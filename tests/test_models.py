@@ -23,7 +23,7 @@ def bath(T=0.4, eta=0.01):
 
 
 def pa_model(kappa=0.8, theta=np.pi / 2, T=0.4):
-    return ProbeAncillaModel(1.0, 1.0, kappa, bath(T), theta)
+    return ProbeAncillaModel(kappa, bath(T), theta)
 
 
 def tq_model(kappa=0.6, theta=np.pi / 2, common=False):
@@ -31,7 +31,7 @@ def tq_model(kappa=0.6, theta=np.pi / 2, common=False):
         cfg = CommonBath(eta1=0.01, eta2=0.05, cutoff=10.0, temperature=0.4)
     else:
         cfg = LocalBaths(bath(eta=0.01), bath(eta=0.05))
-    return TwoQubitModel(1.0, kappa, cfg, theta)
+    return TwoQubitModel(kappa, cfg, theta)
 
 
 class TestBathSpec:
@@ -54,16 +54,16 @@ class TestBathSpec:
 
     def test_mismatched_local_temperatures_warn(self):
         with pytest.warns(UserWarning, match="different temperatures"):
-            TwoQubitModel(1.0, 0.6, LocalBaths(bath(T=0.4), bath(T=0.5)), 0.0)
+            TwoQubitModel(0.6, LocalBaths(bath(T=0.4), bath(T=0.5)), 0.0)
 
     def test_local_temperature_check_is_relative(self):
         # a difference counts on the temperatures' own scale: at any T, not
         # only above an absolute 1e-12, and not at rounding level
         with pytest.warns(UserWarning, match="different temperatures"):
-            TwoQubitModel(1.0, 0.6, LocalBaths(bath(T=1e-13), bath(T=2e-13)), 0.0)
+            TwoQubitModel(0.6, LocalBaths(bath(T=1e-13), bath(T=2e-13)), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            TwoQubitModel(1.0, 0.6, LocalBaths(bath(T=1e6), bath(T=np.nextafter(1e6, 2e6))), 0.0)
+            TwoQubitModel(0.6, LocalBaths(bath(T=1e6), bath(T=np.nextafter(1e6, 2e6))), 0.0)
 
 
 class TestHamiltonian:
@@ -80,7 +80,7 @@ class TestHamiltonian:
         assert np.allclose(h, np.diag([1.0, 0.0, 0.0, -1.0]))
 
     def test_direct(self):
-        h = hamiltonian(DirectProbeModel(1.0, bath()))
+        h = hamiltonian(DirectProbeModel(bath()))
         assert np.allclose(h, 0.5 * pauli("z"))
 
     @pytest.mark.parametrize("model", [pa_model(), tq_model(), tq_model(common=True)])
@@ -102,7 +102,7 @@ class TestCouplingOperators:
         assert b.temperature == 0.4
 
     def test_direct(self):
-        (op, _), = coupling_operators(DirectProbeModel(1.0, bath()))
+        (op, _), = coupling_operators(DirectProbeModel(bath()))
         assert np.allclose(op, pauli("z"))
 
     def test_local_orthogonal_supports(self):
@@ -145,12 +145,12 @@ class TestInitialState:
         assert np.allclose(partial_trace(ent, keep=2), identity(2) / 2)
 
     def test_direct_plus_state(self):
-        rho = initial_state(DirectProbeModel(1.0, bath()))
+        rho = initial_state(DirectProbeModel(bath()))
         assert np.allclose(rho, 0.5 * np.ones((2, 2)))
 
     @pytest.mark.parametrize(
         "model",
-        [pa_model(theta=0.3), tq_model(theta=1.1), DirectProbeModel(1.0, bath())],
+        [pa_model(theta=0.3), tq_model(theta=1.1), DirectProbeModel(bath())],
     )
     def test_pure_and_valid(self, model):
         from qthermo.linalg import validate_density_matrix
