@@ -27,6 +27,11 @@ inverse of the slowest decay rate.  A rejected decomposition (the input
 that the exponentials serve at finite times) falls back to one solve of
 ``L x = 0`` with the conserved quantities fixed, whose pseudo-inverse also
 gives the derivative.
+
+:func:`rate_law` gives the steady state of a model without L: the Gibbs law
+of each sector of the population rate matrix, from the model's channels,
+where detailed balance holds and no initial coherence survives.  The
+experiments take it wherever it applies and the projection elsewhere.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ import numpy as np
 
 from .errors import NoConvergence, NonPositiveInput, PositivityViolation
 from .linalg import dag, expm, unvec, validate_density_matrix, vec
-from .master_equation import Liouvillian
+from .master_equation import CHANNEL_PRUNE_TOL, Channels, Liouvillian
 
-__all__ = ["propagate"]
+__all__ = ["propagate", "rate_law", "law_states"]
 
 #: The spectral route is abandoned for one exponential per time point when
 #: the eigenvector matrix of the generator has a larger condition number
@@ -62,15 +67,87 @@ SPECTRAL_RESIDUAL_MAX = 1e-12
 EQUAL_EIG_TOL = 1e-10
 
 
-def _states(vecs: np.ndarray) -> np.ndarray:
-    """Validated, re-Hermitized state(s) from column-stacked vector(s).
+#: Gibbs flows ``W_mk p_k`` and ``W_km p_m`` of a pair of levels that differ
+#: by more than this, relative to the larger, break detailed balance.
+BALANCE_TOL = 1e-10
+
+
+def _states(rho: np.ndarray) -> np.ndarray:
+    """Validated, re-Hermitized state(s).
 
     Raises ``PositivityViolation`` if a state has an eigenvalue below -1e-8,
     which would signal a defective generator.
     """
-    rho = unvec(vecs)
     rho = 0.5 * (rho + dag(rho))
     return validate_density_matrix(rho, herm_tol=1e-12, eig_floor=-1e-8)
+
+
+def rate_law(channels: Channels, rho0: np.ndarray, temperature: float):
+    """Steady populations ``p`` of ``rho0`` on the eigenvectors
+    ``channels.vecs`` and their exact ``d log p / dT``, from the population
+    rate law; ``None`` where the law does not give the steady state.
+
+    In the eigenbasis, channel ``c`` moves level ``k`` to ``m`` at the rate
+    ``g_c |<m|A_c|k>|^2``, each channel masked to its own pairs, and the sum
+    over channels is the rate matrix ``W``.  Its connected components are the
+    sectors.  Where ``W`` obeys detailed balance, each sector relaxes to its
+    Gibbs law ``p_k ~ exp(-E_k / T)``, weighted by ``rho0``'s population of
+    the sector, and ``d log p_k / dT = sum_j p_j (E_k - E_j) / T^2`` over
+    the sector (Spohn, Lett. Math. Phys. 2, 33 (1977)).
+
+    ``None`` when a channel maps one level to two or two levels to one (its
+    dissipator then feeds coherences from populations), when balance fails
+    by more than ``BALANCE_TOL``, when ``rho0`` has a coherence that no
+    channel damps (one between levels that every channel treats alike), or
+    when a rate overflows.
+    """
+    vecs, energies, live = channels.vecs, channels.energies, channels.rates > 0
+    m = np.where(channels.pairs[live], dag(vecs) @ channels.ops[live] @ vecs, 0.0)
+    floor = CHANNEL_PRUNE_TOL * np.abs(m).max(initial=0.0)
+    m[np.abs(m) <= floor] = 0.0
+    nz = m != 0.0
+    if (nz.sum(axis=-1) > 1).any() or (nz.sum(axis=-2) > 1).any():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (channels.rates[live, None, None] * (m.real**2 + m.imag**2)).sum(axis=0)  # W[target, source]
+    if not np.isfinite(w).all():  # overflowing rates: the generator's NonFinite names them
+        return None
+
+    # the coherence (k, n) is damped if a channel moves one level and not
+    # the other, or leaves both in place with unequal amplitudes
+    source, target, fixed = nz.any(axis=-2), nz.any(axis=-1), np.diagonal(nz, 0, -2, -1)
+    amp = np.diagonal(m, 0, -2, -1)
+    damped = ((source[:, :, None] != source[:, None, :]) | (target[:, :, None] != target[:, None, :])
+              | (fixed[:, :, None] & fixed[:, None, :] & (np.abs(amp[:, :, None] - amp[:, None, :]) > floor)))
+    r0 = dag(vecs) @ rho0 @ vecs
+    d = len(energies)
+    # a coherence at rounding level excites nothing, as ``_prepare`` judges modes
+    if (np.abs(r0) > EQUAL_EIG_TOL)[~np.eye(d, dtype=bool) & ~damped.any(axis=0)].any():
+        return None
+
+    sector = (w > 0.0) | (w.T > 0.0) | np.eye(d, dtype=bool)
+    while not np.array_equal(grown := sector @ sector, sector):
+        sector = grown
+    gibbs = np.exp(-(energies - np.where(sector, energies, np.inf).min(axis=1)) / temperature)
+    flow = w * gibbs  # W_mk p_k
+    if (np.abs(flow - flow.T) > BALANCE_TOL * np.maximum(flow, flow.T)).any():
+        return None
+    q = gibbs / np.where(sector, gibbs, 0.0).sum(axis=1)
+    p = q * np.where(sector, np.maximum(r0.diagonal().real, 0.0), 0.0).sum(axis=1)
+    # sum_j q_j (E_k - E_j), never E_k - <E>: a two-level sector's minority
+    # level keeps its relative precision, and a q_j that underflows adds 0;
+    # a level without population keeps d log p = 0 (its T^-2 could overflow)
+    spread = np.where(sector, q * (energies[:, None] - energies), 0.0).sum(axis=1)
+    dlog = np.zeros_like(p)
+    dlog[p > 0.0] = spread[p > 0.0] / temperature / temperature
+    return p, dlog
+
+
+def law_states(vecs: np.ndarray, p: np.ndarray, dlog: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated state ``U diag(p) U^H`` and its derivative ``U diag(p dlog)
+    U^H`` of :func:`rate_law`'s populations on the eigenvectors ``U = vecs``."""
+    rho, drho = ((vecs * x) @ dag(vecs) for x in (p, p * dlog))
+    return _states(rho), 0.5 * (drho + dag(drho))
 
 
 class _Evolution:
@@ -189,7 +266,7 @@ class _Evolution:
         # exp(L 0) = I exactly, which the decomposition reproduces only to rounding
         vecs[times == 0] = self.v0
         dvecs[times == 0] = 0.0
-        rho, drho = _states(vecs), unvec(dvecs)
+        rho, drho = _states(unvec(vecs)), unvec(dvecs)
         drho = 0.5 * (drho + dag(drho))
         return (rho[0], drho[0]) if np.ndim(t) == 0 else (rho, drho)
 

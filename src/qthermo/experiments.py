@@ -11,12 +11,14 @@ its plot.  Runs are deterministic: there is no randomness anywhere, and
 sweep points are independent jobs that a thread pool may execute in any
 order without changing the assembled output.
 
-Each job builds one model and one initial state, and one Liouvillian with
-its closed-form ``dL/dT`` per distinct generator: preparations of one
-generator share it and its decomposition (:meth:`TemperatureFamily.prepared`).
+Each job builds one model and one initial state, and per distinct
+generator its channels and, once a finite time asks for them, one Liouvillian
+with its closed-form ``dL/dT`` and one decomposition: preparations of one
+generator share them (:meth:`TemperatureFamily.prepared`).
 :class:`TemperatureFamily` takes the states and their exact temperature
 derivatives from them, a time grid's as one stack each, and the grid's
-records are computed on whole stacks.  No experiment takes a
+records are computed on whole stacks; steady states come from the
+population rate law of the channels wherever it applies.  No experiment takes a
 finite difference: closed forms and the central differences of
 ``tests/reference.py`` are test oracles.
 
@@ -43,8 +45,8 @@ from numpy.polynomial import chebyshev as C
 from .closed_forms import optimal_ratio, steady_qsnr
 from .errors import BadDimension, NoConvergence, NonFinite, NonPositiveInput, ResolutionLimit, ValidationError
 from .fisher import cfi_povm, measurement_fi, qfi_spectral, qsnr, qubit_qfi
-from .linalg import partial_trace, pauli
-from .master_equation import build_liouvillian
+from .linalg import dag, partial_trace, pauli
+from .master_equation import build_liouvillian, jump_channels
 from .models import (
     BathSpec,
     CommonBath,
@@ -55,7 +57,7 @@ from .models import (
     coupling_operators,
     initial_state,
 )
-from .dynamics import _Evolution, propagate
+from .dynamics import _Evolution, law_states, propagate, rate_law
 
 __all__ = [
     "EXPERIMENTS",
@@ -251,28 +253,59 @@ def make_model(
 
 class TemperatureFamily:
     """Probe states of one model as a function of t, with their exact
-    derivatives in the model's bath temperature: one Liouvillian, one
-    initial state and one decomposition of the generator serve every time.
-    A probe+ancilla model's probe is its first qubit; the other models are
+    derivatives in the model's bath temperature.  One generator serves every
+    time and every preparation: its channels, and, once a finite time or a
+    steady state outside the rate law asks for them, its Liouvillian and one
+    decomposition, each built on first use.  The steady state comes from the
+    population rate law (``dynamics.rate_law``) wherever it applies.  A
+    probe+ancilla model's probe is its first qubit; the other models are
     probes as a whole.
     """
 
     def __init__(self, model):
         # every bath of a model sits at the one temperature under estimation
         self.temperature = float(coupling_operators(model)[0][1].temperature)
-        self.liouvillian = build_liouvillian(model)
         self.model, self.rho0 = model, initial_state(model)
-        self._evolution = _Evolution(self.liouvillian, self.rho0)
+        self._generator = {}  # channels and Liouvillian, shared with every preparation
         self._has_ancilla = isinstance(model, ProbeAncillaModel)
+        self._own_evolution = self._law = None
+
+    def _part(self, name, build):
+        if name not in self._generator:
+            self._generator[name] = build()
+        return self._generator[name]
+
+    @property
+    def channels(self):
+        return self._part("channels", lambda: jump_channels(self.model))
+
+    @property
+    def liouvillian(self):
+        return self._part("liouvillian", lambda: build_liouvillian(self.model))
+
+    @property
+    def _evolution(self) -> _Evolution:
+        if self._own_evolution is None:
+            self._own_evolution = _Evolution(self.liouvillian, self.rho0)
+        return self._own_evolution
 
     def prepared(self, theta: float) -> TemperatureFamily:
         """This model's family prepared at angle ``theta``, which enters only
-        the initial state: the Liouvillian and its decomposition are shared."""
+        the initial state: the generator and its decomposition, built here
+        if they are not yet, are shared.  A pool's tasks get families
+        prepared before it starts, so that they build nothing shared."""
         family = copy.copy(self)
         family.model = replace(self.model, theta=theta)
         family.rho0 = initial_state(family.model)
-        family._evolution = self._evolution.prepared(family.rho0)
+        family._own_evolution, family._law = self._evolution.prepared(family.rho0), None
         return family
+
+    def _steady(self):
+        """``(p, d log p/dT, rho, drho)`` of the rate law, ``()`` where it does not apply."""
+        if self._law is None:
+            pairs = rate_law(self.channels, self.rho0, self.temperature)
+            self._law = () if pairs is None else (*pairs, *law_states(self.channels.vecs, *pairs))
+        return self._law
 
     def _project(self, rho):
         return partial_trace(rho, keep=1) if self._has_ancilla else rho
@@ -280,15 +313,28 @@ class TemperatureFamily:
     def state_and_derivative(self, t) -> tuple[np.ndarray, np.ndarray]:
         """State and temperature derivative at time ``t`` (the steady state
         for ``t = inf``), or ``(n_t, d, d)`` stacks of both on a grid ``t``."""
-        rho, drho = self._evolution(t)
+        times = np.asarray(t, dtype=float)
+        steady = times == np.inf
+        law = self._steady() if steady.any() else ()
+        if not law:
+            rho, drho = self._evolution(t)
+        else:
+            rho, drho = np.empty((2, *times.shape, *self.rho0.shape), dtype=complex)
+            if not steady.all():
+                rho[~steady], drho[~steady] = self._evolution(times[~steady])
+            rho[steady], drho[steady] = law[2:]
         return self._project(rho), self._project(drho)
 
     def records(self, t) -> dict:
         """The record at time ``t`` (``inf``: the steady state), or the
-        records on a grid ``t``: a qubit probe's, or a two-qubit probe's."""
+        records on a grid ``t``: a qubit probe's, or a two-qubit probe's,
+        which at the rate law's steady state is read from its populations."""
         rho, drho = self.state_and_derivative(t)
-        record = _qubit_record if rho.shape[-1] == 2 else _two_qubit_record
-        return record(t, rho, drho, self.temperature)
+        if rho.shape[-1] == 2:
+            return _qubit_record(t, rho, drho, self.temperature)
+        if np.ndim(t) == 0 and t == np.inf and self._steady():
+            return _law_record(self.channels.vecs, *self._steady()[:2], rho, self.temperature)
+        return _two_qubit_record(t, rho, drho, self.temperature)
 
 
 def _family(model_name: str, temperature: float, **model_kw) -> TemperatureFamily:
@@ -356,6 +402,20 @@ def _two_qubit_record(t, rho, drho, temperature):
     return _records(t, qfi_spectral(rho, drho), fi, rho, temperature)
 
 
+def _law_record(vecs, p, dlog, rho, temperature):
+    """Two-qubit steady record from the rate law's populations ``p`` on the
+    eigenvectors ``vecs`` and their ``d log p / dT``, measured in
+    ``_TQ_BASIS`` (an eigenbasis of H): ``QFI = sum p (d log p)^2``, never
+    ``sum dp^2 / p``, whose ``dp^2`` underflows for a minority level."""
+    overlap = np.abs(dag(_TQ_BASIS) @ vecs) ** 2
+    # a basis vector that is an eigenvector to rounding reads its population exactly
+    overlap[overlap < 1e-12] = 0.0
+    overlap[overlap > 1.0 - 1e-12] = 1.0
+    dp = p * dlog
+    qfi = float(np.cumsum(overlap @ (dp * dlog))[-1])
+    return _records(np.inf, qfi, cfi_povm(overlap @ p, overlap @ dp), rho, temperature)
+
+
 def _refine_max(times, values, fn) -> OptSearchResult:
     """Maximum of ``fn`` between the grid points either side of the largest of
     ``values`` on ``times``: the best of its fit's derivative roots and piece
@@ -417,7 +477,7 @@ def run_theta_scan(
     times = np.linspace(0.0, t_max, n_points)
     thetas = list(map(float, theta_list))
     fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff)
-    grids = parallel_map(lambda theta: fam.prepared(theta).records(times), thetas, workers)
+    grids = parallel_map(lambda f: f.records(times), [fam.prepared(theta) for theta in thetas], workers)
     peaks = {}  # a repeated angle keeps its larger peak
     for theta, recs in zip(thetas, grids):
         peaks[theta] = max([peaks.get(theta, 0.0), *recs["qfi"]])
@@ -562,9 +622,7 @@ def run_two_qubit_configs(
         for bath in ("local", "common")
     }
 
-    def one(config):
-        bath, preparation = config.split("_")
-        fam = baths[bath].prepared(0.0 if preparation == "separable" else np.pi / 2)
+    def one(fam):
         recs = fam.records(times)
         f_ss = recs["qfi"][-1]
         target = 0.99 * f_ss
@@ -578,7 +636,11 @@ def run_two_qubit_configs(
         )
         return recs, f_ss, t99
 
-    sweep = parallel_map(one, TWO_QUBIT_CONFIGS, workers)
+    families = [
+        baths[config.split("_")[0]].prepared(0.0 if config.endswith("separable") else np.pi / 2)
+        for config in TWO_QUBIT_CONFIGS
+    ]
+    sweep = parallel_map(one, families, workers)
     results = {
         "steady_qfi": {c: f_ss for c, (_, f_ss, _) in zip(TWO_QUBIT_CONFIGS, sweep)},
         "t_99": {c: t99 for c, (_, _, t99) in zip(TWO_QUBIT_CONFIGS, sweep)},
@@ -667,7 +729,7 @@ def run_qfi_point(
     the steady state."""
     fam = _family(model, temperature, eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta)
     t = np.inf if at == "steady" else float(at)
-    if t == np.inf and not fam.liouvillian.rates.any():
+    if t == np.inf and not fam.channels.rates.any():
         raise ValidationError("eta", "at=steady needs a bath: with every rate zero no state is stationary")
     rec = fam.records(t)
     record = {"at": "steady" if t == np.inf else t, **{name: rec[name] for name in _RECORD_COLUMNS}}

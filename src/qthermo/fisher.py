@@ -180,8 +180,8 @@ def cfi_povm(probs, dprobs):
     Outcomes with ``p_i <= 1e-14`` are skipped whatever their derivative;
     the kept terms are summed outcome by outcome, as a running total.  A
     probability below -1e-12, a sum off 1 by more than 1e-9 or derivatives
-    summing to more than 1e-8 raise :class:`NonPositiveInput` for the first
-    offending distribution.
+    summing to more than ``1e-8 max(1, sum |dp|)`` raise
+    :class:`NonPositiveInput` for the first offending distribution.
     """
     p = np.asarray(probs, dtype=float)
     dp = np.asarray(dprobs, dtype=float)
@@ -192,7 +192,9 @@ def cfi_povm(probs, dprobs):
     total = p.sum(axis=-1)
     _raise_first(abs(total - 1.0) > 1e-9, NonPositiveInput, "probabilities sum to {}, not 1", total)
     dtotal = dp.sum(axis=-1)
-    _raise_first(abs(dtotal) > 1e-8, NonPositiveInput, "probability derivatives sum to {}, not 0", dtotal)
+    # on the derivatives' own scale: dp/dT grows as 1/T
+    off = abs(dtotal) > 1e-8 * np.maximum(1.0, np.abs(dp).sum(axis=-1))
+    _raise_first(off, NonPositiveInput, "probability derivatives sum to {}, not 0", dtotal)
     terms = np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 1e-14)
     f = np.cumsum(terms, axis=-1)[..., -1]
     return float(f) if f.ndim == 0 else f

@@ -23,10 +23,12 @@ for an Ohmic density, and emission and absorption coincide in that limit, so
 the w = 0 channel appears exactly once with rate ``2 pi eta T``.  This makes
 a directly coupled probe's coherence decay at ``4 pi eta T``.
 
-A model's generator is built in one stacked pass: one Hamiltonian eigensystem
-for all coupling operators (so they share one frequency grouping), and every
-channel's jump operator and dissipator in a stack.  The terms are added channel
-by channel, so the generator has the bits of a channel-by-channel build.
+A model's channels come from one stacked pass (:func:`jump_channels`): one
+Hamiltonian eigensystem for all coupling operators (so they share one
+frequency grouping), and every channel's jump operator in a stack.  The
+generator assembles their dissipators, adding the terms channel by channel, so
+it has the bits of a channel-by-channel build.  The steady state needs only the
+channels (``dynamics.rate_law``).
 
 Vectorization is column-stacking:
 
@@ -49,6 +51,8 @@ __all__ = [
     "thermal_occupation",
     "decoherence_rate",
     "jump_operators",
+    "Channels",
+    "jump_channels",
     "Liouvillian",
     "dissipator_superop",
     "commutator_superop",
@@ -124,9 +128,11 @@ def _chains(values, tol):
 
 def _jump_stack(h, a):
     """Jump operators of each coupling operator of the ``(k, d, d)`` stack
-    ``a`` from one eigensystem of ``h``: ``(omegas, ops, keep)``, the Bohr
-    frequency of each group, ``ops[k, g]`` the jump operator of ``a[k]`` at
-    group ``g``, and ``keep[k, g]``, false where it is pruned."""
+    ``a`` from one eigensystem of ``h``: ``(omegas, ops, keep, eig)``, the
+    Bohr frequency of each group, ``ops[k, g]`` the jump operator of ``a[k]``
+    at group ``g``, ``keep[k, g]``, false where it is pruned, and ``eig =
+    (vals, vecs, pair_group)``, the eigensystem and the group joining each
+    pair of eigenvectors ``(target, source)``."""
     vals, vecs = eig_hermitian(h)
     levels, energies = _chains(vals, DEFAULT_FREQ_TOL)
     v = np.where(levels == np.arange(len(energies))[:, None, None], vecs, 0.0)
@@ -142,7 +148,11 @@ def _jump_stack(h, a):
     # from zero and in order, as Python's sum adds a group's terms
     np.add.at(totals, (slice(None), groups), ops.reshape(k, -1, d, d)[:, order])
     floor = CHANNEL_PRUNE_TOL * np.abs(a).max(axis=(-2, -1))
-    return omegas, totals, np.abs(totals).max(axis=(-2, -1)) > floor[:, None]
+    keep = np.abs(totals).max(axis=(-2, -1)) > floor[:, None]
+    level_group = np.empty_like(groups)
+    level_group[order] = groups
+    pair_group = level_group.reshape(len(energies), -1)[levels[:, None], levels[None, :]]
+    return omegas, totals, keep, (vals, vecs, pair_group)
 
 
 def jump_operators(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +166,7 @@ def jump_operators(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray
     zero ``a`` has none.  The surviving channels satisfy
     ``[A(w), h] = w A(w)`` and sum back to ``a``.
     """
-    omegas, ops, keep = _jump_stack(h, np.asarray(a, dtype=complex)[None])
+    omegas, ops, keep, _ = _jump_stack(h, np.asarray(a, dtype=complex)[None])
     return omegas[keep[0]], ops[0, keep[0]]
 
 
@@ -197,8 +207,50 @@ class Liouvillian:
         return unvec(self.superop @ vec(rho))
 
 
+@dataclass(frozen=True)
+class Channels:
+    """A model's jump channels, coupling by coupling in ascending frequency,
+    with the Hamiltonian eigensystem they come from.
+
+    ``energies`` ``(d,)`` ascending and ``vecs`` ``(d, d)`` (columns) are
+    ``eig_hermitian(hamiltonian)``.  Per channel: ``omegas``, ``ops``
+    ``(n, d, d)``, ``bath_index`` (1-based, into ``coupling_operators(model)``),
+    ``rates``, their temperature derivatives ``d_rates``, and ``pairs``
+    ``(n, d, d)``, true on the eigenvector pairs ``(target, source)`` the
+    channel joins: those of the level groups at its Bohr frequency.
+    """
+
+    hamiltonian: np.ndarray
+    energies: np.ndarray
+    vecs: np.ndarray
+    omegas: np.ndarray
+    ops: np.ndarray
+    bath_index: np.ndarray
+    rates: np.ndarray
+    d_rates: np.ndarray
+    pairs: np.ndarray
+
+
+def jump_channels(model: Model) -> Channels:
+    """The jump channels of a model and their rates: one Hamiltonian
+    eigensystem for all its coupling operators, so they share one frequency
+    grouping."""
+    h = hamiltonian(model)
+    couplings = coupling_operators(model)
+    omegas, ops, keep, (vals, vecs, pair_group) = _jump_stack(h, np.stack([a for a, _ in couplings]))
+    coupling, group = np.nonzero(keep)  # coupling by coupling, ascending frequency
+    # a handful of channels: scalar rates cost less than array calls
+    rates = [_rate_and_derivative(w, couplings[k][1]) for k, w in zip(coupling.tolist(), omegas[group].tolist())]
+    # (-1, 2) keeps the shape when no channel survives (a zero coupling)
+    g, dg = np.reshape(rates, (-1, 2)).T
+    return Channels(hamiltonian=h, energies=vals, vecs=vecs, omegas=omegas[group], ops=ops[keep],
+                    bath_index=coupling + 1, rates=g, d_rates=dg,
+                    pairs=pair_group[None] == group[:, None, None])
+
+
 def build_liouvillian(model: Model) -> Liouvillian:
-    """Assemble the global master equation generator of a model.
+    """Assemble the global master equation generator of a model from its
+    :func:`jump_channels`.
 
     Dissipators are additive across the model's couplings.  Every rate's
     temperature derivative multiplies the same dissipator in ``d_superop``.
@@ -206,24 +258,15 @@ def build_liouvillian(model: Model) -> Liouvillian:
     its derivative leaves the float64 range (finite rates can still overflow
     in the sum).
     """
-    h = hamiltonian(model)
-    couplings = coupling_operators(model)
-    omegas, ops, keep = _jump_stack(h, np.stack([a for a, _ in couplings]))
-    coupling, group = np.nonzero(keep)  # coupling by coupling, ascending frequency
-    omegas, ops = omegas[group], ops[keep]
-
-    # a handful of channels: scalar rates cost less than array calls
-    rates = [_rate_and_derivative(w, couplings[k][1]) for k, w in zip(coupling.tolist(), omegas.tolist())]
-    # (-1, 2) keeps the shape when no channel survives (a zero coupling)
-    g, dg = np.reshape(rates, (-1, 2)).T
-    superops = dissipator_superop(ops)
-
-    superop = commutator_superop(h)
+    ch = jump_channels(model)
+    superops = dissipator_superop(ch.ops)
+    superop = commutator_superop(ch.hamiltonian)
     d_superop = np.zeros_like(superop)
-    for term, d_term in zip(g[:, None, None] * superops, dg[:, None, None] * superops):
+    for term, d_term in zip(ch.rates[:, None, None] * superops, ch.d_rates[:, None, None] * superops):
         superop += term
         d_superop += d_term
     if not (np.isfinite(superop).all() and np.isfinite(d_superop).all()):
-        raise NonFinite(f"generator overflows float64; largest rate {g.max(initial=0.0):g}")
-    return Liouvillian(dim=h.shape[0], superop=superop, hamiltonian=h, omegas=omegas, ops=ops,
-                       bath_index=coupling + 1, rates=g, d_superop=d_superop)
+        raise NonFinite(f"generator overflows float64; largest rate {ch.rates.max(initial=0.0):g}")
+    return Liouvillian(dim=ch.hamiltonian.shape[0], superop=superop, hamiltonian=ch.hamiltonian,
+                       omegas=ch.omegas, ops=ch.ops, bath_index=ch.bath_index, rates=ch.rates,
+                       d_superop=d_superop)

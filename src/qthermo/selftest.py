@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .closed_forms import optimal_ratio, steady_qfi
-from .dynamics import propagate
+from .dynamics import propagate, rate_law
 from .fisher import bloch_components, qfi_bloch, qfi_spectral, sld
 from .linalg import choi_matrix, expm, identity, pauli
-from .master_equation import build_liouvillian, decoherence_rate
+from .master_equation import build_liouvillian, decoherence_rate, jump_channels
 from .models import BathSpec, CommonBath, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
 
 __all__ = ["run_selftest"]
@@ -72,20 +72,38 @@ def _check_qfi_equivalence(rng, trials=100):
     return worst < 1e-8, f"worst defect {worst:.2e}"
 
 
+def _two_qubit_models(kappa, temp):
+    """Local baths and a common bath, both with eta2 != eta."""
+    for baths in (
+        LocalBaths(BathSpec(0.01, 10.0, temp), BathSpec(0.05, 10.0, temp)),
+        CommonBath(0.01, 0.05, 10.0, temp),
+    ):
+        yield TwoQubitModel(kappa=kappa, bath_config=baths, theta=np.pi / 2)
+
+
 def _check_steady_qfi():
-    """The engine's steady state and exact derivative against ``steady_qfi``,
-    on local baths and on a common bath, both with eta2 != eta."""
+    """The engine's steady state and exact derivative against ``steady_qfi``."""
     worst = 0.0
     for kappa, temp in ((0.4, 0.3), (0.6, 0.4), (1.0, 0.8)):
         exact = steady_qfi(kappa, temp)
-        for baths in (
-            LocalBaths(BathSpec(0.01, 10.0, temp), BathSpec(0.05, 10.0, temp)),
-            CommonBath(0.01, 0.05, 10.0, temp),
-        ):
-            model = TwoQubitModel(kappa=kappa, bath_config=baths, theta=np.pi / 2)
+        for model in _two_qubit_models(kappa, temp):
             rho, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
             worst = max(worst, abs(qfi_spectral(rho, drho) - exact) / exact)
     return worst < 1e-10, f"worst relative error {worst:.2e}"
+
+
+def _check_rate_law():
+    """The steady rate law's ``sum p (d log p/dT)^2`` against ``steady_qfi``
+    up to kappa/T = 300, where the minority population is ~1e-261."""
+    worst = 0.0
+    kappa = 0.6
+    for ratio in (0.5, 15.0, 150.0, 300.0):
+        temp = kappa / ratio
+        exact = steady_qfi(kappa, temp)
+        for model in _two_qubit_models(kappa, temp):
+            p, dlog = rate_law(jump_channels(model), initial_state(model), temp)
+            worst = max(worst, abs(float(np.sum(p * dlog * dlog)) - exact) / exact)
+    return worst < 1e-12, f"worst relative error {worst:.2e}"
 
 
 def _check_optimal_ratio():
@@ -113,6 +131,7 @@ def run_selftest(out=print) -> bool:
         ("generator trace/hermiticity/ladder/detailed-balance/choi", lambda: _check_generator(rng)),
         ("qfi bloch-spectral equivalence and SLD identities", lambda: _check_qfi_equivalence(rng)),
         ("engine steady-state QFI against steady_qfi, local and common baths", _check_steady_qfi),
+        ("steady rate law against steady_qfi to kappa/T = 300, local and common baths", _check_rate_law),
         ("optimal steady ratio", _check_optimal_ratio),
         ("semigroup and steady-state convergence", _check_semigroup),
     ]

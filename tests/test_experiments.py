@@ -686,3 +686,69 @@ class TestSharedGenerator:
             assert np.array_equal(got, want)
         with pytest.raises(ValidationError, match="theta"):
             fam.prepared(4.0)
+
+
+class TestSteadyRateLaw:
+    """Steady states come from the population rate law without a generator,
+    and from the projection where the law does not apply."""
+
+    @staticmethod
+    def law(model):
+        from qthermo.dynamics import rate_law
+        from qthermo.master_equation import jump_channels
+
+        return rate_law(jump_channels(model), initial_state(model), TemperatureFamily(model).temperature)
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_steady_request_builds_no_generator(self, model, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "build_liouvillian", lambda m: calls.append(m))
+        monkeypatch.setattr(experiments, "_Evolution", lambda *a: calls.append(a))
+        record = run_qfi_point(model, eta2=0.05).results["record"]
+        assert calls == [] and record["at"] == "steady"
+
+    def test_local_baths_at_two_temperatures_take_the_projection(self):
+        from qthermo.models import LocalBaths, TwoQubitModel
+
+        with pytest.warns(UserWarning, match="different temperatures"):
+            model = TwoQubitModel(0.8, LocalBaths(BathSpec(0.01, 10.0, 0.4), BathSpec(0.05, 10.0, 0.5)), 0.7)
+        assert self.law(model) is None
+        fam = TemperatureFamily(model)
+        rho, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
+        got = fam.state_and_derivative(np.inf)
+        assert got[0].tobytes() == rho.tobytes() and got[1].tobytes() == drho.tobytes()
+        assert fam.records(np.inf) == _two_qubit_record(np.inf, rho, drho, fam.temperature)
+
+    @pytest.mark.parametrize("temperature", [0.05, 0.07, 0.4])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("model", ["probe_ancilla", "two_qubit_local", "two_qubit_common"])
+    def test_degenerate_couplings_take_the_law(self, model, kappa, temperature):
+        # kappa = 0 and kappa = 1 make levels of H degenerate
+        fam = _family(model, temperature, eta=0.01, eta2=0.05, cutoff=10.0, kappa=kappa, theta=0.7)
+        assert self.law(fam.model) is not None
+        rho, drho = propagate(build_liouvillian(fam.model), fam.rho0, np.inf)
+        got, d_got = fam.state_and_derivative(np.inf)
+        assert np.max(np.abs(got - fam._project(rho))) <= 1e-12
+        assert np.max(np.abs(d_got - fam._project(drho))) <= 1e-10 * max(1.0, np.max(np.abs(drho)))
+        if model != "probe_ancilla":
+            exact = steady_qfi(kappa, temperature)
+            assert fam.records(np.inf)["qfi"] == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+    def test_undamped_coherence_takes_the_projection(self):
+        # eta2 = eta leaves the exchange sector's coherence precessing: no
+        # steady state, as before; at kappa = 0 it is stationary instead
+        fam = _family("two_qubit_common", 0.4, eta=0.02, cutoff=10.0, kappa=0.6, theta=1.0)
+        assert self.law(fam.model) is None
+        with pytest.raises(NoConvergence, match="does not decay"):
+            fam.records(np.inf)
+        fam = _family("two_qubit_common", 0.4, eta=0.02, cutoff=10.0, kappa=0.0, theta=np.pi / 2)
+        assert self.law(fam.model) is None
+        rho, drho = fam.state_and_derivative(np.inf)
+        assert np.max(np.abs(rho - fam.rho0)) <= 1e-15 and np.max(np.abs(drho)) <= 1e-15
+
+    def test_grid_steady_rows_come_from_the_law(self):
+        fam = _family("two_qubit_common", 0.07, eta=0.01, eta2=0.05, cutoff=10.0, kappa=1.0, theta=0.7)
+        rho, drho = fam.state_and_derivative(np.array([0.0, 5.0, np.inf, np.inf]))
+        for k, t in enumerate([0.0, 5.0, np.inf, np.inf]):
+            one, d_one = fam.state_and_derivative(t)
+            assert np.array_equal(rho[k], one) and np.array_equal(drho[k], d_one)

@@ -232,6 +232,15 @@ class TestCfiPovm:
         with pytest.raises(NonPositiveInput):
             cfi_povm([0.5, 0.5], [0.2, 0.0])
 
+    def test_derivative_sum_checked_on_its_own_scale(self):
+        # dp/dT grows as 1/T: at T = 1e-9 derivatives of 4e8 sum to rounding
+        # of their own size, and the floor of 1 keeps small ones absolute
+        assert cfi_povm([0.5, 0.5], [4e8, -4e8 + 0.5]) > 0.0
+        with pytest.raises(NonPositiveInput, match="derivatives sum to 10"):
+            cfi_povm([0.5, 0.5], [4e8, -4e8 + 10.0])
+        with pytest.raises(NonPositiveInput, match="derivatives sum to 2e-08"):
+            cfi_povm([0.5, 0.5], [1e-9, 1.9e-8])
+
 
 class TestMeasurementFi:
     def test_identity_observable_gives_zero(self, paper_bath):
