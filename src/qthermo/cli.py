@@ -57,14 +57,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-#: Rows of a CSV body formatted by one ``%`` and written by one ``write``.
+def _write_text(path: str, texts) -> None:
+    """Write each text of ``texts``, UTF-8 encoded, to the new or truncated
+    file ``path`` through one unbuffered descriptor (mode ``0o666`` less the
+    umask, as ``open`` gives it), each by ``os.write`` calls until all of its
+    bytes are out."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        for text in texts:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
+#: Rows of a CSV body formatted by one ``%`` and written out as one text.
 _CSV_CHUNK = 4096
 
 
 def write_csv(path: str, columns, data) -> None:
     """Write the table ``data`` (column name -> list of values) in the order
     ``columns``, each value by ``_fmt``'s rule.  A column of plain floats is
-    formatted by its chunk's ``%``, any other column value by value first."""
+    formatted by its chunk's ``%``, any other column value by value first.
+    The header goes out with the first chunk; an empty table's is alone."""
     fields, cols = [], []
     for name in columns:
         col = data[name]
@@ -72,11 +88,15 @@ def write_csv(path: str, columns, data) -> None:
         fields.append("%.17g" if plain else "%s")
         cols.append(col if plain else list(map(_fmt, col)))
     line = ",".join(fields) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, len(cols[0]), _CSV_CHUNK):
+
+    def texts():
+        head = ",".join(columns) + "\n"
+        for start in range(0, max(len(cols[0]), 1), _CSV_CHUNK):
             chunk = [col[start : start + _CSV_CHUNK] for col in cols]
-            fh.write(line * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+            yield head + line * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk)))
+            head = ""
+
+    _write_text(path, texts())
 
 
 def _json_default(obj):
@@ -89,8 +109,7 @@ def _json_default(obj):
 
 def write_summary(path: str, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_text(path, [text + "\n"])
 
 
 def write_gnuplot(path: str, experiment: str, csv_name: str, columns, data) -> None:
@@ -120,8 +139,7 @@ def write_gnuplot(path: str, experiment: str, csv_name: str, columns, data) -> N
                     f"with lines title '{group}={val}'"
                 )
             lines.append("plot \\\n    " + ", \\\n    ".join(parts))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 def run(cfg: RunConfig, quiet: bool = False) -> int:
@@ -149,8 +167,9 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     return 0
 
 
-@functools.cache  # one parser per process; parse_args keeps no state on it
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # one set of parsers per process; parse_args keeps no state on them
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="qthermo",
         description="Dephasing-qubit thermometry simulations and estimation scans.",
@@ -167,11 +186,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one config key (repeatable)",
     )
     common.add_argument("--quiet", action="store_true")
+    commands = {}
     for name in EXPERIMENTS:
-        sub.add_parser(name, parents=[common], help=f"run the {name} experiment")
-    sub.add_parser("validate", parents=[common], help="check a config file and exit")
-    sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")
-    return parser
+        commands[name] = sub.add_parser(name, parents=[common], help=f"run the {name} experiment")
+    commands["validate"] = sub.add_parser("validate", parents=[common], help="check a config file and exit")
+    commands["selftest"] = sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, one per process."""
+    return _parsers()[0]
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same namespace, messages
+    and exits.  When ``argv`` starts with a command, that command's parser
+    reads the rest, so argparse walks the arguments once, not twice."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _overrides(pairs) -> dict:
@@ -185,7 +224,7 @@ def _overrides(pairs) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     # every warning of the request, each time it is raised, goes to stderr
     # before any error line, whatever --quiet says
     with warnings.catch_warnings(record=True) as caught:

@@ -41,6 +41,7 @@ so the steady signal-to-noise ratio ``T^2 F_ss = x^2 sech^2(x)`` depends on
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,7 @@ def steady_qsnr(ratio: float) -> float:
     return np.float_power(ratio * sech(ratio), 2)
 
 
+@functools.cache  # a constant: bisected once per process
 def optimal_ratio() -> tuple[float, float]:
     """Maximize the steady QSNR: bisect ``tanh(x) - 1/x`` on [1, 2] to a
     bracket of 1e-12.

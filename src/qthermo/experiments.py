@@ -46,7 +46,7 @@ from .closed_forms import optimal_ratio, steady_qsnr
 from .errors import BadDimension, NoConvergence, NonFinite, NonPositiveInput, ResolutionLimit, ValidationError
 from .fisher import cfi_povm, measurement_fi, qfi_spectral, qsnr, qubit_qfi
 from .linalg import dag, partial_trace, pauli
-from .master_equation import build_liouvillian, jump_channels
+from .master_equation import assemble_liouvillian, build_liouvillian, jump_channels
 from .models import (
     BathSpec,
     CommonBath,
@@ -255,11 +255,11 @@ class TemperatureFamily:
     """Probe states of one model as a function of t, with their exact
     derivatives in the model's bath temperature.  One generator serves every
     time and every preparation: its channels, and, once a finite time or a
-    steady state outside the rate law asks for them, its Liouvillian and one
-    decomposition, each built on first use.  The steady state comes from the
-    population rate law (``dynamics.rate_law``) wherever it applies.  A
-    probe+ancilla model's probe is its first qubit; the other models are
-    probes as a whole.
+    steady state outside the rate law asks for them, its Liouvillian,
+    assembled from those channels, and one decomposition, each built on
+    first use.  The steady state comes from the population rate law
+    (``dynamics.rate_law``) wherever it applies.  A probe+ancilla model's
+    probe is its first qubit; the other models are probes as a whole.
     """
 
     def __init__(self, model):
@@ -281,7 +281,7 @@ class TemperatureFamily:
 
     @property
     def liouvillian(self):
-        return self._part("liouvillian", lambda: build_liouvillian(self.model))
+        return self._part("liouvillian", lambda: assemble_liouvillian(self.channels))
 
     @property
     def _evolution(self) -> _Evolution:

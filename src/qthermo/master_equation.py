@@ -56,6 +56,7 @@ __all__ = [
     "Liouvillian",
     "dissipator_superop",
     "commutator_superop",
+    "assemble_liouvillian",
     "build_liouvillian",
 ]
 
@@ -248,8 +249,8 @@ def jump_channels(model: Model) -> Channels:
                     pairs=pair_group[None] == group[:, None, None])
 
 
-def build_liouvillian(model: Model) -> Liouvillian:
-    """Assemble the global master equation generator of a model from its
+def assemble_liouvillian(ch: Channels) -> Liouvillian:
+    """Assemble the global master equation generator from a model's
     :func:`jump_channels`.
 
     Dissipators are additive across the model's couplings.  Every rate's
@@ -258,7 +259,6 @@ def build_liouvillian(model: Model) -> Liouvillian:
     its derivative leaves the float64 range (finite rates can still overflow
     in the sum).
     """
-    ch = jump_channels(model)
     superops = dissipator_superop(ch.ops)
     superop = commutator_superop(ch.hamiltonian)
     d_superop = np.zeros_like(superop)
@@ -270,3 +270,9 @@ def build_liouvillian(model: Model) -> Liouvillian:
     return Liouvillian(dim=ch.hamiltonian.shape[0], superop=superop, hamiltonian=ch.hamiltonian,
                        omegas=ch.omegas, ops=ch.ops, bath_index=ch.bath_index, rates=ch.rates,
                        d_superop=d_superop)
+
+
+def build_liouvillian(model: Model) -> Liouvillian:
+    """The generator of a model: :func:`assemble_liouvillian` of its
+    :func:`jump_channels`."""
+    return assemble_liouvillian(jump_channels(model))

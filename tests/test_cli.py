@@ -10,7 +10,7 @@ import pytest
 
 import qthermo
 from qthermo import experiments
-from qthermo.cli import EXIT_CODES, _fmt, build_parser, main, write_csv
+from qthermo.cli import EXIT_CODES, _fmt, _parse, build_parser, main, write_csv
 from qthermo.closed_forms import optimal_ratio, steady_qfi
 from qthermo.config import KINDS, parse_config_file, resolve
 from qthermo.errors import ParseError, ValidationError
@@ -316,6 +316,19 @@ class TestMain:
         assert main(with_params(*params) + ["--out", str(tmp_path), "--quiet"]) == 15
         assert "error: generator overflows float64; largest rate inf\n" in capsys.readouterr().err
 
+    def test_rejected_steady_request_builds_its_channels_once(self, tmp_path, capsys):
+        # the rate law rejects this steady request, and the projection's
+        # generator is assembled from the channels the law was given, so each
+        # overflow warning of their rates is printed once
+        argv = with_params("qfi_point", "at=steady", "model=probe_ancilla", "temperature=1e300",
+                           "eta=1e300", f"theta={np.pi!r}")
+        assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 15
+        assert capsys.readouterr().err == (
+            "warning: overflow encountered in scalar multiply\n" * 2
+            + "warning: invalid value encountered in multiply\n"
+            + "error: generator overflows float64; largest rate inf\n"
+        )
+
     @staticmethod
     def tiny_t_and_kappa_at(at, tmp_path):
         argv = with_params("qfi_point", f"at={at}", "temperature=1e-300", "kappa=1e-300", f"theta={np.pi!r}")
@@ -413,14 +426,64 @@ class TestMain:
             "error: [theta_scan] theta_list: list entries must lie in [0, pi]\n"
         )
 
-    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    @pytest.mark.parametrize("target", ["file", "file/sub", "dir"])
     def test_out_that_cannot_be_a_directory_exits_3(self, target, tmp_path, capsys):
         (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "qfi_point.csv").mkdir(parents=True)  # the CSV's path is a directory
         assert main(["qfi_point", "--out", str(tmp_path / target), "--quiet"]) == 3
         assert capsys.readouterr().err.startswith("error: out: ")
 
+    def test_short_writes_are_retried(self, tmp_path, monkeypatch):
+        # 5000 rows: the CSV goes out in two chunks
+        argv = with_params("evolve", "model=direct", "n_points=5000") + ["--quiet", "--out"]
+        assert main(argv + [str(tmp_path / "whole")]) == 0
+        write, calls = os.write, []
+
+        def seven_bytes(fd, data):
+            calls.append(len(data))
+            return write(fd, data[:7])
+
+        monkeypatch.setattr(os, "write", seven_bytes)
+        assert main(argv + [str(tmp_path / "short")]) == 0
+        monkeypatch.undo()
+        assert max(calls) > 7 and len(calls) > 3
+        for name in ("evolve.csv", "evolve.gp", "evolve.summary.json"):
+            want, got = ((tmp_path / run / name).read_bytes() for run in ("whole", "short"))
+            if name.endswith(".json"):  # the wall time differs
+                want, got = (re.sub(rb'"wall_time_s": [^,\n}]*', b"", text) for text in (want, got))
+            assert got == want, name
+
+    def test_written_files_get_the_mode_open_gives(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            assert main(["evolve", "--out", str(tmp_path), "--quiet"]) == 0
+            with open(tmp_path / "by_open", "w"):
+                pass
+        finally:
+            os.umask(mask)
+        modes = {path.name: path.stat().st_mode & 0o777 for path in tmp_path.iterdir()}
+        assert set(modes.values()) == {0o640}, modes
+
     def test_selftest_subcommand(self):
         assert main(["selftest", "--quiet"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["qfi_point", "-h"],
+        ["qfi_point", "--bogus"], ["qfi_point", "extra"], ["qfi_point", "--param"], ["qfi_point", "--out"],
+        ["bogus"], ["--param", "x=1", "qfi_point"],
+        ["qfi_point", "--par", "at=1"], ["qfi_point", "--param=at=1"], ["qfi_point", "--", "x"],
+        ["qfi_point", "-q"],
+        ["validate"], ["selftest", "--quiet"],
+    ])
+    def test_parse_matches_the_top_level_parser(self, argv, capsys):
+        def parsed(parse):
+            try:
+                args, code = parse(list(argv)), None
+            except SystemExit as exc:
+                args, code = None, exc.code
+            return args, code, *capsys.readouterr()
+
+        assert parsed(_parse) == parsed(build_parser().parse_args)
 
     def test_parser_reuse_carries_nothing_over(self, tmp_path):
         def outputs(out):

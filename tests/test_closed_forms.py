@@ -219,6 +219,9 @@ class TestOptimalRatio:
         assert np.tanh(x_star) == pytest.approx(1.0 / x_star, abs=1e-11)
         assert qsnr_star == pytest.approx(x_star**2 - 1.0, abs=1e-10)
 
+    def test_bisected_once_per_process(self):
+        assert optimal_ratio() is optimal_ratio()
+
     def test_is_local_maximum(self):
         x_star, qsnr_star = optimal_ratio()
         assert steady_qsnr(x_star - 0.1) < qsnr_star

@@ -27,7 +27,7 @@ from qthermo.experiments import (
 )
 from qthermo.fisher import qfi_spectral, qubit_qfi
 from qthermo.dynamics import propagate
-from qthermo.master_equation import build_liouvillian
+from qthermo.master_equation import assemble_liouvillian, build_liouvillian
 from qthermo.models import BathSpec, ProbeAncillaModel, initial_state
 
 
@@ -640,11 +640,11 @@ class TestSharedGenerator:
     def count_builds(monkeypatch):
         calls = []
 
-        def counted(model):
-            calls.append(model)
-            return build_liouvillian(model)
+        def counted(channels):
+            calls.append(channels)
+            return assemble_liouvillian(channels)
 
-        monkeypatch.setattr(experiments, "build_liouvillian", counted)
+        monkeypatch.setattr(experiments, "assemble_liouvillian", counted)
         return calls
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -702,7 +702,7 @@ class TestSteadyRateLaw:
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_steady_request_builds_no_generator(self, model, monkeypatch):
         calls = []
-        monkeypatch.setattr(experiments, "build_liouvillian", lambda m: calls.append(m))
+        monkeypatch.setattr(experiments, "assemble_liouvillian", lambda ch: calls.append(ch))
         monkeypatch.setattr(experiments, "_Evolution", lambda *a: calls.append(a))
         record = run_qfi_point(model, eta2=0.05).results["record"]
         assert calls == [] and record["at"] == "steady"
