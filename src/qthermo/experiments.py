@@ -37,6 +37,7 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -46,7 +47,7 @@ from .closed_forms import optimal_ratio, steady_qsnr
 from .errors import BadDimension, NoConvergence, NonFinite, NonPositiveInput, ResolutionLimit, ValidationError
 from .fisher import cfi_povm, measurement_fi, qfi_spectral, qsnr, qubit_qfi
 from .linalg import dag, partial_trace, pauli
-from .master_equation import assemble_liouvillian, build_liouvillian, jump_channels
+from .master_equation import assemble_liouvillian, jump_channels
 from .models import (
     BathSpec,
     CommonBath,
@@ -57,7 +58,7 @@ from .models import (
     coupling_operators,
     initial_state,
 )
-from .dynamics import _Evolution, law_states, propagate, rate_law
+from .dynamics import _Evolution, law_states, rate_law
 
 __all__ = [
     "EXPERIMENTS",
@@ -266,46 +267,38 @@ class TemperatureFamily:
         # every bath of a model sits at the one temperature under estimation
         self.temperature = float(coupling_operators(model)[0][1].temperature)
         self.model, self.rho0 = model, initial_state(model)
-        self._generator = {}  # channels and Liouvillian, shared with every preparation
         self._has_ancilla = isinstance(model, ProbeAncillaModel)
-        self._own_evolution = self._law = None
 
-    def _part(self, name, build):
-        if name not in self._generator:
-            self._generator[name] = build()
-        return self._generator[name]
-
-    @property
+    @cached_property
     def channels(self):
-        return self._part("channels", lambda: jump_channels(self.model))
+        return jump_channels(self.model)
 
-    @property
+    @cached_property
     def liouvillian(self):
-        return self._part("liouvillian", lambda: assemble_liouvillian(self.channels))
+        return assemble_liouvillian(self.channels)
 
-    @property
+    @cached_property
     def _evolution(self) -> _Evolution:
-        if self._own_evolution is None:
-            self._own_evolution = _Evolution(self.liouvillian, self.rho0)
-        return self._own_evolution
+        return _Evolution(self.liouvillian, self.rho0)
 
     def prepared(self, theta: float) -> TemperatureFamily:
         """This model's family prepared at angle ``theta``, which enters only
         the initial state: the generator and its decomposition, built here
         if they are not yet, are shared.  A pool's tasks get families
         prepared before it starts, so that they build nothing shared."""
+        evolution = self._evolution  # built before the copy, which then shares it
         family = copy.copy(self)
         family.model = replace(self.model, theta=theta)
         family.rho0 = initial_state(family.model)
-        family._own_evolution, family._law = self._evolution.prepared(family.rho0), None
+        family._evolution = evolution.prepared(family.rho0)
+        family.__dict__.pop("_steady", None)
         return family
 
+    @cached_property
     def _steady(self):
         """``(p, d log p/dT, rho, drho)`` of the rate law, ``()`` where it does not apply."""
-        if self._law is None:
-            pairs = rate_law(self.channels, self.rho0, self.temperature)
-            self._law = () if pairs is None else (*pairs, *law_states(self.channels.vecs, *pairs))
-        return self._law
+        pairs = rate_law(self.channels, self.rho0, self.temperature)
+        return () if pairs is None else (*pairs, *law_states(self.channels.vecs, *pairs))
 
     def _project(self, rho):
         return partial_trace(rho, keep=1) if self._has_ancilla else rho
@@ -315,7 +308,7 @@ class TemperatureFamily:
         for ``t = inf``), or ``(n_t, d, d)`` stacks of both on a grid ``t``."""
         times = np.asarray(t, dtype=float)
         steady = times == np.inf
-        law = self._steady() if steady.any() else ()
+        law = self._steady if steady.any() else ()
         if not law:
             rho, drho = self._evolution(t)
         else:
@@ -332,8 +325,8 @@ class TemperatureFamily:
         rho, drho = self.state_and_derivative(t)
         if rho.shape[-1] == 2:
             return _qubit_record(t, rho, drho, self.temperature)
-        if np.ndim(t) == 0 and t == np.inf and self._steady():
-            return _law_record(self.channels.vecs, *self._steady()[:2], rho, self.temperature)
+        if np.ndim(t) == 0 and t == np.inf and self._steady:
+            return _law_record(self.channels.vecs, *self._steady[:2], rho, self.temperature)
         return _two_qubit_record(t, rho, drho, self.temperature)
 
 
@@ -422,9 +415,7 @@ def _refine_max(times, values, fn) -> OptSearchResult:
     ends, where ``fn`` itself is then evaluated once."""
     i = int(np.argmax(values))
     if i == 0 or i == len(times) - 1:
-        raise NoConvergence(
-            f"maximum at grid edge t={times[i]}; extend the time grid to bracket it"
-        )
+        raise NoConvergence(f"maximum at grid edge {times[i]}; extend the grid to bracket it")
     lo, hi = float(times[i - 1]), float(times[i + 1])
     pieces, best = _fit(fn, lo, hi, float(np.max(np.abs(values)))), -np.inf
     for a, b, c, _ in pieces:
@@ -697,12 +688,9 @@ def run_evolve(
 ) -> ScanResult:
     """Record populations, coherence and purity on the uniform grid
     ``linspace(0, t_max, n_points)``."""
-    system = make_model(
-        model, temperature=temperature, eta=eta, eta2=eta2,
-        cutoff=cutoff, kappa=kappa, theta=theta,
-    )
+    fam = _family(model, temperature, eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta)
     times = np.linspace(0.0, t_max, n_points)
-    states, _ = propagate(build_liouvillian(system), initial_state(system), times)
+    states, _ = fam._evolution(times)
     populations = ("p0", "p1") if states.shape[-1] == 2 else ("p00", "p01", "p10", "p11")
     data = {
         "t": times.tolist(),

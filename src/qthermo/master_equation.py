@@ -61,7 +61,9 @@ __all__ = [
 ]
 
 #: Bohr frequencies closer than this are treated as one level / one channel.
-DEFAULT_FREQ_TOL = 1e-9
+#: Absolute: the four-level models' +-kappa levels stay apart while
+#: kappa > DEFAULT_FREQ_TOL / 2.
+DEFAULT_FREQ_TOL = 1e-13
 
 #: Jump operators whose max entry is at most this fraction of their
 #: coupling operator's are dropped (relative, as the decomposition is linear).
@@ -190,18 +192,11 @@ class Liouvillian:
     """Generator of the open-system evolution, ``d rho / dt = L[rho]``.
 
     ``superop`` acts on column-stacked states; ``d_superop`` is its exact
-    temperature derivative.  The jump channels, coupling by coupling in
-    ascending frequency, are the aligned arrays ``omegas``, ``ops`` ``(n, d, d)``,
-    ``bath_index`` (1-based, into ``coupling_operators(model)``) and ``rates``.
+    temperature derivative.  The channels it is assembled from are the
+    model's :class:`Channels`.
     """
 
-    dim: int
     superop: np.ndarray
-    hamiltonian: np.ndarray
-    omegas: np.ndarray
-    ops: np.ndarray
-    bath_index: np.ndarray
-    rates: np.ndarray
     d_superop: np.ndarray
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -267,9 +262,7 @@ def assemble_liouvillian(ch: Channels) -> Liouvillian:
         d_superop += d_term
     if not (np.isfinite(superop).all() and np.isfinite(d_superop).all()):
         raise NonFinite(f"generator overflows float64; largest rate {ch.rates.max(initial=0.0):g}")
-    return Liouvillian(dim=ch.hamiltonian.shape[0], superop=superop, hamiltonian=ch.hamiltonian,
-                       omegas=ch.omegas, ops=ch.ops, bath_index=ch.bath_index, rates=ch.rates,
-                       d_superop=d_superop)
+    return Liouvillian(superop=superop, d_superop=d_superop)
 
 
 def build_liouvillian(model: Model) -> Liouvillian:

@@ -12,7 +12,7 @@ from .closed_forms import optimal_ratio, steady_qfi
 from .dynamics import propagate, rate_law
 from .fisher import bloch_components, qfi_bloch, qfi_spectral, sld
 from .linalg import choi_matrix, expm, identity, pauli
-from .master_equation import build_liouvillian, decoherence_rate, jump_channels
+from .master_equation import assemble_liouvillian, build_liouvillian, decoherence_rate, jump_channels
 from .models import BathSpec, CommonBath, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
 
 __all__ = ["run_selftest"]
@@ -37,14 +37,15 @@ def _check_generator(rng, draws=10):
     worst = 0.0
     for _ in range(draws):
         model = _random_model(rng)
-        liou = build_liouvillian(model)
+        ch = jump_channels(model)
+        liou = assemble_liouvillian(ch)
         for e in basis:
             image = liou.apply(e)
             worst = max(worst, abs(np.trace(image)))
             worst = max(worst, float(np.max(np.abs(liou.apply(e.conj().T) - image.conj().T))))
-        h, omegas = liou.hamiltonian, liou.omegas
-        comm = liou.ops @ h - h @ liou.ops
-        worst = max(worst, float(np.max(np.abs(comm - omegas[:, None, None] * liou.ops))))
+        h, omegas = ch.hamiltonian, ch.omegas
+        comm = ch.ops @ h - h @ ch.ops
+        worst = max(worst, float(np.max(np.abs(comm - omegas[:, None, None] * ch.ops))))
         for w in omegas[omegas > 0].tolist():
             ratio = decoherence_rate(w, model.bath) / decoherence_rate(-w, model.bath)
             worst = max(worst, abs(ratio / np.exp(w / model.bath.temperature) - 1.0))

@@ -634,13 +634,13 @@ def test_multi_key_extremes_never_crash(model, tmp_path, capsys):
 def _merged_levels(k):
     """Strict xfail of the optimal-coupling request at T = 10^-k, where
     kappa = x* T < DEFAULT_FREQ_TOL / 2 and the +-kappa levels merge."""
-    reason = ("DEFAULT_FREQ_TOL (an absolute 1e-9) merges the +-kappa levels, so the rate law's "
-              "balance check fails and the projection " + ("exits 6" if k < 12 else "gives QSNR 1.2e-59"))
+    reason = ("DEFAULT_FREQ_TOL = 1e-13 (absolute) merges the +-kappa levels, so the rate law's "
+              "balance check fails and the projection gives a QSNR of order 1e-63")
     return pytest.param(k, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason))
 
 
 @pytest.mark.parametrize("model, params", [("two_qubit_local", ()), ("two_qubit_common", ("eta2=0.05",))])
-@pytest.mark.parametrize("k", [*range(10), *map(_merged_levels, (10, 11, 12))])
+@pytest.mark.parametrize("k", [*range(14), _merged_levels(14)])
 def test_optimal_steady_qsnr_at_any_low_temperature(model, params, k, tmp_path, capsys):
     # the paper's claim: at the optimal coupling kappa = x* T the steady QSNR
     # x*^2 sech^2(x*) does not depend on T, however low

@@ -68,7 +68,7 @@ def test_exact_derivative_matches_central_difference(
         # swamps the oracle's difference quotient
         lam = np.linalg.eigvals(fam.liouvillian.superop)
         slowest = -np.max(lam.real[np.abs(lam) > 1e-10 * np.max(np.abs(lam))], initial=-np.inf)
-        hypothesis.assume(any(fam.liouvillian.rates) and slowest >= 5e-4)
+        hypothesis.assume(any(fam.channels.rates) and slowest >= 5e-4)
     _, exact = fam.state_and_derivative(at)
     try:
         oracle = d_rho_dT(state, temperature)

@@ -39,32 +39,17 @@ def pa_liouvillian(eta=0.01, kappa=0.8, theta=np.pi / 2):
     return build_liouvillian(model), initial_state(model)
 
 
-def no_channels(dim):
-    """The channel arrays of a generator without jump channels."""
-    return dict(omegas=np.zeros(0), ops=np.zeros((0, dim, dim), dtype=complex),
-                bath_index=np.zeros(0, dtype=int), rates=np.zeros(0))
-
-
 def custom_liouvillian(h, couplings):
     """Assemble a generator and its dL/dT from explicit (operator, bath) pairs."""
     superop = commutator_superop(h)
     d_superop = np.zeros_like(superop)
-    omegas, ops, bath_index, rates = [], [], [], []
-    for index, (a, bath) in enumerate(couplings, start=1):
+    for a, bath in couplings:
         ws, jumps = jump_operators(h, a)
         for w, op in zip(ws.tolist(), jumps):
             g, dg = _rate_and_derivative(w, bath)
             superop = superop + g * dissipator_superop(op)
             d_superop = d_superop + dg * dissipator_superop(op)
-            rates.append(g)
-        omegas.append(ws)
-        ops.append(jumps)
-        bath_index += [index] * len(ws)
-    return Liouvillian(
-        dim=h.shape[0], superop=superop, hamiltonian=h, omegas=np.concatenate(omegas),
-        ops=np.concatenate(ops), bath_index=np.array(bath_index), rates=np.array(rates),
-        d_superop=d_superop,
-    )
+    return Liouvillian(superop=superop, d_superop=d_superop)
 
 
 class TestPropagate:
@@ -94,13 +79,7 @@ class TestPropagate:
     def test_positivity_violation_detected(self):
         # negative-rate dissipator amplifies coherences: not a valid channel
         sz = pauli("z")
-        bad = Liouvillian(
-            dim=2,
-            superop=-0.1 * dissipator_superop(sz),
-            hamiltonian=0.5 * sz,
-            **no_channels(2),
-            d_superop=np.zeros((4, 4), dtype=complex),
-        )
+        bad = Liouvillian(superop=-0.1 * dissipator_superop(sz), d_superop=np.zeros((4, 4), dtype=complex))
         rho0 = 0.5 * np.ones((2, 2), dtype=complex)
         with pytest.raises(PositivityViolation):
             propagate(bad, rho0, 5.0)
@@ -179,7 +158,7 @@ class TestStacks:
         assert _Evolution(liou, rho0).spectral is not None
         got = propagate(liou, rho0, times)[0]
         ref = np.array([unvec(expm(liou.superop * t) @ vec(rho0)) for t in times])
-        assert got.shape == (60, liou.dim, liou.dim)
+        assert got.shape == (60, *rho0.shape)
         assert np.max(np.abs(got - ref)) <= 1e-12
         assert np.array_equal(got[0], rho0)  # t = 0 is rho0 itself
 
@@ -196,8 +175,8 @@ class TestStacks:
         g = 0.3
         h = 0.5 * g * pauli("x")
         liou = Liouvillian(
-            dim=2, superop=commutator_superop(h) + g * dissipator_superop(pauli("z")),
-            hamiltonian=h, **no_channels(2), d_superop=np.zeros((4, 4), dtype=complex),
+            superop=commutator_superop(h) + g * dissipator_superop(pauli("z")),
+            d_superop=np.zeros((4, 4), dtype=complex),
         )
         _, v = np.linalg.eig(liou.superop)
         assert np.linalg.cond(v) > SPECTRAL_COND_MAX
@@ -233,10 +212,7 @@ class TestStacks:
 
     def test_propagate_validates_the_stack(self):
         sz = pauli("z")
-        bad = Liouvillian(
-            dim=2, superop=-0.1 * dissipator_superop(sz), hamiltonian=0.5 * sz,
-            **no_channels(2), d_superop=np.zeros((4, 4), dtype=complex),
-        )
+        bad = Liouvillian(superop=-0.1 * dissipator_superop(sz), d_superop=np.zeros((4, 4), dtype=complex))
         rho0 = 0.5 * np.ones((2, 2), dtype=complex)
         with pytest.raises(PositivityViolation):
             propagate(bad, rho0, [0.0, 1.0, 5.0])
@@ -273,10 +249,7 @@ class TestExactDerivative:
         # rate g = 0.3 T / 0.4 so that dL/dT = (0.3 / 0.4) D[sz]
         h = 0.15 * pauli("x")
         gen = lambda temp: commutator_superop(h) + 0.75 * temp * dissipator_superop(pauli("z"))  # noqa: E731
-        liou = Liouvillian(
-            dim=2, superop=gen(0.4), hamiltonian=h, **no_channels(2),
-            d_superop=0.75 * dissipator_superop(pauli("z")),
-        )
+        liou = Liouvillian(superop=gen(0.4), d_superop=0.75 * dissipator_superop(pauli("z")))
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         evolution = _Evolution(liou, rho0)
         assert evolution.spectral is None
@@ -446,8 +419,7 @@ class TestSteadyState:
         # eigenbasis, and the driven qubit dephases to I/2 at every T
         h = 0.15 * pauli("x")
         liou = Liouvillian(
-            dim=2, superop=commutator_superop(h) + 0.3 * dissipator_superop(pauli("z")),
-            hamiltonian=h, **no_channels(2),
+            superop=commutator_superop(h) + 0.3 * dissipator_superop(pauli("z")),
             d_superop=0.75 * dissipator_superop(pauli("z")),
         )
         rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -490,10 +462,7 @@ class TestSteadyState:
         superop[1, 1], superop[2, 2] = 1j, -1j
         d_superop = np.zeros_like(superop)
         d_superop[1, 0] = d_superop[2, 0] = 1.0
-        liou = Liouvillian(
-            dim=2, superop=superop, hamiltonian=np.zeros((2, 2), dtype=complex),
-            **no_channels(2), d_superop=d_superop,
-        )
+        liou = Liouvillian(superop=superop, d_superop=d_superop)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(NoConvergence, match=r"lam = \S*[+-]1j"):
             propagate(liou, rho0, np.inf)
@@ -507,9 +476,6 @@ class TestSteadyState:
         # keeping the trace: a generator bug that no convergence message may hide
         sigma = vec(np.diag([1.5, -0.5]).astype(complex))
         superop = np.outer(sigma, vec(identity(2))) - np.eye(4)
-        liou = Liouvillian(
-            dim=2, superop=superop, hamiltonian=np.zeros((2, 2), dtype=complex),
-            **no_channels(2), d_superop=np.zeros_like(superop),
-        )
+        liou = Liouvillian(superop=superop, d_superop=np.zeros_like(superop))
         with pytest.raises(PositivityViolation, match="minimum eigenvalue"):
             propagate(liou, np.diag([1.0, 0.0]).astype(complex), np.inf)

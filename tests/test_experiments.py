@@ -341,8 +341,12 @@ class TestKappaSweep:
         from qthermo.experiments import _refine_max
 
         times = np.linspace(0.0, 1.0, 20)
-        with pytest.raises(NoConvergence):
+        edge = r"maximum at grid edge 1\.0; extend the grid to bracket it"
+        with pytest.raises(NoConvergence, match=edge):
             _refine_max(times, times**2, lambda t: t**2)
+        # a ratio grid that stops below x* = 1.2
+        with pytest.raises(NoConvergence, match=edge):
+            run_steady_qsnr_curve(ratio_max=1.0)
 
 
 class TestCoherenceParametric:
@@ -686,6 +690,20 @@ class TestSharedGenerator:
             assert np.array_equal(got, want)
         with pytest.raises(ValidationError, match="theta"):
             fam.prepared(4.0)
+
+    def test_prepared_after_a_steady_read_gets_its_own_steady_state(self):
+        fam = pa_family(0.8, theta=0.0)
+        fam.records(np.inf)
+        got = fam.prepared(np.pi / 3).state_and_derivative(np.inf)
+        for a, b in zip(got, pa_family(0.8, theta=np.pi / 3).state_and_derivative(np.inf)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_evolve_builds_its_channels_once(self, monkeypatch):
+        calls = []
+        real = experiments.jump_channels
+        monkeypatch.setattr(experiments, "jump_channels", lambda model: calls.append(model) or real(model))
+        run_evolve("two_qubit_common", eta2=0.03, n_points=40)
+        assert len(calls) == 1
 
 
 class TestSteadyRateLaw:
