@@ -167,9 +167,13 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     return 0
 
 
-@functools.cache  # one set of parsers per process; parse_args keeps no state on them
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser, by name."""
+#: The commands, each the first token of its ``argv``.
+_COMMANDS = frozenset({*EXPERIMENTS, "validate", "selftest"})
+
+
+@functools.cache  # one parser per process; parse_args keeps no state on it
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, one per process."""
     parser = argparse.ArgumentParser(
         prog="qthermo",
         description="Dephasing-qubit thermometry simulations and estimation scans.",
@@ -186,31 +190,43 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         help="override one config key (repeatable)",
     )
     common.add_argument("--quiet", action="store_true")
-    commands = {}
     for name in EXPERIMENTS:
-        commands[name] = sub.add_parser(name, parents=[common], help=f"run the {name} experiment")
-    commands["validate"] = sub.add_parser("validate", parents=[common], help="check a config file and exit")
-    commands["selftest"] = sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")
-    return parser, commands
+        sub.add_parser(name, parents=[common], help=f"run the {name} experiment")
+    sub.add_parser("validate", parents=[common], help="check a config file and exit")
+    sub.add_parser("selftest", parents=[common], help="run the built-in invariant suite")
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, one per process."""
-    return _parsers()[0]
+#: The flags that take a value, each named after the namespace field it sets.
+_VALUED = {"--config", "--out", "--param"}
+
+
+def _canonical(argv) -> argparse.Namespace | None:
+    """The namespace argparse gives ``argv``, a command followed only by
+    ``--quiet`` and by ``--config``, ``--out`` or ``--param`` each with a value
+    that does not start with ``-``; ``None`` for any other ``argv``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    args = argparse.Namespace(command=argv[0], config=None, out=None, param=[], quiet=False)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--quiet":
+            args.quiet = True
+        elif token not in _VALUED or (value := next(tokens, "-")).startswith("-"):
+            return None
+        elif token == "--param":
+            args.param.append(value)
+        else:  # the last one given wins
+            setattr(args, token[2:], value)
+    return args
 
 
 def _parse(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same namespace, messages
-    and exits.  When ``argv`` starts with a command, that command's parser
-    reads the rest, so argparse walks the arguments once, not twice."""
+    and exits; a canonical ``argv`` (``_canonical``) is read without argparse."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = _canonical(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _overrides(pairs) -> dict:

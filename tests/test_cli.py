@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -474,6 +475,11 @@ class TestMain:
         ["qfi_point", "--par", "at=1"], ["qfi_point", "--param=at=1"], ["qfi_point", "--", "x"],
         ["qfi_point", "-q"],
         ["validate"], ["selftest", "--quiet"],
+        ["qfi_point", "--param", "at=1", "--out", "d", "--quiet"],
+        ["qfi_point", "--param", ""], ["qfi_point", "--param", "-1"], ["qfi_point", "--param", "--quiet"],
+        ["qfi_point", "--out", "a", "--out", "b"], ["qfi_point", "--quiet", "--quiet"],
+        ["qfi_point", "--config", "f", "--param", "at=1"], ["validate", "--param", "at=1"],
+        ["qfi_point", "--quiet", "extra"],
     ])
     def test_parse_matches_the_top_level_parser(self, argv, capsys):
         def parsed(parse):
@@ -484,6 +490,16 @@ class TestMain:
             return args, code, *capsys.readouterr()
 
         assert parsed(_parse) == parsed(build_parser().parse_args)
+
+    def test_canonical_point_query_skips_argparse(self, monkeypatch):
+        def walked(*args, **kwargs):
+            raise AssertionError("argparse read a canonical argv")
+
+        argv = ["qfi_point", "--param", "at=steady", "--param", "model=direct", "--out", "d", "--quiet"]
+        want = build_parser().parse_args(argv)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", walked)
+        monkeypatch.setattr("qthermo.cli.build_parser", walked)  # nor builds a parser
+        assert _parse(argv) == want
 
     def test_parser_reuse_carries_nothing_over(self, tmp_path):
         def outputs(out):

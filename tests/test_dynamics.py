@@ -187,6 +187,61 @@ class TestStacks:
         ref = np.array([unvec(expm(liou.superop * t) @ vec(rho0)) for t in times])
         assert np.array_equal(got, 0.5 * (ref + ref.conj().transpose(0, 2, 1)))
 
+    def test_conditioning_test_is_conservative(self):
+        # ||V||_F ||V^-1||_F >= cond_2(V): over the accepted ranges the bound
+        # accepts no basis that cond_2 rejects, the decomposition is dropped
+        # exactly when the bound or the residual test rejects it, and no draw
+        # changes route against the cond_2 test.  The bound can exceed
+        # cond_2 by up to d^2, so the last 100 draws aim at the common bath
+        # near eta1 = eta2, where V is worst conditioned short of defective.
+        rng = np.random.default_rng(28)
+
+        def log(lo, hi):
+            return 10 ** rng.uniform(np.log10(lo), np.log10(hi))
+
+        accepted = 0
+        for i in range(400):
+            temp, kappa, eta, eta2 = log(1e-4, 1e3), log(1e-6, 1e2), rng.uniform(0, 5), log(1e-4, 5)
+            cutoff, theta = log(0.1, 1e4), rng.uniform(0, np.pi)
+            if i >= 300:  # eta2 = eta1 (1 + delta), |delta| from 1e-12 to 0.1, or exactly eta1
+                eta = log(1e-4, 5)
+                eta2 = eta * (1 + rng.choice([-1, 1]) * log(1e-12, 0.1)) if i % 4 else eta
+            bath = BathSpec(eta, cutoff, temp)
+            model = [
+                DirectProbeModel(bath),
+                ProbeAncillaModel(kappa, bath, theta),
+                TwoQubitModel(kappa, LocalBaths(bath, BathSpec(eta2, cutoff, temp)), theta),
+                TwoQubitModel(kappa, CommonBath(eta, eta2, cutoff, temp), theta),
+            ][3 if i >= 300 else i % 4]
+            liou = build_liouvillian(model)
+            evolution = _Evolution(liou, initial_state(model))
+            _, v = np.linalg.eig(liou.superop)
+            v_inv = np.linalg.inv(v)
+            bounded = np.linalg.norm(v) * np.linalg.norm(v_inv) <= SPECTRAL_COND_MAX
+            conditioned = np.linalg.cond(v) <= SPECTRAL_COND_MAX
+            assert conditioned or not bounded, (i, model)
+            residual = np.max(np.abs((v * evolution.lam) @ v_inv - liou.superop))
+            fits = residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(liou.superop))
+            assert (evolution.spectral is None) == (not (bounded and fits)), (i, model)
+            assert (bounded and fits) == (conditioned and fits), (i, model)
+            accepted += evolution.spectral is not None
+        assert accepted >= 380
+
+    def test_singular_eigenvector_matrix_falls_back(self, monkeypatch):
+        liou, rho0 = pa_liouvillian()
+        times = [0.0, 1.0, 30.0, np.inf]
+        ref = propagate(liou, rho0, times)
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        evolution = _Evolution(liou, rho0)
+        assert evolution.basis is None and evolution.spectral is None
+        rho, drho = evolution(times)
+        assert np.max(np.abs(rho - ref[0])) <= 1e-12
+        assert np.max(np.abs(drho - ref[1])) <= 1e-10 * np.max(np.abs(ref[1]))
+
     @pytest.mark.parametrize("config", [
         LocalBaths(BathSpec(0.01, 0.05, 0.4), BathSpec(0.05, 0.05, 0.4)),
         CommonBath(0.01, 0.05, 0.05, 0.4),
@@ -439,6 +494,37 @@ class TestSteadyState:
         model = TwoQubitModel(5.5, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 3)
         with pytest.raises(NoConvergence, match=r"lam = \S*[+-]11j"):
             propagate(build_liouvillian(model), initial_state(model), np.inf)
+
+    @pytest.mark.parametrize("finite_first", [False, True])
+    @pytest.mark.parametrize("first", [np.pi / 2, np.pi / 3])
+    def test_limit_verdict_follows_each_preparation(self, first, finite_first):
+        # one common-bath generator at eta1 = eta2: the decoherence-free
+        # preparation (theta = pi/2) has its own limit, theta = pi/3 excites
+        # the precessing exchange coherence; a prepared() copy judges its own rho0
+        def model(theta):
+            return TwoQubitModel(5.5, CommonBath(0.02, 0.02, 10.0, 0.4), theta)
+
+        def limit(evolution):
+            if finite_first:
+                evolution(3.0)
+            return evolution(np.inf)
+
+        def check(evolution, theta):
+            if theta == np.pi / 2:
+                got = limit(evolution)
+                fresh = _Evolution(liou, initial_state(model(theta)))(np.inf)
+                assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+                assert np.max(np.abs(got[0] - initial_state(model(theta)))) <= 1e-15
+            else:
+                with pytest.raises(NoConvergence, match=r"lam = 0\+11j "):
+                    limit(evolution)
+
+        liou = build_liouvillian(model(first))
+        start = _Evolution(liou, initial_state(model(first)))
+        other = np.pi / 3 if first == np.pi / 2 else np.pi / 2
+        check(start, first)
+        check(start.prepared(initial_state(model(other))), other)
+        check(start, first)  # the copy leaves the original's verdict alone
 
     @pytest.mark.parametrize("kappa", [0.6, 5.5])
     def test_decoherence_free_preparation_is_its_own_limit(self, kappa):
