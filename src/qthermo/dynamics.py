@@ -156,12 +156,16 @@ def law_states(vecs: np.ndarray, p: np.ndarray, dlog: np.ndarray) -> tuple[np.nd
 
 class _Evolution:
     """States of ``rho0`` up to ``t = inf`` and their exact temperature
-    derivatives, from one decomposition of L, which :meth:`prepared` shares."""
+    derivatives, from one decomposition of L, which :meth:`prepared` shares,
+    with the last grid's ``exp(lam t)``."""
 
     def __init__(self, liouvillian: Liouvillian, rho0: np.ndarray):
         self.superop = liouvillian.superop
         self.d_superop = liouvillian.d_superop
         self.basis = None  # (V, V^-1, gap, equal, V^-1 dL/dT V) if both tests pass
+        # (times.tobytes(), exp(lam t)) of the last grid: one slot, which the
+        # preparations share and racing threads fill with the same bits
+        self._last_grid = [(None, None)]
         lam, v = np.linalg.eig(self.superop)
         self.scale = scale = np.max(np.abs(lam))  # zeroing below keeps it
         # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
@@ -214,7 +218,11 @@ class _Evolution:
             v, c, y, z = self.spectral
             # (n_t, 1, d^2): each time's vector is its own product, so a state
             # has the same bits whether it is evaluated alone or in any stack
-            e = np.exp(np.multiply.outer(times, self.lam))[:, None]
+            grid = times.tobytes()
+            key, e = self._last_grid[0]
+            if key != grid:
+                e = np.exp(np.multiply.outer(times, self.lam))[:, None]
+                self._last_grid[0] = (grid, e)
             tz = np.multiply.outer(times, z)[:, None]
             vecs = ((e * c) @ v.T)[:, 0]
             dvecs = ((e * (y.sum(axis=1) + tz) - e @ y.T) @ v.T)[:, 0]
@@ -265,17 +273,24 @@ class _Evolution:
         its Hermitian temperature derivative, or ``(n_t, d, d)`` stacks of
         both on a grid ``t``."""
         times = np.asarray(t, dtype=float).reshape(-1)
-        if np.any(times < 0):
-            raise NonPositiveInput(f"propagation time must be >= 0, got {times[times < 0][0]}")
-        vecs, dvecs = np.empty((2, len(times), len(self.v0)), dtype=complex)
-        finite, steady = (times > 0) & (times < np.inf), times == np.inf
-        if np.any(finite):
-            vecs[finite], dvecs[finite] = self._finite(times[finite])
-        if np.any(steady):
+        bad = ~(times >= 0)  # a nan too
+        if bad.any():
+            raise NonPositiveInput(f"propagation time must be >= 0, got {times[bad][0]}")
+        steady = times == np.inf
+        if not steady.any():
+            # each time's vector is its own product, so the t = 0 rows
+            # overwritten below leave the other rows' bits alone
+            vecs, dvecs = self._finite(times)
+        else:
+            vecs, dvecs = np.empty((2, len(times), len(self.v0)), dtype=complex)
+            finite = ~steady & (times > 0)
+            if finite.any():
+                vecs[finite], dvecs[finite] = self._finite(times[finite])
             vecs[steady], dvecs[steady] = self._limit()
         # exp(L 0) = I exactly, which the decomposition reproduces only to rounding
-        vecs[times == 0] = self.v0
-        dvecs[times == 0] = 0.0
+        zero = times == 0
+        vecs[zero] = self.v0
+        dvecs[zero] = 0.0
         rho, drho = _states(unvec(vecs)), unvec(dvecs)
         drho = 0.5 * (drho + dag(drho))
         return (rho[0], drho[0]) if np.ndim(t) == 0 else (rho, drho)

@@ -109,7 +109,9 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = _first(defect > 1e-12)
     if k is not None:
         raise NonHermitianInput(f"hermiticity defect {np.ravel(defect)[k]:.3e} > 1.0e-12")
-    vals, vecs = np.linalg.eigh(0.5 * (h + h_dag))
+    # an exactly Hermitian h equals its Hermitian part (a zero imaginary part
+    # may differ in sign), which h + h† could overflow
+    vals, vecs = np.linalg.eigh(0.5 * (h + h_dag) if defect.any() else h)
     # phase reference: the first component of each column above 1e-8 in modulus
     first = np.argmax(np.abs(vecs) > 1e-8, axis=-2)[..., None, :]
     lead = np.take_along_axis(vecs, first, axis=-2)
@@ -204,7 +206,7 @@ def validate_density_matrix(
     tr_dev = np.abs(head.diagonal(0, -2, -1).sum(-1) - 1.0)
     lam_min = np.full(defect.shape, np.inf)
     if eig_floor > -np.inf:
-        herm = 0.5 * (head + adj)
+        herm = 0.5 * (head + adj) if defect.any() else head  # as in eig_hermitian
         try:
             np.linalg.cholesky(herm - (eig_floor + 1e-12) * np.eye(herm.shape[-1]))
         except np.linalg.LinAlgError:

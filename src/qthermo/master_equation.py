@@ -252,7 +252,7 @@ def assemble_liouvillian(ch: Channels) -> Liouvillian:
     temperature derivative multiplies the same dissipator in ``d_superop``.
     Terms are added in channel order.  :class:`NonFinite` if the generator or
     its derivative leaves the float64 range (finite rates can still overflow
-    in the sum).
+    in the sum), naming the largest rate or the frequency of a nan rate.
     """
     superops = dissipator_superop(ch.ops)
     superop = commutator_superop(ch.hamiltonian)
@@ -261,6 +261,9 @@ def assemble_liouvillian(ch: Channels) -> Liouvillian:
         superop += term
         d_superop += d_term
     if not (np.isfinite(superop).all() and np.isfinite(d_superop).all()):
+        nan = np.isnan(ch.rates)  # J(w) at an overflowing w = inf is inf * 0
+        if nan.any():
+            raise NonFinite(f"generator overflows float64; rate nan at omega = {ch.omegas[nan][0]:g}")
         raise NonFinite(f"generator overflows float64; largest rate {ch.rates.max(initial=0.0):g}")
     return Liouvillian(superop=superop, d_superop=d_superop)
 

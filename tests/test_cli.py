@@ -317,6 +317,14 @@ class TestMain:
         assert main(with_params(*params) + ["--out", str(tmp_path), "--quiet"]) == 15
         assert "error: generator overflows float64; largest rate inf\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["probe_ancilla", "two_qubit_local"])
+    def test_infinite_bohr_frequency_names_its_nan_rate(self, model, tmp_path, capsys):
+        # kappa at the float64 maximum: the +-kappa levels are 2 kappa = inf
+        # apart, and the spectral density there is inf * 0
+        argv = with_params("qfi_point", f"model={model}", "kappa=1.7976931348623157e308", "at=5")
+        assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 15
+        assert capsys.readouterr().err.endswith("error: generator overflows float64; rate nan at omega = -inf\n")
+
     def test_rejected_steady_request_builds_its_channels_once(self, tmp_path, capsys):
         # the rate law rejects this steady request, and the projection's
         # generator is assembled from the channels the law was given, so each
@@ -623,7 +631,7 @@ def assert_finite_or_named(argv, tmp_path):
 def test_accepted_extreme_values_never_crash(model, tmp_path, capsys):
     keys = ["temperature", "kappa", "eta", "cutoff"] + (["eta2"] if model.startswith("two_qubit") else [])
     for key in keys:
-        for value in ("1e-300", "1e155", "1e300"):
+        for value in ("1e-300", "1e155", "1e300", "1.7976931348623157e308"):
             for request in EXTREME_REQUESTS:
                 assert_finite_or_named([*request, "--param", f"model={model}", "--param", f"{key}={value}"], tmp_path)
     capsys.readouterr()

@@ -1,8 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qthermo import dynamics
 from qthermo.closed_forms import steady_two_qubit
 from qthermo.dynamics import (
     EQUAL_EIG_TOL,
@@ -75,6 +78,27 @@ class TestPropagate:
         liou, rho0 = pa_liouvillian()
         with pytest.raises(NonPositiveInput):
             propagate(liou, rho0, -1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, [0.0, 2.0, np.nan], [np.nan, np.inf]])
+    def test_rejects_nan_time(self, t):
+        liou, rho0 = pa_liouvillian()
+        with pytest.raises(NonPositiveInput, match="^propagation time must be >= 0, got nan$"):
+            propagate(liou, rho0, t)
+
+    @pytest.mark.parametrize("spectral", [True, False])
+    def test_initial_state_exactly_at_zero_time(self, monkeypatch, spectral):
+        # a grid without t = inf takes every time through one route, t = 0
+        # included, whose rows are then rho0 and 0; the exponentials are
+        # made inexact at the rounding level, which those rows must not show
+        liou, rho0 = pa_liouvillian(theta=0.7)
+        if not spectral:
+            monkeypatch.setattr(dynamics, "SPECTRAL_COND_MAX", 0.0)
+            monkeypatch.setattr(dynamics, "expm", lambda m: expm(m) * (1.0 + 2e-16))
+        evolution = _Evolution(liou, rho0)
+        assert (evolution.spectral is not None) == spectral
+        rho, drho = evolution([0.0, 3.0, 0.0])
+        assert np.array_equal(rho[[0, 2]], [rho0, rho0]) and not drho[[0, 2]].any()
+        assert not np.allclose(rho[1], rho0)
 
     def test_positivity_violation_detected(self):
         # negative-rate dissipator amplifies coherences: not a valid channel
@@ -273,6 +297,28 @@ class TestStacks:
             propagate(bad, rho0, [0.0, 1.0, 5.0])
         with pytest.raises(NonPositiveInput):
             propagate(*pa_liouvillian(), [0.0, -1.0])
+
+    def test_shared_grid_exponential_under_thread_contention(self):
+        # preparations of one generator share one slot for exp(lam t); more
+        # threads than cores, switching often, on four grids and two initial
+        # states, must each get the bits of an evolution of its own
+        liou, rho0 = pa_liouvillian(theta=0.3)
+        other = pa_liouvillian(theta=2.0)[1]
+        shared = _Evolution(liou, rho0)
+        grids = [np.linspace(0.0, 5.0 + k, 40 + k) for k in range(4)]
+        jobs = [(r, g) for r in (rho0, other) for g in range(4)] * 20
+        want = {(id(r), g): _Evolution(liou, r)(grids[g]) for r, g in jobs[:8]}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda r, g: shared.prepared(r)(grids[g]), r, g) for r, g in jobs]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (r, g), states in zip(jobs, got):
+            for a, b in zip(states, want[id(r), g]):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestExactDerivative:

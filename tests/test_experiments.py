@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qthermo.closed_forms import direct_probe_qfi, optimal_ratio, steady_qfi
-from qthermo import experiments
+from qthermo import dynamics, experiments
 from qthermo.config import resolve
 from qthermo.errors import NoConvergence, NonPositiveInput, ValidationError
 from qthermo.experiments import (
@@ -651,11 +651,31 @@ class TestSharedGenerator:
         monkeypatch.setattr(experiments, "assemble_liouvillian", counted)
         return calls
 
+    @staticmethod
+    def count_exponentials(monkeypatch):
+        shapes = []
+
+        class Numpy:  # the numpy dynamics sees, counting its exp calls
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x):
+                shapes.append(np.shape(x))
+                return np.exp(x)
+
+        monkeypatch.setattr(dynamics, "np", Numpy())
+        return shapes
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_theta_scan(self, monkeypatch, workers):
         calls = self.count_builds(monkeypatch)
+        shapes = self.count_exponentials(monkeypatch)
         scan = run_theta_scan(n_points=60, workers=workers)
         assert len(calls) == 1
+        # the five preparations share exp(lam t) of the grid; two threads
+        # may both compute it before either has stored it
+        assert shapes in ([(60, 16)], [(60, 16)] * workers)
         times = np.linspace(0.0, 50.0, 60)
         grids = [
             TemperatureFamily(make_model(

@@ -7,6 +7,7 @@ from qthermo.linalg import (
     choi_matrix,
     eig_hermitian,
     expm,
+    hermiticity_defect,
     identity,
     kron,
     partial_trace,
@@ -310,6 +311,48 @@ class TestStacks:
         stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
         vecs = np.array([vec(m) for m in stack])
         assert np.array_equal(unvec(vecs), stack)
+
+
+class TestHermitianPart:
+    """A stack whose Hermiticity defect is exactly 0 is used as it is, any
+    other is symmetrized: either way the results are those of its Hermitian
+    part."""
+
+    @staticmethod
+    def spoiled(stack, rng, defect):
+        """``stack`` with its imaginary parts of state 2 zeroed as -0.0 (its
+        Hermitian part has +0.0 there) and, for ``defect`` > 0, real noise of
+        that size that breaks exact Hermiticity."""
+        stack.imag[2] = -0.0
+        return stack + defect * rng.uniform(-1.0, 1.0, size=stack.shape)
+
+    @pytest.mark.parametrize("defect", [0.0, 1e-14])
+    def test_eig_hermitian(self, rng, defect):
+        h = self.spoiled(np.array([random_hermitian(rng, 4) for _ in range(6)]), rng, defect)
+        assert (hermiticity_defect(h) > 0).any() == (defect > 0)
+        for got, want in zip(eig_hermitian(h), eig_hermitian(0.5 * (h + dag(h)))):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("defect", [0.0, 1e-14])
+    def test_validate_density_matrix(self, rng, defect):
+        stack = np.array([random_density(rng, 4) for _ in range(6)])
+        stack = self.spoiled(0.5 * (stack + dag(stack)), rng, defect)
+        part = 0.5 * (stack + dag(stack))
+        assert validate_density_matrix(stack) is stack and validate_density_matrix(part) is part
+        stack[4] = np.diag([0.6, 0.3, 0.1 + 1e-9, -1e-9]) + defect * rng.uniform(-1.0, 1.0, (4, 4))
+        part = 0.5 * (stack + dag(stack))
+        assert _raised(validate_density_matrix, stack) == _raised(validate_density_matrix, part)
+        assert "minimum eigenvalue -1.000e-09" in _raised(validate_density_matrix, stack)[1]
+
+    def test_defect_above_the_tolerance_raises(self, rng):
+        h = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        h[1, 0, 2] += 2e-12
+        rho = np.array([random_density(rng, 4) for _ in range(3)])
+        rho = 0.5 * (rho + dag(rho))
+        rho[1, 0, 2] += 2e-12
+        for fn, stack in ((eig_hermitian, h), (validate_density_matrix, rho)):
+            with pytest.raises(NonHermitianInput, match="^hermiticity defect 2.000e-12 > 1.0e-12$"):
+                fn(stack)
 
 
 def _eigenvalue_check(rho, herm_tol=1e-12, trace_tol=1e-10, eig_floor=-1e-10):
