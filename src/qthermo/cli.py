@@ -78,15 +78,15 @@ _CSV_CHUNK = 4096
 
 def write_csv(path: str, columns, data) -> None:
     """Write the table ``data`` (column name -> list of values) in the order
-    ``columns``, each value by ``_fmt``'s rule.  A column of plain floats is
-    formatted by its chunk's ``%``, any other column value by value first.
-    The header goes out with the first chunk; an empty table's is alone."""
+    ``columns``, each value by ``_fmt``'s rule: a column of plain floats or
+    plain strings by its chunk's ``%``, any other value by value first.  The
+    header goes out with the first chunk; an empty table's is alone."""
     fields, cols = [], []
     for name in columns:
         col = data[name]
-        plain = set(map(type, col)) == {float}
-        fields.append("%.17g" if plain else "%s")
-        cols.append(col if plain else list(map(_fmt, col)))
+        kinds = set(map(type, col))
+        fields.append("%.17g" if kinds == {float} else "%s")
+        cols.append(col if kinds in ({float}, {str}) else list(map(_fmt, col)))
     line = ",".join(fields) + "\n"
 
     def texts():

@@ -43,9 +43,9 @@ class PureStateSingularity(QThermoError):
 
 
 class ResolutionLimit(QThermoError):
-    """A result is below what float64 states resolve: a measurement's
-    Fisher information exceeds the QFI of the same states, or a measurement
-    basis population of a state rounds below 0."""
+    """A result is below what float64 resolves: a measurement's Fisher
+    information exceeds the QFI of the same states, a measurement basis
+    population rounds below 0, or two levels' rates break detailed balance."""
 
 
 class ParseError(QThermoError):

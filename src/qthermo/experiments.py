@@ -18,8 +18,8 @@ generator share them (:meth:`TemperatureFamily.prepared`).
 :class:`TemperatureFamily` takes the states and their exact temperature
 derivatives from them, a time grid's as one stack each, and the grid's
 records are computed on whole stacks; steady states come from the
-population rate law of the channels wherever it applies.  No experiment takes a
-finite difference: closed forms and the central differences of
+population rate law of the channels.  No experiment takes a finite
+difference: closed forms and the central differences of
 ``tests/reference.py`` are test oracles.
 
 Located optima and ``t_99`` come from one piecewise Chebyshev fit of the
@@ -255,12 +255,12 @@ def make_model(
 class TemperatureFamily:
     """Probe states of one model as a function of t, with their exact
     derivatives in the model's bath temperature.  One generator serves every
-    time and every preparation: its channels, and, once a finite time or a
-    steady state outside the rate law asks for them, its Liouvillian,
-    assembled from those channels, and one decomposition, each built on
-    first use.  The steady state comes from the population rate law
-    (``dynamics.rate_law``) wherever it applies.  A probe+ancilla model's
-    probe is its first qubit; the other models are probes as a whole.
+    time and every preparation: its channels, and, once a finite time asks
+    for them, its Liouvillian, assembled from those channels, and one
+    decomposition, each built on first use.  The steady state (``t = inf``)
+    comes from the population rate law (``dynamics.rate_law``) alone.  A
+    probe+ancilla model's probe is its first qubit; the other models are
+    probes as a whole.
     """
 
     def __init__(self, model):
@@ -296,9 +296,9 @@ class TemperatureFamily:
 
     @cached_property
     def _steady(self):
-        """``(p, d log p/dT, rho, drho)`` of the rate law, ``()`` where it does not apply."""
-        pairs = rate_law(self.channels, self.rho0, self.temperature)
-        return () if pairs is None else (*pairs, *law_states(self.channels.vecs, *pairs))
+        """``(p, d log p/dT, kept coherences, rho, drho)`` of the rate law."""
+        law = rate_law(self.channels, self.rho0, self.temperature)
+        return (*law, *law_states(self.channels.vecs, *law))
 
     def _project(self, rho):
         return partial_trace(rho, keep=1) if self._has_ancilla else rho
@@ -308,24 +308,23 @@ class TemperatureFamily:
         for ``t = inf``), or ``(n_t, d, d)`` stacks of both on a grid ``t``."""
         times = np.asarray(t, dtype=float)
         steady = times == np.inf
-        law = self._steady if steady.any() else ()
-        if not law:
+        if not steady.any():
             rho, drho = self._evolution(t)
         else:
             rho, drho = np.empty((2, *times.shape, *self.rho0.shape), dtype=complex)
             if not steady.all():
                 rho[~steady], drho[~steady] = self._evolution(times[~steady])
-            rho[steady], drho[steady] = law[2:]
+            rho[steady], drho[steady] = self._steady[3:]
         return self._project(rho), self._project(drho)
 
     def records(self, t) -> dict:
         """The record at time ``t`` (``inf``: the steady state), or the
         records on a grid ``t``: a qubit probe's, or a two-qubit probe's,
-        which at the rate law's steady state is read from its populations."""
+        read at a steady state without coherences from its populations."""
         rho, drho = self.state_and_derivative(t)
         if rho.shape[-1] == 2:
             return _qubit_record(t, rho, drho, self.temperature)
-        if np.ndim(t) == 0 and t == np.inf and self._steady:
+        if np.ndim(t) == 0 and t == np.inf and not self._steady[2].any():
             return _law_record(self.channels.vecs, *self._steady[:2], rho, self.temperature)
         return _two_qubit_record(t, rho, drho, self.temperature)
 
@@ -613,30 +612,30 @@ def run_two_qubit_configs(
         for bath in ("local", "common")
     }
 
-    def one(fam):
-        recs = fam.records(times)
-        f_ss = recs["qfi"][-1]
-        target = 0.99 * f_ss
-        above = np.nonzero(np.array(recs["qfi"]) >= target)[0]
-        i = int(above[0])
+    def t_99(fam, recs):
+        target = 0.99 * recs["qfi"][-1]
+        i = int(np.nonzero(np.array(recs["qfi"]) >= target)[0][0])
         if i == 0:
-            return recs, f_ss, 0.0
-        t99 = _first_root(
+            return 0.0
+        return _first_root(
             lambda t: qfi_spectral(*fam.state_and_derivative(t)),
             float(times[i - 1]), float(times[i]), target, float(np.max(np.abs(recs["qfi"]))),
         )
-        return recs, f_ss, t99
 
     families = [
         baths[config.split("_")[0]].prepared(0.0 if config.endswith("separable") else np.pi / 2)
         for config in TWO_QUBIT_CONFIGS
     ]
-    sweep = parallel_map(one, families, workers)
+    # one job per bath: its preparations read the grid's exp(lam t) before
+    # a fit's nodes take the slot they share
+    per_bath = parallel_map(lambda pair: [fam.records(times) for fam in pair], [families[:2], families[2:]], workers)
+    grids = list(chain.from_iterable(per_bath))
+    t99 = parallel_map(lambda job: t_99(*job), list(zip(families, grids)), workers)
     results = {
-        "steady_qfi": {c: f_ss for c, (_, f_ss, _) in zip(TWO_QUBIT_CONFIGS, sweep)},
-        "t_99": {c: t99 for c, (_, _, t99) in zip(TWO_QUBIT_CONFIGS, sweep)},
+        "steady_qfi": {c: recs["qfi"][-1] for c, recs in zip(TWO_QUBIT_CONFIGS, grids)},
+        "t_99": dict(zip(TWO_QUBIT_CONFIGS, t99)),
     }
-    data = _grid_table("config", TWO_QUBIT_CONFIGS, [recs for recs, _, _ in sweep])
+    data = _grid_table("config", TWO_QUBIT_CONFIGS, grids)
     return ScanResult("two_qubit_configs", data, results)
 
 

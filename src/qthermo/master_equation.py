@@ -261,11 +261,16 @@ def assemble_liouvillian(ch: Channels) -> Liouvillian:
         superop += term
         d_superop += d_term
     if not (np.isfinite(superop).all() and np.isfinite(d_superop).all()):
-        nan = np.isnan(ch.rates)  # J(w) at an overflowing w = inf is inf * 0
-        if nan.any():
-            raise NonFinite(f"generator overflows float64; rate nan at omega = {ch.omegas[nan][0]:g}")
-        raise NonFinite(f"generator overflows float64; largest rate {ch.rates.max(initial=0.0):g}")
+        raise overflow_error(ch)
     return Liouvillian(superop=superop, d_superop=d_superop)
+
+
+def overflow_error(ch: Channels) -> NonFinite:
+    """Error of channels whose generator overflows, naming a nan rate's frequency or the largest rate."""
+    nan = np.isnan(ch.rates)  # J(w) at an overflowing w = inf is inf * 0
+    if nan.any():
+        return NonFinite(f"generator overflows float64; rate nan at omega = {ch.omegas[nan][0]:g}")
+    return NonFinite(f"generator overflows float64; largest rate {ch.rates.max(initial=0.0):g}")
 
 
 def build_liouvillian(model: Model) -> Liouvillian:

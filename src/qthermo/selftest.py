@@ -9,10 +9,11 @@ from __future__ import annotations
 import numpy as np
 
 from .closed_forms import optimal_ratio, steady_qfi
-from .dynamics import propagate, rate_law
+from .dynamics import law_states, propagate, rate_law
+from .experiments import TemperatureFamily
 from .fisher import bloch_components, qfi_bloch, qfi_spectral, sld
 from .linalg import choi_matrix, expm, identity, pauli
-from .master_equation import assemble_liouvillian, build_liouvillian, decoherence_rate, jump_channels
+from .master_equation import assemble_liouvillian, decoherence_rate, jump_channels
 from .models import BathSpec, CommonBath, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
 
 __all__ = ["run_selftest"]
@@ -83,12 +84,12 @@ def _two_qubit_models(kappa, temp):
 
 
 def _check_steady_qfi():
-    """The engine's steady state and exact derivative against ``steady_qfi``."""
+    """The family's steady state and exact derivative against ``steady_qfi``."""
     worst = 0.0
     for kappa, temp in ((0.4, 0.3), (0.6, 0.4), (1.0, 0.8)):
         exact = steady_qfi(kappa, temp)
         for model in _two_qubit_models(kappa, temp):
-            rho, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
+            rho, drho = TemperatureFamily(model).state_and_derivative(np.inf)
             worst = max(worst, abs(qfi_spectral(rho, drho) - exact) / exact)
     return worst < 1e-10, f"worst relative error {worst:.2e}"
 
@@ -102,7 +103,7 @@ def _check_rate_law():
         temp = kappa / ratio
         exact = steady_qfi(kappa, temp)
         for model in _two_qubit_models(kappa, temp):
-            p, dlog = rate_law(jump_channels(model), initial_state(model), temp)
+            p, dlog, _ = rate_law(jump_channels(model), initial_state(model), temp)
             worst = max(worst, abs(float(np.sum(p * dlog * dlog)) - exact) / exact)
     return worst < 1e-12, f"worst relative error {worst:.2e}"
 
@@ -115,12 +116,13 @@ def _check_optimal_ratio():
 
 def _check_semigroup():
     model = ProbeAncillaModel(kappa=0.8, bath=BathSpec(0.01, 10.0, 0.4), theta=np.pi / 2)
-    liou = build_liouvillian(model)
-    rho0 = initial_state(model)
+    channels, rho0 = jump_channels(model), initial_state(model)
+    liou = assemble_liouvillian(channels)
     one = propagate(liou, rho0, 7.0)[0]
     two = propagate(liou, propagate(liou, rho0, 3.0)[0], 4.0)[0]
     worst = float(np.max(np.abs(one - two)))
-    residual = float(np.max(np.abs(liou.apply(propagate(liou, rho0, np.inf)[0]))))
+    steady = law_states(channels.vecs, *rate_law(channels, rho0, 0.4))[0]  # probe and ancilla
+    residual = float(np.max(np.abs(liou.apply(steady))))
     return worst < 1e-9 and residual < 1e-10, (
         f"semigroup defect {worst:.2e}, steady residual {residual:.2e}"
     )

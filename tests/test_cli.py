@@ -317,24 +317,24 @@ class TestMain:
         assert main(with_params(*params) + ["--out", str(tmp_path), "--quiet"]) == 15
         assert "error: generator overflows float64; largest rate inf\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at", ["5", "steady"])
     @pytest.mark.parametrize("model", ["probe_ancilla", "two_qubit_local"])
-    def test_infinite_bohr_frequency_names_its_nan_rate(self, model, tmp_path, capsys):
+    def test_infinite_bohr_frequency_names_its_nan_rate(self, model, at, tmp_path, capsys):
         # kappa at the float64 maximum: the +-kappa levels are 2 kappa = inf
         # apart, and the spectral density there is inf * 0
-        argv = with_params("qfi_point", f"model={model}", "kappa=1.7976931348623157e308", "at=5")
+        argv = with_params("qfi_point", f"model={model}", "kappa=1.7976931348623157e308", f"at={at}")
         assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 15
         assert capsys.readouterr().err.endswith("error: generator overflows float64; rate nan at omega = -inf\n")
 
     def test_rejected_steady_request_builds_its_channels_once(self, tmp_path, capsys):
-        # the rate law rejects this steady request, and the projection's
-        # generator is assembled from the channels the law was given, so each
-        # overflow warning of their rates is printed once
+        # the rate law rejects this steady request with the generator's
+        # error, from the channels it was given and without assembling a
+        # generator, so each overflow warning of their rates is printed once
         argv = with_params("qfi_point", "at=steady", "model=probe_ancilla", "temperature=1e300",
                            "eta=1e300", f"theta={np.pi!r}")
         assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 15
         assert capsys.readouterr().err == (
             "warning: overflow encountered in scalar multiply\n" * 2
-            + "warning: invalid value encountered in multiply\n"
             + "error: generator overflows float64; largest rate inf\n"
         )
 
@@ -658,8 +658,8 @@ def test_multi_key_extremes_never_crash(model, tmp_path, capsys):
 def _merged_levels(k):
     """Strict xfail of the optimal-coupling request at T = 10^-k, where
     kappa = x* T < DEFAULT_FREQ_TOL / 2 and the +-kappa levels merge."""
-    reason = ("DEFAULT_FREQ_TOL = 1e-13 (absolute) merges the +-kappa levels, so the rate law's "
-              "balance check fails and the projection gives a QSNR of order 1e-63")
+    reason = ("DEFAULT_FREQ_TOL = 1e-13 (absolute) merges the +-kappa levels, so their shared "
+              "channel breaks detailed balance and the rate law exits 17")
     return pytest.param(k, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason))
 
 
@@ -677,3 +677,18 @@ def test_optimal_steady_qsnr_at_any_low_temperature(model, params, k, tmp_path, 
     assert code == 0
     record = json.loads((tmp_path / "qfi_point.summary.json").read_text())["results"]["record"]
     assert abs(record["qsnr"] - qsnr_star) <= 1e-12
+
+
+@pytest.mark.parametrize("model, params", [("two_qubit_local", ()), ("two_qubit_common", ("eta2=0.05",))])
+@pytest.mark.parametrize("temp, kappa", [
+    (1e-14, 1.19967864e-14), (1e-20, optimal_ratio()[0] * 1e-20), (1e-100, optimal_ratio()[0] * 1e-100),
+])
+def test_optimal_coupling_below_the_merged_levels_exits_17(model, params, temp, kappa, tmp_path, capsys):
+    # below T ~ 4e-14 the +-kappa levels at kappa = x* T are one level of the
+    # channels: their rates cannot hold the Gibbs ratio exp(2 x*), and the
+    # request names the pair instead of a QSNR of order 1e-63
+    argv = with_params("qfi_point", "at=steady", f"model={model}", f"temperature={temp!r}",
+                       f"kappa={kappa!r}", *params)
+    assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 17
+    pair = f"levels E = {-kappa:.6g} and {kappa:.6g} break detailed balance at T = {temp:g}"
+    assert pair in capsys.readouterr().err

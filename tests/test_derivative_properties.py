@@ -9,9 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from scipy.linalg import null_space  # noqa: E402
-
-from reference import StepTooLarge, d_rho_dT  # noqa: E402
+from reference import StepTooLarge, d_rho_dT, steady_state  # noqa: E402
 from qthermo.errors import NoConvergence  # noqa: E402
 from qthermo.experiments import _family  # noqa: E402
 from qthermo.linalg import expm, unvec, vec  # noqa: E402
@@ -45,14 +43,10 @@ def test_exact_derivative_matches_central_difference(
     if route == "steady":
 
         def state(tv):
-            # the kernel of L from its SVD, in the sector where the conserved
-            # quantities (the kernel of L^H) keep the values rho0 gives them:
-            # no code in common with the spectral limit under test
+            # the reference projection of L: no code in common with the
+            # rate law under test
             fam = family(tv)
-            superop = fam.liouvillian.superop
-            kernel, conserved = null_space(superop), null_space(superop.conj().T).conj().T
-            rho = unvec(kernel @ np.linalg.solve(conserved @ kernel, conserved @ vec(fam.rho0)))
-            return fam._project(0.5 * (rho + rho.conj().T))
+            return fam._project(steady_state(fam.liouvillian, fam.rho0)[0])
     else:
 
         def state(tv):

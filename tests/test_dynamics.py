@@ -15,6 +15,7 @@ from qthermo.dynamics import (
     propagate,
 )
 from qthermo.errors import NoConvergence, NonPositiveInput, PositivityViolation
+from qthermo.experiments import TemperatureFamily
 from qthermo.linalg import expm, identity, partial_trace, pauli, unvec, vec
 from qthermo.master_equation import (
     Liouvillian,
@@ -33,6 +34,7 @@ from qthermo.models import (
     TwoQubitModel,
     initial_state,
 )
+from reference import steady_state
 
 BATH = BathSpec(eta=0.01, cutoff=10.0, temperature=0.4)
 
@@ -83,6 +85,13 @@ class TestPropagate:
     def test_rejects_nan_time(self, t):
         liou, rho0 = pa_liouvillian()
         with pytest.raises(NonPositiveInput, match="^propagation time must be >= 0, got nan$"):
+            propagate(liou, rho0, t)
+
+    @pytest.mark.parametrize("t", [np.inf, [0.0, 3.0, np.inf]])
+    def test_rejects_infinite_time(self, t):
+        # the steady state is the rate law's, which a model's family gives
+        liou, rho0 = pa_liouvillian()
+        with pytest.raises(NonPositiveInput, match="must be finite, got inf: .*TemperatureFamily"):
             propagate(liou, rho0, t)
 
     @pytest.mark.parametrize("spectral", [True, False])
@@ -253,7 +262,7 @@ class TestStacks:
 
     def test_singular_eigenvector_matrix_falls_back(self, monkeypatch):
         liou, rho0 = pa_liouvillian()
-        times = [0.0, 1.0, 30.0, np.inf]
+        times = [0.0, 1.0, 30.0]
         ref = propagate(liou, rho0, times)
 
         def singular(a):
@@ -367,7 +376,7 @@ class TestExactDerivative:
         cfg = (CommonBath(0.01, 0.05, 10.0, temp) if common
                else LocalBaths(BathSpec(0.01, 10.0, temp), BathSpec(0.05, 10.0, temp)))
         model = TwoQubitModel(kappa, cfg, np.pi / 2)
-        _, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
+        _, drho = TemperatureFamily(model).state_and_derivative(np.inf)
         exact = np.zeros((4, 4), dtype=complex)
         # d/dT of the exchange coherence tanh(-kappa/T)/2; the populations are fixed by rho0
         exact[1, 2] = exact[2, 1] = 0.5 * kappa / temp**2 / np.cosh(kappa / temp) ** 2
@@ -456,12 +465,12 @@ class TestExchangeSectorOracle:
 
 
 class TestSteadyState:
-    """``t = inf``: the limit of the one decomposition, or one constrained
-    solve when the decomposition is rejected."""
+    """``t = inf``: a model's family takes the rate law, and a hand-built
+    generator the reference projection of ``tests/reference.py``."""
 
     def test_direct_probe_dephases_to_maximally_mixed(self):
         model = DirectProbeModel(BATH)
-        rho, drho = propagate(build_liouvillian(model), initial_state(model), np.inf)
+        rho, drho = TemperatureFamily(model).state_and_derivative(np.inf)
         # the coherence's limit is exactly 0, not a decaying remainder
         assert np.max(np.abs(rho - identity(2) / 2)) <= 1e-15
         assert np.max(np.abs(drho)) <= 1e-15
@@ -470,7 +479,7 @@ class TestSteadyState:
         # transverse coupling thermalizes a qubit: unique stationary state
         h = 0.5 * pauli("z")
         liou = custom_liouvillian(h, [(pauli("x"), BATH)])
-        rho, drho = propagate(liou, np.diag([1.0, 0.0]).astype(complex), np.inf)
+        rho, drho = steady_state(liou, np.diag([1.0, 0.0]).astype(complex))
         z = np.exp(-0.5 / 0.4) + np.exp(0.5 / 0.4)
         gibbs = np.diag([np.exp(-0.5 / 0.4), np.exp(0.5 / 0.4)]).astype(complex) / z
         assert np.max(np.abs(rho - gibbs)) < 1e-10
@@ -488,58 +497,33 @@ class TestSteadyState:
         else:
             cfg = LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4))
         model = TwoQubitModel(0.6, cfg, theta)
-        rho, _ = propagate(build_liouvillian(model), initial_state(model), np.inf)
+        rho, _ = TemperatureFamily(model).state_and_derivative(np.inf)
         assert np.max(np.abs(rho - steady_two_qubit(0.6, 0.4))) < 1e-12
 
     @pytest.mark.parametrize("make", TestExactDerivative.MODELS)
     def test_limit_of_the_grid(self, make):
-        model = make()
-        liou, rho0 = build_liouvillian(model), initial_state(model)
-        rho, drho = propagate(liou, rho0, [0.0, 3.0, np.inf])
+        fam = TemperatureFamily(make())
+        rho, drho = fam.state_and_derivative(np.array([0.0, 3.0, np.inf]))
         for t, state, deriv in zip((0.0, 3.0, np.inf), rho, drho):
-            one, d_one = propagate(liou, rho0, t)
+            one, d_one = fam.state_and_derivative(t)
             assert np.max(np.abs(state - one)) <= 1e-15
             assert np.max(np.abs(deriv - d_one)) <= 1e-15 * max(np.max(np.abs(deriv)), 1.0)
         # far out on the grid the states and derivatives reach the limit
-        late, d_late = propagate(liou, rho0, 1e5)
+        late, d_late = fam.state_and_derivative(1e5)
         assert np.max(np.abs(late - rho[-1])) <= 1e-10
         assert np.max(np.abs(d_late - drho[-1])) <= 1e-8 * max(np.max(np.abs(drho[-1])), 1.0)
 
-    @pytest.mark.parametrize("make", TestExactDerivative.MODELS)
-    def test_constrained_solve_matches_projector(self, make):
-        model = make()
-        evolution = _Evolution(build_liouvillian(model), initial_state(model))
-        projector = evolution(np.inf)
-        evolution.spectral = None  # as if SPECTRAL_COND_MAX had rejected it
-        solved = evolution(np.inf)
-        assert np.max(np.abs(solved[0] - projector[0])) <= 1e-12
-        assert np.max(np.abs(solved[1] - projector[1])) <= 1e-10 * max(np.max(np.abs(projector[1])), 1.0)
-
-    def test_defective_generator_uses_constrained_solve(self):
-        # the Rabi drive at the dephasing rate of the stacks test: no
-        # eigenbasis, and the driven qubit dephases to I/2 at every T
-        h = 0.15 * pauli("x")
-        liou = Liouvillian(
-            superop=commutator_superop(h) + 0.3 * dissipator_superop(pauli("z")),
-            d_superop=0.75 * dissipator_superop(pauli("z")),
-        )
-        rho0 = np.diag([1.0, 0.0]).astype(complex)
-        assert _Evolution(liou, rho0).spectral is None
-        rho, drho = propagate(liou, rho0, np.inf)
-        assert np.max(np.abs(rho - identity(2) / 2)) <= 1e-12
-        assert np.max(np.abs(drho)) <= 1e-12
-
     def test_unitary_dynamics_have_no_limit(self):
-        liou, rho0 = pa_liouvillian(eta=0.0)
+        fam = TemperatureFamily(ProbeAncillaModel(0.8, BathSpec(0.0, 10.0, 0.4), np.pi / 2))
         with pytest.raises(NoConvergence, match="does not decay"):
-            propagate(liou, rho0, np.inf)
+            fam.state_and_derivative(np.inf)
 
     def test_decoherence_free_sector_has_no_limit(self):
         # a common bath with eta1 = eta2 leaves the exchange sector's
         # coherence precessing at 2 kappa forever
         model = TwoQubitModel(5.5, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 3)
-        with pytest.raises(NoConvergence, match=r"lam = \S*[+-]11j"):
-            propagate(build_liouvillian(model), initial_state(model), np.inf)
+        with pytest.raises(NoConvergence, match=r"Bohr frequency -?11 forever"):
+            TemperatureFamily(model).state_and_derivative(np.inf)
 
     @pytest.mark.parametrize("finite_first", [False, True])
     @pytest.mark.parametrize("first", [np.pi / 2, np.pi / 3])
@@ -550,26 +534,25 @@ class TestSteadyState:
         def model(theta):
             return TwoQubitModel(5.5, CommonBath(0.02, 0.02, 10.0, 0.4), theta)
 
-        def limit(evolution):
+        def limit(fam):
             if finite_first:
-                evolution(3.0)
-            return evolution(np.inf)
+                fam.state_and_derivative(3.0)
+            return fam.state_and_derivative(np.inf)
 
-        def check(evolution, theta):
+        def check(fam, theta):
             if theta == np.pi / 2:
-                got = limit(evolution)
-                fresh = _Evolution(liou, initial_state(model(theta)))(np.inf)
+                got = limit(fam)
+                fresh = TemperatureFamily(model(theta)).state_and_derivative(np.inf)
                 assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
                 assert np.max(np.abs(got[0] - initial_state(model(theta)))) <= 1e-15
             else:
-                with pytest.raises(NoConvergence, match=r"lam = 0\+11j "):
-                    limit(evolution)
+                with pytest.raises(NoConvergence, match=r"Bohr frequency -?11 forever"):
+                    limit(fam)
 
-        liou = build_liouvillian(model(first))
-        start = _Evolution(liou, initial_state(model(first)))
+        start = TemperatureFamily(model(first))
         other = np.pi / 3 if first == np.pi / 2 else np.pi / 2
         check(start, first)
-        check(start.prepared(initial_state(model(other))), other)
+        check(start.prepared(other), other)
         check(start, first)  # the copy leaves the original's verdict alone
 
     @pytest.mark.parametrize("kappa", [0.6, 5.5])
@@ -581,7 +564,7 @@ class TestSteadyState:
         liou, rho0 = build_liouvillian(model), initial_state(model)
         lam = _Evolution(liou, rho0).lam
         assert np.any((lam != 0) & (np.abs(lam.real) <= 1e-12))
-        rho, drho = propagate(liou, rho0, np.inf)
+        rho, drho = TemperatureFamily(model).state_and_derivative(np.inf)
         assert np.max(np.abs(rho - rho0)) <= 1e-15
         assert np.max(np.abs(drho)) <= 1e-15
 
@@ -597,9 +580,9 @@ class TestSteadyState:
         liou = Liouvillian(superop=superop, d_superop=d_superop)
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(NoConvergence, match=r"lam = \S*[+-]1j"):
-            propagate(liou, rho0, np.inf)
+            steady_state(liou, rho0)
         # without the feed the limit exists: the populations (2, 1) / 3
-        rho, drho = propagate(replace(liou, d_superop=np.zeros_like(superop)), rho0, np.inf)
+        rho, drho = steady_state(replace(liou, d_superop=np.zeros_like(superop)), rho0)
         assert np.max(np.abs(rho - np.diag([2.0, 1.0]) / 3)) <= 1e-15
         assert np.max(np.abs(drho)) <= 1e-15
 
@@ -610,4 +593,4 @@ class TestSteadyState:
         superop = np.outer(sigma, vec(identity(2))) - np.eye(4)
         liou = Liouvillian(superop=superop, d_superop=np.zeros_like(superop))
         with pytest.raises(PositivityViolation, match="minimum eigenvalue"):
-            propagate(liou, np.diag([1.0, 0.0]).astype(complex), np.inf)
+            steady_state(liou, np.diag([1.0, 0.0]).astype(complex))

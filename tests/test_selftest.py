@@ -1,5 +1,5 @@
 """The ``selftest`` suite checks the engine: its steady lines fail when the
-propagation route's or the rate law's derivative is off."""
+family's or the rate law's derivative is off."""
 
 import re
 
@@ -20,13 +20,12 @@ def test_steady_check_reports_the_engine_error():
 
 
 def test_steady_check_fails_on_a_perturbed_engine_derivative(monkeypatch):
-    engine = selftest.propagate
+    class Perturbed(selftest.TemperatureFamily):
+        def state_and_derivative(self, t):
+            rho, drho = super().state_and_derivative(t)
+            return rho, drho * (1.0 + 1e-6)
 
-    def perturbed(liouvillian, rho0, t):
-        rho, drho = engine(liouvillian, rho0, t)
-        return rho, drho * (1.0 + 1e-6)
-
-    monkeypatch.setattr(selftest, "propagate", perturbed)
+    monkeypatch.setattr(selftest, "TemperatureFamily", Perturbed)
     lines = []
     assert not selftest.run_selftest(out=lines.append)
     assert steady_line(lines).startswith("[FAIL]")
@@ -49,8 +48,8 @@ def test_rate_law_check_fails_on_a_perturbed_law_derivative(monkeypatch):
     law = selftest.rate_law
 
     def perturbed(channels, rho0, temperature):
-        p, dlog = law(channels, rho0, temperature)
-        return p, dlog * (1.0 + 1e-6)
+        p, dlog, kept = law(channels, rho0, temperature)
+        return p, dlog * (1.0 + 1e-6), kept
 
     monkeypatch.setattr(selftest, "rate_law", perturbed)
     lines = []

@@ -61,7 +61,6 @@ STAGES = (
     "qthermo.dynamics:_Evolution.__call__",
     "qthermo.dynamics:_Evolution._finite",
     "qthermo.dynamics:_Evolution._exponentials",
-    "qthermo.dynamics:_Evolution._limit",
     "qthermo.fisher:*",
     "qthermo.linalg:validate_density_matrix",
     "qthermo.linalg:eig_hermitian",
