@@ -23,18 +23,11 @@ from .master_equation import (
     Liouvillian,
     build_liouvillian,
     decoherence_rate,
-    jump_operators,
     spectral_density,
     thermal_occupation,
 )
 from .dynamics import propagate
-from .closed_forms import (
-    optimal_ratio,
-    probe_state_closed_form,
-    steady_qfi,
-    steady_qsnr,
-    steady_two_qubit,
-)
+from .closed_forms import optimal_ratio, steady_qfi, steady_qsnr
 from .fisher import (
     bloch_components,
     cfi_povm,
@@ -60,15 +53,12 @@ __all__ = [
     "Liouvillian",
     "build_liouvillian",
     "decoherence_rate",
-    "jump_operators",
     "spectral_density",
     "thermal_occupation",
     "propagate",
     "optimal_ratio",
-    "probe_state_closed_form",
     "steady_qfi",
     "steady_qsnr",
-    "steady_two_qubit",
     "bloch_components",
     "cfi_povm",
     "measurement_fi",

@@ -264,7 +264,9 @@ class TemperatureFamily:
     """
 
     def __init__(self, model):
-        # every bath of a model sits at the one temperature under estimation
+        # the first bath's T; local baths at two temperatures (library only,
+        # it warns) get the derivative of a joint shift of both, as every
+        # channel's d_rates enters it
         self.temperature = float(coupling_operators(model)[0][1].temperature)
         self.model, self.rho0 = model, initial_state(model)
         self._has_ancilla = isinstance(model, ProbeAncillaModel)
@@ -626,11 +628,16 @@ def run_two_qubit_configs(
         baths[config.split("_")[0]].prepared(0.0 if config.endswith("separable") else np.pi / 2)
         for config in TWO_QUBIT_CONFIGS
     ]
-    # one job per bath: its preparations read the grid's exp(lam t) before
-    # a fit's nodes take the slot they share
-    per_bath = parallel_map(lambda pair: [fam.records(times) for fam in pair], [families[:2], families[2:]], workers)
-    grids = list(chain.from_iterable(per_bath))
-    t99 = parallel_map(lambda job: t_99(*job), list(zip(families, grids)), workers)
+
+    def one_bath(pair):
+        # both preparations read the grid's exp(lam t) before a fit's nodes
+        # take the slot they share
+        recs = [fam.records(times) for fam in pair]
+        return recs, [t_99(fam, r) for fam, r in zip(pair, recs)]
+
+    per_bath = parallel_map(one_bath, [families[:2], families[2:]], workers)
+    grids = list(chain.from_iterable(recs for recs, _ in per_bath))
+    t99 = list(chain.from_iterable(fits for _, fits in per_bath))
     results = {
         "steady_qfi": {c: recs["qfi"][-1] for c, recs in zip(TWO_QUBIT_CONFIGS, grids)},
         "t_99": dict(zip(TWO_QUBIT_CONFIGS, t99)),

@@ -50,7 +50,6 @@ __all__ = [
     "spectral_density",
     "thermal_occupation",
     "decoherence_rate",
-    "jump_operators",
     "Channels",
     "jump_channels",
     "Liouvillian",
@@ -156,21 +155,6 @@ def _jump_stack(h, a):
     level_group[order] = groups
     pair_group = level_group.reshape(len(energies), -1)[levels[:, None], levels[None, :]]
     return omegas, totals, keep, (vals, vecs, pair_group)
-
-
-def jump_operators(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose a coupling operator into jump operators of ``h``: ``(omegas,
-    ops)``, ascending Bohr frequencies ``(n,)`` and their ``(n, d, d)`` operators.
-
-    Energy levels within ``DEFAULT_FREQ_TOL`` are merged (projectors are
-    summed over the degenerate subspace, so the arbitrary eigenvector basis
-    inside a degenerate block cannot leak into the result).  Channels whose largest
-    entry is at most ``CHANNEL_PRUNE_TOL`` times ``a``'s are dropped, so a
-    zero ``a`` has none.  The surviving channels satisfy
-    ``[A(w), h] = w A(w)`` and sum back to ``a``.
-    """
-    omegas, ops, keep, _ = _jump_stack(h, np.asarray(a, dtype=complex)[None])
-    return omegas[keep[0]], ops[0, keep[0]]
 
 
 def commutator_superop(h: np.ndarray) -> np.ndarray:

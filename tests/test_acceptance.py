@@ -25,8 +25,8 @@ import warnings
 import numpy as np
 import pytest
 
-from reference import StepTooLarge, d_rho_dT
-from qthermo.closed_forms import probe_state_closed_form, steady_qfi, steady_two_qubit
+from reference import StepTooLarge, d_rho_dT, probe_state_closed_form, steady_two_qubit
+from qthermo.closed_forms import steady_qfi
 from qthermo.dynamics import propagate
 from qthermo.experiments import (
     TemperatureFamily,

@@ -1,7 +1,8 @@
-"""Public names, the bindings that the benchmark harness in ``perfbench/``
-(outside this suite's test paths) looks up by name, the exit-code table and
-the README's library example."""
+"""Public names, the package surface, the bindings that the benchmark harness
+in ``perfbench/`` (outside this suite's test paths) looks up by name, the
+exit-code table and the README's library example."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -24,6 +25,25 @@ def test_public_names_and_benchmark_bindings():
     experiments = importlib.import_module("qthermo.experiments")
     assert callable(experiments.parallel_map) and callable(experiments.worker_count)
     assert qthermo.propagate is qthermo.dynamics.propagate
+
+
+def test_every_public_definition_is_run_or_exported():
+    # what only tests read lives in tests/reference.py, not in the package
+    src = pathlib.Path(qthermo.__file__).parent
+    definitions, readers = [], {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                definitions.append((path.stem, top))
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                readers.setdefault(name, []).append(top)
+    unread = [
+        f"{module}.{top.name}" for module, top in definitions
+        if top.name not in qthermo.__all__ and all(reader is top for reader in readers.get(top.name, []))
+    ]
+    assert not unread, f"public definitions that no other src/ code reads and qthermo.__all__ omits: {unread}"
 
 
 def test_exit_code_table_matches_error_classes_and_readme():

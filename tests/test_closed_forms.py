@@ -1,22 +1,19 @@
 import numpy as np
 import pytest
 
-from qthermo.closed_forms import (
-    direct_probe_coherence,
-    direct_probe_qfi,
-    optimal_ratio,
-    probe_closed_form_terms,
-    probe_state_closed_form,
-    sech,
-    steady_qfi,
-    steady_qsnr,
-    steady_two_qubit,
-)
+from qthermo.closed_forms import optimal_ratio, sech, steady_qfi, steady_qsnr
 from qthermo.dynamics import propagate
 from qthermo.errors import NonPositiveInput
 from qthermo.linalg import partial_trace, validate_density_matrix
 from qthermo.master_equation import build_liouvillian
 from qthermo.models import BathSpec, ProbeAncillaModel, initial_state
+from reference import (
+    direct_probe_coherence,
+    direct_probe_qfi,
+    probe_closed_form_terms,
+    probe_state_closed_form,
+    steady_two_qubit,
+)
 
 BATH = BathSpec(eta=0.01, cutoff=10.0, temperature=0.4)
 KAPPA = 0.8

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qthermo import dynamics
-from qthermo.closed_forms import steady_two_qubit
 from qthermo.dynamics import (
     EQUAL_EIG_TOL,
     SPECTRAL_COND_MAX,
@@ -23,7 +22,6 @@ from qthermo.master_equation import (
     _rate_and_derivative,
     commutator_superop,
     dissipator_superop,
-    jump_operators,
 )
 from qthermo.models import (
     BathSpec,
@@ -34,7 +32,7 @@ from qthermo.models import (
     TwoQubitModel,
     initial_state,
 )
-from reference import steady_state
+from reference import jump_operators, steady_state, steady_two_qubit
 
 BATH = BathSpec(eta=0.01, cutoff=10.0, temperature=0.4)
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qthermo.closed_forms import direct_probe_qfi, optimal_ratio, steady_qfi
+from qthermo.closed_forms import optimal_ratio, steady_qfi
 from qthermo import dynamics, experiments
 from qthermo.config import resolve
 from qthermo.errors import NoConvergence, NonFinite, NonPositiveInput, QThermoError, ResolutionLimit, ValidationError
@@ -30,8 +30,8 @@ from qthermo.experiments import (
 from qthermo.fisher import qfi_spectral, qubit_qfi
 from qthermo.dynamics import propagate
 from qthermo.master_equation import assemble_liouvillian, build_liouvillian
-from qthermo.models import BathSpec, ProbeAncillaModel, initial_state
-from reference import steady_state
+from qthermo.models import BathSpec, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
+from reference import d_rho_dT, direct_probe_qfi, steady_state
 
 
 @pytest.fixture(scope="module")
@@ -779,6 +779,23 @@ class TestSteadyRateLaw:
         got, d_got = fam.state_and_derivative(np.inf)
         assert np.max(np.abs(got - rho)) <= 1e-15 and np.max(np.abs(d_got - drho)) <= 1e-15
         assert fam.records(np.inf) == pytest.approx(_two_qubit_record(np.inf, rho, drho, fam.temperature), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [5.0, np.inf])
+    def test_local_baths_at_two_temperatures_shift_jointly(self, t):
+        # the family's T is the first bath's; every channel's d_rates enters
+        # the derivative, so it is that of (T1 + h, T2 + h), not of T1 alone
+        def state(t1, t2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # different temperatures
+                baths = LocalBaths(BathSpec(0.01, 10.0, t1), BathSpec(0.05, 10.0, t2))
+                return TemperatureFamily(TwoQubitModel(0.8, baths, 0.7)).state_and_derivative(t)
+
+        _, drho = state(0.4, 0.5)
+        joint = d_rho_dT(lambda temp: state(temp, temp + 0.1)[0], 0.4, h=1e-5)
+        first = d_rho_dT(lambda temp: state(temp, 0.5)[0], 0.4)
+        scale = np.max(np.abs(joint))
+        assert np.max(np.abs(drho - joint)) <= 1e-8 * scale
+        assert np.max(np.abs(drho - first)) > 0.1 * scale
 
     @pytest.mark.parametrize("temperature", [0.05, 0.07, 0.4])
     @pytest.mark.parametrize("kappa", [0.0, 1.0])

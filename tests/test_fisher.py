@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import StepTooLarge, d_rho_dT, halving_consistency
-from qthermo.closed_forms import probe_state_closed_form, sech, steady_qfi, steady_two_qubit
+from reference import StepTooLarge, d_rho_dT, halving_consistency, probe_state_closed_form, steady_two_qubit
+from qthermo.closed_forms import sech, steady_qfi
 from qthermo.errors import NonFinite, NonPositiveInput, PureStateSingularity, ResolutionLimit
 from qthermo.experiments import TemperatureFamily, _records, make_model
 from qthermo.fisher import (

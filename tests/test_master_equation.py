@@ -15,7 +15,6 @@ from qthermo.master_equation import (
     decoherence_rate,
     dissipator_superop,
     jump_channels,
-    jump_operators,
     spectral_density,
     thermal_occupation,
 )
@@ -30,6 +29,7 @@ from qthermo.models import (
     hamiltonian,
     initial_state,
 )
+from reference import jump_operators
 
 BATH = BathSpec(eta=0.01, cutoff=10.0, temperature=0.4)
 
