@@ -45,7 +45,7 @@ from numpy.polynomial import chebyshev as C
 
 from .closed_forms import optimal_ratio, steady_qsnr
 from .errors import BadDimension, NoConvergence, NonFinite, NonPositiveInput, ResolutionLimit, ValidationError
-from .fisher import cfi_povm, measurement_fi, qfi_spectral, qsnr, qubit_qfi
+from .fisher import cfi_povm, measurement_fi, qsnr, qubit_qfi, sector_qfi
 from .linalg import dag, partial_trace, pauli
 from .master_equation import assemble_liouvillian, jump_channels
 from .models import (
@@ -386,14 +386,21 @@ def _tq_probs(m: np.ndarray) -> np.ndarray:
 
 def _two_qubit_record(t, rho, drho, temperature):
     """Two-qubit record, or records on a grid, measured in ``_TQ_BASIS``; a
-    basis population below -1e-12 is a :class:`ResolutionLimit` at its ``t``."""
+    basis population below -1e-12 is a :class:`ResolutionLimit` at its ``t``.
+
+    The QFI is :func:`~qthermo.fisher.sector_qfi`'s: every preparation
+    ``cos(theta/2)|01> + sin(theta/2)|10>`` has one excitation, and H (the
+    qubits' ``sz`` terms and the exchange coupling) and every coupling
+    (``sz`` of a qubit, or a sum of them) commute with the excitation
+    number, so every jump operator and the generator keep the state and
+    its temperature derivative on span{|01>, |10>}."""
     probs = _tq_probs(rho)
     low = np.ravel(probs.min(axis=-1))
     bad = np.flatnonzero(low < -1e-12)
     if bad.size:
         raise ResolutionLimit(f"basis population {low[bad[0]]} below 0 at t = {np.ravel(t)[bad[0]]}")
     fi = cfi_povm(probs, _tq_probs(drho))
-    return _records(t, qfi_spectral(rho, drho), fi, rho, temperature)
+    return _records(t, sector_qfi(rho, drho), fi, rho, temperature)
 
 
 def _law_record(vecs, p, dlog, rho, temperature):
@@ -620,7 +627,7 @@ def run_two_qubit_configs(
         if i == 0:
             return 0.0
         return _first_root(
-            lambda t: qfi_spectral(*fam.state_and_derivative(t)),
+            lambda t: sector_qfi(*fam.state_and_derivative(t)),
             float(times[i - 1]), float(times[i]), target, float(np.max(np.abs(recs["qfi"]))),
         )
 

@@ -11,7 +11,10 @@ Quantum Fisher information comes in two equivalent forms:
 
       F = (dP)^2 (1 - |r|^2) / (4 (P - 1)^2) + |dr|^2,
 
-  which is singular at pure states and then routed to the spectral form.
+  which is singular at pure states and then routed to the spectral form;
+* for two qubits on the one-excitation sector span{|01>, |10>}, the same
+  Bloch form of the sector block read in ``|±> = (|01> ± |10>)/sqrt(2)``,
+  with ``1 - |r|^2 = 4 (p+ p- - |c|^2)`` formed from its entries.
 
 Measurement Fisher information takes the same ``(rho, drho)`` pairs:
 
@@ -47,6 +50,7 @@ __all__ = [
     "bloch_components",
     "qfi_bloch",
     "qubit_qfi",
+    "sector_qfi",
     "sld",
     "cfi_povm",
     "measurement_fi",
@@ -59,9 +63,12 @@ EIG_CUTOFF = 1e-12
 #: Skipped terms whose squared numerator exceeds this trigger a warning.
 NUMERATOR_FLOOR = 1e-24
 
-#: Bloch vectors with ``|r|^2`` above this count as pure: the Bloch form is
-#: singular there.
-PURE_NORM2 = 1.0 - 1e-9
+#: States with ``1 - |r|^2`` at or below this count as pure: the Bloch form
+#: is singular there.
+PURE_GAP = 1e-9
+
+#: Bloch vectors with ``|r|^2`` above this count as pure.
+PURE_NORM2 = 1.0 - PURE_GAP
 
 
 def _raise_first(bad, error, message: str, values) -> None:
@@ -69,6 +76,16 @@ def _raise_first(bad, error, message: str, values) -> None:
     idx = np.flatnonzero(bad)
     if idx.size:
         raise error(message.format(np.ravel(values)[idx[0]]))
+
+
+def _check_derivative(drho) -> None:
+    """:class:`NonHermitianInput` for the first state derivative whose
+    hermiticity defect exceeds ``1e-8 max(1, max |drho|)``."""
+    defect = np.asarray(hermiticity_defect(drho))
+    _raise_first(
+        defect > 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(-2, -1))), NonHermitianInput,
+        "state derivative has hermiticity defect {:.3e}", defect,
+    )
 
 
 def qfi_spectral(rho: np.ndarray, drho: np.ndarray):
@@ -82,11 +99,7 @@ def qfi_spectral(rho: np.ndarray, drho: np.ndarray):
     value per state for a stack.
     """
     drho = np.asarray(drho, dtype=complex)
-    defect = np.asarray(hermiticity_defect(drho))
-    _raise_first(
-        defect > 1e-8 * np.maximum(1.0, np.abs(drho).max(axis=(-2, -1))), NonHermitianInput,
-        "state derivative has hermiticity defect {:.3e}", defect,
-    )
+    _check_derivative(drho)
     lam, v = eig_hermitian(np.asarray(rho, dtype=complex))
     m = dag(v) @ drho @ v
     s = lam[..., :, None] + lam[..., None, :]
@@ -134,10 +147,29 @@ def qfi_bloch(r: np.ndarray, dr: np.ndarray):
     _raise_first(
         n2 > PURE_NORM2, PureStateSingularity, "|r|^2 = {} too close to 1 for the Bloch form", n2
     )
-    dp = _dot(r, dr)
     # 4 (P - 1)^2 = (1 - |r|^2)^2
-    f = dp * dp / (1.0 - n2) + _norm2(dr)
+    return _bloch_form(r, dr, 1.0 - n2)
+
+
+def _bloch_form(r, dr, v):
+    """``(r . dr)^2 / v + |dr|^2``, the Bloch-form QFI with ``v = 1 - |r|^2``."""
+    dp = _dot(r, dr)
+    f = dp * dp / v + _norm2(dr)
     return float(f) if f.ndim == 0 else f
+
+
+def _bloch_or_spectral(rho, drho, r, dr, v, pure):
+    """The Bloch form of ``(r, dr, v)`` on the states not flagged ``pure``,
+    :func:`qfi_spectral` of ``(rho, drho)`` on the others."""
+    if not pure.any():
+        return _bloch_form(r, dr, v)
+    if pure.ndim == 0:
+        return qfi_spectral(rho, drho)
+    out = np.empty(pure.shape)
+    mixed = ~pure
+    out[mixed] = _bloch_form(r[mixed], dr[mixed], v[mixed])
+    out[pure] = qfi_spectral(rho[pure], drho[pure])
+    return out
 
 
 def qubit_qfi(rho: np.ndarray, drho: np.ndarray):
@@ -148,16 +180,37 @@ def qubit_qfi(rho: np.ndarray, drho: np.ndarray):
     """
     rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
     r = bloch_components(rho)
-    pure = np.asarray(_norm2(r) > PURE_NORM2)
-    if not pure.any():
-        return qfi_bloch(r, bloch_components(drho))
-    if pure.ndim == 0:
-        return qfi_spectral(rho, drho)
-    out = np.empty(pure.shape)
-    mixed = ~pure
-    out[mixed] = qfi_bloch(r[mixed], bloch_components(drho[mixed]))
-    out[pure] = qfi_spectral(rho[pure], drho[pure])
-    return out
+    n2 = _norm2(r)
+    return _bloch_or_spectral(rho, drho, r, bloch_components(drho), 1.0 - n2, np.asarray(n2 > PURE_NORM2))
+
+
+def _exchange_components(m):
+    """Pauli components ``(2 Re c, -2 Im c, p+ - p-) = (m11 - m22, 2 Im m12,
+    2 Re m12)`` of the {|01>, |10>} block ``[[p+, c], [conj(c), p-]]`` of
+    two-qubit matrices in the basis ``|±> = (|01> ± |10>)/sqrt(2)``, where
+    ``p± = (m11 + m22)/2 ± Re m12`` and ``c = (m11 - m22)/2 - i Im m12``."""
+    z = m[..., 1, 2]
+    return np.stack([(m[..., 1, 1] - m[..., 2, 2]).real, 2.0 * z.imag, 2.0 * z.real], axis=-1)
+
+
+def sector_qfi(rho: np.ndarray, drho: np.ndarray):
+    """QFI of two-qubit states supported on the one-excitation sector
+    span{|01>, |10>} (entries outside it are taken as 0), with derivatives.
+
+    It is the Bloch form of the sector block in ``|±>``, with ``1 - |r|^2``
+    formed as ``4 (p+ p- - |c|^2)``, which keeps a small eigenvalue that
+    ``1 - |r|^2`` would round away; states where that is at most
+    ``PURE_GAP`` take :func:`qfi_spectral` of the full state.  A
+    derivative fails :func:`qfi_spectral`'s hermiticity check as it would
+    there.  A ``(..., 4, 4)`` stack gives one value per state.
+    """
+    rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
+    _check_derivative(drho)
+    r = _exchange_components(rho)
+    mean, re = 0.5 * (rho[..., 1, 1].real + rho[..., 2, 2].real), rho[..., 1, 2].real
+    # 4 |c|^2 = r_x^2 + r_y^2
+    v = 4.0 * ((mean + re) * (mean - re)) - (r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1])
+    return _bloch_or_spectral(rho, drho, r, _exchange_components(drho), v, np.asarray(v <= PURE_GAP))
 
 
 def sld(r: np.ndarray, dr: np.ndarray) -> np.ndarray:

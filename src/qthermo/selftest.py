@@ -11,7 +11,7 @@ import numpy as np
 from .closed_forms import optimal_ratio, steady_qfi
 from .dynamics import law_states, propagate, rate_law
 from .experiments import TemperatureFamily
-from .fisher import bloch_components, qfi_bloch, qfi_spectral, sld
+from .fisher import bloch_components, qfi_bloch, qfi_spectral, sector_qfi, sld
 from .linalg import choi_matrix, expm, identity, pauli
 from .master_equation import assemble_liouvillian, decoherence_rate, jump_channels
 from .models import BathSpec, CommonBath, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
@@ -68,6 +68,10 @@ def _check_qfi_equivalence(rng, trials=100):
         fb = qfi_bloch(bloch_components(rho), bloch_components(drho))
         fs = qfi_spectral(rho, drho)
         worst = max(worst, abs(fb - fs))
+        # the same family as the {|01>, |10>} block of two qubits
+        rho2, drho2 = np.zeros((2, 4, 4), dtype=complex)
+        rho2[1:3, 1:3], drho2[1:3, 1:3] = rho, drho
+        worst = max(worst, abs(sector_qfi(rho2, drho2) - qfi_spectral(rho2, drho2)))
         lam = sld(bloch_components(rho), bloch_components(drho))
         worst = max(worst, float(np.max(np.abs(0.5 * (rho @ lam + lam @ rho) - drho))))
         worst = max(worst, abs(float(np.trace(rho @ lam @ lam).real) - fb))
@@ -132,7 +136,8 @@ def run_selftest(out=print) -> bool:
     rng = np.random.default_rng(20240817)
     checks = [
         ("generator trace/hermiticity/ladder/detailed-balance/choi", lambda: _check_generator(rng)),
-        ("qfi bloch-spectral equivalence and SLD identities", lambda: _check_qfi_equivalence(rng)),
+        ("qfi bloch-spectral equivalence (qubit and two-qubit sector) and SLD identities",
+         lambda: _check_qfi_equivalence(rng)),
         ("engine steady-state QFI against steady_qfi, local and common baths", _check_steady_qfi),
         ("steady rate law against steady_qfi to kappa/T = 300, local and common baths", _check_rate_law),
         ("optimal steady ratio", _check_optimal_ratio),

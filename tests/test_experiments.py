@@ -27,7 +27,7 @@ from qthermo.experiments import (
     run_theta_scan,
     run_two_qubit_configs,
 )
-from qthermo.fisher import qfi_spectral, qubit_qfi
+from qthermo.fisher import qfi_spectral, qubit_qfi, sector_qfi
 from qthermo.dynamics import propagate
 from qthermo.master_equation import assemble_liouvillian, build_liouvillian
 from qthermo.models import BathSpec, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
@@ -150,7 +150,7 @@ def two_qubit_searches(**params):
         qfi = [row["qfi"] for row in run.rows if row["config"] == config]
         target = 0.99 * qfi[-1]
         i = int(np.nonzero(np.array(qfi) >= target)[0][0])
-        q = lambda t, fam=fam: qfi_spectral(*fam.state_and_derivative(t))  # noqa: E731
+        q = lambda t, fam=fam: sector_qfi(*fam.state_and_derivative(t))  # noqa: E731
         yield q, times, qfi, i, target, run.results["t_99"][config]
 
 
@@ -444,8 +444,27 @@ class TestStackRecords:
         times = np.concatenate([[0.0], np.geomspace(0.01, 500.0, 59)])
         ref, rho, drho = self.per_row(fam, times, _two_qubit_record)
         assert fam.records(times) == ref
-        assert ref["qfi"] == [qfi_spectral(a, b) for a, b in zip(rho, drho)]
+        assert ref["qfi"] == [sector_qfi(a, b) for a, b in zip(rho, drho)]
+        assert ref["qfi"] == pytest.approx([qfi_spectral(a, b) for a, b in zip(rho, drho)], rel=1e-12, abs=0.0)
         assert ref["qfi"][0] == 0.0  # t = 0: the pure, temperature-independent preparation
+
+    def test_two_qubit_states_stay_on_the_exchange_sector(self, rng):
+        # the premise of sector_qfi, which reads only the {|01>, |10>} block,
+        # over the benchmark's ranges (measured: 2.7e-15)
+        times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 119)])
+        outside = np.ones((4, 4), dtype=bool)
+        outside[1:3, 1:3] = False
+        for _ in range(60):
+            kw = dict(
+                temperature=float(np.exp(rng.uniform(np.log(0.05), np.log(2.0)))),
+                kappa=rng.uniform(0.2, 1.5), theta=rng.uniform(0.0, np.pi),
+                eta=float(np.exp(rng.uniform(np.log(0.005), np.log(0.1)))),
+                eta2=float(np.exp(rng.uniform(np.log(0.005), np.log(0.1)))),
+            )
+            for model in ("two_qubit_local", "two_qubit_common"):
+                rho, drho = TemperatureFamily(make_model(model, cutoff=10.0, **kw)).state_and_derivative(times)
+                assert np.abs(rho[:, outside]).max() <= 1e-13, (model, kw)
+                assert np.abs(drho[:, outside]).max() <= 1e-13, (model, kw)
 
     def test_grid_matches_single_times(self):
         fam = pa_family(0.8)

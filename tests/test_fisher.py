@@ -15,6 +15,7 @@ from qthermo.fisher import (
     qfi_spectral,
     qsnr,
     qubit_qfi,
+    sector_qfi,
     sld,
 )
 from qthermo.linalg import identity, pauli
@@ -29,6 +30,13 @@ def random_qubit_family(rng, radius_max=0.95):
     )
     drho = 0.5 * (dr[0] * pauli("x") + dr[1] * pauli("y") + dr[2] * pauli("z"))
     return rho, drho
+
+
+def on_the_exchange_sector(m):
+    """A 2x2 matrix as the {|01>, |10>} block of a 4x4 one."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[1:3, 1:3] = m
+    return out
 
 
 class TestDerivative:
@@ -283,6 +291,19 @@ class TestHermiticityGuards:
         with pytest.raises(NonHermitianInput):
             qfi_spectral(rho, skew)
 
+    def test_sector_qfi_rejects_skewed_derivative(self, rng):
+        from qthermo.errors import NonHermitianInput
+
+        pairs = [random_qubit_family(rng) for _ in range(4)]
+        rho = np.array([on_the_exchange_sector(p[0]) for p in pairs])
+        drho = np.array([on_the_exchange_sector(p[1]) for p in pairs])
+        drho[2, 0, 3] = 1e-3  # outside the block: the sector form never reads it
+        with pytest.raises(NonHermitianInput) as whole:
+            sector_qfi(rho, drho)
+        with pytest.raises(NonHermitianInput) as single:
+            qfi_spectral(rho[2], drho[2])
+        assert str(whole.value) == str(single.value)
+
     def test_measurement_fi_rejects_non_hermitian_observable(self, paper_bath):
         from qthermo.errors import NonHermitianInput
 
@@ -381,6 +402,19 @@ class TestStacks:
         assert qubit_qfi(rho, drho).tolist() == [qubit_qfi(r, d) for r, d in pairs]
         with pytest.raises(PureStateSingularity):
             qfi_bloch(bloch_components(rho), bloch_components(drho))
+
+    def test_sector_qfi_routes_each_state(self, rng):
+        pairs = [random_qubit_family(rng) for _ in range(6)]
+        pairs[2] = (0.5 * (identity(2) + pauli("x")), 0.1 * pauli("z"))  # pure: spectral
+        pairs[4] = (np.diag([1.0, 0.0]).astype(complex), np.zeros((2, 2), dtype=complex))
+        rho = np.array([on_the_exchange_sector(p[0]) for p in pairs])
+        drho = np.array([on_the_exchange_sector(p[1]) for p in pairs])
+        got = sector_qfi(rho, drho)
+        assert got.tolist() == [sector_qfi(r, d) for r, d in zip(rho, drho)]
+        assert [got[2], got[4]] == [qfi_spectral(rho[2], drho[2]), qfi_spectral(rho[4], drho[4])]
+        assert got == pytest.approx(qfi_spectral(rho, drho), rel=1e-12, abs=0.0)
+        # the Bloch form of the block read in |±> is the qubit's
+        assert got == pytest.approx([qubit_qfi(*p) for p in pairs], rel=1e-12, abs=0.0)
 
     def test_bloch_components_of_a_stack(self, rng):
         rho = np.array([random_qubit_family(rng)[0] for _ in range(4)])

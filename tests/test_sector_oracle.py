@@ -84,9 +84,10 @@ def test_engine_matches_on_the_default_two_qubit_scan():
 
 
 # finite-time point queries of the benchmark's seeds whose QFI the engine
-# misses by more than 1e-10 (the oracle's value, then the engine's at the
-# time of writing): cancellation in the propagated state and the eigenvalues
-# of a nearly pure one
+# missed by more than 1e-10 before the records read the sector form (the
+# oracle's value, then the engine's value or relative miss at the time):
+# cancellation in the propagated state and the eigenvalues of a nearly pure
+# one
 REPRODUCERS = {
     "seed1-89": (dict(at=1.24072, model="two_qubit_common", temperature=0.0562065, kappa=1.29721,
                       theta=2.18356, eta=0.0225141, eta2=0.0358452), 1.066120e-36),  # 4.123101e-32
@@ -104,6 +105,13 @@ REPRODUCERS = {
                        theta=2.19377, eta=0.0846758, eta2=0.0163236), 4.673953e-06),  # 4.673969e-06
     "seed1-1": (dict(at=0.605875, model="two_qubit_local", temperature=0.060473, kappa=1.15607,
                      theta=1.39147, eta=0.0323118, eta2=0.0233608), 4.674054e-29),  # 4.674063e-29
+    # common baths with eta2 within 0.6 % of eta, next to the decoherence-free corner
+    "seed2-5": (dict(at=1.68781, model="two_qubit_common", temperature=0.0830155, kappa=0.217728,
+                     theta=3.07658, eta=0.00681015, eta2=0.00681801), 1.000259e-09),  # off by 2.3e-7
+    "seed2-180": (dict(at=2.08273, model="two_qubit_common", temperature=1.85427, kappa=1.35473,
+                       theta=2.47133, eta=0.01197, eta2=0.0119715), 6.762053e-11),  # off by 5.6e-8
+    "seed3-17": (dict(at=0.346524, model="two_qubit_common", temperature=0.222907, kappa=1.08274,
+                      theta=0.8066, eta=0.0369604, eta2=0.0371583), 5.423502e-12),  # off by 6.3e-10
 }
 
 
@@ -120,10 +128,19 @@ def test_oracle_values_of_the_finite_time_reproducers(request_id):
     assert two_qubit_sector_qfi(make_model(name, cutoff=10.0, **kw), t) == pytest.approx(value, rel=1e-6)
 
 
-OFF_THE_ORACLE = pytest.mark.xfail(raises=AssertionError, strict=True, reason="finite-time two-qubit QFI off the oracle")
+# the propagated state's own error: seed3-8 is nearly pure and takes the
+# spectral form, which cannot resolve its minority eigenvalue; the others
+# lose a slow mode's tiny component or cancel near the corner (ROADMAP item 7)
+OFF_THE_ORACLE = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="finite-time two-qubit QFI off the oracle until exact propagation (ROADMAP item 7)",
+)
+PROPAGATION_LIMITED = ("seed3-8", "seed0-234", "seed2-5", "seed2-180", "seed3-17")
 
 
-@pytest.mark.parametrize("request_id", [pytest.param(r, marks=OFF_THE_ORACLE) for r in REPRODUCERS])
+@pytest.mark.parametrize("request_id", [
+    pytest.param(r, marks=OFF_THE_ORACLE) if r in PROPAGATION_LIMITED else r for r in REPRODUCERS
+])
 def test_finite_time_reproducers_match_the_oracle(request_id):
     name, t, kw, _ = _request(request_id)
     got = run_qfi_point(name, at=t, cutoff=10.0, **kw).results["record"]["qfi"]

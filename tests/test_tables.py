@@ -155,7 +155,7 @@ def old_results(name, scan, options):
                 cutoff=options["cutoff"], theta=0.0 if config.endswith("separable") else np.pi / 2,
             )
             t99[config] = experiments._first_root(
-                lambda t: experiments.qfi_spectral(*fam.state_and_derivative(t)),
+                lambda t: experiments.sector_qfi(*fam.state_and_derivative(t)),
                 times[i - 1], times[i], 0.99 * qfi[-1], max(map(abs, qfi)),
             )
         return {"steady_qfi": steady, "t_99": t99}

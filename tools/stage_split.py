@@ -61,7 +61,13 @@ STAGES = (
     "qthermo.dynamics:_Evolution.__call__",
     "qthermo.dynamics:_Evolution._finite",
     "qthermo.dynamics:_Evolution._exponentials",
-    "qthermo.fisher:*",
+    "qthermo.fisher:qfi_spectral",
+    "qthermo.fisher:sector_qfi",
+    "qthermo.fisher:qubit_qfi",
+    "qthermo.fisher:bloch_components",
+    "qthermo.fisher:cfi_povm",
+    "qthermo.fisher:measurement_fi",
+    "qthermo.fisher:qsnr",
     "qthermo.linalg:validate_density_matrix",
     "qthermo.linalg:eig_hermitian",
     "qthermo.linalg:partial_trace",
