@@ -1,9 +1,11 @@
 """Exact time evolution under a fixed Liouvillian (at most 16x16), with exact
 temperature derivatives, and the steady state from the population rate law.
 
-Each generator is diagonalised once, ``L = V diag(lam) V^-1``, for all its
-initial states and times; a grid's states are one validated ``(n_t, d, d)``
-stack: ``vec rho(t) = V (e * c)``, ``e = exp(lam t)``, ``c = V^-1 vec(rho0)``.
+A stack of items (initial states, each under one of a list of generators)
+diagonalises each generator once, ``L = V diag(lam) V^-1``, for all of its
+items and times, in one stacked ``eig``; the items' states on a grid are one
+validated ``(k, n_t, d, d)`` stack: ``vec rho(t) = V (e * c)``, with one
+``e = exp(lam t)`` per generator and grid and ``c = V^-1 vec(rho0)`` per item.
 
 Only the bath occupations depend on T, so ``build_liouvillian`` also builds
 ``dL/dT``, and the same decomposition gives the exact ``d rho(t)/dT``
@@ -11,9 +13,10 @@ Only the bath occupations depend on T, so ``build_liouvillian`` also builds
 eigenbasis coefficients are ``e * (Y 1 + t z) - e Y^T``, where
 ``Y_ij = X_ij c_j / (lam_i - lam_j)`` for distinct eigenvalues and ``z_i``
 sums ``X_ij c_j`` over ``lam_j = lam_i``.  When the decomposition cannot be
-trusted, each time gets its own exponential of the block generator
-``[[L, dL/dT], [0, L]]`` instead, whose right column holds the state and
-its derivative (Van Loan 1978).  Times are finite.
+trusted, or an item's state is not finite, each of its times gets its own
+exponential of the block generator ``[[L, dL/dT], [0, L]]`` instead, whose
+right column holds the state and its derivative (Van Loan 1978).  Times are
+finite.
 
 :func:`rate_law` gives a model's steady state (``t = inf``) without L, from
 its channels: the Gibbs law of each sector of the population rate matrix,
@@ -22,12 +25,10 @@ and the initial coherences that no channel damps within a level.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from .errors import NoConvergence, NonPositiveInput, QThermoError, ResolutionLimit
-from .linalg import dag, expm, unvec, validate_density_matrix, vec
+from .linalg import dag, expm, unvec, validate_density_matrix
 from .master_equation import CHANNEL_PRUNE_TOL, DEFAULT_FREQ_TOL, Channels, Liouvillian, overflow_error
 
 __all__ = ["propagate", "rate_law", "law_states"]
@@ -171,101 +172,101 @@ def law_states(vecs: np.ndarray, p, dlog, kept) -> tuple[np.ndarray, np.ndarray]
 
 
 class _Evolution:
-    """States of ``rho0`` at finite times and their exact temperature
-    derivatives, from one decomposition of L, which :meth:`prepared` shares,
-    with the last grid's ``exp(lam t)``."""
+    """States at finite times and their exact temperature derivatives of the
+    items ``rho0[i]``, each under ``liouvillians[generator[i]]``; one stacked
+    ``eig`` decomposes each generator once for all of its items and times."""
 
-    def __init__(self, liouvillian: Liouvillian, rho0: np.ndarray):
-        self.superop = liouvillian.superop
-        self.d_superop = liouvillian.d_superop
-        self.basis = None  # (V, V^-1, gap, equal, V^-1 dL/dT V) if both tests pass
-        # (times.tobytes(), exp(lam t)) of the last grid: one slot, which the
-        # preparations share and racing threads fill with the same bits
-        self._last_grid = [(None, None)]
-        lam, v = np.linalg.eig(self.superop)
+    def __init__(self, liouvillians, rho0, generator):
+        self.liouvillians, self.generator = liouvillians, np.asarray(generator)
+        self.v0 = np.asarray(rho0, dtype=complex).swapaxes(-1, -2).reshape(len(self.generator), -1)  # vec rho0[i]
+        # per item (V^-1 vec rho0, Y 1, z) and Y of a basis that passes both tests
+        self.c, self.ysum, self.z = np.zeros((3, *self.v0.shape), dtype=complex)
+        self.y = np.zeros((*self.v0.shape, self.v0.shape[-1]), dtype=complex)
+        # LAPACK decomposes each generator of the stack as it would alone
+        self.lam, vecs = np.linalg.eig(np.array([liou.superop for liou in liouvillians]))
+        self.basis = [self._prepare(g, v) for g, v in enumerate(vecs)]
+
+    def _prepare(self, g, v):
+        """``V`` of generator ``g`` with its items' coefficients, or ``None``."""
+        superop, lam = self.liouvillians[g].superop, self.lam[g]
         scale = np.max(np.abs(lam))
         # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
         lam[np.abs(lam) <= EQUAL_EIG_TOL * scale] = 0.0
-        self.lam = lam
         try:
             v_inv = np.linalg.inv(v)
         except np.linalg.LinAlgError:  # V is singular: L has no eigenbasis
-            v_inv = None
+            return None
         # ||V||_F ||V^-1||_F >= cond_2(V), so this accepts no basis that
-        # cond_2 would reject; a NaN bound fails the comparison
-        if v_inv is not None and np.linalg.norm(v) * np.linalg.norm(v_inv) <= SPECTRAL_COND_MAX:
-            residual = np.max(np.abs((v * lam) @ v_inv - self.superop))
-            if residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(self.superop)):
-                gap = np.subtract.outer(lam, lam)
-                equal = np.abs(gap) <= EQUAL_EIG_TOL * scale
-                self.basis = (v, v_inv, gap, equal, v_inv @ self.d_superop @ v)
-        self._prepare(rho0)
-
-    def prepared(self, rho0: np.ndarray) -> _Evolution:
-        """The evolution of ``rho0`` under the same generator."""
-        evolution = copy.copy(self)
-        evolution._prepare(rho0)
-        return evolution
-
-    def _prepare(self, rho0):
-        self.v0 = vec(rho0)
-        self.spectral = None  # (V, c, Y, z) of a decomposition that passes both tests
-        if self.basis is None:
-            return
-        lam, (v, v_inv, gap, equal, x) = self.lam, self.basis
-        c = v_inv @ self.v0
-        xc = x * c
+        # cond_2 would reject; a NaN bound or residual fails the comparison
+        if not (np.linalg.norm(v) * np.linalg.norm(v_inv) <= SPECTRAL_COND_MAX
+                and np.max(np.abs((v * lam) @ v_inv - superop)) <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(superop))):
+            return None
+        gap = np.subtract.outer(lam, lam)
+        equal = np.abs(gap) <= EQUAL_EIG_TOL * scale
+        mine = self.generator == g if len(self.liouvillians) > 1 else slice(None)
+        c = (v_inv @ self.v0[mine][..., None])[..., 0]
+        xc = (v_inv @ self.liouvillians[g].d_superop @ v) * c[:, None, :]
         # the conserved quantities (the left null space) do not depend on T
-        xc[lam == 0] = 0.0
+        xc[:, lam == 0] = 0.0
         y = np.divide(xc, gap, out=np.zeros_like(xc), where=~equal)
-        z = np.where(equal, xc, 0.0).sum(axis=1)
-        self.spectral = (v, c, y, z)
+        self.c[mine], self.y[mine], self.ysum[mine] = c, y, y.sum(axis=-1)
+        self.z[mine] = np.where(equal, xc, 0.0).sum(axis=-1)
+        return v
 
-    def _exponentials(self, times):
-        n = len(self.v0)
-        block = np.block([[self.superop, self.d_superop], [np.zeros_like(self.superop), self.superop]])
-        start = np.concatenate([np.zeros(n, dtype=complex), self.v0])
+    def _exponentials(self, item, times):
+        liou, n = self.liouvillians[self.generator[item]], self.v0.shape[-1]
+        block = np.block([[liou.superop, liou.d_superop], [np.zeros_like(liou.superop), liou.superop]])
+        start = np.concatenate([np.zeros(n, dtype=complex), self.v0[item]])
         out = np.array([expm(block * t) @ start for t in times])
         return out[:, n:], out[:, :n]
 
-    def _finite(self, times):
-        vecs = dvecs = None
-        if self.spectral is not None:
-            v, c, y, z = self.spectral
-            # (n_t, 1, d^2): each time's vector is its own product, so a state
-            # has the same bits whether it is evaluated alone or in any stack
-            grid = times.tobytes()
-            key, e = self._last_grid[0]
-            if key != grid:
-                e = np.exp(np.multiply.outer(times, self.lam))[:, None]
-                self._last_grid[0] = (grid, e)
-            tz = np.multiply.outer(times, z)[:, None]
-            vecs = ((e * c) @ v.T)[:, 0]
-            dvecs = ((e * (y.sum(axis=1) + tz) - e @ y.T) @ v.T)[:, 0]
-        if vecs is None or not (np.isfinite(vecs).all() and np.isfinite(dvecs).all()):
-            vecs, dvecs = self._exponentials(times)
+    def _grid(self, items, times):
+        """Vectors ``(k, n_t, d^2)`` of ``items`` (one generator) at ``times``:
+        each its own ``(1, d^2)`` product with a stride-0 row of one ``exp(lam
+        t)``, the same bits in any stack; a non-finite item takes exponentials."""
+        g, n = self.generator[items[0]], self.v0.shape[-1]
+        if (v := self.basis[g]) is None:
+            vecs, dvecs = np.full((2, len(items), len(times), n), np.nan, dtype=complex)
+        else:
+            e = np.exp(np.multiply.outer(times, self.lam[g]))[:, None]
+            c, ysum, z = (x[items][:, None, None] for x in (self.c, self.ysum, self.z))
+            ey = e @ self.y[items].transpose(0, 2, 1)[:, None]
+            vecs = ((e * c) @ v.T)[..., 0, :]
+            dvecs = ((e * (ysum + times[:, None, None] * z) - ey) @ v.T)[..., 0, :]
+        for k in np.flatnonzero(~(np.isfinite(vecs).all(axis=(1, 2)) & np.isfinite(dvecs).all(axis=(1, 2)))):
+            vecs[k], dvecs[k] = self._exponentials(items[k], times)
+        # exp(L 0) = I exactly, which the decomposition reproduces only to rounding
+        if (zero := times == 0).any():
+            vecs[:, zero], dvecs[:, zero] = self.v0[items][:, None], 0.0
         return vecs, dvecs
 
-    def __call__(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Validated state at a finite time ``t >= 0`` and its Hermitian
-        temperature derivative, or ``(n_t, d, d)`` stacks of both on a grid
-        ``t``."""
-        times = np.asarray(t, dtype=float).reshape(-1)
+    def __call__(self, t, items) -> tuple[np.ndarray, np.ndarray]:
+        """Validated states and Hermitian derivatives at the pairs ``(items,
+        t)`` broadcast together, ``t`` finite and ``>= 0``: one item or a
+        ``(k, 1)`` column on a grid in one stack, other pairs item by item."""
+        times, items = np.asarray(t, dtype=float), np.asarray(items)
         bad = ~(times >= 0)  # a nan too
         if bad.any():
             raise NonPositiveInput(f"propagation time must be >= 0, got {times[bad][0]}")
         if (times == np.inf).any():
             raise NonPositiveInput("propagation time must be finite, got inf: the steady state is TemperatureFamily's")
-        # each time's vector is its own product, so the t = 0 rows
-        # overwritten below leave the other rows' bits alone
-        vecs, dvecs = self._finite(times)
-        # exp(L 0) = I exactly, which the decomposition reproduces only to rounding
-        zero = times == 0
-        vecs[zero] = self.v0
-        dvecs[zero] = 0.0
-        rho, drho = _states(unvec(vecs)), unvec(dvecs)
-        drho = 0.5 * (drho + dag(drho))
-        return (rho[0], drho[0]) if np.ndim(t) == 0 else (rho, drho)
+        n = self.v0.shape[-1]
+        if items.ndim == 0 or (items.shape[1:] == (1,) and times.ndim == 1):
+            shape, items, times = items.shape[:1] + times.shape, items.reshape(-1), times.reshape(-1)
+            if len(self.liouvillians) == 1:
+                vecs, dvecs = self._grid(items, times)
+            else:
+                vecs, dvecs = np.empty((2, len(items), len(times), n), dtype=complex)
+                for g in np.unique(generator := self.generator[items]):
+                    vecs[generator == g], dvecs[generator == g] = self._grid(items[generator == g], times)
+        else:
+            shape = np.broadcast_shapes(items.shape, times.shape)
+            items, times = (np.broadcast_to(x, shape).reshape(-1) for x in (items, times))
+            vecs, dvecs = np.empty((2, len(items), n), dtype=complex)
+            for i in np.unique(items):
+                vecs[items == i], dvecs[items == i] = (x[0] for x in self._grid(i[None], times[items == i]))
+        rho, drho = _states(unvec(vecs.reshape(*shape, n))), unvec(dvecs.reshape(*shape, n))
+        return rho, 0.5 * (drho + dag(drho))
 
 
 def propagate(liouvillian: Liouvillian, rho0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
@@ -281,4 +282,4 @@ def propagate(liouvillian: Liouvillian, rho0: np.ndarray, t) -> tuple[np.ndarray
     steady state is :func:`rate_law`'s), and ``PositivityViolation`` for a
     state with an eigenvalue below -1e-8 (a defective generator).
     """
-    return _Evolution(liouvillian, rho0)(t)
+    return _Evolution([liouvillian], [rho0], [0])(t, 0)

@@ -7,36 +7,35 @@ from the grids, optima and records the runner holds; a run's parameters
 are its resolved config, the runner's keywords.  :data:`EXPERIMENTS` holds
 one :class:`ExperimentSpec` per CLI experiment: the runner itself, whose
 signature declares the experiment's config keys and their defaults, and
-its plot.  Runs are deterministic: there is no randomness anywhere, and
-sweep points are independent jobs that a thread pool may execute in any
-order without changing the assembled output.
+its plot.  Runs are deterministic: there is no randomness anywhere, and a
+sweep's points are split into at most ``workers`` contiguous chunks, pool
+jobs whose order does not change the assembled output.
 
-Each job builds one model and one initial state, and per distinct
-generator its channels and, once a finite time asks for them, one Liouvillian
-with its closed-form ``dL/dT`` and one decomposition: preparations of one
-generator share them (:meth:`TemperatureFamily.prepared`).
-:class:`TemperatureFamily` takes the states and their exact temperature
-derivatives from them, a time grid's as one stack each, and the grid's
-records are computed on whole stacks; steady states come from the
-population rate law of the channels.  No experiment takes a finite
-difference: closed forms and the central differences of
-``tests/reference.py`` are test oracles.
+A chunk is one :class:`TemperatureFamily` of all its points' models, its
+items: per distinct generator (models that differ only in ``theta`` share
+one) its channels and, once a finite time asks for them, one Liouvillian
+with its closed-form ``dL/dT`` and one decomposition.  The family takes
+the states and their exact temperature derivatives from them in ``(item,
+t)`` stacks of up to ``STACK_STATES``, and computes records on stacks;
+steady states come from the population rate law of the channels.  No
+experiment takes a finite difference: closed forms and the central
+differences of ``tests/reference.py`` are test oracles.
 
-Located optima and ``t_99`` come from one piecewise Chebyshev fit of the
-searched function on its grid bracket: every open piece of a level is one
-stacked call, and a piece is halved until its trailing coefficients fall to
-``FIT_TOL`` of the grid's largest value.  An optimum is the best derivative
-root or piece end of the fit, where the function itself is then evaluated;
-``t_99`` is the fit's first crossing of its target.
+Located optima and ``t_99`` come from piecewise Chebyshev fits of the
+searched functions on their grid brackets: each level of every search of a
+chunk is one stacked call, and a piece is halved until its trailing
+coefficients fall to ``FIT_TOL`` of the grid's largest value.  An optimum is
+the best derivative root or piece end of its fit, where the function itself
+is then evaluated, for every search in one more call; ``t_99`` is the fit's
+first crossing of its target.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -181,6 +180,22 @@ def parallel_map(fn, items, workers: int | None = None) -> list:
         return list(pool.map(fn, items))
 
 
+def _sweep(job, points, workers: int | None) -> list:
+    """``job(chunk)`` (a result per point) over at most ``workers`` chunks of
+    ``points``; a chunk that fails reruns point by point: the first's error."""
+    points = list(points)
+    n = min(worker_count() if workers is None else workers, len(points))
+
+    def run(chunk):
+        try:
+            return job(chunk)
+        except Exception:  # a stack may fail at a later point first
+            return [result for point in chunk for result in job([point])]
+
+    chunks = [points[k * len(points) // n:(k + 1) * len(points) // n] for k in range(n)]
+    return list(chain.from_iterable(parallel_map(run, chunks, n)))
+
+
 #: Chebyshev nodes (of the first kind) per piece of a search's fit.
 NODES = 16
 #: A piece is resolved once its two trailing coefficients are at most FIT_TOL x scale.
@@ -193,36 +208,41 @@ _NODES_S = C.chebpts1(NODES)
 _TO_COEFFS = C.chebvander(_NODES_S, NODES - 1) * np.r_[1.0, np.full(NODES - 1, 2.0)] / NODES
 
 
-def _fit(fn, lo: float, hi: float, scale: float) -> list:
-    """Piecewise Chebyshev interpolant on ``[lo, hi]`` of ``fn``, which maps
-    an array of points to an array of values: its pieces ``(a, b, c, tail)``
-    in order, ``c`` the series in ``s = (2x - a - b) / (b - a)`` and ``tail``
-    its larger trailing coefficient relative to ``scale``.
-
-    Every open piece of a level is read in one stacked call of ``fn`` at its
-    ``NODES`` nodes; it is done once its ``tail`` is at most ``FIT_TOL``, and
-    halved otherwise.
-    """
-    if not hi > lo:
-        raise NonPositiveInput(f"fit bracket needs lo < hi, got [{lo}, {hi}]")
-    done, todo = [], [(float(lo), float(hi))]
+def _fit(fn, brackets, scales) -> list[list]:
+    """Piecewise Chebyshev interpolants of searches: of ``fn(s, x)`` (arrays
+    of searches and points to values) on ``brackets[s] = (lo, hi)``, search
+    ``s``'s pieces ``(a, b, c, tail)`` in order, ``c`` the series in ``s =
+    (2x - a - b) / (b - a)`` and ``tail`` its larger trailing coefficient
+    relative to ``scales[s]``.  Each level reads every open piece at its
+    ``NODES`` nodes in one call of ``fn``; a piece is done once its ``tail``
+    is at most ``FIT_TOL``, and halved otherwise."""
+    for lo, hi in brackets:
+        if not hi > lo:
+            raise NonPositiveInput(f"fit bracket needs lo < hi, got [{lo}, {hi}]")
+    done, todo = [[] for _ in brackets], [(s, float(lo), float(hi)) for s, (lo, hi) in enumerate(brackets)]
     while todo:
-        if len(done) + len(todo) > MAX_PIECES:
+        owner = np.array([piece[0] for piece in todo])
+        for s in np.flatnonzero(np.bincount(owner, minlength=len(done)) + [len(d) for d in done] > MAX_PIECES)[:1]:
             raise NoConvergence(
-                f"no fit of {MAX_PIECES} pieces of {NODES} nodes resolves [{lo}, {hi}] "
-                f"to {FIT_TOL} of {scale}"
+                f"no fit of {MAX_PIECES} pieces of {NODES} nodes resolves [{brackets[s][0]}, {brackets[s][1]}] "
+                f"to {FIT_TOL} of {scales[s]}"
             )
-        ends = np.array(todo)
+        ends = np.array([piece[1:] for piece in todo])
         x = ends.mean(axis=1, keepdims=True) + 0.5 * np.diff(ends, axis=1) * _NODES_S
-        coeffs = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape) @ _TO_COEFFS
-        tails = np.abs(coeffs[:, -2:]).max(axis=1) / scale
-        done += [(a, b, c, tail) for (a, b), c, tail in zip(todo, coeffs, tails) if tail <= FIT_TOL]
-        todo = [half for (a, b), tail in zip(todo, tails) if not tail <= FIT_TOL
-                for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
-    return sorted(done, key=lambda piece: piece[0])
+        values = np.asarray(fn(np.repeat(owner, NODES), x.ravel()), dtype=float).reshape(x.shape)
+        # each search's own product: a one-piece level has the bits of a lone search
+        coeffs = np.concatenate([values[owner == s] @ _TO_COEFFS for s in np.unique(owner)])
+        tails = np.abs(coeffs[:, -2:]).max(axis=1) / np.take(scales, owner)
+        for (s, a, b), c, tail in zip(todo, coeffs, tails):
+            done[s] += [(a, b, c, tail)] if tail <= FIT_TOL else []
+        todo = [half for (s, a, b), tail in zip(todo, tails) if not tail <= FIT_TOL
+                for half in ((s, a, 0.5 * (a + b)), (s, 0.5 * (a + b), b))]
+    return [sorted(pieces, key=lambda piece: piece[0]) for pieces in done]
 
 
 MODEL_NAMES = ("direct", "probe_ancilla", "two_qubit_local", "two_qubit_common")
+#: Most states in one grid stack: a bigger one leaves the caches and raises the peak memory.
+STACK_STATES = 1200
 
 
 def make_model(
@@ -253,82 +273,81 @@ def make_model(
 
 
 class TemperatureFamily:
-    """Probe states of one model as a function of t, with their exact
-    derivatives in the model's bath temperature.  One generator serves every
-    time and every preparation: its channels, and, once a finite time asks
-    for them, its Liouvillian, assembled from those channels, and one
+    """Probe states of a stack of models, its items, as functions of t, and
+    their exact derivatives in the first model's first bath's temperature.
+    Models that differ only in ``theta`` share one generator: its channels
+    and, once a finite time asks for them, its Liouvillian and one
     decomposition, each built on first use.  The steady state (``t = inf``)
     comes from the population rate law (``dynamics.rate_law``) alone.  A
-    probe+ancilla model's probe is its first qubit; the other models are
-    probes as a whole.
-    """
+    probe+ancilla model's probe is its first qubit, others are whole."""
 
-    def __init__(self, model):
-        # the first bath's T; local baths at two temperatures (library only,
-        # it warns) get the derivative of a joint shift of both, as every
-        # channel's d_rates enters it
-        self.temperature = float(coupling_operators(model)[0][1].temperature)
-        self.model, self.rho0 = model, initial_state(model)
-        self._has_ancilla = isinstance(model, ProbeAncillaModel)
-
-    @cached_property
-    def channels(self):
-        return jump_channels(self.model)
+    def __init__(self, *models):
+        # local baths at two temperatures (library only, it warns) get the
+        # derivative of a joint shift of both, as every channel's d_rates enters it
+        self.temperature = float(coupling_operators(models[0])[0][1].temperature)
+        self.models, self.rho0 = models, np.array([initial_state(m) for m in models])
+        self._has_ancilla = isinstance(models[0], ProbeAncillaModel)
+        keys = [(type(m), *(v for k, v in vars(m).items() if k != "theta")) for m in models]
+        distinct = list(dict.fromkeys(keys))
+        self._generator, self._laws = [distinct.index(key) for key in keys], {}
+        self._sources = [models[keys.index(key)] for key in distinct]
 
     @cached_property
-    def liouvillian(self):
-        return assemble_liouvillian(self.channels)
+    def channels(self) -> list:
+        return [jump_channels(model) for model in self._sources]
+
+    @cached_property
+    def liouvillians(self) -> list:
+        return [assemble_liouvillian(channels) for channels in self.channels]
 
     @cached_property
     def _evolution(self) -> _Evolution:
-        return _Evolution(self.liouvillian, self.rho0)
+        return _Evolution(self.liouvillians, self.rho0, self._generator)
 
-    def prepared(self, theta: float) -> TemperatureFamily:
-        """This model's family prepared at angle ``theta``, which enters only
-        the initial state: the generator and its decomposition, built here
-        if they are not yet, are shared.  A pool's tasks get families
-        prepared before it starts, so that they build nothing shared."""
-        evolution = self._evolution  # built before the copy, which then shares it
-        family = copy.copy(self)
-        family.model = replace(self.model, theta=theta)
-        family.rho0 = initial_state(family.model)
-        family._evolution = evolution.prepared(family.rho0)
-        family.__dict__.pop("_steady", None)
-        return family
-
-    @cached_property
-    def _steady(self):
-        """``(p, d log p/dT, kept coherences, rho, drho)`` of the rate law."""
-        law = rate_law(self.channels, self.rho0, self.temperature)
-        return (*law, *law_states(self.channels.vecs, *law))
+    def _steady(self, item):
+        """``(p, d log p/dT, kept coherences, rho, drho)`` of the item's rate law."""
+        if item not in self._laws:
+            law = rate_law(channels := self.channels[self._generator[item]], self.rho0[item], self.temperature)
+            self._laws[item] = (*law, *law_states(channels.vecs, *law))
+        return self._laws[item]
 
     def _project(self, rho):
         return partial_trace(rho, keep=1) if self._has_ancilla else rho
 
-    def state_and_derivative(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """State and temperature derivative at time ``t`` (the steady state
-        for ``t = inf``), or ``(n_t, d, d)`` stacks of both on a grid ``t``."""
+    def state_and_derivative(self, t, item=0) -> tuple[np.ndarray, np.ndarray]:
+        """States and temperature derivatives at the pairs ``(item, t)``
+        broadcast together: matrices at one, ``(n_t, d, d)`` stacks of one
+        item on a grid ``t`` (where ``t = inf`` is its steady state), and
+        ``(k, n_t, d, d)`` of a column of ``k`` items on a finite grid."""
         times = np.asarray(t, dtype=float)
         steady = times == np.inf
         if not steady.any():
-            rho, drho = self._evolution(t)
+            rho, drho = self._evolution(times, item)
         else:
-            rho, drho = np.empty((2, *times.shape, *self.rho0.shape), dtype=complex)
+            rho, drho = np.empty((2, *times.shape, *self.rho0.shape[1:]), dtype=complex)
             if not steady.all():
-                rho[~steady], drho[~steady] = self._evolution(times[~steady])
-            rho[steady], drho[steady] = self._steady[3:]
+                rho[~steady], drho[~steady] = self._evolution(times[~steady], item)
+            rho[steady], drho[steady] = self._steady(int(item))[3:]
         return self._project(rho), self._project(drho)
 
-    def records(self, t) -> dict:
-        """The record at time ``t`` (``inf``: the steady state), or the
-        records on a grid ``t``: a qubit probe's, or a two-qubit probe's,
-        read at a steady state without coherences from its populations."""
-        rho, drho = self.state_and_derivative(t)
+    def records(self, t, item=0) -> dict:
+        """The records at the pairs ``(item, t)`` of :meth:`state_and_derivative`
+        (floats at one, nested lists on a stack): a qubit probe's, or a two-qubit
+        probe's, read at a steady state without coherences from its populations."""
+        rho, drho = self.state_and_derivative(t, item)
         if rho.shape[-1] == 2:
             return _qubit_record(t, rho, drho, self.temperature)
-        if np.ndim(t) == 0 and t == np.inf and not self._steady[2].any():
-            return _law_record(self.channels.vecs, *self._steady[:2], rho, self.temperature)
+        if rho.ndim == 2 and t == np.inf and not (law := self._steady(int(item)))[2].any():
+            return _law_record(self.channels[self._generator[int(item)]].vecs, *law[:2], rho, self.temperature)
         return _two_qubit_record(t, rho, drho, self.temperature)
+
+    def grids(self, times) -> list[dict]:
+        """Each item's records on ``times``, in stacks of at most ``STACK_STATES`` states."""
+        step, out = max(1, STACK_STATES // len(times)), []
+        for first in range(0, len(self.models), step):
+            records = self.records(times, np.arange(first, min(first + step, len(self.models)))[:, None])
+            out += [dict(zip(records, values)) for values in zip(*records.values())]
+        return out
 
 
 def _family(model_name: str, temperature: float, **model_kw) -> TemperatureFamily:
@@ -352,6 +371,7 @@ def _records(t, qfi, fi, rho, temperature) -> dict:
     :class:`ResolutionLimit`.  Each names its first row.
     """
     t, qfi, fi = (np.asarray(x, dtype=float) for x in (t, qfi, fi))
+    t = t if t.shape == qfi.shape else np.broadcast_to(t, qfi.shape)  # one grid for a column of items
     for name, col in (("qfi", qfi), ("cfi", fi)):
         bad = np.flatnonzero(~np.isfinite(col))
         if bad.size:
@@ -398,7 +418,8 @@ def _two_qubit_record(t, rho, drho, temperature):
     low = np.ravel(probs.min(axis=-1))
     bad = np.flatnonzero(low < -1e-12)
     if bad.size:
-        raise ResolutionLimit(f"basis population {low[bad[0]]} below 0 at t = {np.ravel(t)[bad[0]]}")
+        t = np.ravel(np.broadcast_to(t, probs.shape[:-1]))[bad[0]]
+        raise ResolutionLimit(f"basis population {low[bad[0]]} below 0 at t = {t}")
     fi = cfi_povm(probs, _tq_probs(drho))
     return _records(t, sector_qfi(rho, drho), fi, rho, temperature)
 
@@ -417,30 +438,40 @@ def _law_record(vecs, p, dlog, rho, temperature):
     return _records(np.inf, qfi, cfi_povm(overlap @ p, overlap @ dp), rho, temperature)
 
 
+def _refine_maxima(times, values, fn) -> list[OptSearchResult]:
+    """Maximum of each search ``s`` of ``fn(s, x)`` between the grid points
+    either side of the largest of ``values[s]`` on ``times``: the best of its
+    fit's derivative roots and piece ends, where ``fn`` is then evaluated,
+    for every search in one call."""
+    peaks = [int(np.argmax(v)) for v in values]
+    for i in peaks:
+        if i == 0 or i == len(times) - 1:
+            raise NoConvergence(f"maximum at grid edge {times[i]}; extend the grid to bracket it")
+    brackets = [(float(times[i - 1]), float(times[i + 1])) for i in peaks]
+    fits, best = _fit(fn, brackets, [float(np.max(np.abs(v))) for v in values]), []
+    for pieces in fits:
+        top = -np.inf
+        for a, b, c, _ in pieces:
+            s = np.r_[-1.0, 1.0, np.clip(C.chebroots(C.chebtrim(C.chebder(c))).real, -1.0, 1.0)]
+            v = C.chebval(s, c)
+            if v.max() > top:
+                top, x = v.max(), float(0.5 * (a + b) + 0.5 * (b - a) * s[np.argmax(v)])
+        best.append(x)
+    found = np.asarray(fn(np.arange(len(best)), np.array(best)), dtype=float)
+    return [
+        OptSearchResult(x, float(value), bracket, (float(v[i - 1]), float(v[i + 1])), float(max(p[3] for p in pieces)))
+        for x, value, bracket, v, i, pieces in zip(best, found, brackets, values, peaks, fits)
+    ]
+
+
 def _refine_max(times, values, fn) -> OptSearchResult:
-    """Maximum of ``fn`` between the grid points either side of the largest of
-    ``values`` on ``times``: the best of its fit's derivative roots and piece
-    ends, where ``fn`` itself is then evaluated once."""
-    i = int(np.argmax(values))
-    if i == 0 or i == len(times) - 1:
-        raise NoConvergence(f"maximum at grid edge {times[i]}; extend the grid to bracket it")
-    lo, hi = float(times[i - 1]), float(times[i + 1])
-    pieces, best = _fit(fn, lo, hi, float(np.max(np.abs(values)))), -np.inf
+    """The one search of :func:`_refine_maxima` of ``fn(x)``."""
+    return _refine_maxima(times, [values], lambda s, x: fn(x))[0]
+
+
+def _first_root(pieces, lo: float, hi: float, target: float) -> float:
+    """First root of ``fit - target`` of the fit ``pieces`` of ``[lo, hi]``."""
     for a, b, c, _ in pieces:
-        s = np.r_[-1.0, 1.0, np.clip(C.chebroots(C.chebtrim(C.chebder(c))).real, -1.0, 1.0)]
-        v = C.chebval(s, c)
-        if v.max() > best:
-            best, x = v.max(), float(0.5 * (a + b) + 0.5 * (b - a) * s[np.argmax(v)])
-    return OptSearchResult(
-        argmax=x, value=float(np.asarray(fn(np.array([x])))[0]), bracket=(lo, hi),
-        bracket_values=(float(values[i - 1]), float(values[i + 1])),
-        tolerance=float(max(piece[3] for piece in pieces)),
-    )
-
-
-def _first_root(fn, lo: float, hi: float, target: float, scale: float) -> float:
-    """First root of ``fn - target`` on ``[lo, hi]``, from the fit of ``fn``."""
-    for a, b, c, _ in _fit(fn, lo, hi, scale):
         s = C.chebroots(C.chebtrim(C.chebsub(c, target)))
         s = s.real[(s.imag == 0) & (np.abs(s.real) <= 1.0)]
         if s.size:
@@ -475,8 +506,11 @@ def run_theta_scan(
     """Reduced-probe QFI(t) for a list of ancilla preparation angles."""
     times = np.linspace(0.0, t_max, n_points)
     thetas = list(map(float, theta_list))
-    fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff)
-    grids = parallel_map(lambda f: f.records(times), [fam.prepared(theta) for theta in thetas], workers)
+
+    grids = _sweep(lambda part: TemperatureFamily(*(
+        make_model("probe_ancilla", temperature=temperature, eta=eta, cutoff=cutoff, kappa=kappa, theta=theta)
+        for theta in part
+    )).grids(times), thetas, workers)
     peaks = {}  # a repeated angle keeps its larger peak
     for theta, recs in zip(thetas, grids):
         peaks[theta] = max([peaks.get(theta, 0.0), *recs["qfi"]])
@@ -520,15 +554,20 @@ def run_direct_vs_ancilla(
     return ScanResult("direct_vs_ancilla", data, results)
 
 
-def _coupling_optimum(kappa, temperature, eta, cutoff, theta, times):
-    """Probe+ancilla family at one coupling, its records on ``times`` and
-    the located maximum of QSNR(t); the search evaluates the QSNR alone."""
-    fam = _family("probe_ancilla", temperature, kappa=kappa, eta=eta, cutoff=cutoff, theta=theta)
-    recs = fam.records(times)
-    opt = _refine_max(
-        times, recs["qsnr"], lambda t: qsnr(fam.temperature, qubit_qfi(*fam.state_and_derivative(t)))
-    )
-    return fam, recs, opt
+def _coupling_optima(kappas, temperature, eta, cutoff, theta, times, columns) -> list[tuple]:
+    """Per coupling, its probe+ancilla records on ``times`` and maxima of ``columns``."""
+    fam, m = TemperatureFamily(*(
+        make_model("probe_ancilla", temperature=temperature, eta=eta, cutoff=cutoff, kappa=kappa, theta=theta)
+        for kappa in kappas
+    )), len(columns)
+    grids = fam.grids(times)
+
+    def searched(s, t):  # search s reads the column s % m of the item s // m
+        rho, drho = fam.state_and_derivative(t, s // m)
+        return np.where(s % m, _coherence(rho), qsnr(fam.temperature, qubit_qfi(rho, drho)))
+
+    optima = _refine_maxima(times, [recs[name] for recs in grids for name in columns], searched)
+    return [(recs, *optima[m * k:m * (k + 1)]) for k, recs in enumerate(grids)]
 
 
 def run_kappa_sweep(
@@ -545,15 +584,10 @@ def run_kappa_sweep(
     """QFI(t), QFI/t and the located QSNR optimum for each coupling."""
     times = np.linspace(0.0, t_max, n_points)
     kappas = list(map(float, kappa_list))
-    sweep = parallel_map(
-        lambda kappa: _coupling_optimum(kappa, temperature, eta, cutoff, theta, times),
-        kappas, workers,
-    )
-    optima = [
-        {"kappa": kappa, "t_opt": opt.argmax, "qsnr_opt": opt.value}
-        for kappa, (_, _, opt) in zip(kappas, sweep)
-    ]
-    data = _grid_table("kappa", kappas, [recs for _, recs, _ in sweep])
+    sweep = _sweep(lambda part: _coupling_optima(part, temperature, eta, cutoff, theta, times, ("qsnr",)),
+                   kappas, workers)
+    optima = [{"kappa": kappa, "t_opt": opt.argmax, "qsnr_opt": opt.value} for kappa, (_, opt) in zip(kappas, sweep)]
+    data = _grid_table("kappa", kappas, [recs for recs, _ in sweep])
     return ScanResult("kappa_sweep", data, {"optima": optima})
 
 
@@ -570,16 +604,13 @@ def run_coherence_parametric(
 ) -> ScanResult:
     """Parametric curve (max coherence generated, optimal QSNR) over coupling."""
     times = np.linspace(0.0, t_max, n_points)
-
-    def one(kappa):
-        fam, recs, opt_r = _coupling_optimum(kappa, temperature, eta, cutoff, theta, times)
-        opt_c = _refine_max(
-            times, recs["coherence_abs"], lambda t: _coherence(fam.state_and_derivative(t)[0])
-        )
-        return float(kappa), opt_c.value, opt_c.argmax, opt_r.value, opt_r.argmax
-
+    kappas = list(map(float, kappa_list))
+    sweep = _sweep(
+        lambda part: _coupling_optima(part, temperature, eta, cutoff, theta, times, ("qsnr", "coherence_abs")),
+        kappas, workers,
+    )
     columns = ("kappa", "max_coherence", "t_max_coherence", "qsnr_opt", "t_opt")
-    points = parallel_map(one, kappa_list, workers)
+    points = [(kappa, c.value, c.argmax, r.value, r.argmax) for kappa, (_, r, c) in zip(kappas, sweep)]
     data = {name: [p[k] for p in points] for k, name in enumerate(columns)}
     parametric = [dict(zip(columns, p)) for p in points]
     return ScanResult("coherence_parametric", data, {"parametric": parametric})
@@ -616,35 +647,22 @@ def run_two_qubit_configs(
         raise ValidationError("t_max", f"must exceed {_FIRST_LOG_TIME}, the grid's first time after 0")
     times = np.concatenate([[0.0], np.geomspace(_FIRST_LOG_TIME, t_max, n_points - 1)])
 
-    baths = {
-        bath: _family(f"two_qubit_{bath}", temperature, kappa=kappa, eta=eta1, eta2=eta2, cutoff=cutoff)
-        for bath in ("local", "common")
-    }
+    def chunk(part):
+        fam = TemperatureFamily(*(make_model(
+            f"two_qubit_{config.split('_')[0]}", temperature=temperature, kappa=kappa, eta=eta1, eta2=eta2,
+            cutoff=cutoff, theta=0.0 if config.endswith("separable") else np.pi / 2) for config in part))
+        grids = fam.grids(times)
+        targets = [0.99 * recs["qfi"][-1] for recs in grids]
+        first = [int(np.nonzero(np.array(recs["qfi"]) >= target)[0][0]) for recs, target in zip(grids, targets)]
+        # a configuration at its target from t = 0 takes no search
+        items, t99 = np.flatnonzero(first), np.zeros(len(part))
+        brackets = [(float(times[first[k] - 1]), float(times[first[k]])) for k in items]
+        fits = _fit(lambda s, t: sector_qfi(*fam.state_and_derivative(t, items[s])), brackets,
+                    [float(np.max(np.abs(grids[k]["qfi"]))) for k in items])
+        t99[items] = [_first_root(p, *bracket, targets[k]) for p, bracket, k in zip(fits, brackets, items)]
+        return list(zip(grids, t99.tolist()))
 
-    def t_99(fam, recs):
-        target = 0.99 * recs["qfi"][-1]
-        i = int(np.nonzero(np.array(recs["qfi"]) >= target)[0][0])
-        if i == 0:
-            return 0.0
-        return _first_root(
-            lambda t: sector_qfi(*fam.state_and_derivative(t)),
-            float(times[i - 1]), float(times[i]), target, float(np.max(np.abs(recs["qfi"]))),
-        )
-
-    families = [
-        baths[config.split("_")[0]].prepared(0.0 if config.endswith("separable") else np.pi / 2)
-        for config in TWO_QUBIT_CONFIGS
-    ]
-
-    def one_bath(pair):
-        # both preparations read the grid's exp(lam t) before a fit's nodes
-        # take the slot they share
-        recs = [fam.records(times) for fam in pair]
-        return recs, [t_99(fam, r) for fam, r in zip(pair, recs)]
-
-    per_bath = parallel_map(one_bath, [families[:2], families[2:]], workers)
-    grids = list(chain.from_iterable(recs for recs, _ in per_bath))
-    t99 = list(chain.from_iterable(fits for _, fits in per_bath))
+    grids, t99 = zip(*_sweep(chunk, TWO_QUBIT_CONFIGS, workers))
     results = {
         "steady_qfi": {c: recs["qfi"][-1] for c, recs in zip(TWO_QUBIT_CONFIGS, grids)},
         "t_99": dict(zip(TWO_QUBIT_CONFIGS, t99)),
@@ -703,7 +721,7 @@ def run_evolve(
     ``linspace(0, t_max, n_points)``."""
     fam = _family(model, temperature, eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta)
     times = np.linspace(0.0, t_max, n_points)
-    states, _ = fam._evolution(times)
+    states, _ = fam._evolution(times, 0)
     populations = ("p0", "p1") if states.shape[-1] == 2 else ("p00", "p01", "p10", "p11")
     data = {
         "t": times.tolist(),
@@ -730,7 +748,7 @@ def run_qfi_point(
     the steady state."""
     fam = _family(model, temperature, eta=eta, eta2=eta2, cutoff=cutoff, kappa=kappa, theta=theta)
     t = np.inf if at == "steady" else float(at)
-    if t == np.inf and not fam.channels.rates.any():
+    if t == np.inf and not fam.channels[0].rates.any():
         raise ValidationError("eta", "at=steady needs a bath: with every rate zero no state is stationary")
     rec = fam.records(t)
     record = {"at": "steady" if t == np.inf else t, **{name: rec[name] for name in _RECORD_COLUMNS}}

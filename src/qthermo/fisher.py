@@ -159,16 +159,19 @@ def _bloch_form(r, dr, v):
 
 
 def _bloch_or_spectral(rho, drho, r, dr, v, pure):
-    """The Bloch form of ``(r, dr, v)`` on the states not flagged ``pure``,
-    :func:`qfi_spectral` of ``(rho, drho)`` on the others."""
+    """The Bloch form of ``(r, dr, v)`` on the states not flagged ``pure``;
+    on the others 0 where ``drho`` is exactly 0 (a state that does not
+    depend on T, as at t = 0), :func:`qfi_spectral` of ``(rho, drho)``
+    elsewhere."""
     if not pure.any():
         return _bloch_form(r, dr, v)
+    spectral = pure & drho.any(axis=(-2, -1))
     if pure.ndim == 0:
-        return qfi_spectral(rho, drho)
-    out = np.empty(pure.shape)
-    mixed = ~pure
+        return qfi_spectral(rho, drho) if spectral else 0.0
+    out, mixed = np.zeros(pure.shape), ~pure
     out[mixed] = _bloch_form(r[mixed], dr[mixed], v[mixed])
-    out[pure] = qfi_spectral(rho[pure], drho[pure])
+    if spectral.any():
+        out[spectral] = qfi_spectral(rho[spectral], drho[spectral])
     return out
 
 

@@ -462,6 +462,20 @@ class TestMain:
                 want, got = (re.sub(rb'"wall_time_s": [^,\n}]*', b"", text) for text in (want, got))
             assert got == want, name
 
+    def test_rerun_over_longer_files_leaves_exactly_the_new_bytes(self, tmp_path):
+        argv = with_params("evolve", "model=direct", "n_points=40") + ["--quiet", "--out"]
+        names = ("evolve.csv", "evolve.gp", "evolve.summary.json")
+        (tmp_path / "rerun").mkdir()
+        for name in names:  # longer files of the same names, left by an earlier run
+            (tmp_path / "rerun" / name).write_bytes(b"x" * 100_000)
+        for run in ("fresh", "rerun"):
+            assert main(argv + [str(tmp_path / run)]) == 0
+        for name in names:
+            want, got = ((tmp_path / run / name).read_bytes() for run in ("fresh", "rerun"))
+            if name.endswith(".json"):  # the wall time differs
+                want, got = (re.sub(rb'"wall_time_s": [^,\n}]*', b"", text) for text in (want, got))
+            assert got == want, name
+
     def test_written_files_get_the_mode_open_gives(self, tmp_path):
         mask = os.umask(0o027)
         try:

@@ -46,23 +46,23 @@ def test_exact_derivative_matches_central_difference(
             # the reference projection of L: no code in common with the
             # rate law under test
             fam = family(tv)
-            return fam._project(steady_state(fam.liouvillian, fam.rho0)[0])
+            return fam._project(steady_state(fam.liouvillians[0], fam.rho0[0])[0])
     else:
 
         def state(tv):
             # propagated independently of the spectral route under test
             fam = family(tv)
-            vecs = [expm(fam.liouvillian.superop * ti) @ vec(fam.rho0) for ti in np.atleast_1d(at)]
-            return fam._project(np.reshape(unvec(np.array(vecs)), np.shape(at) + fam.rho0.shape))
+            vecs = [expm(fam.liouvillians[0].superop * ti) @ vec(fam.rho0[0]) for ti in np.atleast_1d(at)]
+            return fam._project(np.reshape(unvec(np.array(vecs)), np.shape(at) + fam.rho0.shape[1:]))
     fam = family(temperature)
     if route == "steady":
         # no stationary state to differentiate without a bath; and when a
         # mode of L (say near the common bath's decoherence-free sector)
         # decays slower than this, rounding in L amplified by 1 / rate
         # swamps the oracle's difference quotient
-        lam = np.linalg.eigvals(fam.liouvillian.superop)
+        lam = np.linalg.eigvals(fam.liouvillians[0].superop)
         slowest = -np.max(lam.real[np.abs(lam) > 1e-10 * np.max(np.abs(lam))], initial=-np.inf)
-        hypothesis.assume(any(fam.channels.rates) and slowest >= 5e-4)
+        hypothesis.assume(any(fam.channels[0].rates) and slowest >= 5e-4)
     _, exact = fam.state_and_derivative(at)
     try:
         oracle = d_rho_dT(state, temperature)

@@ -37,6 +37,11 @@ from reference import jump_operators, steady_state, steady_two_qubit
 BATH = BathSpec(eta=0.01, cutoff=10.0, temperature=0.4)
 
 
+def evolution_of(liou, rho0):
+    """The one-item evolution of ``rho0`` under ``liou``."""
+    return _Evolution([liou], [rho0], [0])
+
+
 def pa_liouvillian(eta=0.01, kappa=0.8, theta=np.pi / 2):
     model = ProbeAncillaModel(kappa, BathSpec(eta, 10.0, 0.4), theta)
     return build_liouvillian(model), initial_state(model)
@@ -101,9 +106,9 @@ class TestPropagate:
         if not spectral:
             monkeypatch.setattr(dynamics, "SPECTRAL_COND_MAX", 0.0)
             monkeypatch.setattr(dynamics, "expm", lambda m: expm(m) * (1.0 + 2e-16))
-        evolution = _Evolution(liou, rho0)
-        assert (evolution.spectral is not None) == spectral
-        rho, drho = evolution([0.0, 3.0, 0.0])
+        evolution = evolution_of(liou, rho0)
+        assert (evolution.basis[0] is not None) == spectral
+        rho, drho = evolution([0.0, 3.0, 0.0], 0)
         assert np.array_equal(rho[[0, 2]], [rho0, rho0]) and not drho[[0, 2]].any()
         assert not np.allclose(rho[1], rho0)
 
@@ -186,7 +191,7 @@ class TestStacks:
         liou, rho0 = build_liouvillian(model), initial_state(model)
         times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 59)])
         # the spectral route is taken on every model, not the fallback
-        assert _Evolution(liou, rho0).spectral is not None
+        assert evolution_of(liou, rho0).basis[0] is not None
         got = propagate(liou, rho0, times)[0]
         ref = np.array([unvec(expm(liou.superop * t) @ vec(rho0)) for t in times])
         assert got.shape == (60, *rho0.shape)
@@ -213,7 +218,7 @@ class TestStacks:
         assert np.linalg.cond(v) > SPECTRAL_COND_MAX
         rho0 = np.diag([1.0, 0.0]).astype(complex)
         times = np.linspace(0.0, 20.0, 41)
-        assert _Evolution(liou, rho0).spectral is None
+        assert evolution_of(liou, rho0).basis[0] is None
         got = propagate(liou, rho0, times)[0]
         ref = np.array([unvec(expm(liou.superop * t) @ vec(rho0)) for t in times])
         assert np.array_equal(got, 0.5 * (ref + ref.conj().transpose(0, 2, 1)))
@@ -245,17 +250,17 @@ class TestStacks:
                 TwoQubitModel(kappa, CommonBath(eta, eta2, cutoff, temp), theta),
             ][3 if i >= 300 else i % 4]
             liou = build_liouvillian(model)
-            evolution = _Evolution(liou, initial_state(model))
+            evolution = evolution_of(liou, initial_state(model))
             _, v = np.linalg.eig(liou.superop)
             v_inv = np.linalg.inv(v)
             bounded = np.linalg.norm(v) * np.linalg.norm(v_inv) <= SPECTRAL_COND_MAX
             conditioned = np.linalg.cond(v) <= SPECTRAL_COND_MAX
             assert conditioned or not bounded, (i, model)
-            residual = np.max(np.abs((v * evolution.lam) @ v_inv - liou.superop))
+            residual = np.max(np.abs((v * evolution.lam[0]) @ v_inv - liou.superop))
             fits = residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(liou.superop))
-            assert (evolution.spectral is None) == (not (bounded and fits)), (i, model)
+            assert (evolution.basis[0] is None) == (not (bounded and fits)), (i, model)
             assert (bounded and fits) == (conditioned and fits), (i, model)
-            accepted += evolution.spectral is not None
+            accepted += evolution.basis[0] is not None
         assert accepted >= 380
 
     def test_singular_eigenvector_matrix_falls_back(self, monkeypatch):
@@ -267,9 +272,9 @@ class TestStacks:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "inv", singular)
-        evolution = _Evolution(liou, rho0)
-        assert evolution.basis is None and evolution.spectral is None
-        rho, drho = evolution(times)
+        evolution = evolution_of(liou, rho0)
+        assert evolution.basis == [None]
+        rho, drho = evolution(times, 0)
         assert np.max(np.abs(rho - ref[0])) <= 1e-12
         assert np.max(np.abs(drho - ref[1])) <= 1e-10 * np.max(np.abs(ref[1]))
 
@@ -291,7 +296,7 @@ class TestStacks:
         assert np.linalg.cond(v) <= SPECTRAL_COND_MAX
         residual = np.max(np.abs((v * lam) @ v_inv - liou.superop))
         assert residual <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(liou.superop))
-        assert _Evolution(liou, rho0).spectral is None
+        assert evolution_of(liou, rho0).basis[0] is None
         for t in (1.0, 100.0, 1e4):
             ref = unvec(v @ (np.exp(lam * t) * (v_inv @ vec(rho0))))
             assert np.max(np.abs(propagate(liou, rho0, t)[0] - ref)) <= 1e-11
@@ -305,26 +310,26 @@ class TestStacks:
         with pytest.raises(NonPositiveInput):
             propagate(*pa_liouvillian(), [0.0, -1.0])
 
-    def test_shared_grid_exponential_under_thread_contention(self):
-        # preparations of one generator share one slot for exp(lam t); more
-        # threads than cores, switching often, on four grids and two initial
-        # states, must each get the bits of an evolution of its own
+    def test_shared_evolution_under_thread_contention(self):
+        # one two-item evolution of one generator, called by more threads
+        # than cores, switching often, on four grids and both items, must
+        # give each call the bits of a one-item evolution of its own
         liou, rho0 = pa_liouvillian(theta=0.3)
         other = pa_liouvillian(theta=2.0)[1]
-        shared = _Evolution(liou, rho0)
+        shared = _Evolution([liou], [rho0, other], [0, 0])
         grids = [np.linspace(0.0, 5.0 + k, 40 + k) for k in range(4)]
-        jobs = [(r, g) for r in (rho0, other) for g in range(4)] * 20
-        want = {(id(r), g): _Evolution(liou, r)(grids[g]) for r, g in jobs[:8]}
+        jobs = [(i, g) for i in range(2) for g in range(4)] * 20
+        want = {(i, g): evolution_of(liou, (rho0, other)[i])(grids[g], 0) for i, g in jobs[:8]}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(lambda r, g: shared.prepared(r)(grids[g]), r, g) for r, g in jobs]
+                futures = [pool.submit(lambda i, g: shared(grids[g], i), i, g) for i, g in jobs]
                 got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for (r, g), states in zip(jobs, got):
-            for a, b in zip(states, want[id(r), g]):
+        for (i, g), states in zip(jobs, got):
+            for a, b in zip(states, want[i, g]):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -341,11 +346,11 @@ class TestExactDerivative:
     @pytest.mark.parametrize("make", MODELS)
     def test_spectral_matches_block_exponentials(self, make):
         model = make()
-        evolution = _Evolution(build_liouvillian(model), initial_state(model))
-        assert evolution.spectral is not None
+        evolution = evolution_of(build_liouvillian(model), initial_state(model))
+        assert evolution.basis[0] is not None
         times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 29)])
-        rho, drho = evolution(times)
-        vecs, dvecs = evolution._exponentials(times)
+        rho, drho = evolution(times, 0)
+        vecs, dvecs = evolution._exponentials(0, times)
         ref = unvec(dvecs)
         ref = 0.5 * (ref + ref.conj().transpose(0, 2, 1))
         assert np.max(np.abs(rho - unvec(vecs))) <= 1e-12
@@ -359,10 +364,10 @@ class TestExactDerivative:
         gen = lambda temp: commutator_superop(h) + 0.75 * temp * dissipator_superop(pauli("z"))  # noqa: E731
         liou = Liouvillian(superop=gen(0.4), d_superop=0.75 * dissipator_superop(pauli("z")))
         rho0 = np.diag([1.0, 0.0]).astype(complex)
-        evolution = _Evolution(liou, rho0)
-        assert evolution.spectral is None
+        evolution = evolution_of(liou, rho0)
+        assert evolution.basis[0] is None
         times = np.linspace(0.0, 20.0, 11)
-        _, drho = evolution(times)
+        _, drho = evolution(times, 0)
         step = 1e-5
         state = lambda temp: unvec(np.array([expm(gen(temp) * t) @ vec(rho0) for t in times]))  # noqa: E731
         cd = (state(0.4 + step) - state(0.4 - step)) / (2 * step)
@@ -528,30 +533,32 @@ class TestSteadyState:
     def test_limit_verdict_follows_each_preparation(self, first, finite_first):
         # one common-bath generator at eta1 = eta2: the decoherence-free
         # preparation (theta = pi/2) has its own limit, theta = pi/3 excites
-        # the precessing exchange coherence; a prepared() copy judges its own rho0
+        # the precessing exchange coherence; each item of a family that
+        # shares the generator judges its own rho0
         def model(theta):
             return TwoQubitModel(5.5, CommonBath(0.02, 0.02, 10.0, 0.4), theta)
 
-        def limit(fam):
+        def limit(fam, item):
             if finite_first:
-                fam.state_and_derivative(3.0)
-            return fam.state_and_derivative(np.inf)
+                fam.state_and_derivative(3.0, item)
+            return fam.state_and_derivative(np.inf, item)
 
-        def check(fam, theta):
+        def check(fam, item, theta):
             if theta == np.pi / 2:
-                got = limit(fam)
+                got = limit(fam, item)
                 fresh = TemperatureFamily(model(theta)).state_and_derivative(np.inf)
                 assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
                 assert np.max(np.abs(got[0] - initial_state(model(theta)))) <= 1e-15
             else:
                 with pytest.raises(NoConvergence, match=r"Bohr frequency -?11 forever"):
-                    limit(fam)
+                    limit(fam, item)
 
-        start = TemperatureFamily(model(first))
         other = np.pi / 3 if first == np.pi / 2 else np.pi / 2
-        check(start, first)
-        check(start.prepared(other), other)
-        check(start, first)  # the copy leaves the original's verdict alone
+        fam = TemperatureFamily(model(first), model(other))
+        assert len(fam.liouvillians) == 1
+        check(fam, 0, first)
+        check(fam, 1, other)
+        check(fam, 0, first)  # the other item's verdict leaves this one's alone
 
     @pytest.mark.parametrize("kappa", [0.6, 5.5])
     def test_decoherence_free_preparation_is_its_own_limit(self, kappa):
@@ -560,7 +567,7 @@ class TestSteadyState:
         # mode never decays
         model = TwoQubitModel(kappa, CommonBath(0.02, 0.02, 10.0, 0.4), np.pi / 2)
         liou, rho0 = build_liouvillian(model), initial_state(model)
-        lam = _Evolution(liou, rho0).lam
+        lam = evolution_of(liou, rho0).lam[0]
         assert np.any((lam != 0) & (np.abs(lam.real) <= 1e-12))
         rho, drho = TemperatureFamily(model).state_and_derivative(np.inf)
         assert np.max(np.abs(rho - rho0)) <= 1e-15

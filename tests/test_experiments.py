@@ -27,7 +27,7 @@ from qthermo.experiments import (
     run_theta_scan,
     run_two_qubit_configs,
 )
-from qthermo.fisher import qfi_spectral, qubit_qfi, sector_qfi
+from qthermo.fisher import qfi_spectral, qsnr, qubit_qfi, sector_qfi
 from qthermo.dynamics import propagate
 from qthermo.master_equation import assemble_liouvillian, build_liouvillian
 from qthermo.models import BathSpec, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
@@ -79,17 +79,17 @@ class TestInfrastructure:
     def test_fit_rejects_an_empty_bracket(self):
         for lo, hi in ((2.0, 1.0), (1.0, 1.0)):
             with pytest.raises(NonPositiveInput, match="bracket"):
-                _fit(lambda t: -t * t, lo, hi, 1.0)
+                _fit(lambda s, t: -t * t, [(lo, hi)], [1.0])
 
     def test_fit_of_noise_raises_after_one_call_per_level(self):
         rng, calls = np.random.default_rng(0), []
 
-        def noise(points):
+        def noise(s, points):
             calls.append(len(points))
             return rng.standard_normal(len(points))
 
         with pytest.raises(NoConvergence, match=r"\[0.0, 1.0\]"):
-            _fit(noise, 0.0, 1.0, 1.0)
+            _fit(noise, [(0.0, 1.0)], [1.0])
         assert len(calls) <= np.log2(experiments.MAX_PIECES) + 1
         assert calls[-1] == experiments.MAX_PIECES * experiments.NODES
 
@@ -204,23 +204,79 @@ class TestFittedSearches:
 
 class TestSearchCallCounts:
     """Stacked calls of the searched functions per default request, pinned:
-    each fit is one 16-node piece, and an optimum evaluates its result once."""
+    every search of a sweep advances in one call per level, each fit is one
+    16-node piece, and an optimum's results take one more call."""
 
-    @pytest.mark.parametrize("run, expected", [
-        (run_kappa_sweep, 8), (run_coherence_parametric, 24), (run_two_qubit_configs, 4),
+    @pytest.mark.parametrize("run, searcher, searches, calls", [
+        (run_kappa_sweep, "_refine_maxima", 4, 2), (run_coherence_parametric, "_refine_maxima", 12, 2),
+        (run_two_qubit_configs, "_fit", 4, 1),
     ])
-    def test_default_request(self, run, expected, monkeypatch):
-        calls = []
+    def test_default_request(self, run, searcher, searches, calls, monkeypatch):
+        sizes = []
 
         def counted(fn):
-            return lambda points: calls.append(len(points)) or fn(points)
+            return lambda s, points: sizes.append((len(set(s.tolist())), len(points))) or fn(s, points)
 
-        refine, root = experiments._refine_max, experiments._first_root
-        monkeypatch.setattr(experiments, "_refine_max", lambda times, values, fn: refine(times, values, counted(fn)))
-        monkeypatch.setattr(experiments, "_first_root", lambda fn, *args: root(counted(fn), *args))
+        fit, refine = experiments._fit, experiments._refine_maxima
+        if searcher == "_fit":
+            monkeypatch.setattr(experiments, "_fit", lambda fn, *args: fit(counted(fn), *args))
+        else:  # its fit's levels and its results
+            monkeypatch.setattr(experiments, "_refine_maxima", lambda times, values, fn: refine(times, values, counted(fn)))
         run(workers=1)
-        assert len(calls) == expected
-        assert set(calls) <= {1, experiments.NODES}
+        assert sizes == [(searches, searches * experiments.NODES), (searches, searches)][:calls]
+
+
+class TestSweepStacks:
+    """A sweep is one stack per pool chunk, with the bits of a loop of
+    single-model families and single searches."""
+
+    @staticmethod
+    def per_point(kappas, times, eta, columns):
+        """Each coupling's records and optima, by its own family and searches."""
+        out = []
+        for kappa in kappas:
+            fam = pa_family(kappa, eta=eta)
+            recs, state = fam.records(times), fam.state_and_derivative
+            fns = {"qsnr": lambda t: qsnr(fam.temperature, qubit_qfi(*state(t))),
+                   "coherence_abs": lambda t: experiments._coherence(state(t)[0])}
+            out.append((recs, *(_refine_max(times, recs[name], fns[name]) for name in columns)))
+        return out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kappa_sweep_equals_a_per_point_loop(self, workers):
+        kappas = [0.6, 0.75, 0.9]
+        scan = run_kappa_sweep(kappas, n_points=120, workers=workers)
+        loop = self.per_point(kappas, np.linspace(0.0, 120.0, 120), 0.01, ("qsnr",))
+        assert scan.data == experiments._grid_table("kappa", kappas, [recs for recs, _ in loop])
+        assert scan.results["optima"] == [
+            {"kappa": kappa, "t_opt": opt.argmax, "qsnr_opt": opt.value} for kappa, (_, opt) in zip(kappas, loop)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_coherence_parametric_equals_a_per_point_loop(self, workers):
+        kappas = [0.4, 0.8, 1.2]
+        scan = run_coherence_parametric(kappas, n_points=100, workers=workers)
+        loop = self.per_point(kappas, np.linspace(0.0, 50.0, 100), 0.1, ("qsnr", "coherence_abs"))
+        assert scan.rows == [
+            {"kappa": kappa, "max_coherence": c.value, "t_max_coherence": c.argmax, "qsnr_opt": r.value, "t_opt": r.argmax}
+            for kappa, (_, r, c) in zip(kappas, loop)
+        ]
+        assert scan.results["parametric"] == scan.rows
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_a_failing_sweep_raises_the_error_of_its_first_failing_point(self, workers):
+        def job(chunk):  # a stack names the last of its failing points
+            failing = [point for point in chunk if point in "bd"]
+            if failing:
+                raise ValidationError(failing[-1], "fails")
+            return chunk
+
+        with pytest.raises(ValidationError, match="^b: fails$"):
+            experiments._sweep(job, "abcde", workers)
+        assert experiments._sweep(job, "ace", workers) == list("ace")
+        # the couplings 1.2 and 1.0 peak past t_max = 30; 0.6 and 0.8 do not
+        with pytest.raises(NoConvergence, match=r"^maximum at grid edge 30\.0; extend the grid"):
+            run_kappa_sweep([0.6, 1.2, 0.8, 1.0], t_max=30.0, n_points=100, workers=workers)
 
 
 class TestThetaScan:
@@ -296,7 +352,7 @@ class TestKappaSweep:
     def test_optima_are_interior_and_refined(self, kappa_sweep_result):
         times = np.linspace(0.0, 120.0, 600)
         for kappa, optimum in zip(experiments.DEFAULT_KAPPAS, kappa_sweep_result.results["optima"]):
-            _, _, o = experiments._coupling_optimum(kappa, 0.4, 0.01, 10.0, np.pi / 2, times)
+            ((_, o),) = experiments._coupling_optima([kappa], 0.4, 0.01, 10.0, np.pi / 2, times, ("qsnr",))
             assert optimum == {"kappa": kappa, "t_opt": o.argmax, "qsnr_opt": o.value}
             assert o.value >= max(o.bracket_values)
             assert o.bracket[0] < o.argmax < o.bracket[1]
@@ -322,7 +378,7 @@ class TestKappaSweep:
 
         times = np.linspace(0.0, 1.0, 21)
         values = [1.0 - (t - 0.52) ** 2 for t in times]
-        _fit(fn, times[9], times[11], max(np.abs(values)))
+        _fit(lambda s, t: fn(t), [(times[9], times[11])], [max(np.abs(values))])
         fit_calls, calls[:] = [c.tolist() for c in calls], []
         opt = _refine_max(times, values, fn)
         # the bracket ends come from the grid values; fn is read by the fit
@@ -659,8 +715,8 @@ class TestClosedFormRegressions:
 
 
 class TestSharedGenerator:
-    """A preparation sweep builds one generator per bath and gets the bits
-    of families built one by one."""
+    """A preparation sweep builds one generator per bath and pool chunk and
+    gets the bits of families built one by one."""
 
     @staticmethod
     def count_builds(monkeypatch):
@@ -694,10 +750,10 @@ class TestSharedGenerator:
         calls = self.count_builds(monkeypatch)
         shapes = self.count_exponentials(monkeypatch)
         scan = run_theta_scan(n_points=60, workers=workers)
-        assert len(calls) == 1
-        # the five preparations share exp(lam t) of the grid; two threads
-        # may both compute it before either has stored it
-        assert shapes in ([(60, 16)], [(60, 16)] * workers)
+        # each chunk of the five preparations builds the generator once and
+        # takes one exp(lam t) of the grid for all of its items
+        assert len(calls) == workers
+        assert shapes == [(60, 16)] * workers
         times = np.linspace(0.0, 50.0, 60)
         grids = [
             TemperatureFamily(make_model(
@@ -713,8 +769,7 @@ class TestSharedGenerator:
         shapes = self.count_exponentials(monkeypatch)
         scan = run_two_qubit_configs(n_points=40, workers=workers)
         assert len(calls) == 2
-        # each bath's two preparations share exp(lam t) of the grid: the
-        # t_99 fits' node grids come after both have read it
+        # each bath's two preparations share one exp(lam t) of the grid
         assert shapes.count((40, 16)) == 2
         times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 39)])
         grids = [
@@ -726,24 +781,22 @@ class TestSharedGenerator:
         ]
         assert scan.data == experiments._grid_table("config", TWO_QUBIT_CONFIGS, grids)
 
-    def test_prepared_family_shares_the_generator(self):
-        fam = pa_family(0.8, theta=0.0)
-        other = fam.prepared(np.pi / 3)
-        assert other.liouvillian is fam.liouvillian
-        assert other._evolution.basis is fam._evolution.basis
-        assert other.model.theta == np.pi / 3 and fam.model.theta == 0.0
-        alone = pa_family(0.8, theta=np.pi / 3)
-        for got, want in zip(other.state_and_derivative(7.5), alone.state_and_derivative(7.5)):
-            assert np.array_equal(got, want)
-        with pytest.raises(ValidationError, match="theta"):
-            fam.prepared(4.0)
+    def test_preparations_share_the_generator(self):
+        fam = TemperatureFamily(*(ProbeAncillaModel(0.8, BathSpec(0.01, 10.0, 0.4), theta) for theta in (0.0, np.pi / 3)))
+        assert len(fam.liouvillians) == 1 and fam._generator == [0, 0]
+        for item, theta in enumerate((0.0, np.pi / 3)):
+            alone = pa_family(0.8, theta=theta)
+            for got, want in zip(fam.state_and_derivative(7.5, item), alone.state_and_derivative(7.5)):
+                assert np.array_equal(got, want)
+        couplings = TemperatureFamily(*(ProbeAncillaModel(kappa, BathSpec(0.01, 10.0, 0.4), 0.0) for kappa in (0.6, 0.7)))
+        assert len(couplings.liouvillians) == 2
 
-    def test_prepared_after_a_steady_read_gets_its_own_steady_state(self):
-        fam = pa_family(0.8, theta=0.0)
-        fam.records(np.inf)
-        got = fam.prepared(np.pi / 3).state_and_derivative(np.inf)
-        for a, b in zip(got, pa_family(0.8, theta=np.pi / 3).state_and_derivative(np.inf)):
-            assert a.tobytes() == b.tobytes()
+    def test_each_item_gets_its_own_steady_state(self):
+        fam = TemperatureFamily(*(ProbeAncillaModel(0.8, BathSpec(0.01, 10.0, 0.4), theta) for theta in (0.0, np.pi / 3)))
+        fam.records(np.inf, 0)
+        for item, theta in enumerate((0.0, np.pi / 3)):
+            for a, b in zip(fam.state_and_derivative(np.inf, item), pa_family(0.8, theta=theta).state_and_derivative(np.inf)):
+                assert a.tobytes() == b.tobytes()
 
     def test_evolve_builds_its_channels_once(self, monkeypatch):
         calls = []
@@ -822,8 +875,8 @@ class TestSteadyRateLaw:
     def test_degenerate_couplings_take_the_law(self, model, kappa, temperature):
         # kappa = 0 and kappa = 1 make levels of H degenerate
         fam = _family(model, temperature, eta=0.01, eta2=0.05, cutoff=10.0, kappa=kappa, theta=0.7)
-        assert not self.law(fam.model)[2].any()
-        rho, drho = steady_state(build_liouvillian(fam.model), fam.rho0)
+        assert not self.law(fam.models[0])[2].any()
+        rho, drho = steady_state(build_liouvillian(fam.models[0]), fam.rho0[0])
         got, d_got = fam.state_and_derivative(np.inf)
         assert np.max(np.abs(got - fam._project(rho))) <= 1e-12
         assert np.max(np.abs(d_got - fam._project(drho))) <= 1e-10 * max(1.0, np.max(np.abs(drho)))
@@ -839,10 +892,10 @@ class TestSteadyRateLaw:
         with pytest.raises(NoConvergence, match=r"levels E = -0.6 and 0.6 does not decay: .* Bohr frequency -1.2 "):
             fam.records(np.inf)
         fam = _family("two_qubit_common", 0.4, eta=0.02, cutoff=10.0, kappa=0.0, theta=1.0)
-        assert self.law(fam.model)[2].any()
+        assert self.law(fam.models[0])[2].any()
         rho, drho = fam.state_and_derivative(np.inf)
-        assert np.max(np.abs(rho - fam.rho0)) <= 1e-15 and not drho.any()
-        ref = steady_state(build_liouvillian(fam.model), fam.rho0)
+        assert np.max(np.abs(rho - fam.rho0[0])) <= 1e-15 and not drho.any()
+        ref = steady_state(build_liouvillian(fam.models[0]), fam.rho0[0])
         assert np.max(np.abs(rho - ref[0])) <= 1e-15 and np.max(np.abs(ref[1])) <= 1e-15
         assert fam.records(np.inf) == _two_qubit_record(np.inf, rho, drho, fam.temperature)
 
@@ -884,10 +937,10 @@ RESOLVED = 1e-4
 
 
 def _resolved(fam):
-    lam = np.linalg.eigvals(fam.liouvillian.superop)
+    lam = np.linalg.eigvals(fam.liouvillians[0].superop)
     rel = lam / np.max(np.abs(lam))
     settled = (np.abs(rel) <= 1e-13) | (-rel.real >= RESOLVED) | ((np.abs(rel.real) <= 1e-13) & (np.abs(rel) >= RESOLVED))
-    rates = fam.channels.rates
+    rates = fam.channels[0].rates
     return settled.all() and rates[rates > 0].min(initial=np.inf) >= RESOLVED * np.max(np.abs(lam))
 
 
@@ -897,7 +950,7 @@ def test_rate_law_matches_the_reference_projection():
         fam = _family(model, **kw)
         outcomes = []
         for steady in (lambda: fam.state_and_derivative(np.inf),
-                       lambda: [fam._project(x) for x in steady_state(fam.liouvillian, fam.rho0)]):
+                       lambda: [fam._project(x) for x in steady_state(fam.liouvillians[0], fam.rho0[0])]):
             try:
                 outcomes.append(steady())
             except QThermoError as exc:

@@ -416,6 +416,31 @@ class TestStacks:
         # the Bloch form of the block read in |±> is the qubit's
         assert got == pytest.approx([qubit_qfi(*p) for p in pairs], rel=1e-12, abs=0.0)
 
+    def test_states_that_do_not_depend_on_t_take_no_eigensolver(self, monkeypatch):
+        # every grid's t = 0 row is its pure preparation, whose derivative
+        # is exactly 0: QFI 0 without an eigendecomposition
+        from qthermo import fisher
+
+        calls = []
+        real = fisher.eig_hermitian
+        monkeypatch.setattr(fisher, "eig_hermitian", lambda m: calls.append(m.shape) or real(m))
+        times = np.linspace(0.0, 5.0, 6)
+        for model, qfi in (("probe_ancilla", qubit_qfi), ("two_qubit_local", sector_qfi)):
+            fam = TemperatureFamily(make_model(model, temperature=0.4, eta=0.01, cutoff=10.0, theta=1.0))
+            rho, drho = fam.state_and_derivative(times)
+            assert not drho[0].any()
+            assert qfi(rho, drho)[0] == 0.0 and qfi(rho[0], drho[0]) == 0.0
+        assert calls == []
+        # a pure state with a nonzero derivative still takes the spectral
+        # form, with its boundary-of-support warning
+        rho, drho = np.diag([1.0, 0.0]).astype(complex), np.diag([-1e-6, 1e-6]).astype(complex)
+        for qfi, embed in ((qubit_qfi, lambda m: m), (sector_qfi, on_the_exchange_sector)):
+            with pytest.warns(UserWarning, match="boundary-of-support") as caught:
+                got = qfi(np.array([embed(rho)] * 2), np.array([embed(np.zeros((2, 2))), embed(drho)]))
+                want = qfi_spectral(embed(rho), embed(drho))
+            assert len(caught) == 2 and got[0] == 0.0 and got[1] == want
+        assert calls == [(1, 2, 2), (2, 2), (1, 4, 4), (4, 4)]
+
     def test_bloch_components_of_a_stack(self, rng):
         rho = np.array([random_qubit_family(rng)[0] for _ in range(4)])
         r = bloch_components(rho)

@@ -71,6 +71,41 @@ def test_stacked_states_equal_single_states(model, temperature, kappa, eta, eta2
         assert np.array_equal(rho[k], one) and np.array_equal(drho[k], d_one)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from(MODELS),
+    temperature=st.floats(0.05, 2.0),
+    kappas=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
+    thetas=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=3),
+    eta=st.floats(0.005, 0.1),
+    eta2=st.floats(0.005, 0.1),
+    times=st.lists(st.floats(0.0, 2000.0), min_size=1, max_size=8),
+    points=st.lists(st.tuples(st.integers(0, 8), st.floats(0.0, 2000.0)), min_size=1, max_size=12),
+)
+def test_sweep_items_equal_single_model_families(model, temperature, kappas, thetas, eta, eta2, times, points):
+    # every item of a sweep family (kappa x theta, so items share generators
+    # where they differ in theta alone) has the bits of its own single-model
+    # family: its column of a grid stack, and each (item, t) point of a search
+    models = [
+        make_model(model, temperature=temperature, eta=eta, eta2=eta2, cutoff=10.0, kappa=kappa, theta=theta)
+        for kappa in kappas for theta in thetas
+    ]
+    fam, singles = TemperatureFamily(*models), [TemperatureFamily(m) for m in models]
+    grid = np.array([0.0, *times])
+    rho, drho = fam.state_and_derivative(grid, np.arange(len(models))[:, None])
+    records = fam.grids(grid)
+    for k, single in enumerate(singles):
+        one, d_one = single.state_and_derivative(grid)
+        assert np.array_equal(rho[k], one) and np.array_equal(drho[k], d_one)
+        assert records[k] == single.records(grid)
+    items = np.array([i % len(models) for i, _ in points])
+    ts = np.array([t for _, t in points])
+    rho, drho = fam.state_and_derivative(ts, items)
+    for k, (i, t) in enumerate(zip(items, ts)):
+        one, d_one = singles[i].state_and_derivative(t)
+        assert np.array_equal(rho[k], one) and np.array_equal(drho[k], d_one)
+
+
 _SPECIAL_FLOATS = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 2.2250738585072014e-308)
 _FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
 _MIXED = st.one_of(

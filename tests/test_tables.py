@@ -14,6 +14,7 @@ from qthermo.closed_forms import optimal_ratio, steady_qsnr
 from qthermo.config import resolve
 from qthermo.errors import BadDimension, NonPositiveInput
 from qthermo.experiments import EXPERIMENTS, ScanResult, make_model
+from qthermo.fisher import qsnr, qubit_qfi
 from qthermo.dynamics import propagate
 from qthermo.master_equation import build_liouvillian
 from qthermo.models import initial_state
@@ -40,6 +41,18 @@ def old_grid_rows(axis, labels, grids):
     ]
 
 
+def single_coupling_optimum(kappa, options, times):
+    """A coupling's single-model probe+ancilla family, its records on
+    ``times`` and its QSNR optimum, from a search of its own."""
+    fam = experiments._family(
+        "probe_ancilla", options["temperature"], kappa=kappa, eta=options["eta"], cutoff=options["cutoff"],
+        theta=options["theta"],
+    )
+    recs = fam.records(times)
+    fn = lambda t: qsnr(fam.temperature, qubit_qfi(*fam.state_and_derivative(t)))  # noqa: E731
+    return fam, recs, experiments._refine_max(times, recs["qsnr"], fn)
+
+
 def old_rows(name, options, grid_args):
     """Row by row, the dicts the experiment's rows are: for a grid table
     from the records its runner tabulated, else from the runner's inputs."""
@@ -49,10 +62,7 @@ def old_rows(name, options, grid_args):
         times = np.linspace(0.0, options["t_max"], options["n_points"])
         rows = []
         for kappa in options["kappa_list"]:
-            fam, recs, opt_r = experiments._coupling_optimum(
-                kappa, options["temperature"], options["eta"], options["cutoff"],
-                options["theta"], times,
-            )
+            fam, recs, opt_r = single_coupling_optimum(kappa, options, times)
             opt_c = experiments._refine_max(
                 times, recs["coherence_abs"],
                 lambda t: experiments._coherence(fam.state_and_derivative(t)[0]),
@@ -131,10 +141,7 @@ def old_results(name, scan, options):
         times = np.linspace(0.0, options["t_max"], options["n_points"])
         optima = []
         for kappa in options["kappa_list"]:
-            _, _, o = experiments._coupling_optimum(
-                kappa, options["temperature"], options["eta"], options["cutoff"],
-                options["theta"], times,
-            )
+            _, _, o = single_coupling_optimum(kappa, options, times)
             optima.append({"kappa": kappa, "t_opt": o.argmax, "qsnr_opt": o.value})
         return {"optima": optima}
     if name == "coherence_parametric":
@@ -154,10 +161,11 @@ def old_results(name, scan, options):
                 kappa=options["kappa"], eta=options["eta1"], eta2=options["eta2"],
                 cutoff=options["cutoff"], theta=0.0 if config.endswith("separable") else np.pi / 2,
             )
-            t99[config] = experiments._first_root(
-                lambda t: experiments.sector_qfi(*fam.state_and_derivative(t)),
-                times[i - 1], times[i], 0.99 * qfi[-1], max(map(abs, qfi)),
+            (fit,) = experiments._fit(
+                lambda s, t: experiments.sector_qfi(*fam.state_and_derivative(t)),
+                [(times[i - 1], times[i])], [max(map(abs, qfi))],
             )
+            t99[config] = experiments._first_root(fit, times[i - 1], times[i], 0.99 * qfi[-1])
         return {"steady_qfi": steady, "t_99": t99}
     if name == "steady_qsnr":
         curve = [row for row in rows if row["section"] == "curve"]

@@ -39,7 +39,7 @@ def test_stage_split_books_every_request_to_its_stages():
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:] if not line.startswith("absent")}
     # every request enters cli.main once, and the rows add up to the total
     assert float(rows["qthermo.cli:main"][2]) == 1.0
-    assert float(rows["qthermo.dynamics:_Evolution._finite"][2]) > 0
+    assert float(rows["qthermo.dynamics:_Evolution._grid"][2]) > 0
     total = float(rows.pop("total")[0])
     assert abs(sum(float(r[0]) for r in rows.values()) - total) <= 0.1 * len(rows)
     assert not [line for line in lines if line.startswith("absent")]

@@ -59,7 +59,7 @@ STAGES = (
     "qthermo.dynamics:_Evolution.__init__",
     "qthermo.dynamics:_Evolution._prepare",
     "qthermo.dynamics:_Evolution.__call__",
-    "qthermo.dynamics:_Evolution._finite",
+    "qthermo.dynamics:_Evolution._grid",
     "qthermo.dynamics:_Evolution._exponentials",
     "qthermo.fisher:qfi_spectral",
     "qthermo.fisher:sector_qfi",
