@@ -58,19 +58,16 @@ def _fmt(value) -> str:
 
 
 def _write_text(path: str, texts) -> None:
-    """Write each text of ``texts``, UTF-8 encoded, to the file ``path``
-    through one unbuffered descriptor, each by ``os.write`` calls until all
-    of its bytes are out.  A new file gets mode ``0o666`` less the umask, as
-    ``open`` gives it; a file that is there is written in place and then cut
-    to the bytes written, which costs less than truncating it first."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    """Write each text of ``texts``, UTF-8 encoded, to the new or truncated
+    file ``path`` through one unbuffered descriptor (mode ``0o666`` less the
+    umask, as ``open`` gives it), each by ``os.write`` calls until all of its
+    bytes are out."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         for text in texts:
             data = memoryview(text.encode())
             while data:
                 data = data[os.write(fd, data):]
-        if os.fstat(fd).st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
-            os.ftruncate(fd, end)
     finally:
         os.close(fd)
 

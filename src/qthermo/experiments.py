@@ -12,13 +12,14 @@ sweep's points are split into at most ``workers`` contiguous chunks, pool
 jobs whose order does not change the assembled output.
 
 A chunk is one :class:`TemperatureFamily` of all its points' models, its
-items: per distinct generator (models that differ only in ``theta`` share
-one) its channels and, once a finite time asks for them, one Liouvillian
-with its closed-form ``dL/dT`` and one decomposition.  The family takes
-the states and their exact temperature derivatives from them in ``(item,
-t)`` stacks of up to ``STACK_STATES``, and computes records on stacks;
-steady states come from the population rate law of the channels.  No
-experiment takes a finite difference: closed forms and the central
+items (``theta_scan``'s chunks read items of one family, decomposed before
+they start): per distinct generator (models that differ only in ``theta``
+share one) its channels and, once a finite time asks for them, one
+Liouvillian with its closed-form ``dL/dT`` and one decomposition.  The
+family takes the states and their exact temperature derivatives from them
+in ``(item, t)`` stacks of up to ``STACK_STATES``, and computes records on
+stacks; steady states come from the population rate law of the channels.
+No experiment takes a finite difference: closed forms and the central
 differences of ``tests/reference.py`` are test oracles.
 
 Located optima and ``t_99`` come from piecewise Chebyshev fits of the
@@ -47,16 +48,8 @@ from .errors import BadDimension, NoConvergence, NonFinite, NonPositiveInput, Re
 from .fisher import cfi_povm, measurement_fi, qsnr, qubit_qfi, sector_qfi
 from .linalg import dag, partial_trace, pauli
 from .master_equation import assemble_liouvillian, jump_channels
-from .models import (
-    BathSpec,
-    CommonBath,
-    DirectProbeModel,
-    LocalBaths,
-    ProbeAncillaModel,
-    TwoQubitModel,
-    coupling_operators,
-    initial_state,
-)
+from .models import (BathSpec, CommonBath, DirectProbeModel, LocalBaths, ProbeAncillaModel, TwoQubitModel,
+                     coupling_operators, generator_key, initial_state)
 from .dynamics import _Evolution, law_states, rate_law
 
 __all__ = [
@@ -184,7 +177,7 @@ def _sweep(job, points, workers: int | None) -> list:
     """``job(chunk)`` (a result per point) over at most ``workers`` chunks of
     ``points``; a chunk that fails reruns point by point: the first's error."""
     points = list(points)
-    n = min(worker_count() if workers is None else workers, len(points))
+    n = min(max(1, worker_count() if workers is None else workers), len(points))
 
     def run(chunk):
         try:
@@ -287,7 +280,7 @@ class TemperatureFamily:
         self.temperature = float(coupling_operators(models[0])[0][1].temperature)
         self.models, self.rho0 = models, np.array([initial_state(m) for m in models])
         self._has_ancilla = isinstance(models[0], ProbeAncillaModel)
-        keys = [(type(m), *(v for k, v in vars(m).items() if k != "theta")) for m in models]
+        keys = [generator_key(m) for m in models]
         distinct = list(dict.fromkeys(keys))
         self._generator, self._laws = [distinct.index(key) for key in keys], {}
         self._sources = [models[keys.index(key)] for key in distinct]
@@ -341,11 +334,12 @@ class TemperatureFamily:
             return _law_record(self.channels[self._generator[int(item)]].vecs, *law[:2], rho, self.temperature)
         return _two_qubit_record(t, rho, drho, self.temperature)
 
-    def grids(self, times) -> list[dict]:
-        """Each item's records on ``times``, in stacks of at most ``STACK_STATES`` states."""
+    def grids(self, times, items=None) -> list[dict]:
+        """Records on ``times`` of each of ``items`` (all by default), in stacks of at most ``STACK_STATES``."""
+        items = np.arange(len(self.models)) if items is None else np.asarray(items)
         step, out = max(1, STACK_STATES // len(times)), []
-        for first in range(0, len(self.models), step):
-            records = self.records(times, np.arange(first, min(first + step, len(self.models)))[:, None])
+        for first in range(0, len(items), step):
+            records = self.records(times, items[first:first + step, None])
             out += [dict(zip(records, values)) for values in zip(*records.values())]
         return out
 
@@ -506,11 +500,12 @@ def run_theta_scan(
     """Reduced-probe QFI(t) for a list of ancilla preparation angles."""
     times = np.linspace(0.0, t_max, n_points)
     thetas = list(map(float, theta_list))
-
-    grids = _sweep(lambda part: TemperatureFamily(*(
-        make_model("probe_ancilla", temperature=temperature, eta=eta, cutoff=cutoff, kappa=kappa, theta=theta)
-        for theta in part
-    )).grids(times), thetas, workers)
+    if not thetas:
+        raise NonPositiveInput("theta_scan needs at least one angle")
+    fam = TemperatureFamily(*(make_model("probe_ancilla", temperature=temperature, eta=eta, cutoff=cutoff,
+                                         kappa=kappa, theta=theta) for theta in thetas))
+    fam._evolution  # the angles' one generator, decomposed once for every chunk
+    grids = _sweep(lambda part: fam.grids(times, part), range(len(thetas)), workers)
     peaks = {}  # a repeated angle keeps its larger peak
     for theta, recs in zip(thetas, grids):
         peaks[theta] = max([peaks.get(theta, 0.0), *recs["qfi"]])
@@ -556,15 +551,16 @@ def run_direct_vs_ancilla(
 
 def _coupling_optima(kappas, temperature, eta, cutoff, theta, times, columns) -> list[tuple]:
     """Per coupling, its probe+ancilla records on ``times`` and maxima of ``columns``."""
-    fam, m = TemperatureFamily(*(
-        make_model("probe_ancilla", temperature=temperature, eta=eta, cutoff=cutoff, kappa=kappa, theta=theta)
-        for kappa in kappas
-    )), len(columns)
-    grids = fam.grids(times)
+    fam = TemperatureFamily(*(make_model("probe_ancilla", temperature=temperature, eta=eta, cutoff=cutoff,
+                                         kappa=kappa, theta=theta) for kappa in kappas))
+    grids, m, snr_column = fam.grids(times), len(columns), np.array(columns) == "qsnr"
 
     def searched(s, t):  # search s reads the column s % m of the item s // m
         rho, drho = fam.state_and_derivative(t, s // m)
-        return np.where(s % m, _coherence(rho), qsnr(fam.temperature, qubit_qfi(rho, drho)))
+        out, snr = np.empty(len(s)), snr_column[s % m]
+        out[snr] = qsnr(fam.temperature, qubit_qfi(rho[snr], drho[snr]))
+        out[~snr] = _coherence(rho[~snr])
+        return out
 
     optima = _refine_maxima(times, [recs[name] for recs in grids for name in columns], searched)
     return [(recs, *optima[m * k:m * (k + 1)]) for k, recs in enumerate(grids)]

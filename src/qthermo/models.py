@@ -32,6 +32,7 @@ __all__ = [
     "hamiltonian",
     "coupling_operators",
     "initial_state",
+    "generator_key",
 ]
 
 
@@ -205,3 +206,8 @@ def initial_state(model: Model) -> np.ndarray:
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
     return np.outer(psi, psi.conj())
+
+
+def generator_key(model: Model) -> tuple:
+    """Type and fields but ``theta`` (only :func:`initial_state` reads it): what fixes the generator."""
+    return (type(model), *(v for k, v in vars(model).items() if k != "theta"))

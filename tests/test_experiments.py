@@ -278,6 +278,32 @@ class TestSweepStacks:
         with pytest.raises(NoConvergence, match=r"^maximum at grid edge 30\.0; extend the grid"):
             run_kappa_sweep([0.6, 1.2, 0.8, 1.0], t_max=30.0, n_points=100, workers=workers)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_run_serially(self, workers):
+        for run, kw in ((run_theta_scan, {"n_points": 40}), (run_kappa_sweep, {"n_points": 60}),
+                        (run_coherence_parametric, {"n_points": 60}), (run_two_qubit_configs, {"n_points": 30})):
+            assert run(workers=workers, **kw) == run(workers=1, **kw), run.__name__
+        assert experiments._sweep(lambda chunk: chunk, "abc", workers) == list("abc")
+        assert experiments._sweep(lambda chunk: chunk, "", workers) == []
+
+    @pytest.mark.parametrize("column, skipped", [("coherence_abs", "qubit_qfi"), ("qsnr", "_coherence")])
+    def test_a_search_reads_only_its_own_column(self, monkeypatch, column, skipped):
+        rows, fn = [], getattr(experiments, skipped)
+
+        def counted(rho, *args):
+            rows.append(int(np.prod(np.shape(rho)[:-2])))
+            return fn(rho, *args)
+
+        monkeypatch.setattr(experiments, skipped, counted)
+        times = np.linspace(0.0, 50.0, 100)
+        optima = experiments._coupling_optima([0.4, 0.8], 0.4, 0.1, 10.0, np.pi / 2, times, (column,))
+        assert len(optima) == 2
+        assert sum(rows) == 2 * len(times)  # the grid records' rows, no search node
+
+    def test_theta_scan_needs_an_angle(self):
+        with pytest.raises(NonPositiveInput, match="at least one angle"):
+            run_theta_scan([])
+
 
 class TestThetaScan:
     def test_balanced_preparation_is_best(self, theta_scan_result):
@@ -750,9 +776,9 @@ class TestSharedGenerator:
         calls = self.count_builds(monkeypatch)
         shapes = self.count_exponentials(monkeypatch)
         scan = run_theta_scan(n_points=60, workers=workers)
-        # each chunk of the five preparations builds the generator once and
-        # takes one exp(lam t) of the grid for all of its items
-        assert len(calls) == workers
+        # the five preparations share one generator, built before the chunks;
+        # each chunk takes one exp(lam t) of the grid for all of its items
+        assert len(calls) == 1
         assert shapes == [(60, 16)] * workers
         times = np.linspace(0.0, 50.0, 60)
         grids = [

@@ -13,6 +13,7 @@ from qthermo.models import (
     ProbeAncillaModel,
     TwoQubitModel,
     coupling_operators,
+    generator_key,
     hamiltonian,
     initial_state,
 )
@@ -163,3 +164,33 @@ class TestInitialState:
             pa_model(theta=3.5)
         with pytest.raises(ValidationError):
             tq_model(theta=-0.1)
+
+
+class TestGeneratorKey:
+    """Models that share a key share a generator: ``theta`` enters only the initial state."""
+
+    @pytest.mark.parametrize("make", [
+        lambda theta: pa_model(theta=theta),
+        lambda theta: tq_model(theta=theta),
+        lambda theta: tq_model(theta=theta, common=True),
+    ])
+    def test_theta_leaves_the_generator(self, make):
+        from dataclasses import fields
+
+        from qthermo.master_equation import jump_channels
+
+        models = [make(theta) for theta in (0.0, 0.7, np.pi / 2, np.pi)]
+        assert len({generator_key(m) for m in models}) == 1
+        channels = [jump_channels(m) for m in models]
+        for ch in channels[1:]:
+            for f in fields(ch):
+                assert np.array_equal(getattr(ch, f.name), getattr(channels[0], f.name)), f.name
+        assert len({initial_state(m).tobytes() for m in models}) == len(models)
+
+    def test_other_fields_change_the_key(self):
+        keys = {generator_key(m) for m in (
+            pa_model(), pa_model(kappa=0.7), pa_model(T=0.5), tq_model(), tq_model(kappa=0.5),
+            tq_model(common=True), DirectProbeModel(bath()), DirectProbeModel(bath(T=0.5)),
+        )}
+        assert len(keys) == 8
+
