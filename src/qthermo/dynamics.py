@@ -25,6 +25,8 @@ and the initial coherences that no channel damps within a level.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .errors import NoConvergence, NonPositiveInput, QThermoError, ResolutionLimit
@@ -179,39 +181,38 @@ class _Evolution:
     def __init__(self, liouvillians, rho0, generator):
         self.liouvillians, self.generator = liouvillians, np.asarray(generator)
         self.v0 = np.asarray(rho0, dtype=complex).swapaxes(-1, -2).reshape(len(self.generator), -1)  # vec rho0[i]
-        # per item (V^-1 vec rho0, Y 1, z) and Y of a basis that passes both tests
-        self.c, self.ysum, self.z = np.zeros((3, *self.v0.shape), dtype=complex)
-        self.y = np.zeros((*self.v0.shape, self.v0.shape[-1]), dtype=complex)
-        # LAPACK decomposes each generator of the stack as it would alone
-        self.lam, vecs = np.linalg.eig(np.array([liou.superop for liou in liouvillians]))
-        self.basis = [self._prepare(g, v) for g, v in enumerate(vecs)]
-
-    def _prepare(self, g, v):
-        """``V`` of generator ``g`` with its items' coefficients, or ``None``."""
-        superop, lam = self.liouvillians[g].superop, self.lam[g]
-        scale = np.max(np.abs(lam))
+        superop = np.array([liou.superop for liou in liouvillians])
+        # LAPACK decomposes (and inverts) each generator of the stack as it would alone
+        self.lam, vecs = np.linalg.eig(superop)
+        modulus = np.abs(self.lam)
+        tol = EQUAL_EIG_TOL * modulus.max(axis=-1, keepdims=True)
         # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
-        lam[np.abs(lam) <= EQUAL_EIG_TOL * scale] = 0.0
+        self.lam[modulus <= tol] = 0.0
         try:
-            v_inv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:  # V is singular: L has no eigenbasis
-            return None
+            v_inv = np.linalg.inv(vecs)
+        except np.linalg.LinAlgError:  # generator by generator: a singular V (L has no eigenbasis) stays NaN
+            v_inv = np.full_like(vecs, np.nan)
+            for g, v in enumerate(vecs):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    v_inv[g] = np.linalg.inv(v)
         # ||V||_F ||V^-1||_F >= cond_2(V), so this accepts no basis that
         # cond_2 would reject; a NaN bound or residual fails the comparison
-        if not (np.linalg.norm(v) * np.linalg.norm(v_inv) <= SPECTRAL_COND_MAX
-                and np.max(np.abs((v * lam) @ v_inv - superop)) <= SPECTRAL_RESIDUAL_MAX * np.max(np.abs(superop))):
-            return None
-        gap = np.subtract.outer(lam, lam)
-        equal = np.abs(gap) <= EQUAL_EIG_TOL * scale
-        mine = self.generator == g if len(self.liouvillians) > 1 else slice(None)
-        c = (v_inv @ self.v0[mine][..., None])[..., 0]
-        xc = (v_inv @ self.liouvillians[g].d_superop @ v) * c[:, None, :]
+        rows = [m.view(float).reshape(len(m), 1, -1) for m in (vecs, v_inv)]  # ||m||_F^2 = row @ row^T
+        bound = np.sqrt((rows[0] @ rows[0].swapaxes(1, 2)) * (rows[1] @ rows[1].swapaxes(1, 2)))[:, 0, 0]
+        residual = np.abs((vecs * self.lam[:, None]) @ v_inv - superop).max(axis=(1, 2))
+        accepted = (bound <= SPECTRAL_COND_MAX) & (residual <= SPECTRAL_RESIDUAL_MAX * np.abs(superop).max(axis=(1, 2)))
+        self.basis = [v if ok else None for v, ok in zip(vecs, accepted)]
+        v_inv[~accepted] = 0.0  # per item (V^-1 vec rho0, Y 1, z) and Y, 0 under a rejected basis
+        mine = self.generator if len(liouvillians) > 1 else slice(None)  # one generator broadcasts
+        lam, x = self.lam[mine], (v_inv @ np.array([liou.d_superop for liou in liouvillians]) @ vecs)[mine]
+        self.c = (v_inv[mine] @ self.v0[..., None])[..., 0]
         # the conserved quantities (the left null space) do not depend on T
-        xc[:, lam == 0] = 0.0
-        y = np.divide(xc, gap, out=np.zeros_like(xc), where=~equal)
-        self.c[mine], self.y[mine], self.ysum[mine] = c, y, y.sum(axis=-1)
-        self.z[mine] = np.where(equal, xc, 0.0).sum(axis=-1)
-        return v
+        xc = x * self.c[:, None, :]
+        np.copyto(xc, 0.0, where=lam[:, :, None] == 0)
+        gap = lam[:, :, None] - lam[:, None, :]
+        equal = np.abs(gap) <= tol[mine, :, None]
+        self.y = np.divide(xc, gap, out=np.zeros_like(xc), where=~equal)
+        self.ysum, self.z = self.y.sum(axis=-1), np.where(equal, xc, 0.0).sum(axis=-1)
 
     def _exponentials(self, item, times):
         liou, n = self.liouvillians[self.generator[item]], self.v0.shape[-1]

@@ -26,9 +26,9 @@ Located optima and ``t_99`` come from piecewise Chebyshev fits of the
 searched functions on their grid brackets: each level of every search of a
 chunk is one stacked call, and a piece is halved until its trailing
 coefficients fall to ``FIT_TOL`` of the grid's largest value.  An optimum is
-the best derivative root or piece end of its fit, where the function itself
-is then evaluated, for every search in one more call; ``t_99`` is the fit's
-first crossing of its target.
+the best derivative root or piece end of its fit, ``t_99`` the fit's first
+crossing of its target: the roots of every piece take one stacked solve per
+call, and the optima's function values one more call for every search.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from numpy.polynomial import chebyshev as C
 
 from .closed_forms import optimal_ratio, steady_qsnr
 from .errors import BadDimension, NoConvergence, NonFinite, NonPositiveInput, ResolutionLimit, ValidationError
-from .fisher import cfi_povm, measurement_fi, qsnr, qubit_qfi, sector_qfi
+from .fisher import _doublet_populations, _sector_qfi, cfi_povm, measurement_fi, qsnr, qubit_qfi
 from .linalg import dag, partial_trace, pauli
 from .master_equation import assemble_liouvillian, jump_channels
 from .models import (BathSpec, CommonBath, DirectProbeModel, LocalBaths, ProbeAncillaModel, TwoQubitModel,
@@ -78,15 +78,8 @@ DEFAULT_KAPPAS = (0.6, 0.7, 0.8, 0.9)
 DEFAULT_PARAMETRIC_KAPPAS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2)
 
 # Fixed two-qubit measurement basis: |00>, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, |11>.
-_TQ_BASIS = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.0],
-        [0.0, 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0), 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ],
-    dtype=complex,
-).T
+_TQ_BASIS = (np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
+             / np.sqrt([[1.0], [2.0], [2.0], [1.0]])).astype(complex).T
 
 
 @dataclass(frozen=True)
@@ -391,13 +384,6 @@ def _qubit_record(t, rho, drho, temperature):
     return _records(t, qubit_qfi(rho, drho), fi, rho, temperature)
 
 
-def _tq_probs(m: np.ndarray) -> np.ndarray:
-    """``Re <b_k| m |b_k>`` for the four ``_TQ_BASIS`` vectors, per matrix."""
-    bras = _TQ_BASIS.T.conj()[:, None, :]
-    kets = _TQ_BASIS.T[:, :, None]
-    return (bras @ m[..., None, :, :] @ kets)[..., 0, 0].real
-
-
 def _two_qubit_record(t, rho, drho, temperature):
     """Two-qubit record, or records on a grid, measured in ``_TQ_BASIS``; a
     basis population below -1e-12 is a :class:`ResolutionLimit` at its ``t``.
@@ -408,14 +394,14 @@ def _two_qubit_record(t, rho, drho, temperature):
     (``sz`` of a qubit, or a sum of them) commute with the excitation
     number, so every jump operator and the generator keep the state and
     its temperature derivative on span{|01>, |10>}."""
-    probs = _tq_probs(rho)
+    probs = _doublet_populations(rho)
     low = np.ravel(probs.min(axis=-1))
     bad = np.flatnonzero(low < -1e-12)
     if bad.size:
         t = np.ravel(np.broadcast_to(t, probs.shape[:-1]))[bad[0]]
         raise ResolutionLimit(f"basis population {low[bad[0]]} below 0 at t = {t}")
-    fi = cfi_povm(probs, _tq_probs(drho))
-    return _records(t, sector_qfi(rho, drho), fi, rho, temperature)
+    fi = cfi_povm(probs, _doublet_populations(drho))
+    return _records(t, _sector_qfi(rho, drho), fi, rho, temperature)
 
 
 def _law_record(vecs, p, dlog, rho, temperature):
@@ -432,25 +418,49 @@ def _law_record(vecs, p, dlog, rho, temperature):
     return _records(np.inf, qfi, cfi_povm(overlap @ p, overlap @ dp), rho, temperature)
 
 
+def _roots(series: np.ndarray) -> np.ndarray:
+    """Roots of the Chebyshev series in the rows of ``series``, each row's with the bits and order of
+    ``C.chebroots(C.chebtrim(row))``, then NaN: the rotated companion matrices, built per trimmed
+    length and zero-padded to one size (LAPACK isolates the padding), take one ``eigvals`` call."""
+    deg = ((series != 0.0) * np.arange(series.shape[1])).max(axis=1, initial=0)
+    stack = np.zeros((len(series), series.shape[1] - 1, series.shape[1] - 1))
+    for n in np.unique(deg[deg > 1]):  # C.chebcompanion of each row of degree n
+        c, i, scl = series[deg == n, :n + 1], np.arange(n - 1), np.r_[1.0, np.full(n - 1, np.sqrt(0.5))]
+        mat = np.zeros((len(c), n, n))
+        mat[:, i, i + 1] = mat[:, i + 1, i] = np.r_[np.sqrt(0.5), np.full(n - 2, 0.5)]
+        mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * 0.5
+        stack[deg == n, :n, :n] = mat[:, ::-1, ::-1]
+    roots = np.linalg.eigvals(stack).astype(complex)
+    roots[deg == 1, :1] = -series[deg == 1, :1] / series[deg == 1, 1:2]
+    return np.sort(np.where(np.arange(stack.shape[-1]) < deg[:, None], roots, np.nan), axis=-1)
+
+
+def _stacked(fits):
+    """Ends ``a``, ``b`` and series of every piece of ``fits``, and each fit's first piece (then the end)."""
+    pieces = [piece for pieces in fits for piece in pieces]
+    a, b = np.array([piece[:2] for piece in pieces]).reshape(-1, 2).T
+    return a, b, np.array([piece[2] for piece in pieces]).reshape(-1, NODES), np.cumsum([0, *map(len, fits)])
+
+
 def _refine_maxima(times, values, fn) -> list[OptSearchResult]:
     """Maximum of each search ``s`` of ``fn(s, x)`` between the grid points
     either side of the largest of ``values[s]`` on ``times``: the best of its
     fit's derivative roots and piece ends, where ``fn`` is then evaluated,
-    for every search in one call."""
-    peaks = [int(np.argmax(v)) for v in values]
+    for every search in one call; every piece's derivative roots take one stacked solve."""
+    peaks = (values := np.asarray(values, dtype=float)).argmax(axis=1)
     for i in peaks:
         if i == 0 or i == len(times) - 1:
             raise NoConvergence(f"maximum at grid edge {times[i]}; extend the grid to bracket it")
     brackets = [(float(times[i - 1]), float(times[i + 1])) for i in peaks]
-    fits, best = _fit(fn, brackets, [float(np.max(np.abs(v))) for v in values]), []
-    for pieces in fits:
-        top = -np.inf
-        for a, b, c, _ in pieces:
-            s = np.r_[-1.0, 1.0, np.clip(C.chebroots(C.chebtrim(C.chebder(c))).real, -1.0, 1.0)]
-            v = C.chebval(s, c)
-            if v.max() > top:
-                top, x = v.max(), float(0.5 * (a + b) + 0.5 * (b - a) * s[np.argmax(v)])
-        best.append(x)
+    fits = _fit(fn, brackets, np.abs(values).max(axis=1).tolist())
+    a, b, coeffs, first = _stacked(fits)
+    # candidates -1, 1 and the clipped derivative roots, NaN padding set to -1 (never the first maximum)
+    s = np.clip(_roots(C.chebder(coeffs, axis=1)).real, -1.0, 1.0)
+    s = np.concatenate([np.tile([-1.0, 1.0], (len(s), 1)), np.where(np.isnan(s), -1.0, s)], axis=1)
+    v = C.chebval(s, coeffs.T[..., None], tensor=False)
+    piece, top = np.arange(len(v)), v.argmax(axis=1)
+    x, v = 0.5 * (a + b) + 0.5 * (b - a) * s[piece, top], v[piece, top]
+    best = [float(x[i + np.argmax(v[i:j])]) for i, j in zip(first[:-1], first[1:])]  # a search's first best piece
     found = np.asarray(fn(np.arange(len(best)), np.array(best)), dtype=float)
     return [
         OptSearchResult(x, float(value), bracket, (float(v[i - 1]), float(v[i + 1])), float(max(p[3] for p in pieces)))
@@ -463,14 +473,22 @@ def _refine_max(times, values, fn) -> OptSearchResult:
     return _refine_maxima(times, [values], lambda s, x: fn(x))[0]
 
 
+def _first_roots(fits, brackets, targets) -> list[float]:
+    """First root of ``fit - target`` of each fit of ``[lo, hi]``, every piece's roots in one stacked solve."""
+    a, b, coeffs, first = _stacked(fits)
+    coeffs[:, 0] -= np.repeat(targets, np.diff(first))  # C.chebsub(c, target)
+    s = _roots(coeffs)
+    real = (s.imag == 0) & (np.abs(s.real) <= 1.0)
+    x = 0.5 * (a + b) + 0.5 * (b - a) * np.where(real, s.real, np.inf).min(axis=1, initial=np.inf)
+    for (lo, hi), target, i, j in zip(brackets, targets, first[:-1], first[1:]):
+        if np.isinf(x[i:j]).all():  # no piece has a root
+            raise NoConvergence(f"the fit of [{lo}, {hi}] does not reach {target}")
+    return [float(x[i:j][np.isfinite(x[i:j])][0]) for i, j in zip(first[:-1], first[1:])]
+
+
 def _first_root(pieces, lo: float, hi: float, target: float) -> float:
-    """First root of ``fit - target`` of the fit ``pieces`` of ``[lo, hi]``."""
-    for a, b, c, _ in pieces:
-        s = C.chebroots(C.chebtrim(C.chebsub(c, target)))
-        s = s.real[(s.imag == 0) & (np.abs(s.real) <= 1.0)]
-        if s.size:
-            return float(0.5 * (a + b) + 0.5 * (b - a) * s.min())
-    raise NoConvergence(f"the fit of [{lo}, {hi}] does not reach {target}")
+    """The one fit of :func:`_first_roots`."""
+    return _first_roots([pieces], [(lo, hi)], [target])[0]
 
 
 _RECORD_COLUMNS = ("qfi", "cfi", "qsnr", "qfi_per_t", "coherence_abs")
@@ -653,9 +671,9 @@ def run_two_qubit_configs(
         # a configuration at its target from t = 0 takes no search
         items, t99 = np.flatnonzero(first), np.zeros(len(part))
         brackets = [(float(times[first[k] - 1]), float(times[first[k]])) for k in items]
-        fits = _fit(lambda s, t: sector_qfi(*fam.state_and_derivative(t, items[s])), brackets,
+        fits = _fit(lambda s, t: _sector_qfi(*fam.state_and_derivative(t, items[s])), brackets,
                     [float(np.max(np.abs(grids[k]["qfi"]))) for k in items])
-        t99[items] = [_first_root(p, *bracket, targets[k]) for p, bracket, k in zip(fits, brackets, items)]
+        t99[items] = _first_roots(fits, brackets, [targets[k] for k in items])
         return list(zip(grids, t99.tolist()))
 
     grids, t99 = zip(*_sweep(chunk, TWO_QUBIT_CONFIGS, workers))

@@ -196,6 +196,12 @@ def _exchange_components(m):
     return np.stack([(m[..., 1, 1] - m[..., 2, 2]).real, 2.0 * z.imag, 2.0 * z.real], axis=-1)
 
 
+def _doublet_populations(m):
+    """``Re <b|m|b>`` of Hermitian two-qubit matrices on ``|00>, |±>, |11>``: ``m00``, ``p±``, ``m33``."""
+    mean, re = 0.5 * (m[..., 1, 1].real + m[..., 2, 2].real), m[..., 1, 2].real
+    return np.stack([m[..., 0, 0].real, mean + re, mean - re, m[..., 3, 3].real], axis=-1)
+
+
 def sector_qfi(rho: np.ndarray, drho: np.ndarray):
     """QFI of two-qubit states supported on the one-excitation sector
     span{|01>, |10>} (entries outside it are taken as 0), with derivatives.
@@ -209,10 +215,15 @@ def sector_qfi(rho: np.ndarray, drho: np.ndarray):
     """
     rho, drho = np.asarray(rho, dtype=complex), np.asarray(drho, dtype=complex)
     _check_derivative(drho)
+    return _sector_qfi(rho, drho)
+
+
+def _sector_qfi(rho, drho):
+    """:func:`sector_qfi` of complex arrays, unchecked: the dynamics' derivatives are Hermitian."""
     r = _exchange_components(rho)
-    mean, re = 0.5 * (rho[..., 1, 1].real + rho[..., 2, 2].real), rho[..., 1, 2].real
+    p = _doublet_populations(rho)
     # 4 |c|^2 = r_x^2 + r_y^2
-    v = 4.0 * ((mean + re) * (mean - re)) - (r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1])
+    v = 4.0 * (p[..., 1] * p[..., 2]) - (r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1])
     return _bloch_or_spectral(rho, drho, r, _exchange_components(drho), v, np.asarray(v <= PURE_GAP))
 
 

@@ -310,6 +310,43 @@ class TestStacks:
         with pytest.raises(NonPositiveInput):
             propagate(*pa_liouvillian(), [0.0, -1.0])
 
+    def test_family_preparation_equals_single_generators(self, monkeypatch):
+        # one stacked preparation of accepted bases, an ill-conditioned one
+        # (the defective Rabi drive, rejected) and a singular V (inv raises
+        # for it) gives each generator and item the bits of its own evolution
+        def driven(wz, wx, g):  # a qubit precessing about (wx, 0, wz), dephased at the rate g = 0.75 T
+            return Liouvillian(superop=commutator_superop(wz * pauli("z") + wx * pauli("x"))
+                               + g * dissipator_superop(pauli("z")), d_superop=0.75 * dissipator_superop(pauli("z")))
+
+        lious = [driven(0.5, 0.2, 0.05), driven(0.0, 0.15, 0.3), driven(0.7, 0.3, 0.1), driven(1.0, 0.1, 0.02)]
+        singular = np.linalg.eig(lious[2].superop)[1]
+        inv = np.linalg.inv
+
+        def inverse(a):
+            if any(np.array_equal(m, singular) for m in np.reshape(a, (-1, 4, 4))):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", inverse)
+        plus = 0.5 * np.ones((2, 2), dtype=complex)
+        rho0 = [plus, np.diag([1.0, 0.0]).astype(complex), plus, plus, np.diag([0.3, 0.7]).astype(complex)]
+        generator = [0, 1, 2, 3, 0]
+        family = _Evolution(lious, rho0, generator)
+        assert [v is None for v in family.basis] == [False, True, True, False]
+        times = np.linspace(0.0, 20.0, 41)
+        for i, (g, r) in enumerate(zip(generator, rho0)):
+            alone = evolution_of(lious[g], r)
+            assert family.lam[g].tobytes() == alone.lam[0].tobytes()
+            assert (family.basis[g] is None) == (alone.basis[0] is None)
+            if alone.basis[0] is not None:
+                assert family.basis[g].tobytes() == alone.basis[0].tobytes()
+            for name in ("c", "ysum", "z", "y"):
+                assert getattr(family, name)[i].tobytes() == getattr(alone, name)[0].tobytes(), (i, name)
+            for a, b in zip(family(times, i), alone(times, 0)):
+                assert a.tobytes() == b.tobytes()
+        # rejected bases keep zero coefficients
+        assert not family.c[[1, 2]].any() and not family.y[[1, 2]].any()
+
     def test_shared_evolution_under_thread_contention(self):
         # one two-item evolution of one generator, called by more threads
         # than cores, switching often, on four grids and both items, must

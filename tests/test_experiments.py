@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qthermo.closed_forms import optimal_ratio, steady_qfi
-from qthermo import dynamics, experiments
+from qthermo import dynamics, experiments, fisher
 from qthermo.config import resolve
 from qthermo.errors import NoConvergence, NonFinite, NonPositiveInput, QThermoError, ResolutionLimit, ValidationError
 from qthermo.experiments import (
@@ -196,6 +196,26 @@ class TestFittedSearches:
             bracket, _ = sequential_t99_bisection(q, float(times[i - 1]), float(times[i]), target)
             assert t99 == pytest.approx(0.5 * sum(bracket), rel=1e-12, abs=0.0)
 
+    def test_stacked_searches_equal_single_searches(self):
+        # the maxima of three couplings' QSNR and coherence, and the t_99 of
+        # the four two-qubit configurations, searched together and one by one
+        times, fam = np.linspace(0.0, 50.0, 100), TemperatureFamily(*(
+            ProbeAncillaModel(kappa, BathSpec(0.1, 10.0, 0.4), np.pi / 2) for kappa in (0.4, 0.8, 1.2)))
+        fns = [lambda t, k=k: qsnr(fam.temperature, qubit_qfi(*fam.state_and_derivative(t, k))) for k in range(3)]
+        fns += [lambda t, k=k: experiments._coherence(fam.state_and_derivative(t, k)[0]) for k in range(3)]
+        values = [fn(times) for fn in fns]
+        stacked = experiments._refine_maxima(times, values, lambda s, t: np.array(
+            [fns[k](x) for k, x in zip(s.tolist(), t)]))
+        assert stacked == [_refine_max(times, v, fn) for v, fn in zip(values, fns)]
+        searches = list(two_qubit_searches(n_points=120))
+        fits = [_fit(lambda s, t, q=q: q(t), [(times[i - 1], times[i])], [max(qfi)])[0]
+                for q, times, qfi, i, _, _ in searches]
+        brackets = [(times[i - 1], times[i]) for _, times, _, i, _, _ in searches]
+        targets = [target for *_, target, _ in searches]
+        roots = experiments._first_roots(fits, brackets, targets)
+        assert roots == [experiments._first_root(*args) for args in zip(fits, *zip(*brackets), targets)]
+        assert roots == [t99 for *_, t99 in searches]
+
     def test_t99_near_the_decoherence_free_corner(self):
         # eta2/eta = 1.00001: the common-bath QFI carries ~1e-7 relative noise
         run = run_two_qubit_configs(eta2=0.0100001, workers=1)
@@ -224,6 +244,15 @@ class TestSearchCallCounts:
             monkeypatch.setattr(experiments, "_refine_maxima", lambda times, values, fn: refine(times, values, counted(fn)))
         run(workers=1)
         assert sizes == [(searches, searches * experiments.NODES), (searches, searches)][:calls]
+
+    @pytest.mark.parametrize("run", [run_kappa_sweep, run_coherence_parametric, run_two_qubit_configs])
+    def test_one_eigvals_call_per_solve(self, run, monkeypatch):
+        # every piece of every search of a chunk, whatever its trimmed length,
+        # in one stacked eigenvalue call; the evolution takes none
+        shapes, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        run(workers=1)
+        assert len(shapes) == 1
 
 
 class TestSweepStacks:
@@ -529,6 +558,28 @@ class TestStackRecords:
         assert ref["qfi"] == [sector_qfi(a, b) for a, b in zip(rho, drho)]
         assert ref["qfi"] == pytest.approx([qfi_spectral(a, b) for a, b in zip(rho, drho)], rel=1e-12, abs=0.0)
         assert ref["qfi"][0] == 0.0  # t = 0: the pure, temperature-independent preparation
+
+    def test_two_qubit_probabilities_in_closed_form(self, rng):
+        # m00, p± = (m11 + m22)/2 ± Re m12 and m33 are Re <b|m|b> on the
+        # doublet basis, to rounding of its 1/sqrt(2) entries
+        m = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+        m = m + m.conj().transpose(0, 2, 1)
+        plus, minus = 0.5 * (m[:, 1, 1] + m[:, 2, 2]).real + np.array([[1.0], [-1.0]]) * m[:, 1, 2].real
+        got = fisher._doublet_populations(m)
+        assert np.array_equal(got, np.stack([m[:, 0, 0].real, plus, minus, m[:, 3, 3].real], axis=-1))
+        basis = experiments._TQ_BASIS
+        ref = np.einsum("ik,nij,jk->nk", basis.conj(), m, basis).real
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(m))
+
+    def test_records_skip_the_derivative_check(self, monkeypatch):
+        # the dynamics return 0.5 (drho + drho^H), so the records take the
+        # sector QFI without sector_qfi's hermiticity check
+        fam = _family("two_qubit_local", 0.4, kappa=0.6, eta=0.01, eta2=0.05, cutoff=10.0, theta=np.pi / 2)
+        times = np.geomspace(0.01, 500.0, 40)
+        want = fam.records(times)
+        monkeypatch.setattr(fisher, "_check_derivative", lambda drho: pytest.fail("checked a derivative"))
+        assert fam.records(times) == want
+        assert run_two_qubit_configs(n_points=40, workers=1).results["t_99"]
 
     def test_two_qubit_states_stay_on_the_exchange_sector(self, rng):
         # the premise of sector_qfi, which reads only the {|01>, |10>} block,

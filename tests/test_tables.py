@@ -14,7 +14,7 @@ from qthermo.closed_forms import optimal_ratio, steady_qsnr
 from qthermo.config import resolve
 from qthermo.errors import BadDimension, NonPositiveInput
 from qthermo.experiments import EXPERIMENTS, ScanResult, make_model
-from qthermo.fisher import qsnr, qubit_qfi
+from qthermo.fisher import qsnr, qubit_qfi, sector_qfi
 from qthermo.dynamics import propagate
 from qthermo.master_equation import build_liouvillian
 from qthermo.models import initial_state
@@ -162,7 +162,7 @@ def old_results(name, scan, options):
                 cutoff=options["cutoff"], theta=0.0 if config.endswith("separable") else np.pi / 2,
             )
             (fit,) = experiments._fit(
-                lambda s, t: experiments.sector_qfi(*fam.state_and_derivative(t)),
+                lambda s, t: sector_qfi(*fam.state_and_derivative(t)),
                 [(times[i - 1], times[i])], [max(map(abs, qfi))],
             )
             t99[config] = experiments._first_root(fit, times[i - 1], times[i], 0.99 * qfi[-1])

@@ -47,6 +47,7 @@ STAGES = (
     "qthermo.config:resolve",
     "qthermo.experiments:run_*",
     "qthermo.experiments:_fit",
+    "qthermo.experiments:_roots",
     "qthermo.experiments:_grid_table",
     "qthermo.experiments:_qubit_record",
     "qthermo.experiments:_two_qubit_record",
@@ -57,12 +58,12 @@ STAGES = (
     "qthermo.dynamics:law_states",
     "qthermo.dynamics:_states",
     "qthermo.dynamics:_Evolution.__init__",
-    "qthermo.dynamics:_Evolution._prepare",
     "qthermo.dynamics:_Evolution.__call__",
     "qthermo.dynamics:_Evolution._grid",
     "qthermo.dynamics:_Evolution._exponentials",
     "qthermo.fisher:qfi_spectral",
     "qthermo.fisher:sector_qfi",
+    "qthermo.fisher:_sector_qfi",
     "qthermo.fisher:qubit_qfi",
     "qthermo.fisher:bloch_components",
     "qthermo.fisher:cfi_povm",
@@ -74,6 +75,7 @@ STAGES = (
     "qthermo.linalg:expm",
     "numpy.linalg:eig",
     "numpy.linalg:inv",
+    "numpy.linalg:eigvals",
 )
 
 
