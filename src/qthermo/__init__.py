@@ -13,7 +13,6 @@ from .models import (
     CommonBath,
     DirectProbeModel,
     LocalBaths,
-    ProbeAncillaModel,
     TwoQubitModel,
     coupling_operators,
     hamiltonian,
@@ -45,7 +44,6 @@ __all__ = [
     "CommonBath",
     "DirectProbeModel",
     "LocalBaths",
-    "ProbeAncillaModel",
     "TwoQubitModel",
     "coupling_operators",
     "hamiltonian",

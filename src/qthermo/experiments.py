@@ -48,8 +48,8 @@ from .errors import BadDimension, NoConvergence, NonFinite, NonPositiveInput, Re
 from .fisher import _doublet_populations, _sector_qfi, cfi_povm, measurement_fi, qsnr, qubit_qfi
 from .linalg import dag, partial_trace, pauli
 from .master_equation import assemble_liouvillian, jump_channels
-from .models import (BathSpec, CommonBath, DirectProbeModel, LocalBaths, ProbeAncillaModel, TwoQubitModel,
-                     coupling_operators, generator_key, initial_state)
+from .models import (BathSpec, CommonBath, DirectProbeModel, LocalBaths, TwoQubitModel, coupling_operators,
+                     generator_key, initial_state)
 from .dynamics import _Evolution, law_states, rate_law
 
 __all__ = [
@@ -249,30 +249,31 @@ def make_model(
     eta2 = eta if eta2 is None else eta2
     if name == "direct":
         return DirectProbeModel(bath=bath)
-    if name == "probe_ancilla":
-        return ProbeAncillaModel(kappa=kappa, bath=bath, theta=theta)
-    if name == "two_qubit_local":
+    if name == "probe_ancilla":  # an uncoupled probe: only the ancilla dephases
+        cfg = LocalBaths(BathSpec(eta=0.0, cutoff=cutoff, temperature=temperature), bath)
+    elif name == "two_qubit_local":
         cfg = LocalBaths(bath, BathSpec(eta=eta2, cutoff=cutoff, temperature=temperature))
     else:
         cfg = CommonBath(eta1=eta, eta2=eta2, cutoff=cutoff, temperature=temperature)
-    return TwoQubitModel(kappa=kappa, bath_config=cfg, theta=theta)
+    return TwoQubitModel(kappa=kappa, bath_config=cfg, theta=theta, ancilla=name == "probe_ancilla")
 
 
 class TemperatureFamily:
     """Probe states of a stack of models, its items, as functions of t, and
-    their exact derivatives in the first model's first bath's temperature.
-    Models that differ only in ``theta`` share one generator: its channels
-    and, once a finite time asks for them, its Liouvillian and one
-    decomposition, each built on first use.  The steady state (``t = inf``)
-    comes from the population rate law (``dynamics.rate_law``) alone.  A
-    probe+ancilla model's probe is its first qubit, others are whole."""
+    their exact derivatives in the temperature of the first model's first
+    coupled bath (the first of ``coupling_operators``).  Models that differ
+    only in their preparation share one generator: its channels and, once a
+    finite time asks for them, its Liouvillian and one decomposition, each
+    built on first use.  The steady state (``t = inf``) comes from the
+    population rate law (``dynamics.rate_law``) alone.  The probe of a model
+    with the ``ancilla`` preparation is its first qubit, others are whole."""
 
     def __init__(self, *models):
         # local baths at two temperatures (library only, it warns) get the
         # derivative of a joint shift of both, as every channel's d_rates enters it
         self.temperature = float(coupling_operators(models[0])[0][1].temperature)
         self.models, self.rho0 = models, np.array([initial_state(m) for m in models])
-        self._has_ancilla = isinstance(models[0], ProbeAncillaModel)
+        self._has_ancilla = getattr(models[0], "ancilla", False)
         keys = [generator_key(m) for m in models]
         distinct = list(dict.fromkeys(keys))
         self._generator, self._laws = [distinct.index(key) for key in keys], {}

@@ -4,12 +4,13 @@ All frequencies and energies are expressed in units of the qubit transition
 frequency, which is 1 for every qubit, with hbar = k_B = 1.  Temperatures are
 in the same units.
 
-Four scenarios are covered:
+Two models cover four scenarios:
 
-* a probe qubit dephasing directly in an Ohmic bath,
-* a probe qubit shielded from the bath by an ancilla qubit that dephases,
-* two coupled resonant qubits in independent local baths,
-* two coupled resonant qubits sharing one common bath.
+* a probe qubit dephasing directly in an Ohmic bath (:class:`DirectProbeModel`),
+* two coupled resonant qubits (:class:`TwoQubitModel`) in independent local
+  baths or sharing one common bath; a probe qubit shielded from the bath by an
+  ancilla qubit that dephases is the local-bath case with an uncoupled probe
+  (``eta = 0``) and the ancilla preparation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .linalg import identity, kron, pauli
 __all__ = [
     "BathSpec",
     "DirectProbeModel",
-    "ProbeAncillaModel",
     "LocalBaths",
     "CommonBath",
     "TwoQubitModel",
@@ -64,29 +64,6 @@ class DirectProbeModel:
 
 
 @dataclass(frozen=True)
-class ProbeAncillaModel:
-    """Probe qubit coupled only to a resonant ancilla qubit, by an exchange
-    (XX+YY) coupling of strength ``kappa`` (the Hamiltonian of
-    :class:`TwoQubitModel`); the ancilla dephases in the bath through its own
-    sigma_z.
-
-    The probe starts in its excited level ``|1>``; the ancilla starts in
-    ``cos(theta/2)|0> + sin(theta/2)|1>``.  The probe is the first tensor
-    factor.
-    """
-
-    kappa: float
-    bath: BathSpec
-    theta: float
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ValidationError("kappa", "must be >= 0")
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValidationError("theta", "must lie in [0, pi]")
-
-
-@dataclass(frozen=True)
 class LocalBaths:
     """Each qubit sees its own independent reservoir."""
 
@@ -120,11 +97,15 @@ class CommonBath:
 @dataclass(frozen=True)
 class TwoQubitModel:
     """Two resonant qubits with an exchange (XX+YY) coupling of strength
-    ``kappa``, prepared in ``cos(theta/2)|01> + sin(theta/2)|10>``."""
+    ``kappa``, prepared in ``cos(theta/2)|01> + sin(theta/2)|10>``, or with
+    ``ancilla`` in ``|1>_P (cos(theta/2)|0> + sin(theta/2)|1>)_A``: the probe
+    (first qubit) excited and the ancilla tilted, the probe+ancilla scheme
+    when only the ancilla's bath is coupled."""
 
     kappa: float
     bath_config: "LocalBaths | CommonBath"
     theta: float
+    ancilla: bool = False
 
     def __post_init__(self):
         if self.kappa < 0:
@@ -142,7 +123,7 @@ class TwoQubitModel:
                 )
 
 
-Model = DirectProbeModel | ProbeAncillaModel | TwoQubitModel
+Model = DirectProbeModel | TwoQubitModel
 
 
 def _shared(m: np.ndarray) -> np.ndarray:
@@ -163,7 +144,7 @@ def hamiltonian(model: Model) -> np.ndarray:
     qubits' ``sz / 2`` terms plus, for two qubits, the exchange coupling."""
     if isinstance(model, DirectProbeModel):
         return 0.5 * _SZ
-    if isinstance(model, (ProbeAncillaModel, TwoQubitModel)):
+    if isinstance(model, TwoQubitModel):
         return 0.5 * _SZ_TOTAL + 0.5 * model.kappa * _XX_YY
     raise TypeError(f"unknown model type {type(model).__name__}")
 
@@ -173,16 +154,17 @@ def coupling_operators(model: Model) -> list[tuple[np.ndarray, BathSpec]]:
 
     A common bath is one coupling: the collective operator
     ``sqrt(eta1) sz(x)1 + sqrt(eta2) 1(x)sz`` on a unit-eta bath, whose
-    dissipator holds both qubits' terms and their cross terms.
+    dissipator holds both qubits' terms and their cross terms.  A local bath
+    with ``eta = 0`` is left out while the other one is coupled, as its
+    channels all have rate 0; of two such baths the first stays.
     """
     if isinstance(model, DirectProbeModel):
         return [(_SZ, model.bath)]
-    if isinstance(model, ProbeAncillaModel):
-        return [(_1_SZ, model.bath)]
     if isinstance(model, TwoQubitModel):
         cfg = model.bath_config
         if isinstance(cfg, LocalBaths):
-            return [(_SZ_1, cfg.bath1), (_1_SZ, cfg.bath2)]
+            local = [(_SZ_1, cfg.bath1), (_1_SZ, cfg.bath2)]
+            return [c for c in local if c[1].eta > 0] or local[:1]
         if isinstance(cfg, CommonBath):
             a = np.sqrt(cfg.eta1) * _SZ_1 + np.sqrt(cfg.eta2) * _1_SZ
             return [(a, BathSpec(1.0, cfg.cutoff, cfg.temperature))]
@@ -193,21 +175,18 @@ def initial_state(model: Model) -> np.ndarray:
     """Pure initial density matrix of a model."""
     if isinstance(model, DirectProbeModel):
         psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    elif isinstance(model, ProbeAncillaModel):
-        # |1>_P (cos(theta/2)|0> + sin(theta/2)|1>)_A
-        psi = np.zeros(4, dtype=complex)
-        psi[2] = np.cos(model.theta / 2.0)
-        psi[3] = np.sin(model.theta / 2.0)
     elif isinstance(model, TwoQubitModel):
-        # cos(theta/2)|01> + sin(theta/2)|10>
+        # |1>_P (cos(theta/2)|0> + sin(theta/2)|1>)_A, or cos(theta/2)|01> + sin(theta/2)|10>
         psi = np.zeros(4, dtype=complex)
-        psi[1] = np.cos(model.theta / 2.0)
-        psi[2] = np.sin(model.theta / 2.0)
+        first = 2 if model.ancilla else 1
+        psi[first] = np.cos(model.theta / 2.0)
+        psi[first + 1] = np.sin(model.theta / 2.0)
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
     return np.outer(psi, psi.conj())
 
 
 def generator_key(model: Model) -> tuple:
-    """Type and fields but ``theta`` (only :func:`initial_state` reads it): what fixes the generator."""
-    return (type(model), *(v for k, v in vars(model).items() if k != "theta"))
+    """Type and fields but the preparation, ``theta`` and ``ancilla`` (only
+    :func:`initial_state` reads them): what fixes the generator."""
+    return (type(model), *(v for k, v in vars(model).items() if k not in ("theta", "ancilla")))

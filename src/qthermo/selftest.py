@@ -10,25 +10,19 @@ import numpy as np
 
 from .closed_forms import optimal_ratio, steady_qfi
 from .dynamics import law_states, propagate, rate_law
-from .experiments import TemperatureFamily
+from .experiments import TemperatureFamily, make_model
 from .fisher import bloch_components, qfi_bloch, qfi_spectral, sector_qfi, sld
 from .linalg import choi_matrix, expm, identity, pauli
 from .master_equation import assemble_liouvillian, decoherence_rate, jump_channels
-from .models import BathSpec, CommonBath, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
+from .models import BathSpec, CommonBath, LocalBaths, TwoQubitModel, coupling_operators, initial_state
 
 __all__ = ["run_selftest"]
 
 
 def _random_model(rng):
-    return ProbeAncillaModel(
-        kappa=float(rng.uniform(0.1, 1.4)),
-        bath=BathSpec(
-            eta=float(rng.uniform(0.001, 0.1)),
-            cutoff=float(rng.uniform(2.0, 20.0)),
-            temperature=float(rng.uniform(0.1, 2.0)),
-        ),
-        theta=float(rng.uniform(0.0, np.pi)),
-    )
+    u = rng.uniform  # keywords are evaluated in the order written: kappa, eta, cutoff, T, theta
+    return make_model("probe_ancilla", kappa=float(u(0.1, 1.4)), eta=float(u(0.001, 0.1)),
+                      cutoff=float(u(2.0, 20.0)), temperature=float(u(0.1, 2.0)), theta=float(u(0.0, np.pi)))
 
 
 def _check_generator(rng, draws=10):
@@ -47,9 +41,10 @@ def _check_generator(rng, draws=10):
         h, omegas = ch.hamiltonian, ch.omegas
         comm = ch.ops @ h - h @ ch.ops
         worst = max(worst, float(np.max(np.abs(comm - omegas[:, None, None] * ch.ops))))
+        (_, bath), = coupling_operators(model)  # the ancilla's: the probe's zero-eta bath is left out
         for w in omegas[omegas > 0].tolist():
-            ratio = decoherence_rate(w, model.bath) / decoherence_rate(-w, model.bath)
-            worst = max(worst, abs(ratio / np.exp(w / model.bath.temperature) - 1.0))
+            ratio = decoherence_rate(w, bath) / decoherence_rate(-w, bath)
+            worst = max(worst, abs(ratio / np.exp(w / bath.temperature) - 1.0))
         for t in (0.1, 1.0, 10.0):
             choi = choi_matrix(expm(liou.superop * t))
             lam = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
@@ -119,7 +114,7 @@ def _check_optimal_ratio():
 
 
 def _check_semigroup():
-    model = ProbeAncillaModel(kappa=0.8, bath=BathSpec(0.01, 10.0, 0.4), theta=np.pi / 2)
+    model = make_model("probe_ancilla", temperature=0.4, eta=0.01, cutoff=10.0, kappa=0.8, theta=np.pi / 2)
     channels, rho0 = jump_channels(model), initial_state(model)
     liou = assemble_liouvillian(channels)
     one = propagate(liou, rho0, 7.0)[0]

@@ -58,11 +58,18 @@ from qthermo.errors import NoConvergence, NonPositiveInput, PositivityViolation
 from qthermo.fisher import _raise_first
 from qthermo.linalg import unvec, validate_density_matrix, vec
 from qthermo.master_equation import _jump_stack
-from qthermo.models import BathSpec, LocalBaths
+from qthermo.models import BathSpec, LocalBaths, TwoQubitModel
 
 #: Eigenvalues of L closer than this to 0, relative to the largest, are
 #: stationary; a mode whose real part is this close to 0 does not decay.
 STATIONARY_TOL = 1e-10
+
+
+def probe_ancilla(kappa: float, bath: BathSpec, theta: float) -> TwoQubitModel:
+    """The probe+ancilla model of ``make_model("probe_ancilla")``: an
+    uncoupled probe and an ancilla dephasing in ``bath``."""
+    probe = BathSpec(0.0, bath.cutoff, bath.temperature)
+    return TwoQubitModel(kappa, LocalBaths(probe, bath), theta, ancilla=True)
 
 
 class StepTooLarge(Exception):
@@ -276,6 +283,8 @@ def two_qubit_sector_qfi(model, t: float) -> float:
     2k / T^2``.
     """
     cfg, kappa, theta = model.bath_config, model.kappa, model.theta
+    if model.ancilla:  # |1>_P (...)_A leaves the sector
+        raise ValueError("the sector oracle needs the exchange preparation")
     if isinstance(cfg, LocalBaths):  # both at one temperature and cutoff
         bath, eta = cfg.bath1, cfg.bath1.eta + cfg.bath2.eta
     else:  # (sqrt(eta1) - sqrt(eta2))^2 without cancellation where eta1 ~ eta2

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reference import StepTooLarge, d_rho_dT, probe_state_closed_form, steady_two_qubit
+from reference import StepTooLarge, d_rho_dT, probe_ancilla, probe_state_closed_form, steady_two_qubit
 from qthermo.closed_forms import steady_qfi
 from qthermo.dynamics import propagate
 from qthermo.experiments import (
@@ -52,7 +52,6 @@ from qthermo.models import (
     CommonBath,
     DirectProbeModel,
     LocalBaths,
-    ProbeAncillaModel,
     TwoQubitModel,
     coupling_operators,
     initial_state,
@@ -83,7 +82,7 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def probe_family():
     return TemperatureFamily(
-        ProbeAncillaModel(
+        probe_ancilla(
             FIG1["kappa"],
             BathSpec(FIG1["eta"], FIG1["cutoff"], FIG1["temperature"]), np.pi / 2,
         )
@@ -187,7 +186,7 @@ def test_criterion_04_sigma_x_measurement_optimality(probe_family):
 
 def test_criterion_05_dual_oracle_probe_state():
     bath = BathSpec(FIG1["eta"], FIG1["cutoff"], FIG1["temperature"])
-    model = ProbeAncillaModel(FIG1["kappa"], bath, np.pi / 2)
+    model = probe_ancilla(FIG1["kappa"], bath, np.pi / 2)
     liou = build_liouvillian(model)
     times = np.linspace(0.0, 50.0, 500)
     reduced = partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)
@@ -334,7 +333,7 @@ def test_criterion_09_generator_correctness():
         if kind == 0:
             model = DirectProbeModel(random_bath(temp))
         elif kind == 1:
-            model = ProbeAncillaModel(kappa, random_bath(temp), theta)
+            model = probe_ancilla(kappa, random_bath(temp), theta)
         elif kind == 2:
             cfg = LocalBaths(random_bath(temp), random_bath(temp))
             model = TwoQubitModel(kappa, cfg, theta)

@@ -239,6 +239,21 @@ class TestMain:
                 "--param", "kappa=0.6"]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("args, code", [
+        # a zero-eta local bath leaves its coupling out; these requests keep their exit codes
+        ("qfi_point model=probe_ancilla eta=0 at=5", 0),
+        ("qfi_point model=probe_ancilla eta=0 at=steady", 3),
+        ("qfi_point model=two_qubit_local eta2=0 at=5", 0),
+        ("qfi_point model=two_qubit_local eta2=0 at=steady", 0),
+        ("qfi_point model=two_qubit_local eta=0 eta2=0 at=5", 0),
+        ("qfi_point model=two_qubit_local eta=0 eta2=0 at=steady", 3),
+        ("evolve model=probe_ancilla eta=0", 0),
+        ("kappa_sweep eta=0", 6),
+        ("two_qubit_configs eta1=0", 0),
+    ])
+    def test_zero_coupling_requests_exit_codes(self, args, code, tmp_path):
+        assert main(with_params(*args.split()) + ["--out", str(tmp_path), "--quiet"]) == code
+
     @staticmethod
     def assert_exact_steady_qfi(params, tmp_path, capsys):
         """An at=steady two_qubit_common request exits 0, silently, with the

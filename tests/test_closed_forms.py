@@ -6,10 +6,11 @@ from qthermo.dynamics import propagate
 from qthermo.errors import NonPositiveInput
 from qthermo.linalg import partial_trace, validate_density_matrix
 from qthermo.master_equation import build_liouvillian
-from qthermo.models import BathSpec, ProbeAncillaModel, initial_state
+from qthermo.models import BathSpec, initial_state
 from reference import (
     direct_probe_coherence,
     direct_probe_qfi,
+    probe_ancilla,
     probe_closed_form_terms,
     probe_state_closed_form,
     steady_two_qubit,
@@ -20,7 +21,7 @@ KAPPA = 0.8
 
 
 def numeric_reduced_states(t_max=50.0, n_points=251):
-    model = ProbeAncillaModel(KAPPA, BATH, np.pi / 2)
+    model = probe_ancilla(KAPPA, BATH, np.pi / 2)
     liou = build_liouvillian(model)
     times = np.linspace(0.0, t_max, n_points)
     return times, partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)
@@ -107,7 +108,7 @@ class TestGeneralPreparationOracle:
 
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 3, 3 * np.pi / 4])
     def test_angle_dependence(self, theta):
-        model = ProbeAncillaModel(KAPPA, BATH, theta)
+        model = probe_ancilla(KAPPA, BATH, theta)
         liou = build_liouvillian(model)
         times = np.linspace(0.0, 40.0, 81)
         reduced = partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)

@@ -28,11 +28,10 @@ from qthermo.models import (
     CommonBath,
     DirectProbeModel,
     LocalBaths,
-    ProbeAncillaModel,
     TwoQubitModel,
     initial_state,
 )
-from reference import jump_operators, steady_state, steady_two_qubit
+from reference import jump_operators, probe_ancilla, steady_state, steady_two_qubit
 
 BATH = BathSpec(eta=0.01, cutoff=10.0, temperature=0.4)
 
@@ -43,7 +42,7 @@ def evolution_of(liou, rho0):
 
 
 def pa_liouvillian(eta=0.01, kappa=0.8, theta=np.pi / 2):
-    model = ProbeAncillaModel(kappa, BathSpec(eta, 10.0, 0.4), theta)
+    model = probe_ancilla(kappa, BathSpec(eta, 10.0, 0.4), theta)
     return build_liouvillian(model), initial_state(model)
 
 
@@ -182,7 +181,7 @@ class TestStacks:
 
     @pytest.mark.parametrize("make", [
         lambda: DirectProbeModel(BATH),
-        lambda: ProbeAncillaModel(0.8, BATH, np.pi / 2),
+        lambda: probe_ancilla(0.8, BATH, np.pi / 2),
         lambda: TwoQubitModel(0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2),
         lambda: TwoQubitModel(0.6, CommonBath(0.01, 0.05, 10.0, 0.4), 0.0),
     ])
@@ -245,7 +244,7 @@ class TestStacks:
             bath = BathSpec(eta, cutoff, temp)
             model = [
                 DirectProbeModel(bath),
-                ProbeAncillaModel(kappa, bath, theta),
+                probe_ancilla(kappa, bath, theta),
                 TwoQubitModel(kappa, LocalBaths(bath, BathSpec(eta2, cutoff, temp)), theta),
                 TwoQubitModel(kappa, CommonBath(eta, eta2, cutoff, temp), theta),
             ][3 if i >= 300 else i % 4]
@@ -375,7 +374,7 @@ class TestExactDerivative:
 
     MODELS = [
         lambda: DirectProbeModel(BATH),
-        lambda: ProbeAncillaModel(0.8, BATH, np.pi / 2),
+        lambda: probe_ancilla(0.8, BATH, np.pi / 2),
         lambda: TwoQubitModel(0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), np.pi / 2),
         lambda: TwoQubitModel(0.6, CommonBath(0.01, 0.05, 10.0, 0.4), 0.3),
     ]
@@ -554,7 +553,7 @@ class TestSteadyState:
         assert np.max(np.abs(d_late - drho[-1])) <= 1e-8 * max(np.max(np.abs(drho[-1])), 1.0)
 
     def test_unitary_dynamics_have_no_limit(self):
-        fam = TemperatureFamily(ProbeAncillaModel(0.8, BathSpec(0.0, 10.0, 0.4), np.pi / 2))
+        fam = TemperatureFamily(probe_ancilla(0.8, BathSpec(0.0, 10.0, 0.4), np.pi / 2))
         with pytest.raises(NoConvergence, match="does not decay"):
             fam.state_and_derivative(np.inf)
 

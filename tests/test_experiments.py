@@ -30,8 +30,8 @@ from qthermo.experiments import (
 from qthermo.fisher import qfi_spectral, qsnr, qubit_qfi, sector_qfi
 from qthermo.dynamics import propagate
 from qthermo.master_equation import assemble_liouvillian, build_liouvillian
-from qthermo.models import BathSpec, LocalBaths, ProbeAncillaModel, TwoQubitModel, initial_state
-from reference import d_rho_dT, direct_probe_qfi, steady_state
+from qthermo.models import BathSpec, LocalBaths, TwoQubitModel, initial_state
+from reference import d_rho_dT, direct_probe_qfi, probe_ancilla, steady_state
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def two_qubit_result():
 
 
 def pa_family(kappa, temperature=0.4, eta=0.01, theta=np.pi / 2):
-    return TemperatureFamily(ProbeAncillaModel(kappa, BathSpec(eta, 10.0, temperature), theta))
+    return TemperatureFamily(probe_ancilla(kappa, BathSpec(eta, 10.0, temperature), theta))
 
 
 class TestInfrastructure:
@@ -200,7 +200,7 @@ class TestFittedSearches:
         # the maxima of three couplings' QSNR and coherence, and the t_99 of
         # the four two-qubit configurations, searched together and one by one
         times, fam = np.linspace(0.0, 50.0, 100), TemperatureFamily(*(
-            ProbeAncillaModel(kappa, BathSpec(0.1, 10.0, 0.4), np.pi / 2) for kappa in (0.4, 0.8, 1.2)))
+            probe_ancilla(kappa, BathSpec(0.1, 10.0, 0.4), np.pi / 2) for kappa in (0.4, 0.8, 1.2)))
         fns = [lambda t, k=k: qsnr(fam.temperature, qubit_qfi(*fam.state_and_derivative(t, k))) for k in range(3)]
         fns += [lambda t, k=k: experiments._coherence(fam.state_and_derivative(t, k)[0]) for k in range(3)]
         values = [fn(times) for fn in fns]
@@ -859,17 +859,17 @@ class TestSharedGenerator:
         assert scan.data == experiments._grid_table("config", TWO_QUBIT_CONFIGS, grids)
 
     def test_preparations_share_the_generator(self):
-        fam = TemperatureFamily(*(ProbeAncillaModel(0.8, BathSpec(0.01, 10.0, 0.4), theta) for theta in (0.0, np.pi / 3)))
+        fam = TemperatureFamily(*(probe_ancilla(0.8, BathSpec(0.01, 10.0, 0.4), theta) for theta in (0.0, np.pi / 3)))
         assert len(fam.liouvillians) == 1 and fam._generator == [0, 0]
         for item, theta in enumerate((0.0, np.pi / 3)):
             alone = pa_family(0.8, theta=theta)
             for got, want in zip(fam.state_and_derivative(7.5, item), alone.state_and_derivative(7.5)):
                 assert np.array_equal(got, want)
-        couplings = TemperatureFamily(*(ProbeAncillaModel(kappa, BathSpec(0.01, 10.0, 0.4), 0.0) for kappa in (0.6, 0.7)))
+        couplings = TemperatureFamily(*(probe_ancilla(kappa, BathSpec(0.01, 10.0, 0.4), 0.0) for kappa in (0.6, 0.7)))
         assert len(couplings.liouvillians) == 2
 
     def test_each_item_gets_its_own_steady_state(self):
-        fam = TemperatureFamily(*(ProbeAncillaModel(0.8, BathSpec(0.01, 10.0, 0.4), theta) for theta in (0.0, np.pi / 3)))
+        fam = TemperatureFamily(*(probe_ancilla(0.8, BathSpec(0.01, 10.0, 0.4), theta) for theta in (0.0, np.pi / 3)))
         fam.records(np.inf, 0)
         for item, theta in enumerate((0.0, np.pi / 3)):
             for a, b in zip(fam.state_and_derivative(np.inf, item), pa_family(0.8, theta=theta).state_and_derivative(np.inf)):

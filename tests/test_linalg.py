@@ -92,9 +92,10 @@ class TestEigHermitian:
 
     def test_probe_ancilla_spectrum(self):
         # resonant pair at coupling 0.8: singlet/triplet at -+kappa, ends at -+1
-        from qthermo.models import BathSpec, ProbeAncillaModel, hamiltonian
+        from qthermo.models import BathSpec, hamiltonian
+        from reference import probe_ancilla
 
-        model = ProbeAncillaModel(0.8, BathSpec(0.01, 10.0, 0.4), np.pi / 2)
+        model = probe_ancilla(0.8, BathSpec(0.01, 10.0, 0.4), np.pi / 2)
         vals, _ = eig_hermitian(hamiltonian(model))
         assert np.allclose(vals, [-1.0, -0.8, 0.8, 1.0], atol=1e-12)
 

@@ -23,13 +23,12 @@ from qthermo.models import (
     CommonBath,
     DirectProbeModel,
     LocalBaths,
-    ProbeAncillaModel,
     TwoQubitModel,
     coupling_operators,
     hamiltonian,
     initial_state,
 )
-from reference import jump_operators
+from reference import jump_operators, probe_ancilla
 
 BATH = BathSpec(eta=0.01, cutoff=10.0, temperature=0.4)
 
@@ -114,7 +113,7 @@ def brute_force_channels(h, a):
 
 class TestJumpOperators:
     def test_probe_ancilla_three_channels(self):
-        model = ProbeAncillaModel(0.8, BATH, np.pi / 2)
+        model = probe_ancilla(0.8, BATH, np.pi / 2)
         h = hamiltonian(model)
         a = kron(identity(2), pauli("z"))
         omegas, ops = jump_operators(h, a)
@@ -125,7 +124,7 @@ class TestJumpOperators:
             assert np.max(np.abs(op - oracle[round(w, 9)])) < 1e-9
 
     def test_identity_coupling(self):
-        h = hamiltonian(ProbeAncillaModel(0.8, BATH, 0.0))
+        h = hamiltonian(probe_ancilla(0.8, BATH, 0.0))
         omegas, ops = jump_operators(h, identity(4))
         assert omegas.tolist() == [0.0]
         assert np.allclose(ops[0], identity(4))
@@ -142,7 +141,7 @@ class TestJumpOperators:
 
     def test_ladder_relation(self):
         for kappa in (0.3, 0.8, 1.3):
-            h = hamiltonian(ProbeAncillaModel(kappa, BATH, 0.0))
+            h = hamiltonian(probe_ancilla(kappa, BATH, 0.0))
             a = kron(identity(2), pauli("z"))
             omegas, ops = jump_operators(h, a)
             defect = ops @ h - h @ ops - omegas[:, None, None] * ops
@@ -165,7 +164,7 @@ class TestJumpOperators:
 
     def test_degenerate_levels_merged(self):
         # kappa=0 makes |01> and |10> degenerate; projector sum is basis free
-        h = hamiltonian(ProbeAncillaModel(0.0, BATH, 0.0))
+        h = hamiltonian(probe_ancilla(0.0, BATH, 0.0))
         a = kron(identity(2), pauli("z"))
         omegas, ops = jump_operators(h, a)
         assert omegas.tolist() == [0.0]
@@ -174,7 +173,7 @@ class TestJumpOperators:
     def test_pruning_is_relative_to_the_coupling(self):
         # the decomposition is linear in a, so a weak coupling keeps its
         # channels: sqrt(eta) scales a common bath's collective operator
-        h = hamiltonian(ProbeAncillaModel(0.8, BATH, 0.0))
+        h = hamiltonian(probe_ancilla(0.8, BATH, 0.0))
         a = kron(identity(2), pauli("z"))
         strong = jump_operators(h, a)
         weak = jump_operators(h, 1e-15 * a)
@@ -189,7 +188,7 @@ class TestJumpOperators:
 
 
 def models_under_test():
-    pa = ProbeAncillaModel(0.8, BATH, np.pi / 2)
+    pa = probe_ancilla(0.8, BATH, np.pi / 2)
     direct = DirectProbeModel(BATH)
     local = TwoQubitModel(0.6, LocalBaths(BATH, BathSpec(0.05, 10.0, 0.4)), 0.0)
     common = TwoQubitModel(
@@ -208,7 +207,7 @@ class TestLiouvillian:
             assert np.max(np.abs(liou.apply(e.conj().T) - image.conj().T)) < 1e-10
 
     def test_unitary_when_decoupled(self):
-        model = ProbeAncillaModel(0.8, BathSpec(0.0, 10.0, 0.4), np.pi / 2)
+        model = probe_ancilla(0.8, BathSpec(0.0, 10.0, 0.4), np.pi / 2)
         liou = build_liouvillian(model)
         h = hamiltonian(model)
         assert np.max(np.abs(liou.superop - commutator_superop(h))) < 1e-14
@@ -232,7 +231,7 @@ class TestLiouvillian:
             assert lam.min() > -1e-8
 
     def test_channel_rates_match_convention(self):
-        model = ProbeAncillaModel(0.8, BATH, np.pi / 2)
+        model = probe_ancilla(0.8, BATH, np.pi / 2)
         ch = jump_channels(model)
         assert len(ch.rates) == len(ch.omegas) == len(ch.ops) == len(ch.bath_index) == 3
         for w, rate in zip(ch.omegas.tolist(), ch.rates):
@@ -281,6 +280,46 @@ class TestLiouvillian:
         assert ch.ops.shape == (0, 4, 4)
         assert liou.superop.tobytes() == commutator_superop(ch.hamiltonian).tobytes()
         assert not liou.d_superop.any()
+
+
+ZERO = BathSpec(0.0, 10.0, 0.4)
+
+
+class TestZeroCouplingBaths:
+    """A local bath with eta = 0 has only zero-rate channels: its coupling is
+    left out while the other bath is coupled, and the generator keeps its bytes."""
+
+    @staticmethod
+    def with_zero_channels(monkeypatch, model):
+        """The channels of ``model`` with both local couplings, the zero-rate ones kept."""
+        cfg = model.bath_config
+        both = [(kron(pauli("z"), identity(2)), cfg.bath1), (kron(identity(2), pauli("z")), cfg.bath2)]
+        with monkeypatch.context() as m:
+            m.setattr(me, "coupling_operators", lambda _: both)
+            return jump_channels(model)
+
+    @pytest.mark.parametrize("model", [
+        probe_ancilla(0.8, BATH, np.pi / 2),
+        TwoQubitModel(0.6, LocalBaths(BATH, ZERO), 0.0),
+        TwoQubitModel(0.6, LocalBaths(ZERO, BathSpec(0.05, 10.0, 0.4)), np.pi / 2),
+    ])
+    def test_only_the_coupled_baths_channels(self, model, monkeypatch):
+        ch, full = jump_channels(model), self.with_zero_channels(monkeypatch, model)
+        (_, bath), = coupling_operators(model)
+        live = full.bath_index == (1 if bath is model.bath_config.bath1 else 2)
+        assert bath.eta > 0 and not full.rates[~live].any()
+        assert len(ch.omegas) == 3 and ch.bath_index.tolist() == [1, 1, 1]
+        for name in ("omegas", "ops", "rates", "d_rates", "pairs"):
+            assert getattr(ch, name).tobytes() == getattr(full, name)[live].tobytes(), name
+        liou, kept = assemble_liouvillian(ch), assemble_liouvillian(full)
+        assert liou.superop.tobytes() == kept.superop.tobytes()
+        assert liou.d_superop.tobytes() == kept.d_superop.tobytes()
+
+    def test_two_zero_baths_keep_the_first(self):
+        model = TwoQubitModel(0.6, LocalBaths(ZERO, replace(ZERO, cutoff=5.0)), np.pi / 2)
+        (a, bath), = coupling_operators(model)
+        assert np.array_equal(a, kron(pauli("z"), identity(2))) and bath is model.bath_config.bath1
+        assert not jump_channels(model).rates.any()
 
 
 class TestTemperatureDerivative:
@@ -452,7 +491,7 @@ def drawn_models(seed, n):
         if i % 4 == 0:
             out.append(DirectProbeModel(bath()))
         elif i % 4 == 1:
-            out.append(ProbeAncillaModel(pick(0.0, 1.0), bath(), theta))
+            out.append(probe_ancilla(pick(0.0, 1.0), bath(), theta))
         elif i % 4 == 2:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # local baths at different T

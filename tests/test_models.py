@@ -10,13 +10,13 @@ from qthermo.models import (
     CommonBath,
     DirectProbeModel,
     LocalBaths,
-    ProbeAncillaModel,
     TwoQubitModel,
     coupling_operators,
     generator_key,
     hamiltonian,
     initial_state,
 )
+from reference import probe_ancilla
 
 
 def bath(T=0.4, eta=0.01):
@@ -24,7 +24,7 @@ def bath(T=0.4, eta=0.01):
 
 
 def pa_model(kappa=0.8, theta=np.pi / 2, T=0.4):
-    return ProbeAncillaModel(kappa, bath(T), theta)
+    return probe_ancilla(kappa, bath(T), theta)
 
 
 def tq_model(kappa=0.6, theta=np.pi / 2, common=False):
