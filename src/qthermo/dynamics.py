@@ -1,22 +1,23 @@
-"""Exact time evolution under a fixed Liouvillian (at most 16x16), with exact
-temperature derivatives, and the steady state from the population rate law.
+"""Exact time evolution of a model's states (generators of at most 16x16),
+with exact temperature derivatives, and the steady state from the population
+rate law.
 
-A stack of items (initial states, each under one of a list of generators)
-diagonalises each generator once, ``L = V diag(lam) V^-1``, for all of its
-items and times, in one stacked ``eig``; the items' states on a grid are one
-validated ``(k, n_t, d, d)`` stack: ``vec rho(t) = V (e * c)``, with one
-``e = exp(lam t)`` per generator and grid and ``c = V^-1 vec(rho0)`` per item.
+A stack of items (initial states, each under one of a list of models'
+generators) is evolved in each generator's Hamiltonian eigenbasis ``U``,
+where its masked channels split it into blocks joined by exact zeros (1x1,
+and the exchange pair's 2x2 populations in the models).  Diagonalising each
+block gives ``L = V diag(lam) V^-1`` with ``V = (conj(U) (x) U)
+blockdiag(V_B)``, once for all of a generator's items and times; the items'
+states on a grid are one validated ``(k, n_t, d, d)`` stack: ``vec rho(t) = V
+(e * c)``, with one ``e = exp(lam t)`` per generator and grid and ``c = V^-1
+vec(rho0)`` per item.
 
-Only the bath occupations depend on T, so ``build_liouvillian`` also builds
-``dL/dT``, and the same decomposition gives the exact ``d rho(t)/dT``
-(Daleckii-Krein divided differences): with ``X = V^-1 (dL/dT) V`` its
-eigenbasis coefficients are ``e * (Y 1 + t z) - e Y^T``, where
-``Y_ij = X_ij c_j / (lam_i - lam_j)`` for distinct eigenvalues and ``z_i``
-sums ``X_ij c_j`` over ``lam_j = lam_i``.  When the decomposition cannot be
-trusted, or an item's state is not finite, each of its times gets its own
-exponential of the block generator ``[[L, dL/dT], [0, L]]`` instead, whose
-right column holds the state and its derivative (Van Loan 1978).  Times are
-finite.
+Only the bath occupations depend on T, so the same assembly gives ``dL/dT``,
+and the decomposition gives the exact ``d rho(t)/dT`` (Daleckii-Krein divided
+differences): with ``X = V^-1 (dL/dT) V`` its eigenbasis coefficients are
+``e * (Y 1 + t z) - e Y^T``, where ``Y_ij = X_ij c_j / (lam_i - lam_j)`` for
+distinct eigenvalues and ``z_i`` sums ``X_ij c_j`` over ``lam_j = lam_i``.
+Times are finite.
 
 :func:`rate_law` gives a model's steady state (``t = inf``) without L, from
 its channels: the Gibbs law of each sector of the population rate matrix,
@@ -25,37 +26,23 @@ and the initial coherences that no channel damps within a level.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from .errors import NoConvergence, NonPositiveInput, QThermoError, ResolutionLimit
-from .linalg import dag, expm, unvec, validate_density_matrix
-from .master_equation import CHANNEL_PRUNE_TOL, DEFAULT_FREQ_TOL, Channels, Liouvillian, overflow_error
+from .linalg import _kron, dag, unvec, validate_density_matrix
+from .master_equation import (CHANNEL_PRUNE_TOL, DEFAULT_FREQ_TOL, Channels, _assemble, jump_channels,
+                              overflow_error)
+from .models import Model
 
 __all__ = ["propagate", "rate_law", "law_states"]
 
-#: The spectral route is abandoned for one exponential per time point when
-#: ``||V||_F ||V^-1||_F``, an upper bound on the condition number of the
-#: generator's eigenvector matrix ``V``, is larger (at the defaults it reads
-#: 4 on the direct probe and 16.8-16.9 on the four-level models, where
-#: ``cond_2(V)`` reads 1 and 2.25-2.35).  With unit columns the bound is at
-#: most ``d^2 cond_2(V)`` (``V`` is d^2 x d^2), so the effective ``cond_2``
-#: cutoff lies between 1e4 / d^2 (625 on the four-level models) and 1e4 ...
-SPECTRAL_COND_MAX = 1e4
-
-#: ... or when ``V diag(lam) V^-1`` misses the generator by more than this,
-#: relative to its largest entry.
-SPECTRAL_RESIDUAL_MAX = 1e-12
-
 #: Eigenvalues closer than this, relative to the largest, are equal in the
-#: derivative, and one this close to 0 is zeroed as stationary.  A decaying
-#: mode can sit closer to 0: at kappa 0.6, eta 0.01, eta2 0.05, T 0.4 and
-#: cutoff 0.05, one sits at 9.3e-12 (local baths) and 2.3e-12 (common bath)
-#: of max|lam|.  Once it is zeroed, ``V diag(lam) V^-1`` misses L by 4.7e-12
-#: and 1.2e-12 relative (3.4e-16 before, with cond(V) 2.25), and every time
-#: takes an exponential: 149 of 11340 generators of the four models (T 1e-4
-#: to 1e3, kappa 1e-6 to 100, eta 0 to 5, cutoff 0.1 to 1e4), all for this.
+#: derivative.  One this close to 0, relative to its block's scale (the
+#: largest total rate acting on the block's levels), is stationary and set
+#: to 0: rounding would drift the trace as ``exp(lam t)``.  A block's own
+#: scale keeps a slow mode: at kappa 0.6, eta 0.01, eta2 0.05, T 0.4 and
+#: cutoff 0.05 the exchange populations decay at 9.3e-12 (local baths) and
+#: 2.3e-12 (common bath) of max|lam|, which the precession frequencies set.
 EQUAL_EIG_TOL = 1e-10
 
 #: Gibbs flows ``W_mk p_k`` and ``W_km p_m`` of a pair of levels that differ
@@ -68,6 +55,27 @@ BALANCE_TOL = 1e-10
 #: the exchange state of a common bath at eta2 = eta, which the bath cannot
 #: reach (the CLI default, ``test_default_common_bath_steady_point``).
 COHERENCE_FLOOR = 1e-10
+
+
+def _eigen_ops(channels: Channels) -> tuple[np.ndarray, float]:
+    """Each channel's jump operator on the eigenvectors ``U = channels.vecs``,
+    ``U^H A U`` masked to the channel's pairs, its entries at most
+    ``CHANNEL_PRUNE_TOL`` of the largest set to 0 (rounding of the products),
+    and that floor."""
+    vecs = channels.vecs
+    m = np.where(channels.pairs, dag(vecs) @ channels.ops @ vecs, 0.0)
+    floor = CHANNEL_PRUNE_TOL * np.abs(m).max(initial=0.0)
+    m[np.abs(m) <= floor] = 0.0
+    return m, floor
+
+
+def _closure(linked: np.ndarray) -> np.ndarray:
+    """Connected components of the graphs ``linked`` (``(..., n, n)``
+    booleans, either direction an edge): true where two nodes share one."""
+    reach = linked | linked.swapaxes(-1, -2) | np.eye(linked.shape[-1], dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    return reach
 
 
 def _states(rho: np.ndarray) -> np.ndarray:
@@ -98,9 +106,8 @@ def rate_law(channels: Channels, rho0: np.ndarray, temperature: float):
     channel joining one level to two (no model has one).
     """
     vecs, energies, live = channels.vecs, channels.energies, channels.rates > 0
-    m = np.where(channels.pairs[live], dag(vecs) @ channels.ops[live] @ vecs, 0.0)
-    floor = CHANNEL_PRUNE_TOL * np.abs(m).max(initial=0.0)
-    m[np.abs(m) <= floor] = 0.0
+    m, floor = _eigen_ops(channels)
+    m = m[live]
     nz = m != 0.0
     split = (nz.sum(axis=-1) > 1).any(axis=-1) | (nz.sum(axis=-2) > 1).any(axis=-1)
     if split.any():
@@ -129,9 +136,7 @@ def rate_law(channels: Channels, rho0: np.ndarray, temperature: float):
             f"decay: no channel damps it, and it precesses at the Bohr frequency {bohr[k, n]:.6g} forever"
         )
 
-    sector = (w > 0.0) | (w.T > 0.0) | np.eye(d, dtype=bool)
-    while not np.array_equal(grown := sector @ sector, sector):
-        sector = grown
+    sector = _closure(w > 0.0)
     gibbs = np.exp(-(energies - np.where(sector, energies, np.inf).min(axis=1)) / temperature)
     flow = w * gibbs  # W_mk p_k
     unbalanced = np.abs(flow - flow.T) > BALANCE_TOL * np.maximum(flow, flow.T)
@@ -173,38 +178,51 @@ def law_states(vecs: np.ndarray, p, dlog, kept) -> tuple[np.ndarray, np.ndarray]
     return _states(rho), 0.5 * (drho + dag(drho))
 
 
+def _decompose(channels):
+    """``lam``, the block-diagonal eigenvectors ``W`` and ``W^-1``, and
+    ``dL/dT`` of each generator of ``channels`` on its eigenvectors ``U``.
+    The generator, from :func:`_eigen_ops`, splits into the connected
+    components of its nonzero pattern: a 1x1 block's eigenvalue is its entry,
+    and the blocks of one size take one stacked ``eig``.  An eigenvalue within
+    ``EQUAL_EIG_TOL`` of its block's scale, the largest total rate ``sum_c g_c
+    ((A_c^H A_c)_kk + (A_c^H A_c)_nn)`` of its entries ``(k, n)`` (what a
+    stationary entry cancels), is 0."""
+    parts = []
+    for ch in channels:
+        m, _ = _eigen_ops(ch)
+        bohr = np.subtract.outer(ch.energies, ch.energies).ravel(order="F")  # -i [H, .] is diagonal
+        loss = ch.rates @ (m.real**2 + m.imag**2).sum(axis=-2)
+        parts.append((*_assemble(ch, np.diag(-1j * bohr), m), np.add.outer(loss, loss).ravel(order="F")))
+    superop, d_superop, scale = map(np.array, zip(*parts))
+    reach, n = _closure(superop != 0.0), superop.shape[-1]
+    lam, w = np.diagonal(superop, 0, -2, -1).copy(), np.zeros_like(superop) + np.eye(n)
+    w_inv, size = w.copy(), reach.sum(axis=-1) * (reach.argmax(axis=-1) == np.arange(n))  # at each block's first index
+    for k in set(size[size > 1].tolist()):  # np.unique would import numpy.ma, 12 ms on a first call
+        g, i = np.nonzero(size == k)
+        members = np.nonzero(reach[g, i])[1].reshape(-1, k)  # ascending
+        g, rows, cols = g[:, None, None], members[:, :, None], members[:, None, :]
+        lam[g[..., 0], members], vecs = np.linalg.eig(superop[g, rows, cols])
+        w[g, rows, cols], w_inv[g, rows, cols] = vecs, np.linalg.inv(vecs)
+    lam[np.abs(lam) <= EQUAL_EIG_TOL * np.where(reach, scale[:, None, :], 0.0).max(axis=-1)] = 0.0
+    return lam, w, w_inv, d_superop
+
+
 class _Evolution:
     """States at finite times and their exact temperature derivatives of the
-    items ``rho0[i]``, each under ``liouvillians[generator[i]]``; one stacked
-    ``eig`` decomposes each generator once for all of its items and times."""
+    items ``rho0[i]``, each under the generator of ``channels[generator[i]]``,
+    decomposed once for all of its items and times: ``V = (conj(U) (x) U)
+    W`` on the Hamiltonian eigenvectors ``U``, ``W`` from :func:`_decompose`."""
 
-    def __init__(self, liouvillians, rho0, generator):
-        self.liouvillians, self.generator = liouvillians, np.asarray(generator)
+    def __init__(self, channels, rho0, generator):
+        self.generator = np.asarray(generator)
         self.v0 = np.asarray(rho0, dtype=complex).swapaxes(-1, -2).reshape(len(self.generator), -1)  # vec rho0[i]
-        superop = np.array([liou.superop for liou in liouvillians])
-        # LAPACK decomposes (and inverts) each generator of the stack as it would alone
-        self.lam, vecs = np.linalg.eig(superop)
-        modulus = np.abs(self.lam)
-        tol = EQUAL_EIG_TOL * modulus.max(axis=-1, keepdims=True)
-        # stationary modes are exactly 0; rounding would drift the trace as exp(lam t)
-        self.lam[modulus <= tol] = 0.0
-        try:
-            v_inv = np.linalg.inv(vecs)
-        except np.linalg.LinAlgError:  # generator by generator: a singular V (L has no eigenbasis) stays NaN
-            v_inv = np.full_like(vecs, np.nan)
-            for g, v in enumerate(vecs):
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    v_inv[g] = np.linalg.inv(v)
-        # ||V||_F ||V^-1||_F >= cond_2(V), so this accepts no basis that
-        # cond_2 would reject; a NaN bound or residual fails the comparison
-        rows = [m.view(float).reshape(len(m), 1, -1) for m in (vecs, v_inv)]  # ||m||_F^2 = row @ row^T
-        bound = np.sqrt((rows[0] @ rows[0].swapaxes(1, 2)) * (rows[1] @ rows[1].swapaxes(1, 2)))[:, 0, 0]
-        residual = np.abs((vecs * self.lam[:, None]) @ v_inv - superop).max(axis=(1, 2))
-        accepted = (bound <= SPECTRAL_COND_MAX) & (residual <= SPECTRAL_RESIDUAL_MAX * np.abs(superop).max(axis=(1, 2)))
-        self.basis = [v if ok else None for v, ok in zip(vecs, accepted)]
-        v_inv[~accepted] = 0.0  # per item (V^-1 vec rho0, Y 1, z) and Y, 0 under a rejected basis
-        mine = self.generator if len(liouvillians) > 1 else slice(None)  # one generator broadcasts
-        lam, x = self.lam[mine], (v_inv @ np.array([liou.d_superop for liou in liouvillians]) @ vecs)[mine]
+        self.lam, w, w_inv, d_superop = _decompose(channels)
+        u = np.array([ch.vecs for ch in channels])
+        to_eigen = _kron(u.conj(), u)  # vec(U r U^H) = (conj(U) (x) U) vec(r)
+        self.basis, v_inv = to_eigen @ w, w_inv @ dag(to_eigen)
+        tol = EQUAL_EIG_TOL * np.abs(self.lam).max(axis=-1, keepdims=True)
+        mine = self.generator if len(channels) > 1 else slice(None)  # one generator broadcasts
+        lam, x = self.lam[mine], (w_inv @ d_superop @ w)[mine]  # X = V^-1 (dL/dT) V
         self.c = (v_inv[mine] @ self.v0[..., None])[..., 0]
         # the conserved quantities (the left null space) do not depend on T
         xc = x * self.c[:, None, :]
@@ -214,28 +232,16 @@ class _Evolution:
         self.y = np.divide(xc, gap, out=np.zeros_like(xc), where=~equal)
         self.ysum, self.z = self.y.sum(axis=-1), np.where(equal, xc, 0.0).sum(axis=-1)
 
-    def _exponentials(self, item, times):
-        liou, n = self.liouvillians[self.generator[item]], self.v0.shape[-1]
-        block = np.block([[liou.superop, liou.d_superop], [np.zeros_like(liou.superop), liou.superop]])
-        start = np.concatenate([np.zeros(n, dtype=complex), self.v0[item]])
-        out = np.array([expm(block * t) @ start for t in times])
-        return out[:, n:], out[:, :n]
-
     def _grid(self, items, times):
         """Vectors ``(k, n_t, d^2)`` of ``items`` (one generator) at ``times``:
         each its own ``(1, d^2)`` product with a stride-0 row of one ``exp(lam
-        t)``, the same bits in any stack; a non-finite item takes exponentials."""
-        g, n = self.generator[items[0]], self.v0.shape[-1]
-        if (v := self.basis[g]) is None:
-            vecs, dvecs = np.full((2, len(items), len(times), n), np.nan, dtype=complex)
-        else:
-            e = np.exp(np.multiply.outer(times, self.lam[g]))[:, None]
-            c, ysum, z = (x[items][:, None, None] for x in (self.c, self.ysum, self.z))
-            ey = e @ self.y[items].transpose(0, 2, 1)[:, None]
-            vecs = ((e * c) @ v.T)[..., 0, :]
-            dvecs = ((e * (ysum + times[:, None, None] * z) - ey) @ v.T)[..., 0, :]
-        for k in np.flatnonzero(~(np.isfinite(vecs).all(axis=(1, 2)) & np.isfinite(dvecs).all(axis=(1, 2)))):
-            vecs[k], dvecs[k] = self._exponentials(items[k], times)
+        t)``, the same bits in any stack."""
+        g = self.generator[items[0]]
+        e = np.exp(np.multiply.outer(times, self.lam[g]))[:, None]
+        c, ysum, z = (x[items][:, None, None] for x in (self.c, self.ysum, self.z))
+        ey = e @ self.y[items].transpose(0, 2, 1)[:, None]
+        vecs = ((e * c) @ self.basis[g].T)[..., 0, :]
+        dvecs = ((e * (ysum + times[:, None, None] * z) - ey) @ self.basis[g].T)[..., 0, :]
         # exp(L 0) = I exactly, which the decomposition reproduces only to rounding
         if (zero := times == 0).any():
             vecs[:, zero], dvecs[:, zero] = self.v0[items][:, None], 0.0
@@ -254,7 +260,7 @@ class _Evolution:
         n = self.v0.shape[-1]
         if items.ndim == 0 or (items.shape[1:] == (1,) and times.ndim == 1):
             shape, items, times = items.shape[:1] + times.shape, items.reshape(-1), times.reshape(-1)
-            if len(self.liouvillians) == 1:
+            if len(self.basis) == 1:
                 vecs, dvecs = self._grid(items, times)
             else:
                 vecs, dvecs = np.empty((2, len(items), len(times), n), dtype=complex)
@@ -270,17 +276,15 @@ class _Evolution:
         return rho, 0.5 * (drho + dag(drho))
 
 
-def propagate(liouvillian: Liouvillian, rho0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """State of ``rho0`` after a finite time ``t >= 0`` and its exact
-    temperature derivative: matrices for a scalar ``t``, ``(n_t, d, d)``
-    stacks for a grid.
+def propagate(model: Model, rho0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """State of ``rho0`` under ``model``'s generator after a finite time ``t
+    >= 0`` and its exact temperature derivative: matrices for a scalar ``t``,
+    ``(n_t, d, d)`` stacks for a grid.
 
-    One eigendecomposition of the generator serves every time.  If its
-    eigenvector matrix is ill conditioned (``SPECTRAL_COND_MAX``), it does
-    not reproduce the generator (``SPECTRAL_RESIDUAL_MAX``) or a state
-    overflows, each time gets its own exponential instead.  Raises
-    ``NonPositiveInput`` for a time that is not finite and ``>= 0`` (the
-    steady state is :func:`rate_law`'s), and ``PositivityViolation`` for a
-    state with an eigenvalue below -1e-8 (a defective generator).
+    One block decomposition of the generator in its Hamiltonian eigenbasis
+    serves every time.  Raises ``NonPositiveInput`` for a time that is not
+    finite and ``>= 0`` (the steady state is :func:`rate_law`'s),
+    ``NonFinite`` for a state that overflows, and ``PositivityViolation`` for
+    a state with an eigenvalue below -1e-8.
     """
-    return _Evolution([liouvillian], [rho0], [0])(t, 0)
+    return _Evolution([jump_channels(model)], [rho0], [0])(t, 0)

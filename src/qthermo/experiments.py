@@ -14,8 +14,9 @@ jobs whose order does not change the assembled output.
 A chunk is one :class:`TemperatureFamily` of all its points' models, its
 items (``theta_scan``'s chunks read items of one family, decomposed before
 they start): per distinct generator (models that differ only in ``theta``
-share one) its channels and, once a finite time asks for them, one
-Liouvillian with its closed-form ``dL/dT`` and one decomposition.  The
+share one) its channels and, once a finite time asks for them, one block
+decomposition of its generator and closed-form ``dL/dT`` in the Hamiltonian
+eigenbasis.  The
 family takes the states and their exact temperature derivatives from them
 in ``(item, t)`` stacks of up to ``STACK_STATES``, and computes records on
 stacks; steady states come from the population rate law of the channels.
@@ -47,7 +48,7 @@ from .closed_forms import optimal_ratio, steady_qsnr
 from .errors import BadDimension, NoConvergence, NonFinite, NonPositiveInput, ResolutionLimit, ValidationError
 from .fisher import _doublet_populations, _sector_qfi, cfi_povm, measurement_fi, qsnr, qubit_qfi
 from .linalg import dag, partial_trace, pauli
-from .master_equation import assemble_liouvillian, jump_channels
+from .master_equation import jump_channels
 from .models import (BathSpec, CommonBath, DirectProbeModel, LocalBaths, TwoQubitModel, coupling_operators,
                      generator_key, initial_state)
 from .dynamics import _Evolution, law_states, rate_law
@@ -263,8 +264,8 @@ class TemperatureFamily:
     their exact derivatives in the temperature of the first model's first
     coupled bath (the first of ``coupling_operators``).  Models that differ
     only in their preparation share one generator: its channels and, once a
-    finite time asks for them, its Liouvillian and one decomposition, each
-    built on first use.  The steady state (``t = inf``) comes from the
+    finite time asks for them, one block decomposition, each built on first
+    use.  The steady state (``t = inf``) comes from the
     population rate law (``dynamics.rate_law``) alone.  The probe of a model
     with the ``ancilla`` preparation is its first qubit, others are whole."""
 
@@ -284,12 +285,8 @@ class TemperatureFamily:
         return [jump_channels(model) for model in self._sources]
 
     @cached_property
-    def liouvillians(self) -> list:
-        return [assemble_liouvillian(channels) for channels in self.channels]
-
-    @cached_property
     def _evolution(self) -> _Evolution:
-        return _Evolution(self.liouvillians, self.rho0, self._generator)
+        return _Evolution(self.channels, self.rho0, self._generator)
 
     def _steady(self, item):
         """``(p, d log p/dT, kept coherences, rho, drho)`` of the item's rate law."""

@@ -124,7 +124,7 @@ def expm(m: np.ndarray) -> np.ndarray:
 
     Raises ``NonFinite`` if the result overflows.
     """
-    import scipy.linalg  # deferred: most of the import time, and only fallbacks need it
+    import scipy.linalg  # deferred: most of the import time, and only the selftest needs it
 
     out = scipy.linalg.expm(np.asarray(m, dtype=complex))
     if not np.all(np.isfinite(out)):

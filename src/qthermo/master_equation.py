@@ -238,22 +238,32 @@ def assemble_liouvillian(ch: Channels) -> Liouvillian:
     its derivative leaves the float64 range (finite rates can still overflow
     in the sum), naming the largest rate or the frequency of a nan rate.
     """
-    superops = dissipator_superop(ch.ops)
-    superop = commutator_superop(ch.hamiltonian)
-    d_superop = np.zeros_like(superop)
+    return Liouvillian(*_assemble(ch, commutator_superop(ch.hamiltonian), ch.ops))
+
+
+def _assemble(ch: Channels, unitary: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(superop, d_superop)`` of :func:`assemble_liouvillian` from the
+    commutator superoperator ``unitary`` and the channels' jump operators
+    ``ops``, both in any one basis: the terms are added in channel order."""
+    superops = dissipator_superop(ops)
+    superop, d_superop = unitary.copy(), np.zeros_like(unitary)
     for term, d_term in zip(ch.rates[:, None, None] * superops, ch.d_rates[:, None, None] * superops):
         superop += term
         d_superop += d_term
     if not (np.isfinite(superop).all() and np.isfinite(d_superop).all()):
         raise overflow_error(ch)
-    return Liouvillian(superop=superop, d_superop=d_superop)
+    return superop, d_superop
 
 
 def overflow_error(ch: Channels) -> NonFinite:
-    """Error of channels whose generator overflows, naming a nan rate's frequency or the largest rate."""
+    """Error of channels whose generator overflows, naming a nan rate's
+    frequency, an infinite Bohr frequency or the largest rate."""
     nan = np.isnan(ch.rates)  # J(w) at an overflowing w = inf is inf * 0
     if nan.any():
         return NonFinite(f"generator overflows float64; rate nan at omega = {ch.omegas[nan][0]:g}")
+    with np.errstate(over="ignore"):
+        if np.isinf(bohr := ch.energies[-1] - ch.energies[0]):  # 2 kappa
+            return NonFinite(f"generator overflows float64; Bohr frequency {bohr:g}")
     return NonFinite(f"generator overflows float64; largest rate {ch.rates.max(initial=0.0):g}")
 
 

@@ -116,12 +116,11 @@ def _check_optimal_ratio():
 def _check_semigroup():
     model = make_model("probe_ancilla", temperature=0.4, eta=0.01, cutoff=10.0, kappa=0.8, theta=np.pi / 2)
     channels, rho0 = jump_channels(model), initial_state(model)
-    liou = assemble_liouvillian(channels)
-    one = propagate(liou, rho0, 7.0)[0]
-    two = propagate(liou, propagate(liou, rho0, 3.0)[0], 4.0)[0]
+    one = propagate(model, rho0, 7.0)[0]
+    two = propagate(model, propagate(model, rho0, 3.0)[0], 4.0)[0]
     worst = float(np.max(np.abs(one - two)))
     steady = law_states(channels.vecs, *rate_law(channels, rho0, 0.4))[0]  # probe and ancilla
-    residual = float(np.max(np.abs(liou.apply(steady))))
+    residual = float(np.max(np.abs(assemble_liouvillian(channels).apply(steady))))
     return worst < 1e-9 and residual < 1e-10, (
         f"semigroup defect {worst:.2e}, steady residual {residual:.2e}"
     )

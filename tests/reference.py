@@ -10,7 +10,9 @@ independent cross-check; no experiment takes a finite difference.
 :func:`steady_state` is the t -> inf limit of any generator's spectral
 decomposition, hand-built generators included; the package takes a model's
 steady state from the population rate law (``qthermo.dynamics.rate_law``)
-instead, which shares no code with it.
+instead, which shares no code with it.  :func:`propagate_generator` takes
+any generator's finite-time states from Van Loan exponentials; the package
+propagates a model block by block in its Hamiltonian eigenbasis instead.
 
 Conventions of the closed forms match :mod:`qthermo.models`: resonant
 qubits at unit transition frequency, hbar = k_B = 1.
@@ -56,7 +58,7 @@ import numpy as np
 
 from qthermo.errors import NoConvergence, NonPositiveInput, PositivityViolation
 from qthermo.fisher import _raise_first
-from qthermo.linalg import unvec, validate_density_matrix, vec
+from qthermo.linalg import dag, expm, unvec, validate_density_matrix, vec
 from qthermo.master_equation import _jump_stack
 from qthermo.models import BathSpec, LocalBaths, TwoQubitModel
 
@@ -168,6 +170,24 @@ def steady_state(liouvillian, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         ) from None
     rho = validate_density_matrix(0.5 * (rho + rho.conj().T), herm_tol=1e-12, eig_floor=-1e-8)
     return rho, 0.5 * (drho + drho.conj().T)
+
+
+def propagate_generator(liouvillian, rho0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """State of ``rho0`` under a hand-built generator after each time ``t``
+    and its temperature derivative: one exponential of the block generator
+    ``[[L, dL/dT], [0, L]] t`` per time, whose right column holds the state
+    and its derivative (Van Loan, IEEE Trans. Autom. Control 23, 395
+    (1978)).  Matrices for a scalar ``t``, stacks for a grid; the states are
+    validated as the engine's (``PositivityViolation`` below -1e-8).
+    """
+    superop, n = liouvillian.superop, liouvillian.superop.shape[0]
+    block = np.block([[superop, liouvillian.d_superop], [np.zeros_like(superop), superop]])
+    start = np.concatenate([np.zeros(n, dtype=complex), vec(rho0)])
+    times = np.asarray(t, dtype=float)
+    out = np.array([expm(block * s) @ start for s in times.ravel()]).reshape(*times.shape, 2 * n)
+    rho, drho = unvec(out[..., n:]), unvec(out[..., :n])
+    rho = validate_density_matrix(0.5 * (rho + dag(rho)), herm_tol=1e-12, eig_floor=-1e-8)
+    return rho, 0.5 * (drho + dag(drho))
 
 
 def jump_operators(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -46,7 +46,7 @@ from qthermo.fisher import (
     sld,
 )
 from qthermo.linalg import choi_matrix, expm, identity, partial_trace, pauli
-from qthermo.master_equation import assemble_liouvillian, build_liouvillian, decoherence_rate, jump_channels
+from qthermo.master_equation import assemble_liouvillian, decoherence_rate, jump_channels
 from qthermo.models import (
     BathSpec,
     CommonBath,
@@ -187,9 +187,8 @@ def test_criterion_04_sigma_x_measurement_optimality(probe_family):
 def test_criterion_05_dual_oracle_probe_state():
     bath = BathSpec(FIG1["eta"], FIG1["cutoff"], FIG1["temperature"])
     model = probe_ancilla(FIG1["kappa"], bath, np.pi / 2)
-    liou = build_liouvillian(model)
     times = np.linspace(0.0, 50.0, 500)
-    reduced = partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)
+    reduced = partial_trace(propagate(model, initial_state(model), times)[0], keep=1)
     dev = 0.0
     rows = []
     for t, rho in zip(times, reduced):
@@ -221,13 +220,13 @@ def test_criterion_05_dual_oracle_probe_state():
     sg = float(
         np.max(
             np.abs(
-                propagate(liou, initial_state(model), 17.0)[0]
-                - propagate(liou, propagate(liou, initial_state(model), 8.0)[0], 9.0)[0]
+                propagate(model, initial_state(model), 17.0)[0]
+                - propagate(model, propagate(model, initial_state(model), 8.0)[0], 9.0)[0]
             )
         )
     )
     init_ok = float(np.max(np.abs(reduced[0] - np.diag([0.0, 1.0])))) < 1e-12
-    late = propagate(liou, initial_state(model), 2000.0)[0]
+    late = propagate(model, initial_state(model), 2000.0)[0]
     late_coh = abs(late[0, 1] + late[1, 3])  # reduced-state coherence entries
     limits_ok = init_ok and late_coh < 1e-6
     suite_ok = sg < 1e-9  # trace/hermiticity/positivity asserted inside propagate()

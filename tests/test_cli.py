@@ -15,6 +15,8 @@ from qthermo.cli import EXIT_CODES, _fmt, _parse, build_parser, main, write_csv
 from qthermo.closed_forms import optimal_ratio, steady_qfi
 from qthermo.config import KINDS, parse_config_file, resolve
 from qthermo.errors import ParseError, ValidationError
+from qthermo.models import BathSpec
+from reference import direct_probe_qfi
 
 
 def with_params(command, *params):
@@ -341,6 +343,13 @@ class TestMain:
         assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 15
         assert capsys.readouterr().err.endswith("error: generator overflows float64; rate nan at omega = -inf\n")
 
+    def test_infinite_bohr_frequency_of_a_common_bath(self, tmp_path, capsys):
+        # at eta2 = eta (the default) no channel joins the +-kappa levels, so
+        # the generator's commutator is what overflows, and the error names it
+        argv = with_params("qfi_point", "model=two_qubit_common", "kappa=1.7976931348623157e308", "at=5")
+        assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 15
+        assert capsys.readouterr().err.endswith("error: generator overflows float64; Bohr frequency inf\n")
+
     def test_rejected_steady_request_builds_its_channels_once(self, tmp_path, capsys):
         # the rate law rejects this steady request with the generator's
         # error, from the channels it was given and without assembling a
@@ -362,10 +371,25 @@ class TestMain:
         assert self.tiny_t_and_kappa_at("1e300", tmp_path) == 15
         assert "error: qfi is inf at t = 1e+300\n" in capsys.readouterr().err
 
-    def test_qsnr_survives_t_squared_underflow(self, tmp_path, capsys):
-        assert self.tiny_t_and_kappa_at("1e200", tmp_path) == 0
+    def test_qsnr_survives_t_squared_underflow(self, tmp_path):
+        # T^2 = 1e-308 is subnormal, so the QSNR is T (T F): here of the
+        # direct probe at G t = 1 (G = 4 pi eta T), whose F the closed form gives
+        at = 7.95775e154
+        argv = with_params("qfi_point", "model=direct", "temperature=1e-154", f"at={at!r}")
+        assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 0
         record = json.loads((tmp_path / "qfi_point.summary.json").read_text())["results"]["record"]
-        assert record["qsnr"] == 1e-300 * (1e-300 * record["qfi"]) == 6.0085498459721239e-300
+        assert record["qfi"] == pytest.approx(direct_probe_qfi(at, BathSpec(0.01, 10.0, 1e-154)), rel=1e-14)
+        assert record["qsnr"] == 1e-154 * (1e-154 * record["qfi"]) != 1e-308 * record["qfi"]
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "T = kappa = 1e-300 at theta = pi: the propagated states hold their entries to about 1e-32 "
+        "absolute, and the QFI rests on entries of 1e-51 to 1e-99 (ROADMAP items 4 and 16)"))
+    def test_tiny_temperature_and_coupling_corner(self, tmp_path):
+        # the QFI of a 60-digit mpmath expm of the same float64 generator
+        for at, want in (("5", 2.1158348434641413e-99), ("1e100", 8.4633e99), ("1e200", 8.4633e299)):
+            assert self.tiny_t_and_kappa_at(at, tmp_path) == 0
+            record = json.loads((tmp_path / "qfi_point.summary.json").read_text())["results"]["record"]
+            assert record["qfi"] == pytest.approx(want, rel=1e-4), at
 
     @pytest.mark.parametrize("at", ["1e6", "1e300"])
     def test_far_time_point(self, at, tmp_path):
@@ -563,13 +587,17 @@ class TestMain:
             "steady_qsnr", [], None, None, False
         )
 
-    def test_import_leaves_scipy_unloaded(self):
-        # only linalg.expm needs scipy, and it imports it on first use
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # only linalg.expm needs scipy, and it imports it on first use; no
+        # experiment request calls it (each default, and a finite-time point)
         script = (
             "import sys\n"
             "import numpy as np\n"
             "import qthermo.cli\n"
             "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
+            f"for argv in [[name] for name in qthermo.experiments.EXPERIMENTS] + [['qfi_point', '--param', 'at=5']]:\n"
+            f"    assert qthermo.cli.main(argv + ['--out', {str(tmp_path)!r}, '--quiet']) == 0, argv\n"
+            "    assert 'scipy' not in sys.modules, f'{argv} imported scipy'\n"
             "from qthermo.linalg import expm\n"
             "t = 0.7\n"
             "out = expm(np.array([[0.0, t], [-t, 0.0]]))\n"

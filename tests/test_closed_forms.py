@@ -5,7 +5,6 @@ from qthermo.closed_forms import optimal_ratio, sech, steady_qfi, steady_qsnr
 from qthermo.dynamics import propagate
 from qthermo.errors import NonPositiveInput
 from qthermo.linalg import partial_trace, validate_density_matrix
-from qthermo.master_equation import build_liouvillian
 from qthermo.models import BathSpec, initial_state
 from reference import (
     direct_probe_coherence,
@@ -22,9 +21,8 @@ KAPPA = 0.8
 
 def numeric_reduced_states(t_max=50.0, n_points=251):
     model = probe_ancilla(KAPPA, BATH, np.pi / 2)
-    liou = build_liouvillian(model)
     times = np.linspace(0.0, t_max, n_points)
-    return times, partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)
+    return times, partial_trace(propagate(model, initial_state(model), times)[0], keep=1)
 
 
 class TestProbeClosedForm:
@@ -109,9 +107,8 @@ class TestGeneralPreparationOracle:
     @pytest.mark.parametrize("theta", [np.pi / 6, np.pi / 3, 3 * np.pi / 4])
     def test_angle_dependence(self, theta):
         model = probe_ancilla(KAPPA, BATH, theta)
-        liou = build_liouvillian(model)
         times = np.linspace(0.0, 40.0, 81)
-        reduced = partial_trace(propagate(liou, initial_state(model), times)[0], keep=1)
+        reduced = partial_trace(propagate(model, initial_state(model), times)[0], keep=1)
         re_b = 2 * KAPPA * np.pi * BATH.eta * np.exp(-2 * KAPPA / BATH.cutoff) / np.tanh(
             KAPPA / BATH.temperature
         )

@@ -29,7 +29,7 @@ from qthermo.experiments import (
 )
 from qthermo.fisher import qfi_spectral, qsnr, qubit_qfi, sector_qfi
 from qthermo.dynamics import propagate
-from qthermo.master_equation import assemble_liouvillian, build_liouvillian
+from qthermo.master_equation import build_liouvillian
 from qthermo.models import BathSpec, LocalBaths, TwoQubitModel, initial_state
 from reference import d_rho_dT, direct_probe_qfi, probe_ancilla, steady_state
 
@@ -676,7 +676,7 @@ class TestPointRunners:
         scan = run_evolve("two_qubit_common", eta2=0.03, n_points=40)
         model = make_model("two_qubit_common", temperature=0.4, eta=0.01, eta2=0.03, cutoff=10.0)
         times = np.linspace(0.0, 50.0, 40)
-        states, _ = propagate(build_liouvillian(model), initial_state(model), times)
+        states, _ = propagate(model, initial_state(model), times)
         for row, s in zip(scan.rows, states):
             assert [row[p] for p in ("p00", "p01", "p10", "p11")] == [float(s[k, k].real) for k in range(4)]
             assert row["purity"] == float(np.trace(s @ s).real)
@@ -792,18 +792,18 @@ class TestClosedFormRegressions:
 
 
 class TestSharedGenerator:
-    """A preparation sweep builds one generator per bath and pool chunk and
-    gets the bits of families built one by one."""
+    """A preparation sweep decomposes one generator per bath and pool chunk
+    and gets the bits of families built one by one."""
 
     @staticmethod
     def count_builds(monkeypatch):
-        calls = []
+        calls, assemble = [], dynamics._assemble
 
-        def counted(channels):
+        def counted(channels, *args):
             calls.append(channels)
-            return assemble_liouvillian(channels)
+            return assemble(channels, *args)
 
-        monkeypatch.setattr(experiments, "assemble_liouvillian", counted)
+        monkeypatch.setattr(dynamics, "_assemble", counted)
         return calls
 
     @staticmethod
@@ -827,7 +827,7 @@ class TestSharedGenerator:
         calls = self.count_builds(monkeypatch)
         shapes = self.count_exponentials(monkeypatch)
         scan = run_theta_scan(n_points=60, workers=workers)
-        # the five preparations share one generator, built before the chunks;
+        # the five preparations share one generator, decomposed before the chunks;
         # each chunk takes one exp(lam t) of the grid for all of its items
         assert len(calls) == 1
         assert shapes == [(60, 16)] * workers
@@ -860,13 +860,13 @@ class TestSharedGenerator:
 
     def test_preparations_share_the_generator(self):
         fam = TemperatureFamily(*(probe_ancilla(0.8, BathSpec(0.01, 10.0, 0.4), theta) for theta in (0.0, np.pi / 3)))
-        assert len(fam.liouvillians) == 1 and fam._generator == [0, 0]
+        assert len(fam.channels) == 1 and fam._generator == [0, 0]
         for item, theta in enumerate((0.0, np.pi / 3)):
             alone = pa_family(0.8, theta=theta)
             for got, want in zip(fam.state_and_derivative(7.5, item), alone.state_and_derivative(7.5)):
                 assert np.array_equal(got, want)
         couplings = TemperatureFamily(*(probe_ancilla(kappa, BathSpec(0.01, 10.0, 0.4), 0.0) for kappa in (0.6, 0.7)))
-        assert len(couplings.liouvillians) == 2
+        assert len(couplings.channels) == 2
 
     def test_each_item_gets_its_own_steady_state(self):
         fam = TemperatureFamily(*(probe_ancilla(0.8, BathSpec(0.01, 10.0, 0.4), theta) for theta in (0.0, np.pi / 3)))
@@ -906,7 +906,7 @@ class TestSteadyRateLaw:
     ])
     def test_steady_request_builds_no_generator(self, model, kw, rejects, monkeypatch):
         calls = []
-        monkeypatch.setattr(experiments, "assemble_liouvillian", lambda ch: calls.append(ch))
+        monkeypatch.setattr(dynamics, "_assemble", lambda *a: calls.append(a))
         monkeypatch.setattr(experiments, "_Evolution", lambda *a: calls.append(a))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing rates
@@ -1014,7 +1014,7 @@ RESOLVED = 1e-4
 
 
 def _resolved(fam):
-    lam = np.linalg.eigvals(fam.liouvillians[0].superop)
+    lam = np.linalg.eigvals(build_liouvillian(fam.models[0]).superop)
     rel = lam / np.max(np.abs(lam))
     settled = (np.abs(rel) <= 1e-13) | (-rel.real >= RESOLVED) | ((np.abs(rel.real) <= 1e-13) & (np.abs(rel) >= RESOLVED))
     rates = fam.channels[0].rates
@@ -1027,7 +1027,7 @@ def test_rate_law_matches_the_reference_projection():
         fam = _family(model, **kw)
         outcomes = []
         for steady in (lambda: fam.state_and_derivative(np.inf),
-                       lambda: [fam._project(x) for x in steady_state(fam.liouvillians[0], fam.rho0[0])]):
+                       lambda: [fam._project(x) for x in steady_state(build_liouvillian(fam.models[0]), fam.rho0[0])]):
             try:
                 outcomes.append(steady())
             except QThermoError as exc:

@@ -37,8 +37,8 @@ def test_spectral_propagation_matches_exponentials(model, temperature, kappa, et
     )
     liou, rho0 = build_liouvillian(m), initial_state(m)
     times = np.concatenate([[0.0], np.geomspace(1e-2, t_max, 11)])
-    stack = propagate(liou, rho0, times)[0]
-    # an exponential per time, independent of the spectral route behind
+    stack = propagate(m, rho0, times)[0]
+    # an exponential per time, independent of the block route behind
     # propagate
     ref = unvec(np.array([expm(liou.superop * t) @ vec(rho0) for t in times]))
     assert np.max(np.abs(stack - ref)) <= 1e-10

@@ -1,7 +1,10 @@
 """The exact two-qubit oracle of ``reference.two_qubit_sector_qfi`` against
 the steady closed form, a high-precision evaluation of the same model, the
-engine's default two-qubit scan, and the finite-time requests the engine
-still gets wrong."""
+engine's default two-qubit scan and its low-cutoff variant, the benchmark's
+finite-time two-qubit requests, and those the engine still gets wrong."""
+
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -128,14 +131,16 @@ def test_oracle_values_of_the_finite_time_reproducers(request_id):
     assert two_qubit_sector_qfi(make_model(name, cutoff=10.0, **kw), t) == pytest.approx(value, rel=1e-6)
 
 
-# the propagated state's own error: seed3-8 is nearly pure and takes the
-# spectral form, which cannot resolve its minority eigenvalue; the others
-# lose a slow mode's tiny component or cancel near the corner (ROADMAP item 7)
+# the propagated state's own error (relative, block route): seed3-8 is
+# nearly pure and takes the spectral form, which cannot resolve its minority
+# eigenvalue (1.0); the others lose a slow mode's tiny component (seed0-234,
+# 2.3e-7) or cancel next to the corner (seed2-180, 1.5e-7; seed2-5, 4.7e-8)
+# (ROADMAP item 7)
 OFF_THE_ORACLE = pytest.mark.xfail(
     raises=AssertionError, strict=True,
     reason="finite-time two-qubit QFI off the oracle until exact propagation (ROADMAP item 7)",
 )
-PROPAGATION_LIMITED = ("seed3-8", "seed0-234", "seed2-5", "seed2-180", "seed3-17")
+PROPAGATION_LIMITED = ("seed3-8", "seed0-234", "seed2-5", "seed2-180")
 
 
 @pytest.mark.parametrize("request_id", [
@@ -145,3 +150,64 @@ def test_finite_time_reproducers_match_the_oracle(request_id):
     name, t, kw, _ = _request(request_id)
     got = run_qfi_point(name, at=t, cutoff=10.0, **kw).results["record"]["qfi"]
     assert got == pytest.approx(two_qubit_sector_qfi(make_model(name, cutoff=10.0, **kw), t), rel=1e-10, abs=0.0)
+
+
+def _workloads():
+    """``perfbench/workloads.py``, read as a module of its own."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# relative misses of the oracle on the benchmark's finite-time two-qubit
+# requests, as measured on the block route: the eight beyond 1e-10, then
+# those within a factor 3 of it, whose rounding another BLAS kernel could
+# push across.  Each may not grow past twice its entry or 1e-10, whichever
+# is larger, and no other request may miss by more than 1e-10.
+KNOWN_MISSES = {
+    "seed3-8": 1.0, "seed0-234": 2.25e-7, "seed2-180": 1.51e-7, "seed2-5": 4.69e-8,
+    "seed2-112": 5.31e-9, "seed3-77": 2.16e-9, "seed2-252": 1.83e-10, "seed0-197": 1.48e-10,
+    "seed3-114": 9.8e-11, "seed0-169": 6.5e-11, "seed2-59": 5.0e-11, "seed3-17": 4.0e-11,
+}
+
+
+def test_benchmark_corpus_matches_the_oracle():
+    workloads, checked, misses = _workloads(), 0, {}
+    for seed in range(4):
+        for index, argv in enumerate(workloads.requests("point_queries", seed)):
+            params = dict(arg.split("=", 1) for arg in argv[2::2])
+            if argv[0] != "qfi_point" or params["at"] == "steady" or not params["model"].startswith("two_qubit"):
+                continue
+            name, t = params.pop("model"), float(params.pop("at"))
+            kw = {key: float(value) for key, value in params.items()}
+            got = run_qfi_point(name, at=t, **kw).results["record"]["qfi"]
+            want = two_qubit_sector_qfi(make_model(name, cutoff=10.0, **kw), t)
+            checked += 1
+            misses[f"seed{seed}-{index}"] = abs(got - want) / want
+    assert checked == 249
+    for request_id, miss in misses.items():
+        assert miss <= max(1e-10, 2.0 * KNOWN_MISSES.get(request_id, 0.0)), (request_id, miss)
+    assert sum(miss > 1e-10 for miss in misses.values()) <= 8
+
+
+def test_low_cutoff_two_qubit_scan_reaches_its_slow_mode():
+    # at cutoff 0.05 the exchange populations decay at about 1e-11 of
+    # max|lam|; their own block keeps the mode, so t_99 (about 1980) and the
+    # QFI at t_max follow the oracle
+    results = run_two_qubit_configs(cutoff=0.05, workers=1).results
+    times = np.concatenate([[0.0], np.geomspace(0.01, 2000.0, 239)])
+    for config, steady in results["steady_qfi"].items():
+        bath, prep = config.split("_")
+        m = make_model(f"two_qubit_{bath}", temperature=0.4, kappa=0.6, eta=0.01, eta2=0.05, cutoff=0.05,
+                       theta=0.0 if prep == "separable" else np.pi / 2)
+        want = two_qubit_sector_qfi(m, 2000.0)
+        assert steady == pytest.approx(want, rel=1e-6, abs=0.0), config
+        # the oracle's first crossing of 0.99 of it, bisected between grid points
+        k = next(k for k, t in enumerate(times) if two_qubit_sector_qfi(m, t) >= 0.99 * want)
+        lo, hi = times[k - 1], times[k]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if two_qubit_sector_qfi(m, mid) >= 0.99 * want else (mid, hi)
+        assert results["t_99"][config] == pytest.approx(hi, rel=1e-6, abs=0.0), config

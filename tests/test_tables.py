@@ -16,7 +16,6 @@ from qthermo.errors import BadDimension, NonPositiveInput
 from qthermo.experiments import EXPERIMENTS, ScanResult, make_model
 from qthermo.fisher import qsnr, qubit_qfi, sector_qfi
 from qthermo.dynamics import propagate
-from qthermo.master_equation import build_liouvillian
 from qthermo.models import initial_state
 
 SMALL = {
@@ -89,7 +88,7 @@ def old_rows(name, options, grid_args):
     if name == "evolve":
         system = make_model(options["model"], **kw)
         times = np.linspace(0.0, options["t_max"], options["n_points"])
-        states, _ = propagate(build_liouvillian(system), initial_state(system), times)
+        states, _ = propagate(system, initial_state(system), times)
         populations = ("p0", "p1") if states.shape[-1] == 2 else ("p00", "p01", "p10", "p11")
         columns = zip(
             times.tolist(),

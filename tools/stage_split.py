@@ -53,14 +53,15 @@ STAGES = (
     "qthermo.experiments:_two_qubit_record",
     "qthermo.experiments:TemperatureFamily.state_and_derivative",
     "qthermo.master_equation:jump_channels",
-    "qthermo.master_equation:assemble_liouvillian",
+    "qthermo.master_equation:_assemble",
     "qthermo.dynamics:rate_law",
     "qthermo.dynamics:law_states",
     "qthermo.dynamics:_states",
+    "qthermo.dynamics:_eigen_ops",
+    "qthermo.dynamics:_decompose",
     "qthermo.dynamics:_Evolution.__init__",
     "qthermo.dynamics:_Evolution.__call__",
     "qthermo.dynamics:_Evolution._grid",
-    "qthermo.dynamics:_Evolution._exponentials",
     "qthermo.fisher:qfi_spectral",
     "qthermo.fisher:sector_qfi",
     "qthermo.fisher:_sector_qfi",
